@@ -346,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("kind", choices=ANALYZE_KINDS)
     p_analyze.add_argument("input", help="path to the instance JSON")
     p_analyze.add_argument("--json", action="store_true")
-    p_analyze.add_argument("--seed", type=int, default=0)
     p_analyze.add_argument("--max-elements", type=int, default=10_000)
     p_analyze.add_argument("--depth", type=int, default=3)
     p_analyze.add_argument("--enumerate-bound", type=int, default=10)

@@ -7,67 +7,34 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import InverseSemigroup
+from .core import InverseSemigroup, per_semigroup
 from .errors import InternalContract, NotCongruence, NotIdeal, TooLarge
-from .relations import SemigroupHomomorphism, h_and_mu
+from .relations import EquivalenceRelation, SemigroupHomomorphism, h_and_mu
 from .semilattice import Semilattice, is_0_disjunctive
-from .util import Decision
+from .util import Decision, UnionFind
 
 DEFAULT_ENUMERATION_BOUND = 10
 
 
 @dataclass(frozen=True)
-class Congruence:
-    n: int
-    classes: tuple  # frozensets sorted by least member
-    class_index: tuple
+class Congruence(EquivalenceRelation):
     is_rees: bool
     is_zero_restricted: bool
     is_idempotent_separating: bool
 
-    def same(self, a: int, b: int) -> bool:
-        return self.class_index[a] == self.class_index[b]
-
-    def class_of(self, a: int) -> frozenset:
-        return self.classes[self.class_index[a]]
-
-    def is_equality(self) -> bool:
-        return len(self.classes) == self.n
-
-    def is_universal(self) -> bool:
-        return len(self.classes) == 1
-
-    def partition(self) -> frozenset:
-        return frozenset(self.classes)
-
-
-def _canonical_classes(n: int, rep_of) -> tuple:
-    buckets = {}
-    for a in range(n):
-        buckets.setdefault(rep_of(a), set()).add(a)
-    return tuple(sorted((frozenset(c) for c in buckets.values()), key=min))
-
 
 def make_congruence(s: InverseSemigroup, rep_of, *, check: bool = False) -> Congruence:
     """Package a class map into a Congruence, computing the standard flags."""
-    classes = _canonical_classes(s.n, rep_of)
-    index = [0] * s.n
-    for i, c in enumerate(classes):
-        for a in c:
-            index[a] = i
-    index = tuple(index)
+    rel = EquivalenceRelation.from_class_map(s.n, rep_of)
     if check:
-        _check_compatible(s, index)
-    zero_class = classes[index[s.zero]]
-    rees = all(len(c) == 1 for c in classes if s.zero not in c)
-    separating = all(sum(1 for x in c if s.is_idempotent(x)) <= 1 for c in classes)
+        _check_compatible(s, rel.class_index)
+    classes = rel.classes
     return Congruence(
-        n=s.n,
-        classes=classes,
-        class_index=index,
-        is_rees=rees,
-        is_zero_restricted=(zero_class == frozenset({s.zero})),
-        is_idempotent_separating=separating,
+        rel.n, classes, rel.class_index,
+        is_rees=all(len(c) == 1 for c in classes if s.zero not in c),
+        is_zero_restricted=(rel.class_of(s.zero) == frozenset({s.zero})),
+        is_idempotent_separating=all(sum(1 for x in c if s.is_idempotent(x)) <= 1
+                                     for c in classes),
     )
 
 
@@ -91,30 +58,10 @@ def universal_congruence(s: InverseSemigroup) -> Congruence:
     return make_congruence(s, lambda a: 0)
 
 
-class _DSU:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
-
-
 def congruence_closure(s: InverseSemigroup, pairs) -> Congruence:
     """Least congruence containing the given pairs: union-find saturated under
     one-sided multiplication (two-sided compatibility follows)."""
-    dsu = _DSU(s.n)
+    dsu = UnionFind(s.n)
     for a, b in pairs:
         dsu.union(a, b)
     changed = True
@@ -137,15 +84,9 @@ def congruence_closure(s: InverseSemigroup, pairs) -> Congruence:
 def _join(s: InverseSemigroup, rho: Congruence, sigma: Congruence) -> Congruence:
     """Join in the congruence lattice; for semigroup congruences the
     transitive closure of the union is already compatible."""
-    dsu = _DSU(s.n)
-    for c in rho.classes:
-        members = sorted(c)
-        for b in members[1:]:
-            dsu.union(members[0], b)
-    for c in sigma.classes:
-        members = sorted(c)
-        for b in members[1:]:
-            dsu.union(members[0], b)
+    dsu = UnionFind(s.n)
+    for c in rho.classes + sigma.classes:
+        dsu.union_all(c)
     return make_congruence(s, dsu.find)
 
 
@@ -176,6 +117,7 @@ def enumerate_congruences(s: InverseSemigroup, bound: int = DEFAULT_ENUMERATION_
     return out
 
 
+@per_semigroup
 def double_arrow(s: InverseSemigroup) -> Congruence:
     """The congruence identifying a and b when each nonzero element below one
     has a nonzero common lower bound with the other, both ways round.  The
@@ -189,7 +131,7 @@ def double_arrow(s: InverseSemigroup) -> Congruence:
 
     n = s.n
     related = [[arrow(a, b) and arrow(b, a) for b in range(n)] for a in range(n)]
-    dsu = _DSU(n)
+    dsu = UnionFind(n)
     for a in range(n):
         for b in range(a + 1, n):
             if related[a][b]:
@@ -333,6 +275,7 @@ def is_congruence_free(s: InverseSemigroup, bound: int = DEFAULT_ENUMERATION_BOU
     return by_structure
 
 
+@per_semigroup
 def condition_L(s: InverseSemigroup) -> bool:
     """The double-arrow quotient is fundamental."""
     q = quotient(s, double_arrow(s), check=False).quotient

@@ -7,6 +7,7 @@ O(1) table lookups on the canonical indices.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -101,10 +102,26 @@ class NaturalOrder:
         return tuple(t for t in range(len(self.leq)) if self.leq[s][t])
 
 
+def per_semigroup(fn):
+    """Compute fn(s) once per semigroup: the first call stores the result in
+    the semigroup's cache and every later call returns that same object, so
+    cached results must be immutable.  A call that raises stores nothing."""
+
+    @functools.wraps(fn)
+    def cached(s):
+        if fn not in s._cache:
+            s._cache[fn] = fn(s)
+        return s._cache[fn]
+
+    return cached
+
+
 class InverseSemigroup:
     """Finite inverse semigroup with a designated zero.
 
-    Immutable after construction; safe for concurrent reads.
+    Immutable after construction.  Structures derived from S alone (natural
+    order, H/mu, ideals, double arrow, groupoids) are computed on first use
+    and cached, see ``per_semigroup``.
     """
 
     def __init__(self, mul, inv, zero, labels=None, pmaps=None, *, check=True,
@@ -121,7 +138,7 @@ class InverseSemigroup:
             self._validate(check_associativity)
         self.idempotents = tuple(sorted(e for e in range(self.n) if self.mul[e][e] == e))
         self._idempotent_set = frozenset(self.idempotents)
-        self._order = None
+        self._cache = {}
 
     # -- validation ---------------------------------------------------------
 
@@ -197,15 +214,13 @@ class InverseSemigroup:
     def nonzero(self) -> tuple:
         return tuple(a for a in range(self.n) if a != self.zero)
 
+    @per_semigroup
     def order(self) -> NaturalOrder:
-        if self._order is None:
-            idems = self.idempotents
-            leq = tuple(
-                tuple(any(self.mul[t][e] == s for e in idems) for t in range(self.n))
-                for s in range(self.n)
-            )
-            self._order = NaturalOrder(leq)
-        return self._order
+        idems = self.idempotents
+        return NaturalOrder(tuple(
+            tuple(any(self.mul[t][e] == s for e in idems) for t in range(self.n))
+            for s in range(self.n)
+        ))
 
     def leq(self, s: int, t: int) -> bool:
         return self.order().leq[s][t]

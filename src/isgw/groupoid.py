@@ -14,12 +14,12 @@ import itertools
 from dataclasses import dataclass
 
 from .congruences import QuotientSemigroup, condition_L, double_arrow, quotient, rees_quotient
-from .core import InverseSemigroup
+from .core import InverseSemigroup, per_semigroup
 from .errors import DomainViolation, InternalContract, NotInvariant
 from .ideals_filters import enumerate_ideals
 from .report import TheoremEntry
 from .semilattice import Semilattice, atoms, has_trapping_condition, is_cover
-from .util import Decision
+from .util import Decision, UnionFind, group_by
 
 
 @dataclass(frozen=True)
@@ -124,22 +124,10 @@ class FiniteGroupoid:
         return tuple(out)
 
     def unit_orbits(self) -> tuple:
-        parent = {m: m for m in self.units}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        dsu = UnionFind(self.s.n)
         for u in self.arrows:
-            a, b = find(self.source(u)), find(self.range(u))
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-        buckets = {}
-        for m in self.units:
-            buckets.setdefault(find(m), set()).add(m)
-        return tuple(sorted((frozenset(v) for v in buckets.values()), key=min))
+            dsu.union(self.source(u), self.range(u))
+        return tuple(group_by(self.units, dsu.find))
 
 
 @dataclass(frozen=True)
@@ -148,6 +136,7 @@ class GroupoidPair:
     tight: FiniteGroupoid
 
 
+@per_semigroup
 def build_groupoids(s: InverseSemigroup) -> GroupoidPair:
     """Universal groupoid over all filters and its reduction to the tight
     (atom) filters."""

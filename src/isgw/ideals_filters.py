@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import InverseSemigroup
+from .core import InverseSemigroup, per_semigroup
 from .errors import CapExceeded, DomainViolation, InternalContract
 from .semilattice import Semilattice, is_cover, has_trapping_condition, atoms
-from .util import Decision, downsets
+from .util import Decision, UnionFind, downsets, group_by, subsets
 
-MAX_PRINCIPAL_IDEALS = 16
 MAX_ORBITS = 16
 
 
@@ -89,7 +88,8 @@ def _ideal_trace(s: InverseSemigroup, members: frozenset) -> frozenset:
 
 
 def s_level_saturated(s: InverseSemigroup, members: frozenset) -> bool:
-    """Saturation tested with down-sets in all of S rather than in E."""
+    """Saturation tested with down-sets in all of S rather than in E: no
+    element outside the set is covered from inside it."""
     order = s.order()
     z = s.zero
     down = [set(order.down(a)) - {z} for a in s.elements()]
@@ -100,27 +100,23 @@ def s_level_saturated(s: InverseSemigroup, members: frozenset) -> bool:
         if not cover:
             continue
         if all(any(down[x] & down[c] for c in cover) for x in down[a]):
-            return True  # a is covered from inside the set but missing
-    return False
+            return False  # a is covered from inside the set but missing
+    return True
 
 
-def enumerate_ideals(s: InverseSemigroup) -> list:
+@per_semigroup
+def enumerate_ideals(s: InverseSemigroup) -> tuple:
     """All ideals of S, cross-checked against the bijection with invariant
-    order ideals of E (X maps to SXS, an ideal maps to its idempotents)."""
+    order ideals of E (X maps to SXS, an ideal maps to its idempotents).
+
+    Every ideal is the union of the principal ideals inside it, which form a
+    downset of the inclusion order on principal ideals, and each such
+    downset gives a different ideal."""
     lattice = Semilattice.from_semigroup(s)
 
-    principals = {}
-    for a in s.elements():
-        principals.setdefault(principal_ideal(s, a), None)
-    principals = sorted(principals, key=lambda p: (len(p), tuple(sorted(p))))
-    if len(principals) > MAX_PRINCIPAL_IDEALS:
-        raise CapExceeded(f"{len(principals)} principal ideals")
-
-    ideal_sets = set()
-    for mask in range(1, 1 << len(principals)):
-        union = frozenset().union(*(p for i, p in enumerate(principals) if mask >> i & 1))
-        ideal_sets.add(union)
-    ideal_sets.add(frozenset({s.zero}))
+    principals = list({principal_ideal(s, a): None for a in s.elements()})
+    ideal_sets = {frozenset({s.zero}).union(*d)
+                  for d in downsets(principals, frozenset.issubset)}
 
     invariant_xs = sorted(
         (x for x in order_ideals(lattice) if is_invariant_order_ideal(s, x)),
@@ -151,7 +147,7 @@ def enumerate_ideals(s: InverseSemigroup) -> list:
             saturated=is_saturated_order_ideal(lattice, trace),
             is_zero_only=(members == frozenset({s.zero})),
         ))
-    return out
+    return tuple(out)
 
 
 def finite_cover_witnesses(s: InverseSemigroup) -> dict:
@@ -326,38 +322,37 @@ def beta_act(s: InverseSemigroup, a: int, filter_min: int) -> int:
 
 # -- invariant subsets of the filter spaces ----------------------------------
 
+def _unions(orbits) -> tuple:
+    """Every union of the given orbits, smallest first."""
+    if len(orbits) > MAX_ORBITS:
+        raise CapExceeded(f"{len(orbits)} filter orbits")
+    unions = {frozenset().union(*chosen) for chosen in subsets(list(orbits))}
+    return tuple(sorted(unions, key=lambda x: (len(x), tuple(sorted(x)))))
+
+
 @dataclass(frozen=True)
 class InvariantSubsetsReport:
     orbits: tuple  # frozensets of filter minima
-    invariant_subsets: tuple  # of the full filter space
     invariant_tight_subsets: tuple
     hull_invariance: Decision  # X invariant iff h(X) invariant, over all order ideals
     tight_correspondence: Decision  # saturated invariant ideals <-> invariant tight sets
     trapping: Decision
     hypothesis: str  # "met" or "unmet-recorded"
 
+    @property
+    def invariant_subsets(self) -> tuple:
+        """Invariant subsets of the full filter space: the unions of orbits."""
+        return _unions(self.orbits)
+
 
 def _filter_orbits(s: InverseSemigroup, mins) -> list:
-    parent = {m: m for m in mins}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    dsu = UnionFind(s.n)
     for a in s.elements():
         dom = s.product(s.star(a), a)
         for m in mins:
             if s.leq(m, dom):
-                image = s.product(s.product(a, m), s.star(a))
-                ra, rb = find(m), find(image)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    buckets = {}
-    for m in mins:
-        buckets.setdefault(find(m), set()).add(m)
-    return sorted((frozenset(v) for v in buckets.values()), key=min)
+                dsu.union(m, s.product(s.product(a, m), s.star(a)))
+    return group_by(mins, dsu.find)
 
 
 def invariant_subsets(s: InverseSemigroup) -> InvariantSubsetsReport:
@@ -366,27 +361,18 @@ def invariant_subsets(s: InverseSemigroup) -> InvariantSubsetsReport:
     lattice = Semilattice.from_semigroup(s)
     space = filter_space(lattice)
     orbits = _filter_orbits(s, space.mins)
-    if len(orbits) > MAX_ORBITS:
-        raise CapExceeded(f"{len(orbits)} filter orbits")
-
     for orbit in orbits:
         kinds = {m in space.tight for m in orbit}
         if len(kinds) > 1:
             raise InternalContract("an orbit mixes tight and non-tight filters")
 
-    all_subsets = []
-    for mask in range(1 << len(orbits)):
-        sel = frozenset().union(*(orbits[i] for i in range(len(orbits)) if mask >> i & 1)) \
-            if mask else frozenset()
-        all_subsets.append(sel)
-    all_subsets = sorted(set(all_subsets), key=lambda x: (len(x), tuple(sorted(x))))
-    tight_subsets = [a for a in all_subsets if a <= space.tight]
+    tight_subsets = _unions([o for o in orbits if o <= space.tight])
 
     hull_inv = Decision(True)
     for x in order_ideals(lattice):
         hx = frozenset(hull(lattice, x))
         inv_x = is_invariant_order_ideal(s, x)
-        inv_hx = hx in all_subsets
+        inv_hx = all(o <= hx or not o & hx for o in orbits)  # a union of orbits
         if inv_x != inv_hx:
             hull_inv = Decision(False, (x, hx))
             break
@@ -412,8 +398,7 @@ def invariant_subsets(s: InverseSemigroup) -> InvariantSubsetsReport:
 
     return InvariantSubsetsReport(
         orbits=tuple(orbits),
-        invariant_subsets=tuple(all_subsets),
-        invariant_tight_subsets=tuple(tight_subsets),
+        invariant_tight_subsets=tight_subsets,
         hull_invariance=hull_inv,
         tight_correspondence=correspondence,
         trapping=trapping,

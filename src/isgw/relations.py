@@ -6,8 +6,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import InverseSemigroup
+from .core import InverseSemigroup, per_semigroup
 from .errors import InternalContract, NotHomomorphism
+from .util import group_by
 
 
 @dataclass(frozen=True)
@@ -20,10 +21,7 @@ class EquivalenceRelation:
 
     @classmethod
     def from_class_map(cls, n: int, rep_of) -> "EquivalenceRelation":
-        buckets = {}
-        for a in range(n):
-            buckets.setdefault(rep_of(a), set()).add(a)
-        classes = tuple(sorted((frozenset(c) for c in buckets.values()), key=min))
+        classes = tuple(group_by(range(n), rep_of))
         index = [0] * n
         for i, c in enumerate(classes):
             for a in c:
@@ -39,6 +37,12 @@ class EquivalenceRelation:
     def is_equality(self) -> bool:
         return len(self.classes) == self.n
 
+    def is_universal(self) -> bool:
+        return len(self.classes) == 1
+
+    def partition(self) -> frozenset:
+        return frozenset(self.classes)
+
 
 @dataclass(frozen=True)
 class RelationsReport:
@@ -48,6 +52,7 @@ class RelationsReport:
     fundamental: bool
 
 
+@per_semigroup
 def h_and_mu(s: InverseSemigroup) -> RelationsReport:
     """Compute H (equal domain and range idempotents) and mu (equal
     conjugation action on every idempotent); cryptic means mu = H and
@@ -71,6 +76,7 @@ def h_and_mu(s: InverseSemigroup) -> RelationsReport:
     )
 
 
+@per_semigroup
 def centralizer(s: InverseSemigroup) -> tuple:
     """Elements commuting with every idempotent; always contains E(S)."""
     out = []

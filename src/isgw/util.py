@@ -1,4 +1,5 @@
-"""Small shared helpers: boolean decisions with witnesses, downset enumeration."""
+"""Small shared helpers: boolean decisions with witnesses, union-find,
+grouping into classes, downset enumeration."""
 
 from __future__ import annotations
 
@@ -21,6 +22,43 @@ class Decision:
 
     def __bool__(self) -> bool:
         return self.value
+
+
+class UnionFind:
+    """Disjoint sets over 0..n-1; every class is rooted at its least member."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, a: int) -> int:
+        while self.parent[a] != a:
+            self.parent[a] = self.parent[self.parent[a]]
+            a = self.parent[a]
+        return a
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if rb < ra:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return True
+
+    def union_all(self, items) -> None:
+        """Merge all the given members into one class."""
+        items = iter(items)
+        first = next(items, None)
+        for b in items:
+            self.union(first, b)
+
+
+def group_by(items, key) -> list:
+    """Classes of items with equal key, as frozensets sorted by least member."""
+    buckets = {}
+    for a in items:
+        buckets.setdefault(key(a), set()).add(a)
+    return sorted((frozenset(c) for c in buckets.values()), key=min)
 
 
 def downsets(elements: list, leq: Callable[[Any, Any], bool], cap: int = 1_000_000) -> Iterator[frozenset]:

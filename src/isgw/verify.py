@@ -7,9 +7,7 @@ library bug) and the CLI turns it into a nonzero exit.
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 
 from . import congruences as cg
 from . import ideals_filters as ifl
@@ -195,7 +193,7 @@ def check_ideal_correspondence(s: InverseSemigroup) -> list:
     witness = None
     for ideal in ideals:
         e_level = ideal.saturated
-        s_level = not ifl.s_level_saturated(s, ideal.elements)
+        s_level = ifl.s_level_saturated(s, ideal.elements)
         if e_level != s_level:
             agree = False
             witness = sorted(ideal.elements)
@@ -638,24 +636,11 @@ def verify_instance(inst: CorpusInstance, seed: int = 0) -> Report:
     return report
 
 
-def thread_count() -> int:
-    raw = os.environ.get("ISGW_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def verify_corpus(instances=None, seed: int = 0) -> list:
-    """Verify every instance; deterministic ordered output regardless of the
-    worker count (ISGW_THREADS)."""
+    """Verify every instance, in order."""
     if instances is None:
         instances = builtin_corpus(seed)
-    workers = thread_count()
-    if workers == 1:
-        return [verify_instance(inst, seed) for inst in instances]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda i: verify_instance(i, seed), instances))
+    return [verify_instance(inst, seed) for inst in instances]
 
 
 def summarize(reports: list) -> dict:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -154,3 +155,22 @@ def test_verify_reports_falsification(monkeypatch, capsys):
     assert code == 1
     assert "FALSIFIED" in err
     assert "[FAIL] synthetic" in out
+
+
+# SHA-256 of the stdout of fixed commands.  Refactors must keep the output
+# byte-identical; the hashes do not depend on PYTHONHASHSEED.
+GOLDEN_SHA256 = {
+    "verify builtin --json --seed 0":
+        "f1602952a339cdf6da4d66ec11572b2158f1cc29fe36cd7550a20b504af7796c",
+    "analyze semigroup i2.json --json":
+        "b8ed75da2693c4072f35ca2c02364c3a98b135a40a56a8ef59723c1ae37458f4",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
+def test_golden_output(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "i2.json").write_text(json.dumps(I2_DOC))
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[command]

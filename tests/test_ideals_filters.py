@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from isgw.core import from_tables
+from isgw.corpus import builtin_corpus
 from isgw.errors import DomainViolation
 from isgw.ideals_filters import (
     beta_act,
@@ -14,11 +15,13 @@ from isgw.ideals_filters import (
     is_invariant_order_ideal,
     kernel,
     order_ideals,
+    principal_ideal,
     s_level_saturated,
     saturate,
     saturated_ideal_generated,
 )
 from isgw.semilattice import Semilattice
+from isgw.util import subsets
 
 from conftest import make_chain
 
@@ -144,11 +147,22 @@ def test_enumerate_ideals_zero():
     assert len(ideals) == 1 and ideals[0].is_zero_only
 
 
+def test_enumerate_ideals_matches_all_unions_of_principal_ideals():
+    # oracle: the union of every subset of the principal ideals
+    for inst in builtin_corpus(0):
+        if inst.kind != "semigroup":
+            continue
+        s = inst.semigroup
+        principals = list({principal_ideal(s, a) for a in s.elements()})
+        unions = {frozenset({s.zero}).union(*chosen) for chosen in subsets(principals)}
+        assert {i.elements for i in enumerate_ideals(s)} == unions, inst.uid
+
+
 def test_s_level_saturation_matches(i2, e4, z2z):
     for s in (i2, e4, z2z):
         lattice = Semilattice.from_semigroup(s)
         for ideal in enumerate_ideals(s):
-            assert ideal.saturated == (not s_level_saturated(s, ideal.elements))
+            assert ideal.saturated == s_level_saturated(s, ideal.elements)
 
 
 def test_saturated_ideal_generated(i2, i2n):

@@ -1,0 +1,80 @@
+"""Structures derived from S alone are computed once per semigroup."""
+
+import json
+
+import pytest
+
+from conftest import make_i2
+from isgw import cli
+from isgw import ideals_filters as ifl
+from isgw.congruences import condition_L, double_arrow
+from isgw.core import InverseSemigroup, from_tables, per_semigroup
+from isgw.groupoid import build_groupoids
+from isgw.relations import centralizer, h_and_mu
+from test_cli import I2_DOC
+
+CACHED = [InverseSemigroup.order, h_and_mu, centralizer, double_arrow, condition_L,
+          ifl.enumerate_ideals, build_groupoids]
+
+
+@pytest.mark.parametrize("fn", CACHED)
+def test_second_call_returns_the_same_object(fn):
+    s = make_i2()
+    assert fn(s) is fn(s)
+
+
+def test_a_call_that_raises_stores_nothing():
+    calls = []
+
+    @per_semigroup
+    def fails_once(s):
+        calls.append(s)
+        if len(calls) == 1:
+            raise ValueError("first call")
+        return s.n
+
+    s = make_i2()
+    with pytest.raises(ValueError):
+        fails_once(s)
+    assert fails_once(s) == fails_once(s) == 7
+    assert len(calls) == 2
+
+
+def test_enumerate_ideals_returns_a_tuple(i2):
+    assert isinstance(ifl.enumerate_ideals(i2), tuple)
+
+
+def test_analyze_forms_each_principal_ideal_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    original = ifl.principal_ideal
+
+    def counting(s, a):
+        calls.append(a)
+        return original(s, a)
+
+    monkeypatch.setattr(ifl, "principal_ideal", counting)
+    path = tmp_path / "i2.json"
+    path.write_text(json.dumps(I2_DOC))
+    assert cli.main(["analyze", "semigroup", str(path), "--json"]) == 0
+    capsys.readouterr()
+    assert sorted(calls) == list(range(7))
+
+
+def _chain_table(n):
+    return [[min(a, b) for b in range(n)] for a in range(n)]
+
+
+def test_ideals_of_an_18_element_chain():
+    n = 18
+    s = from_tables(_chain_table(n), list(range(n)), 0)
+    ideals = ifl.enumerate_ideals(s)
+    assert [i.elements for i in ideals] == [frozenset(range(k + 1)) for k in range(n)]
+
+
+def test_analyze_ideals_of_an_18_element_chain(tmp_path, capsys):
+    n = 18
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"table": _chain_table(n), "inv": list(range(n)), "zero": 0}))
+    assert cli.main(["analyze", "ideals", str(path), "--json"]) == 0
+    props = json.loads(capsys.readouterr().out)["properties"]
+    assert len(props["ideals"]["value"]) == n
