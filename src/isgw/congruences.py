@@ -176,13 +176,11 @@ def quotient(s: InverseSemigroup, rho: Congruence, *, check: bool = True) -> Quo
     """Quotient semigroup on the classes; the class of 0 is the new zero."""
     if check:
         _check_compatible(s, rho.class_index)
-    k = len(rho.classes)
     reps = [min(c) for c in rho.classes]
     mul = [[rho.class_index[s.product(ra, rb)] for rb in reps] for ra in reps]
     inv = [rho.class_index[s.star(r)] for r in reps]
     labels = [_class_label(s, c) for c in rho.classes]
-    q = InverseSemigroup(mul, inv, rho.class_index[s.zero], labels=labels,
-                         check=True, check_associativity=(k <= 128))
+    q = InverseSemigroup(mul, inv, rho.class_index[s.zero], labels=labels)
     return QuotientSemigroup(source=s, quotient=q, projection=rho.class_index)
 
 

@@ -3,21 +3,26 @@
 A semigroup is built once, from partial bijections or from explicit tables,
 validated, and then treated as immutable; every later module works through
 O(1) table lookups on the canonical indices.
+
+A closure of partial bijections is enumerated on its right Cayley graph over
+the generators, and its multiplication table is filled by tracing words,
+a*(w*g) = (a*w)*g, one lookup per entry (Froidure & Pin, "Algorithms for
+computing finite semigroups", 1997).  Associativity is checked at every size
+by Light's test against a generating set of the table (Clifford & Preston,
+vol. 1, section 1.2).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import CapExceeded, NotAssociative, NotInverse, ParseError
 
 DEFAULT_CLOSURE_CAP = 10_000
-
-# Table validation is cubic; closures of partial bijections are associative by
-# construction, so the explicit check is skipped above this size.
-ASSOCIATIVITY_CHECK_LIMIT = 300
 
 
 @dataclass(frozen=True)
@@ -88,18 +93,26 @@ class PartialBijection:
 
 @dataclass(frozen=True)
 class NaturalOrder:
-    """The natural partial order: s <= t iff s = t*e for some idempotent e."""
+    """The natural partial order: s <= t iff s = t*e for some idempotent e.
 
-    leq: tuple  # leq[s][t] is True iff s <= t
+    In an inverse semigroup this holds iff s = t*dom(s), where dom(s) is the
+    idempotent star(s)*s (Lawson, *Inverse Semigroups*, 1998, chapter 1), so
+    each comparison is one table lookup and no n x n table is kept.
+    """
+
+    mul: tuple
+    dom: tuple  # dom[s] = star(s)*s
 
     def holds(self, s: int, t: int) -> bool:
-        return self.leq[s][t]
+        return self.mul[t][self.dom[s]] == s
 
     def down(self, s: int) -> tuple:
-        return tuple(t for t in range(len(self.leq)) if self.leq[t][s])
+        row = self.mul[s]
+        return tuple(t for t, d in enumerate(self.dom) if row[d] == t)
 
     def up(self, s: int) -> tuple:
-        return tuple(t for t in range(len(self.leq)) if self.leq[s][t])
+        d = self.dom[s]
+        return tuple(t for t, row in enumerate(self.mul) if row[d] == s)
 
 
 def per_semigroup(fn):
@@ -119,13 +132,13 @@ def per_semigroup(fn):
 class InverseSemigroup:
     """Finite inverse semigroup with a designated zero.
 
-    Immutable after construction.  Structures derived from S alone (natural
-    order, H/mu, ideals, double arrow, groupoids) are computed on first use
-    and cached, see ``per_semigroup``.
+    Every invariant is validated at construction, at every size, and the
+    semigroup is immutable afterwards.  Structures derived from S alone
+    (natural order, H/mu, ideals, double arrow, groupoids) are computed on
+    first use and cached, see ``per_semigroup``.
     """
 
-    def __init__(self, mul, inv, zero, labels=None, pmaps=None, *, check=True,
-                 check_associativity=True):
+    def __init__(self, mul, inv, zero, labels=None, pmaps=None):
         self.mul = tuple(tuple(row) for row in mul)
         self.inv = tuple(inv)
         self.zero = zero
@@ -134,21 +147,20 @@ class InverseSemigroup:
             labels = tuple(str(i) for i in range(self.n))
         self.labels = tuple(labels)
         self.pmaps = tuple(pmaps) if pmaps is not None else None
-        if check:
-            self._validate(check_associativity)
+        self._validate()
         self.idempotents = tuple(sorted(e for e in range(self.n) if self.mul[e][e] == e))
         self._idempotent_set = frozenset(self.idempotents)
         self._cache = {}
 
     # -- validation ---------------------------------------------------------
 
-    def _validate(self, check_associativity: bool) -> None:
+    def _validate(self) -> None:
         n = self.n
         if n == 0:
             raise NotInverse("empty carrier")
         if any(len(row) != n for row in self.mul):
             raise ParseError("multiplication table is not square")
-        if any(not (0 <= x < n) for row in self.mul for x in row):
+        if min(map(min, self.mul)) < 0 or max(map(max, self.mul)) >= n:
             raise ParseError("table entry out of range")
         if len(self.inv) != n or any(not (0 <= x < n) for x in self.inv):
             raise ParseError("involution table malformed")
@@ -162,15 +174,7 @@ class InverseSemigroup:
             if self.mul[z][s] != z or self.mul[s][z] != z:
                 raise NotInverse(f"designated zero is not absorbing at {s}")
 
-        if check_associativity and n <= ASSOCIATIVITY_CHECK_LIMIT:
-            mul = self.mul
-            for a in range(n):
-                for b in range(n):
-                    ab = mul[a][b]
-                    row_a = mul[a]
-                    for c in range(n):
-                        if mul[ab][c] != row_a[mul[b][c]]:
-                            raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
+        _check_associative(self.mul)
 
         for s in range(n):
             t = self.inv[s]
@@ -178,17 +182,18 @@ class InverseSemigroup:
                 raise NotInverse(f"inv table wrong at element {s}")
             if self.inv[t] != s:
                 raise NotInverse(f"involution not self-inverse at {s}")
-        # Uniqueness of the generalized inverse, checked directly.
-        for s in range(n):
-            candidates = [t for t in range(n)
-                          if self.mul[self.mul[s][t]][s] == s and self.mul[self.mul[t][s]][t] == t]
-            if len(candidates) != 1:
-                raise NotInverse(f"element {s} has {len(candidates)} generalized inverses")
-            if candidates[0] != self.inv[s]:
-                raise NotInverse(f"inv table disagrees with the unique inverse at {s}")
+        # S is now regular, so its inverses are unique iff its idempotents
+        # commute (Howie, Fundamentals of Semigroup Theory, Thm 5.1.1).  The
+        # O(n^2) scan for a second inverse runs only to name the element
+        # when they do not.
         idems = [e for e in range(n) if self.mul[e][e] == e]
         for e, f in itertools.combinations(idems, 2):
             if self.mul[e][f] != self.mul[f][e]:
+                for s in range(n):
+                    candidates = [t for t in range(n) if self.mul[self.mul[s][t]][s] == s
+                                  and self.mul[self.mul[t][s]][t] == t]
+                    if len(candidates) != 1:
+                        raise NotInverse(f"element {s} has {len(candidates)} generalized inverses")
                 raise NotInverse(f"idempotents {e} and {f} do not commute")
 
     # -- basic queries ------------------------------------------------------
@@ -216,19 +221,18 @@ class InverseSemigroup:
 
     @per_semigroup
     def order(self) -> NaturalOrder:
-        idems = self.idempotents
-        return NaturalOrder(tuple(
-            tuple(any(self.mul[t][e] == s for e in idems) for t in range(self.n))
-            for s in range(self.n)
-        ))
+        return NaturalOrder(self.mul, tuple(self.mul[t][s] for s, t in enumerate(self.inv)))
 
     def leq(self, s: int, t: int) -> bool:
-        return self.order().leq[s][t]
+        return self.order().holds(s, t)
 
     def element_by_pmap(self, pmap: PartialBijection) -> int:
         if self.pmaps is None:
             raise ValueError("semigroup carries no partial-bijection data")
-        return self.pmaps.index(pmap)
+        index = _pmap_index(self)
+        if pmap not in index:
+            raise ValueError(f"{pmap.describe()} is not an element")
+        return index[pmap]
 
     def restrict(self, subset) -> tuple:
         """Sub-semigroup on a product/inverse-closed subset containing zero.
@@ -249,9 +253,173 @@ class InverseSemigroup:
         inv = [to_sub[self.inv[a]] for a in elems]
         pmaps = tuple(self.pmaps[a] for a in elems) if self.pmaps is not None else None
         sub = InverseSemigroup(mul, inv, to_sub[self.zero],
-                               labels=[self.labels[a] for a in elems], pmaps=pmaps,
-                               check=True, check_associativity=False)
+                               labels=[self.labels[a] for a in elems], pmaps=pmaps)
         return sub, to_sub
+
+
+@per_semigroup
+def _pmap_index(s: InverseSemigroup) -> dict:
+    return {p: i for i, p in enumerate(s.pmaps)}
+
+
+def _picker(indices):
+    """Callable seq -> tuple(seq[i] for i in indices), run at C speed."""
+    if len(indices) == 1:
+        i = indices[0]
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
+
+
+# -- associativity --------------------------------------------------------------
+
+def _generating_set(mul) -> list:
+    """Greedy generating set of a table: scan the elements in index order and
+    keep each one that is not yet a right multiple (((g1*g2)*g3)...) of the
+    ones kept.  Such products exist in any magma, so the kept elements
+    generate the table whether or not it is associative.  O(n*|G|) lookups."""
+    reached = bytearray(len(mul))
+    members = []
+    gens = []
+    for x in range(len(mul)):
+        if reached[x]:
+            continue
+        gens.append(x)
+        fresh = []
+        for y in [x] + [mul[m][x] for m in members]:
+            if not reached[y]:
+                reached[y] = 1
+                fresh.append(y)
+        i = 0
+        while i < len(fresh):
+            row = mul[fresh[i]]
+            i += 1
+            for g in gens:
+                y = row[g]
+                if not reached[y]:
+                    reached[y] = 1
+                    fresh.append(y)
+        members += fresh
+    return gens
+
+
+def _check_associative(mul) -> None:
+    """Light's associativity test over a tuple-of-tuples table.
+
+    The elements g with (x*g)*y == x*(g*y) for all x, y are closed under
+    products, so the table is associative as soon as every member of a
+    generating set passes (Clifford & Preston, vol. 1, section 1.2).  Each
+    (g, x) pair compares a whole row at C speed: O(n^2*|G|).  For a closure
+    G is a subset of the seeds, plus the zero when it is adjoined; for a
+    semilattice G can be all of S.
+    """
+    for g in _generating_set(mul):
+        row_g = mul[g]
+        times_g = _picker(row_g)  # row x -> x*(g*y) for every y
+        for x, row in enumerate(mul):
+            if times_g(row) != mul[row[g]]:
+                y = next(y for y, xgy in enumerate(mul[row[g]]) if xgy != row[row_g[y]])
+                raise NotAssociative(f"({x}*{g})*{y} != {x}*({g}*{y})")
+
+
+# -- closures of partial bijections -----------------------------------------------
+#
+# Inside a closure a partial bijection is a raw image tuple: -1 marks an
+# undefined point and one -1 is appended, so index -1 of every raw tuple is -1
+# and raw(f*g) == itemgetter(*raw(g))(raw(f)).
+
+def _raw(p: PartialBijection) -> tuple:
+    return tuple(-1 if y is None else y for y in p.image) + (-1,)
+
+
+def _cooked(raw: tuple) -> PartialBijection:
+    return PartialBijection(len(raw) - 1, tuple(None if y < 0 else y for y in raw[:-1]))
+
+
+def _right_cayley_closure(seeds: list, max_elements: int) -> tuple:
+    """Breadth-first search of the right Cayley graph of the semigroup
+    generated by the (distinct, raw) seeds.
+
+    Returns (elems, index, right, source): elems in discovery order with the
+    seeds first, index its inverse, right[x*k + j] the index of
+    elems[x]*seeds[j], and source[x] = x'*k + j for the edge that found a
+    non-seed x as elems[x']*seeds[j].  Costs n*k compositions.
+    """
+    steps = [itemgetter(*g) for g in seeds]
+    elems = list(seeds)
+    index = {g: x for x, g in enumerate(elems)}
+    if len(elems) > max_elements:
+        raise CapExceeded(f"closure exceeded {max_elements} elements")
+    source = array("i", [-1]) * len(elems)
+    right = array("i")
+    x = 0
+    while x < len(elems):
+        w = elems[x]
+        x += 1
+        for step in steps:
+            p = step(w)
+            y = index.get(p)
+            if y is None:
+                y = len(elems)
+                if y >= max_elements:
+                    raise CapExceeded(f"closure exceeded {max_elements} elements")
+                index[p] = y
+                elems.append(p)
+                source.append(len(right))
+            right.append(y)
+    return elems, index, right, source
+
+
+def _trace_columns(right: array, source: array, k: int, generated: int) -> array:
+    """Column-major multiplication table, cols[x*n + a] = index of a*x.
+
+    The column of a seed is read off the right Cayley graph; the column of
+    x = w*g follows from the column of w as a*x = (a*w)*g, one lookup per
+    entry.  Columns from `generated` on (the adjoined zero) are constant.
+    """
+    n = len(right) // k
+    by_seed = [right[j::k].tolist() for j in range(k)]  # by_seed[j][a] = a*seeds[j]
+    cols = array("i")
+    for x in range(n):
+        if x < k:
+            cols.extend(array("i", by_seed[x]))
+        elif x < generated:
+            w, j = divmod(source[x], k)
+            cols.extend(array("i", _picker(cols[w * n:(w + 1) * n])(by_seed[j])))
+        else:
+            cols.extend(array("i", [x]) * n)
+    return cols
+
+
+def _all_pairs_order(cols: array, n: int, k: int, generated: int) -> list:
+    """The generated elements in the order the all-pairs closure finds them.
+
+    That closure starts from the seeds; each round multiplies every element
+    known at its start by every element the previous round found, a*b before
+    b*a.  Its order fixes the canonical indices, labels and reports.  It is
+    replayed here on the traced table, so it costs lookups, not products,
+    and it stops once every generated element is placed.
+    """
+    order = list(range(k))
+    seen = set(order)
+    frontier = order
+    while len(order) < generated:
+        pick = _picker(frontier)
+        fresh = []
+        for a in order[:]:
+            right_of_a = pick(cols[a::n])  # a*b for b in frontier
+            left_of_a = pick(cols[a * n:(a + 1) * n])  # b*a for b in frontier
+            if seen.issuperset(right_of_a) and seen.issuperset(left_of_a):
+                continue
+            for pair in zip(right_of_a, left_of_a):
+                for p in pair:
+                    if p not in seen:
+                        seen.add(p)
+                        order.append(p)
+                        fresh.append(p)
+            if len(order) == generated:
+                return order
+        frontier = fresh
+    return order
 
 
 def from_partial_bijections(generators, labels=None, max_elements: int = DEFAULT_CLOSURE_CAP) -> InverseSemigroup:
@@ -277,44 +445,41 @@ def from_partial_bijections(generators, labels=None, max_elements: int = DEFAULT
             if h not in seeds:
                 seeds.append(h)
 
-    index = {}
-    order = []
-
-    def add(p: PartialBijection) -> bool:
-        if p in index:
-            return False
-        index[p] = len(order)
-        order.append(p)
-        if len(order) > max_elements:
+    k = len(seeds)
+    elems, index, right, source = _right_cayley_closure([_raw(p) for p in seeds], max_elements)
+    generated = len(elems)
+    empty = _raw(PartialBijection.empty(degree))
+    zero = index.get(empty)
+    adjoined = zero is None
+    if adjoined:
+        zero = generated
+        if zero >= max_elements:
             raise CapExceeded(f"closure exceeded {max_elements} elements")
-        return True
+        index[empty] = zero
+        elems.append(empty)
+        right.extend(array("i", [zero]) * k)
+    n = len(elems)
+    cols = _trace_columns(right, source, k, generated)
+    order = _all_pairs_order(cols, n, k, generated)
+    if adjoined:
+        order.append(zero)  # last, as the all-pairs closure adjoins it
 
-    for s in seeds:
-        add(s)
-    frontier = list(order)
-    while frontier:
-        fresh = []
-        for a in order[:]:
-            for b in frontier:
-                for p in (a * b, b * a):
-                    if add(p):
-                        fresh.append(p)
-        frontier = fresh
-
-    empty = PartialBijection.empty(degree)
-    add(empty)  # zero, adjoined when the closure lacks the empty map
-
-    n = len(order)
-    mul = [[index[order[a] * order[b]] for b in range(n)] for a in range(n)]
-    inv = [index[order[a].inverse()] for a in range(n)]
-    elem_labels = [name_of.get(p, p.describe()) for p in order]
-    return InverseSemigroup(mul, inv, index[empty], labels=elem_labels, pmaps=order,
-                            check=True, check_associativity=(n <= ASSOCIATIVITY_CHECK_LIMIT))
+    pos = [0] * n
+    for i, x in enumerate(order):
+        pos[x] = i
+    pick = _picker(order)
+    mul = [_picker(pick(cols[a::n]))(pos) for a in order]
+    del cols
+    pmaps = [_cooked(elems[x]) for x in order]
+    inv = [pos[index[_raw(p.inverse())]] for p in pmaps]
+    elem_labels = [name_of.get(p, p.describe()) for p in pmaps]
+    return InverseSemigroup(mul, inv, pos[zero], labels=elem_labels, pmaps=pmaps)
 
 
 def from_tables(mul, inv, zero, labels=None) -> InverseSemigroup:
-    """Inverse semigroup from explicit tables; all invariants are validated."""
-    return InverseSemigroup(mul, inv, zero, labels=labels, check=True, check_associativity=True)
+    """Inverse semigroup from explicit tables; all invariants are validated,
+    associativity included, at every size."""
+    return InverseSemigroup(mul, inv, zero, labels=labels)
 
 
 def build_semigroup(source, labels=None, max_elements: int = DEFAULT_CLOSURE_CAP) -> InverseSemigroup:

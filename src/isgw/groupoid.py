@@ -409,6 +409,7 @@ class ConditionKReport:
     consistent: bool | None  # None when the trapping hypothesis is unmet
 
 
+@per_semigroup
 def condition_K(s: InverseSemigroup) -> ConditionKReport:
     """Every Rees quotient by a saturated ideal satisfies condition (L);
     cross-checked against strong effectiveness of the tight groupoid under

@@ -9,6 +9,7 @@ exactly from the tables; path recursion follows that one defining rule.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .core import InverseSemigroup
@@ -293,17 +294,21 @@ class TruncatedActionSemigroup:
     elements: tuple
     exact: bool
 
+    @functools.cached_property
+    def _index(self) -> dict:
+        return {x: i for i, x in enumerate(self.elements)}
+
     def product(self, i: int, j: int) -> int:
         a, b = self.elements[i], self.elements[j]
         if a == ZERO or b == ZERO:
             return 0
         out = triple_multiply(self.action, a, b, depth=self.depth)
-        return 0 if out is None else self.elements.index(out)
+        return 0 if out is None else self._index[out]
 
     def involution(self, i: int) -> int:
         if self.elements[i] == ZERO:
             return 0
-        return self.elements.index(triple_inverse(self.action, self.elements[i]))
+        return self._index[triple_inverse(self.action, self.elements[i])]
 
     def to_inverse_semigroup(self) -> InverseSemigroup:
         if not self.exact:
@@ -314,8 +319,7 @@ class TruncatedActionSemigroup:
         mul = [[self.product(i, j) for j in range(n)] for i in range(n)]
         inv = [self.involution(i) for i in range(n)]
         labels = [ZERO] + [t.describe(self.action) for t in self.elements[1:]]
-        return InverseSemigroup(mul, inv, 0, labels=labels, check=True,
-                                check_associativity=(n <= 128))
+        return InverseSemigroup(mul, inv, 0, labels=labels)
 
 
 def ss_semigroup(action: SelfSimilarAction, depth: int) -> TruncatedActionSemigroup:

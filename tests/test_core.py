@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -140,6 +141,17 @@ def test_nonassociative_rejected():
     inv = [0, 1, 2]
     with pytest.raises((NotAssociative, NotInverse)):
         from_tables(mul, inv, 0)
+
+
+@pytest.mark.parametrize("n", [300, 301])
+def test_nonassociative_semilattice_table_rejected_at_every_size(n):
+    # commutative and idempotent, with (1*2)*3 = 1 but 1*(2*3) = 1*0 = 0
+    mul = [[min(a, b) for b in range(n)] for a in range(n)]
+    mul[2][3] = mul[3][2] = 0
+    with pytest.raises(NotAssociative) as caught:
+        from_tables(mul, list(range(n)), 0)
+    a, b, c = map(int, re.match(r"\((\d+)\*(\d+)\)\*(\d+) != ", str(caught.value)).groups())
+    assert mul[mul[a][b]][c] != mul[a][mul[b][c]]
 
 
 def test_restrict_subsemigroup(i2, i2n):

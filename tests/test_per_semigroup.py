@@ -9,12 +9,12 @@ from isgw import cli
 from isgw import ideals_filters as ifl
 from isgw.congruences import condition_L, double_arrow
 from isgw.core import InverseSemigroup, from_tables, per_semigroup
-from isgw.groupoid import build_groupoids
+from isgw.groupoid import build_groupoids, condition_K
 from isgw.relations import centralizer, h_and_mu
 from test_cli import I2_DOC
 
 CACHED = [InverseSemigroup.order, h_and_mu, centralizer, double_arrow, condition_L,
-          ifl.enumerate_ideals, build_groupoids]
+          ifl.enumerate_ideals, build_groupoids, condition_K]
 
 
 @pytest.mark.parametrize("fn", CACHED)
