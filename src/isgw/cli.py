@@ -1,8 +1,9 @@
 """Command-line interface: analysis pipelines over the JSON formats and the
 corpus-wide verification run.
 
-Exit codes: 0 success, 1 a theorem check failed, 2 parse/validation error,
-3 a size cap was exceeded.
+Exit codes: 0 success, 1 a theorem check failed or raised, 2 parse/validation
+error (dangling edges and out-of-range indices included), 3 a size cap was
+exceeded.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .corpus import CorpusInstance, builtin_corpus, corpus_ids
 from .errors import (
     AxiomViolation,
     CapExceeded,
+    DanglingEndpoint,
     IsgwError,
     NotAssociative,
     NotInverse,
@@ -268,6 +270,8 @@ def _instances_from_dir(path: Path) -> list:
     instances = []
     for file in sorted(path.glob("*.json")):
         doc = _load_json(str(file))
+        if not isinstance(doc, dict):
+            raise ParseError(f"{file}: instance document must be an object")
         kind = doc.get("kind")
         if kind == "semigroup":
             instances.append(CorpusInstance(file.name, "semigroup",
@@ -310,9 +314,11 @@ def cmd_verify(args) -> int:
     else:
         for rep in reports:
             fails = rep.failures()
-            status = "FAIL" if fails else "ok"
+            errors = sum(1 for t in rep.theorems.values() if t.status == "error")
+            status = "ERROR" if errors else "FAIL" if fails else "ok"
+            tail = f", {errors} errors" if errors else ""
             print(f"[{status}] {rep.instance} "
-                  f"({len(rep.theorems)} checks, {len(fails)} failures)")
+                  f"({len(rep.theorems)} checks, {len(fails)} failures{tail})")
         print()
         print(f"instances: {summary['instances']}")
         for name, counts in sorted(summary["theorems"].items()):
@@ -321,9 +327,14 @@ def cmd_verify(args) -> int:
                 line += f" FAIL={counts['fail']}"
             if counts["skipped"]:
                 line += f" skipped={counts['skipped']}"
+            if counts.get("error"):
+                line += f" ERROR={counts['error']}"
             print(line)
     if summary["failures"]:
         print(f"\nFALSIFIED: {summary['failures']}", file=sys.stderr)
+    if "errors" in summary:
+        print(f"\nERROR: {summary['errors']}", file=sys.stderr)
+    if summary["failures"] or "errors" in summary:
         return EXIT_FALSIFIED
     return EXIT_OK
 
@@ -372,7 +383,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, NotInverse, NotAssociative, AxiomViolation) as exc:
+    except (ParseError, DanglingEndpoint, NotInverse, NotAssociative, AxiomViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (CapExceeded, TooLarge) as exc:

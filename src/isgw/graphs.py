@@ -9,11 +9,9 @@ from right to left.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
-from .core import InverseSemigroup
-from .errors import DanglingEndpoint, NotHereditary, Overflow, ParseError, CapExceeded
+from .errors import DanglingEndpoint, NotHereditary, ParseError, CapExceeded
 from .util import Decision
 
 MAX_CONDITION_VERTICES = 12
@@ -106,7 +104,7 @@ class GraphPath:
 
     def __post_init__(self):
         g = self.graph
-        if self.src not in frozenset(g.vertices):
+        if self.src not in g.vertices:
             raise DanglingEndpoint(f"no vertex {self.src}")
         for i, j in zip(self.edges, self.edges[1:]):
             if g.edges[i].src != g.edges[j].rng:
@@ -122,9 +120,6 @@ class GraphPath:
     def length(self) -> int:
         return len(self.edges)
 
-    def top_edge(self) -> int | None:
-        return self.edges[0] if self.edges else None
-
     def concat(self, other: "GraphPath") -> "GraphPath":
         if self.src != other.rng:
             raise ParseError("paths do not compose")
@@ -138,10 +133,10 @@ class GraphPath:
 
     def has_prefix(self, other: "GraphPath") -> bool:
         """True when self = other * tail (other sits at the range end)."""
-        k = other.length
+        k = len(other.edges)
         if k == 0:
             return self.rng == other.src
-        return self.length >= k and self.edges[:k] == other.edges
+        return self.edges[:k] == other.edges
 
     def strip_prefix(self, other: "GraphPath") -> "GraphPath":
         if not self.has_prefix(other):
@@ -277,11 +272,16 @@ def condition_k_graph(g: DirectedGraph) -> Decision:
     return Decision(True)
 
 
-def condition_m_graph(g: DirectedGraph) -> Decision:
-    """Every edge e admits a nontrivial return path from s_e to r_e whose
-    range-end edge differs from e; decided by exact reachability."""
+def condition_m_graph(g: DirectedGraph, orbits: dict | None = None) -> Decision:
+    """Every edge e admits a nontrivial return path from the orbit of s_e to
+    r_e whose range-end edge differs from e; decided by exact reachability.
+
+    orbits maps each vertex to its orbit under a group acting on g; without
+    it every orbit is a single vertex.  An edge with a competitor from its
+    own source orbit passes at once, so the scan needs no orbit filter."""
     for idx, e in enumerate(g.edges):
-        reach = _reachable_from(g, e.src)
+        starts = orbits[e.src] if orbits is not None else (e.src,)
+        reach = frozenset().union(*(_reachable_from(g, w) for w in starts))
         ok = any(f.src in reach for j, f in enumerate(g.edges)
                  if j != idx and f.rng == e.rng)
         if not ok:
@@ -346,89 +346,15 @@ def quotient_graph(g: DirectedGraph, v_set) -> DirectedGraph:
 
 # -- the graph inverse semigroup -----------------------------------------------
 
-ZERO = "0"
-
-
-@dataclass(frozen=True)
-class TruncatedGraphSemigroup:
-    """Path-pair semigroup with both path lengths bounded by the depth.
-
-    The model is exact precisely when the graph is acyclic and its longest
-    path fits inside the depth; otherwise any product that would need a
-    longer path raises Overflow instead of silently truncating.
-    """
-
-    graph: DirectedGraph
-    depth: int
-    elements: tuple  # ZERO followed by (alpha, beta) pairs
-    exact: bool
-
-    @functools.cached_property
-    def _index(self) -> dict:
-        return {x: i for i, x in enumerate(self.elements)}
-
-    def index_of(self, alpha: GraphPath, beta: GraphPath) -> int:
-        return self._index[(alpha, beta)]
-
-    def product(self, i: int, j: int) -> int:
-        a, b = self.elements[i], self.elements[j]
-        if a == ZERO or b == ZERO:
-            return 0
-        alpha, beta = a
-        gamma, nu = b
-        if gamma.has_prefix(beta):
-            tail = gamma.strip_prefix(beta)
-            new_alpha = alpha.concat(tail)
-            if new_alpha.length > self.depth:
-                raise Overflow(
-                    f"product needs a path of length {new_alpha.length} > depth {self.depth}")
-            return self._index[(new_alpha, nu)]
-        if beta.has_prefix(gamma):
-            tail = beta.strip_prefix(gamma)
-            new_beta = nu.concat(tail)
-            if new_beta.length > self.depth:
-                raise Overflow(
-                    f"product needs a path of length {new_beta.length} > depth {self.depth}")
-            return self._index[(alpha, new_beta)]
-        return 0
-
-    def involution(self, i: int) -> int:
-        if self.elements[i] == ZERO:
-            return 0
-        alpha, beta = self.elements[i]
-        return self._index[(beta, alpha)]
-
-    def to_inverse_semigroup(self) -> InverseSemigroup:
-        if not self.exact:
-            raise Overflow(
-                "truncated model: the graph has paths beyond the depth bound, "
-                "products are not total")
-        n = len(self.elements)
-        mul = [[self.product(i, j) for j in range(n)] for i in range(n)]
-        inv = [self.involution(i) for i in range(n)]
-        labels = [ZERO] + [f"({a.describe()},{b.describe()})"
-                           for a, b in self.elements[1:]]
-        return InverseSemigroup(mul, inv, 0, labels=labels)
-
-
-def graph_semigroup(g: DirectedGraph, depth: int) -> TruncatedGraphSemigroup:
+def graph_semigroup(g: DirectedGraph, depth: int):
     """Path pairs (alpha, beta) with a common source and lengths at most
-    depth, plus zero."""
+    depth, plus zero: the triple semigroup of the trivial group acting on g,
+    whose triples (alpha, 1, beta) are labelled (alpha,beta)."""
     if depth < 1:
         raise ParseError("depth must be at least 1")
-    paths = paths_up_to(g, depth)
-    by_source = {}
-    for p in paths:
-        by_source.setdefault(p.src, []).append(p)
-    pairs = []
-    for v in sorted(by_source):
-        group = sorted(by_source[v], key=GraphPath.sort_key)
-        for alpha in group:
-            for beta in group:
-                pairs.append((alpha, beta))
-    pairs.sort(key=lambda ab: (ab[0].sort_key(), ab[1].sort_key()))
-    exact = g.is_acyclic() and g.longest_path_length() <= depth
-    return TruncatedGraphSemigroup(g, depth, (ZERO,) + tuple(pairs), exact)
+    from .selfsimilar import ss_semigroup, trivial_action
+
+    return ss_semigroup(trivial_action(g), depth)
 
 
 # -- fixture graphs -----------------------------------------------------------

@@ -41,7 +41,7 @@ class PropertyEntry:
 @dataclass
 class TheoremEntry:
     name: str
-    status: str  # "pass" | "fail" | "skipped"
+    status: str  # "pass" | "fail" | "skipped" | "error" (the check raised)
     hypothesis: str = "met"
     detail: str = ""
     counterexample: Any = None
@@ -100,7 +100,7 @@ class Report:
             hyp = "" if p.hypothesis == "met" else f"  [{p.hypothesis}]"
             lines.append(f"  {k}: {p.value}{extra}{hyp}")
         for k, t in sorted(self.theorems.items()):
-            mark = {"pass": "ok", "fail": "FAIL", "skipped": "skip"}[t.status]
+            mark = {"pass": "ok", "fail": "FAIL", "skipped": "skip", "error": "ERROR"}[t.status]
             hyp = "" if t.hypothesis == "met" else f" [{t.hypothesis}]"
             detail = f" - {t.detail}" if t.detail else ""
             lines.append(f"  [{mark}] {k}{hyp}{detail}")

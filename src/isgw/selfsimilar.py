@@ -24,14 +24,15 @@ from .graphs import (
     DirectedGraph,
     Edge,
     GraphPath,
+    condition_m_graph,
     edge_path,
+    hereditary_sets,
     is_hereditary,
     parse_graph,
     paths_up_to,
     quotient_graph,
     two_loops,
     vertex_path,
-    _reachable_from,
 )
 from .util import Decision
 
@@ -106,11 +107,15 @@ class SelfSimilarAction:
     def restrict(self, g: int, eid: str) -> int:
         return self.cocycle[(g, eid)]
 
-    def edge_index(self, eid: str):
-        for i, e in enumerate(self.graph.edges):
-            if e.eid == eid:
-                return i
-        raise ParseError(f"no edge {eid}")
+    @functools.cached_property
+    def _edge_positions(self) -> dict:
+        return {e.eid: i for i, e in enumerate(self.graph.edges)}
+
+    def edge_index(self, eid: str) -> int:
+        try:
+            return self._edge_positions[eid]
+        except KeyError:
+            raise ParseError(f"no edge {eid}") from None
 
 
 def act_on_path(action: SelfSimilarAction, g: int, path: GraphPath) -> tuple:
@@ -118,8 +123,12 @@ def act_on_path(action: SelfSimilarAction, g: int, path: GraphPath) -> tuple:
 
     A vertex goes to its image vertex with cocycle g itself; a path e*beta
     goes to (g e) * (phi(g, e) beta) with the cocycle restricted through e
-    first and then along beta.
+    first and then along beta.  The identity fixes every path with cocycle
+    itself (validate_action checks this on vertices, edges and the cocycle
+    before it acts on any path).
     """
+    if g == action.group.identity:
+        return path, g
     if path.length == 0:
         return vertex_path(action.graph, action.act_vertex(g, path.src)), g
     top = action.graph.edges[path.edges[0]]
@@ -239,17 +248,14 @@ class SSTriple:
         return (self.alpha.sort_key(), self.g, self.beta.sort_key())
 
     def describe(self, action: SelfSimilarAction) -> str:
+        """(alpha,g,beta); over the trivial group, the graph label (alpha,beta)."""
+        if action.group.size == 1:
+            return f"({self.alpha.describe()},{self.beta.describe()})"
         return f"({self.alpha.describe()},{action.group.labels[self.g]},{self.beta.describe()})"
 
 
-def make_triple(action: SelfSimilarAction, alpha: GraphPath, g: int, beta: GraphPath) -> SSTriple:
-    if alpha.src != action.act_vertex(g, beta.src):
-        raise ParseError("triple sources do not match through the group element")
-    return SSTriple(alpha, g, beta)
-
-
 def triple_inverse(action: SelfSimilarAction, t: SSTriple) -> SSTriple:
-    return make_triple(action, t.beta, action.group.inverse(t.g), t.alpha)
+    return SSTriple(t.beta, action.group.inverse(t.g), t.alpha)
 
 
 def triple_multiply(action: SelfSimilarAction, t1: SSTriple, t2: SSTriple,
@@ -265,7 +271,7 @@ def triple_multiply(action: SelfSimilarAction, t1: SSTriple, t2: SSTriple,
         new_alpha = alpha.concat(g_tail)
         if depth is not None and new_alpha.length > depth:
             raise Overflow(f"product path length {new_alpha.length} > depth {depth}")
-        out = make_triple(action, new_alpha, grp.product(coc, h), nu)
+        out = SSTriple(new_alpha, grp.product(coc, h), nu)
     elif beta.has_prefix(gamma):
         tail = beta.strip_prefix(gamma)
         h_inv = grp.inverse(h)
@@ -273,7 +279,7 @@ def triple_multiply(action: SelfSimilarAction, t1: SSTriple, t2: SSTriple,
         new_beta = nu.concat(h_tail)
         if depth is not None and new_beta.length > depth:
             raise Overflow(f"product path length {new_beta.length} > depth {depth}")
-        out = make_triple(action, alpha, grp.product(g, grp.inverse(coc)), new_beta)
+        out = SSTriple(alpha, grp.product(g, grp.inverse(coc)), new_beta)
     else:
         return None
     if out.alpha.src != action.act_vertex(out.g, out.beta.src):
@@ -299,24 +305,45 @@ class TruncatedActionSemigroup:
         return {x: i for i, x in enumerate(self.elements)}
 
     def product(self, i: int, j: int) -> int:
-        a, b = self.elements[i], self.elements[j]
-        if a == ZERO or b == ZERO:
+        if i == 0 or j == 0:
             return 0
-        out = triple_multiply(self.action, a, b, depth=self.depth)
+        out = triple_multiply(self.action, self.elements[i], self.elements[j],
+                              depth=self.depth)
         return 0 if out is None else self._index[out]
 
     def involution(self, i: int) -> int:
-        if self.elements[i] == ZERO:
+        if i == 0:
             return 0
         return self._index[triple_inverse(self.action, self.elements[i])]
 
     def to_inverse_semigroup(self) -> InverseSemigroup:
+        """The exact model as a semigroup, built once per model."""
+        return self._semigroup
+
+    @functools.cached_property
+    def _semigroup(self) -> InverseSemigroup:
         if not self.exact:
             raise Overflow(
                 "truncated model: the graph has paths beyond the depth bound, "
                 "products are not total")
-        n = len(self.elements)
-        mul = [[self.product(i, j) for j in range(n)] for i in range(n)]
+        # (alpha, g, beta)(gamma, h, nu) is zero unless one of beta and gamma
+        # is a prefix of the other, so only those pairs are multiplied
+        elements = self.elements
+        n = len(elements)
+        by_alpha = {}
+        for j in range(1, n):
+            by_alpha.setdefault(elements[j].alpha, []).append(j)
+        partners = {}
+        mul = [[0] * n for _ in range(n)]
+        for i in range(1, n):
+            beta = elements[i].beta
+            if beta not in partners:
+                partners[beta] = [j for gamma, js in by_alpha.items()
+                                  if gamma.has_prefix(beta) or beta.has_prefix(gamma)
+                                  for j in js]
+            row = mul[i]
+            for j in partners[beta]:
+                row[j] = self.product(i, j)
         inv = [self.involution(i) for i in range(n)]
         labels = [ZERO] + [t.describe(self.action) for t in self.elements[1:]]
         return InverseSemigroup(mul, inv, 0, labels=labels)
@@ -363,32 +390,14 @@ def g_independent_edges(action: SelfSimilarAction) -> tuple:
 def condition_M_ss(action: SelfSimilarAction) -> Decision:
     """Every orbit-independent edge admits an alternative nontrivial return
     path starting in the orbit of its source, not factoring through it."""
-    graph = action.graph
-    orbits = vertex_orbits(action)
-    for eid in g_independent_edges(action):
-        i = action.edge_index(eid)
-        e = graph.edges[i]
-        reach = frozenset().union(*(_reachable_from(graph, w) for w in orbits[e.src]))
-        ok = any(f.src in reach for j, f in enumerate(graph.edges)
-                 if j != i and f.rng == e.rng)
-        if not ok:
-            return Decision(False, eid)
-    return Decision(True)
+    return condition_m_graph(action.graph, vertex_orbits(action))
 
 
 def hereditary_invariant_sets(action: SelfSimilarAction) -> list:
     """All vertex sets closed downward along edges and under the group."""
-    graph = action.graph
-    vs = sorted(graph.vertices)
-    out = []
-    for mask in range(1 << len(vs)):
-        h = frozenset(vs[i] for i in range(len(vs)) if mask >> i & 1)
-        if not is_hereditary(graph, h):
-            continue
-        if any(action.act_vertex(g, v) not in h for v in h for g in range(action.group.size)):
-            continue
-        out.append(h)
-    return sorted(out, key=lambda h: (len(h), tuple(sorted(h))))
+    gs = range(action.group.size)
+    return [h.vertices for h in hereditary_sets(action.graph)
+            if all(action.act_vertex(g, v) in h.vertices for v in h.vertices for g in gs)]
 
 
 def quotient_action(action: SelfSimilarAction, v_set) -> SelfSimilarAction:
@@ -667,12 +676,21 @@ def action_from_json(obj: dict) -> SelfSimilarAction:
             tuple(obj["group"].get("labels", [str(i) for i in range(len(obj["group"]["mul"]))])),
         )
         graph = parse_graph(obj["graph"])
-        va = {(g, v): int(obj["vertex_action"][g][v])
+        n_vertices, n_edges = len(graph.vertices), len(graph.edges)
+
+        def entry(table: str, g: int, i: int, bound: int) -> int:
+            x = int(obj[table][g][i])
+            if not 0 <= x < bound:
+                raise ParseError(f"bad action document: {table}[{g}][{i}] = {x} "
+                                 f"is not in range({bound})")
+            return x
+
+        va = {(g, v): entry("vertex_action", g, v, n_vertices)
               for g in range(grp.size) for v in graph.vertices}
-        ea = {(g, graph.edges[i].eid): graph.edges[int(obj["edge_action"][g][i])].eid
-              for g in range(grp.size) for i in range(len(graph.edges))}
-        coc = {(g, graph.edges[i].eid): int(obj["cocycle"][g][i])
-               for g in range(grp.size) for i in range(len(graph.edges))}
+        ea = {(g, graph.edges[i].eid): graph.edges[entry("edge_action", g, i, n_edges)].eid
+              for g in range(grp.size) for i in range(n_edges)}
+        coc = {(g, graph.edges[i].eid): entry("cocycle", g, i, grp.size)
+               for g in range(grp.size) for i in range(n_edges)}
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ParseError(f"bad action document: {exc}") from exc
     action = SelfSimilarAction(grp, graph, va, ea, coc)

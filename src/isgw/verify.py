@@ -15,8 +15,15 @@ from . import relations as rel
 from . import selfsimilar as ss
 from .core import InverseSemigroup
 from .corpus import CorpusInstance, builtin_corpus
-from .errors import InternalContract
-from .graphs import graph_conditions, hereditary_sets, quotient_graph
+from .errors import CapExceeded, InternalContract, TooLarge
+from .graphs import (
+    GraphPath,
+    graph_conditions,
+    graph_semigroup,
+    hereditary_sets,
+    paths_up_to,
+    quotient_graph,
+)
 from .groupoid import (
     build_groupoids,
     condition_K,
@@ -382,9 +389,7 @@ def check_graph_instance(inst: CorpusInstance) -> list:
 
 
 def _all_paths(truncated):
-    from .graphs import paths_up_to
-
-    return paths_up_to(truncated.graph, truncated.depth)
+    return paths_up_to(truncated.action.graph, truncated.depth)
 
 
 # -- action-level checks -----------------------------------------------------------
@@ -419,8 +424,6 @@ def check_action_instance(inst: CorpusInstance) -> list:
         gc = graph_conditions(a.graph)
         out.append(_entry("trivial_group_condition_m_matches_graph",
                           m.value == gc.condition_m.value))
-        from .graphs import graph_semigroup, hereditary_sets as hs_graph
-
         depth = max(1, min(3, a.graph.longest_path_length()
                            if a.graph.is_acyclic() else 2))
         gsem = graph_semigroup(a.graph, depth)
@@ -429,7 +432,7 @@ def check_action_instance(inst: CorpusInstance) -> list:
                           len(gsem.elements) == len(asem.elements),
                           detail=f"{len(gsem.elements)} elements"))
         out.append(_entry("trivial_group_hereditary_sets_match",
-                          [h.vertices for h in hs_graph(a.graph)]
+                          [h.vertices for h in hereditary_sets(a.graph)]
                           == ss.hereditary_invariant_sets(a)))
 
     exact = inst.meta.get("exact")
@@ -449,8 +452,6 @@ def check_action_instance(inst: CorpusInstance) -> list:
 
 
 def _paths_from(action, vertex):
-    from .graphs import paths_up_to
-
     depth = action.graph.longest_path_length()
     return [p for p in paths_up_to(action.graph, depth) if p.rng == vertex]
 
@@ -608,8 +609,6 @@ def _rees_quotient_matches(a, truncated, q, sub_action, sub_trunc, sub_s, v_set)
 
 def _transplant(graph, path):
     """Rebuild a path object over the quotient graph (edge ids are stable)."""
-    from .graphs import GraphPath
-
     eids = [path.graph.edges[i].eid for i in path.edges]
     index_of = {e.eid: i for i, e in enumerate(graph.edges)}
     return GraphPath(graph, tuple(index_of[x] for x in eids), path.src)
@@ -617,22 +616,33 @@ def _transplant(graph, path):
 
 # -- harness ----------------------------------------------------------------------
 
+def _run_check(report: Report, check, *args) -> None:
+    """Add the entries of one check.  A check that raises becomes a single
+    "error" entry named after it, and the other checks still run; a size cap
+    still ends the run, as it does everywhere else."""
+    try:
+        entries = check(*args)
+    except (CapExceeded, TooLarge):
+        raise
+    except Exception as exc:  # noqa: BLE001 - report, never swallow
+        entries = [TheoremEntry(check.__name__, "error",
+                                detail=f"{type(exc).__name__}: {exc}")]
+    for entry in entries:
+        report.add_theorem(entry)
+
+
 def verify_instance(inst: CorpusInstance, seed: int = 0) -> Report:
     report = Report(instance=inst.uid)
     rng = random.Random(f"{seed}:{inst.uid}")
     if inst.kind == "semigroup":
         s = inst.semigroup
         for check in SEMIGROUP_CHECKS:
-            for entry in check(s):
-                report.add_theorem(entry)
-        for entry in check_hull_kernel(s, rng):
-            report.add_theorem(entry)
+            _run_check(report, check, s)
+        _run_check(report, check_hull_kernel, s, rng)
     elif inst.kind == "graph":
-        for entry in check_graph_instance(inst):
-            report.add_theorem(entry)
+        _run_check(report, check_graph_instance, inst)
     elif inst.kind == "action":
-        for entry in check_action_instance(inst):
-            report.add_theorem(entry)
+        _run_check(report, check_action_instance, inst)
     return report
 
 
@@ -649,8 +659,13 @@ def summarize(reports: list) -> dict:
         for name, entry in rep.theorems.items():
             base = name.split("#")[0]
             bucket = per_theorem.setdefault(base, {"pass": 0, "fail": 0, "skipped": 0})
-            bucket[entry.status] += 1
+            bucket[entry.status] = bucket.get(entry.status, 0) + 1  # "error" only if seen
     failures = [(rep.instance, name) for rep in reports
                 for name, entry in rep.theorems.items() if entry.failed]
-    return {"theorems": per_theorem, "failures": failures,
-            "instances": len(reports)}
+    summary = {"theorems": per_theorem, "failures": failures,
+               "instances": len(reports)}
+    errors = [(rep.instance, name, entry.detail) for rep in reports
+              for name, entry in rep.theorems.items() if entry.status == "error"]
+    if errors:
+        summary["errors"] = errors
+    return summary

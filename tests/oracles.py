@@ -1,13 +1,18 @@
-"""Brute-force versions of the fast routines in ``isgw.core``, kept as test
+"""Brute-force or superseded versions of library routines, kept as test
 oracles: the all-pairs closure of partial bijections, the n^3 associativity
 loop, the any()-scan natural order, and table validation with the direct
-scan for a second inverse.
+scan for a second inverse (``isgw.core``); the path-pair product of the
+graph inverse semigroup, the condition (M) scans for graphs and for
+actions, and the mask loop over hereditary invariant vertex sets
+(``isgw.graphs``, ``isgw.selfsimilar``).
 """
 
 import itertools
 
 from isgw.core import PartialBijection
-from isgw.errors import NotAssociative, NotInverse
+from isgw.errors import NotAssociative, NotInverse, Overflow
+from isgw.graphs import _reachable_from, is_hereditary, paths_up_to
+from isgw.selfsimilar import g_independent_edges, vertex_orbits
 
 
 def all_pairs_closure(generators, labels=None):
@@ -94,3 +99,76 @@ def validate_by_scans(mul, inv, zero):
     for e, f in itertools.combinations(idems, 2):
         if mul[e][f] != mul[f][e]:
             raise NotInverse(f"idempotents {e} and {f} do not commute")
+
+
+def graph_pair_semigroup(g, depth):
+    """(mul, inv, labels) of the truncated graph inverse semigroup, built on
+    path pairs (alpha, beta) with a common source: zero first, then the pairs
+    in (alpha, beta) path order.  Raises Overflow when a product needs a
+    path longer than the depth."""
+    paths = paths_up_to(g, depth)
+    pairs = sorted(((a, b) for a in paths for b in paths if a.src == b.src),
+                   key=lambda ab: (ab[0].sort_key(), ab[1].sort_key()))
+    elements = ["0"] + pairs
+    index = {x: i for i, x in enumerate(elements)}
+
+    def product(i, j):
+        if i == 0 or j == 0:
+            return 0
+        (alpha, beta), (gamma, nu) = elements[i], elements[j]
+        if gamma.has_prefix(beta):
+            new_alpha = alpha.concat(gamma.strip_prefix(beta))
+            if new_alpha.length > depth:
+                raise Overflow(f"product needs a path of length {new_alpha.length}")
+            return index[(new_alpha, nu)]
+        if beta.has_prefix(gamma):
+            new_beta = nu.concat(beta.strip_prefix(gamma))
+            if new_beta.length > depth:
+                raise Overflow(f"product needs a path of length {new_beta.length}")
+            return index[(alpha, new_beta)]
+        return 0
+
+    n = len(elements)
+    mul = [[product(i, j) for j in range(n)] for i in range(n)]
+    inv = [0] + [index[(b, a)] for a, b in pairs]
+    labels = ["0"] + [f"({a.describe()},{b.describe()})" for a, b in pairs]
+    return mul, inv, labels
+
+
+def _condition_m_scan(graph, edge_ids, starts_of):
+    for eid in edge_ids:
+        i = next(k for k, e in enumerate(graph.edges) if e.eid == eid)
+        e = graph.edges[i]
+        reach = frozenset().union(*(_reachable_from(graph, w) for w in starts_of(e.src)))
+        if not any(f.src in reach for j, f in enumerate(graph.edges)
+                   if j != i and f.rng == e.rng):
+            return False, eid
+    return True, None
+
+
+def condition_m_graph_scan(g):
+    """(value, witness) of condition (M) on a bare graph, edge by edge."""
+    return _condition_m_scan(g, [e.eid for e in g.edges], lambda v: (v,))
+
+
+def condition_m_action_scan(action):
+    """(value, witness) of condition (M) for an action, scanning only the
+    orbit-independent edges."""
+    orbits = vertex_orbits(action)
+    return _condition_m_scan(action.graph, g_independent_edges(action),
+                             orbits.__getitem__)
+
+
+def hereditary_invariant_masks(action):
+    """Hereditary group-invariant vertex sets, by a loop over all subsets."""
+    graph = action.graph
+    vs = sorted(graph.vertices)
+    out = []
+    for mask in range(1 << len(vs)):
+        h = frozenset(vs[i] for i in range(len(vs)) if mask >> i & 1)
+        if not is_hereditary(graph, h):
+            continue
+        if any(action.act_vertex(g, v) not in h for v in h for g in range(action.group.size)):
+            continue
+        out.append(h)
+    return sorted(out, key=lambda h: (len(h), tuple(sorted(h))))

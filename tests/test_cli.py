@@ -174,3 +174,93 @@ def test_golden_output(command, tmp_path, monkeypatch, capsys):
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[command]
+
+
+# -- malformed documents exit 2 -------------------------------------------------
+
+def _write(tmp_path, name, doc):
+    p = tmp_path / name
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def test_dangling_edge_exit_code(tmp_path, capsys):
+    doc = {"vertices": 1, "edges": [{"id": "x", "src": 0, "rng": 3}]}
+    code, _, err = run_cli(capsys, "analyze", "graph", _write(tmp_path, "g.json", doc))
+    assert code == 2
+    assert "missing vertex" in err
+
+
+def test_vertex_action_outside_graph_exit_code(tmp_path, capsys):
+    doc = dict(MIRROR_DOC, graph={"vertices": 2, "edges": []},
+               vertex_action=[[0, 1], [1, 5]], edge_action=[[], []], cocycle=[[], []])
+    code, _, err = run_cli(capsys, "analyze", "selfsimilar", _write(tmp_path, "a.json", doc))
+    assert code == 2
+    assert "vertex_action[1][1] = 5" in err
+
+
+@pytest.mark.parametrize("table, bad", [
+    ("edge_action", [[0, 1], [-1, 0]]),
+    ("edge_action", [[0, 1], [2, 0]]),
+    ("cocycle", [[0, 0], [-1, 1]]),
+    ("cocycle", [[0, 0], [2, 1]]),
+])
+def test_out_of_range_action_index_exit_code(tmp_path, capsys, table, bad):
+    doc = dict(MIRROR_DOC, **{table: bad})
+    code, _, err = run_cli(capsys, "analyze", "selfsimilar", _write(tmp_path, "a.json", doc))
+    assert code == 2
+    assert f"{table}[1][0]" in err and "not in range(2)" in err
+
+
+def test_verify_directory_with_array_document_exit_code(tmp_path, capsys):
+    _write(tmp_path, "a.json", [1, 2])
+    code, _, err = run_cli(capsys, "verify", str(tmp_path))
+    assert code == 2
+    assert "must be an object" in err
+
+
+# -- a check that raises is reported, not fatal --------------------------------------
+
+def test_verify_isolates_a_raising_check(tmp_path, monkeypatch, capsys):
+    from isgw import verify
+
+    def check_that_raises(s):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "SEMIGROUP_CHECKS",
+                        [check_that_raises] + verify.SEMIGROUP_CHECKS)
+    _write(tmp_path, "a.json", {"kind": "semigroup", **I2_DOC})
+    _write(tmp_path, "b.json", {"kind": "graph", **L1_DOC})
+
+    code, out, err = run_cli(capsys, "verify", str(tmp_path), "--json")
+    assert code == 1
+    doc = json.loads(out)
+    entry = doc["reports"][0]["theorems"]["check_that_raises"]
+    assert entry["status"] == "error" and entry["detail"] == "RuntimeError: boom"
+    assert len(doc["reports"][0]["theorems"]) > 1  # the other checks still ran
+    assert doc["summary"]["theorems"]["check_that_raises"] == {
+        "pass": 0, "fail": 0, "skipped": 0, "error": 1}
+    assert "error" not in doc["summary"]["theorems"]["mu_contained_in_h"]
+    assert doc["summary"]["errors"] == [["a.json", "check_that_raises", "RuntimeError: boom"]]
+    assert doc["summary"]["failures"] == []
+    assert "ERROR" in err and "FALSIFIED" not in err
+
+    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
+    assert code == 1
+    assert "[ERROR] a.json" in out and "1 errors" in out
+    assert "[ok] b.json" in out
+    assert "check_that_raises: pass=0 ERROR=1" in out
+
+
+def test_verify_cap_inside_a_check_still_exits_3(tmp_path, monkeypatch, capsys):
+    from isgw import verify
+    from isgw.errors import CapExceeded
+
+    def check_over_cap(s):
+        raise CapExceeded("too many")
+
+    monkeypatch.setattr(verify, "SEMIGROUP_CHECKS", [check_over_cap])
+    _write(tmp_path, "a.json", {"kind": "semigroup", **I2_DOC})
+    code, _, err = run_cli(capsys, "verify", str(tmp_path))
+    assert code == 3
+    assert "too many" in err

@@ -78,3 +78,16 @@ def test_analyze_ideals_of_an_18_element_chain(tmp_path, capsys):
     assert cli.main(["analyze", "ideals", str(path), "--json"]) == 0
     props = json.loads(capsys.readouterr().out)["properties"]
     assert len(props["ideals"]["value"]) == n
+
+
+def test_exact_model_semigroup_is_built_once():
+    """The corpus semigroup of an exact model is the one the graph and action
+    checks get again, so their per-semigroup caches are shared."""
+    from isgw.corpus import builtin_corpus
+
+    instances = {inst.uid: inst for inst in builtin_corpus(0)}
+    for uid in ("A2", "TRIV-A2", "SWAP-D2"):
+        model = instances[f"S-{uid}"].meta["truncated"]
+        assert model.to_inverse_semigroup() is instances[f"S-{uid}"].semigroup
+        owner = instances.get(f"G-{uid}") or instances[f"ACT-{uid}"]
+        assert owner.meta["exact"] is model

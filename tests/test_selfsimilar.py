@@ -1,7 +1,19 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from isgw.corpus import fixture_actions, fixture_graphs
 from isgw.errors import AxiomViolation, NotInvariant, Overflow
-from isgw.graphs import GraphPath, single_arrow, single_loop, two_loops, vertex_path
+from isgw.graphs import (
+    DirectedGraph,
+    Edge,
+    GraphPath,
+    condition_m_graph,
+    graph_semigroup,
+    single_arrow,
+    single_loop,
+    two_loops,
+    vertex_path,
+)
 from isgw.selfsimilar import (
     FiniteGroup,
     SSTriple,
@@ -22,6 +34,13 @@ from isgw.selfsimilar import (
     triple_multiply,
     trivial_action,
     validate_action,
+)
+
+from oracles import (
+    condition_m_action_scan,
+    condition_m_graph_scan,
+    graph_pair_semigroup,
+    hereditary_invariant_masks,
 )
 
 
@@ -112,24 +131,100 @@ def test_ss_semigroup_counts(mirror):
     assert not depth1.exact
 
 
-def test_ss_semigroup_trivial_matches_graph():
-    from isgw.graphs import graph_semigroup
+def _graph(n, pairs):
+    return DirectedGraph(tuple(range(n)),
+                         tuple(Edge(f"e{k}", a, b) for k, (a, b) in enumerate(pairs)))
 
-    a2 = trivial_action(single_arrow())
-    ssem = ss_semigroup(a2, 1)
-    gsem = graph_semigroup(single_arrow(), 1)
-    assert len(ssem.elements) == len(gsem.elements)
-    s1 = ssem.to_inverse_semigroup()
-    s2 = gsem.to_inverse_semigroup()
-    mapping = {}
-    for i, el in enumerate(ssem.elements):
-        if el == "0":
-            mapping[i] = 0
-        else:
-            mapping[i] = gsem.elements.index((el.alpha, el.beta))
-    for x in range(s1.n):
-        for y in range(s1.n):
-            assert mapping[s1.product(x, y)] == s2.product(mapping[x], mapping[y])
+
+@st.composite
+def graphs(draw, max_vertices=5, max_edges=7, acyclic=False):
+    """Small multigraphs with loops; acyclic ones orient every edge upward."""
+    n = draw(st.integers(1, max_vertices))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=max_edges))
+    if acyclic:
+        pairs = [(a, b) for a, b in pairs if a < b]
+    return _graph(n, pairs)
+
+
+def swap_double(n, pairs):
+    """Z/2 swapping v and v + n on 2n vertices.  Each drawn edge (a, b) comes
+    with its image under the swap, and the cocycle is the group element
+    itself, so the group acts by graph automorphisms."""
+    flip = lambda v: (v + n) % (2 * n)  # noqa: E731
+    edges = [Edge(f"e{k}", a, b) for k, (a, b) in enumerate(pairs)]
+    edges += [Edge(f"f{k}", flip(a), flip(b)) for k, (a, b) in enumerate(pairs)]
+    k = len(pairs)
+    twin = {e.eid: f.eid for e, f in zip(edges, edges[k:] + edges[:k])}
+    graph = DirectedGraph(tuple(range(2 * n)), tuple(edges))
+    return SelfSimilarAction(
+        group=FiniteGroup.cyclic(2),
+        graph=graph,
+        vertex_action={(t, v): flip(v) if t else v for t in (0, 1) for v in graph.vertices},
+        edge_action={(t, e.eid): twin[e.eid] if t else e.eid for t in (0, 1) for e in edges},
+        cocycle={(t, e.eid): t for t in (0, 1) for e in edges},
+    )
+
+
+@st.composite
+def doubled_actions(draw):
+    n = draw(st.integers(1, 3))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 2 * n - 1), st.integers(0, 2 * n - 1)),
+                          max_size=4))
+    return swap_double(n, pairs)
+
+
+def _assert_matches_pair_oracle(g):
+    depth = max(1, g.longest_path_length())
+    s = graph_semigroup(g, depth).to_inverse_semigroup()
+    mul, inv, labels = graph_pair_semigroup(g, depth)
+    assert [list(row) for row in s.mul] == mul
+    assert list(s.inv) == inv
+    assert list(s.labels) == labels
+
+
+def test_ss_semigroup_trivial_matches_graph():
+    acyclic = [g for _, g in fixture_graphs() if g.is_acyclic()]
+    assert len(acyclic) == 4
+    for g in acyclic:
+        _assert_matches_pair_oracle(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_vertices=4, max_edges=5, acyclic=True))
+def test_graph_semigroup_matches_pair_oracle_on_random_graphs(g):
+    _assert_matches_pair_oracle(g)
+
+
+def test_condition_m_and_hereditary_sets_match_oracles_on_fixtures():
+    actions = [a for _, a in fixture_actions()] + [trivial_action(g) for _, g in fixture_graphs()]
+    for a in actions:
+        d = condition_M_ss(a)
+        assert (d.value, d.witness) == condition_m_action_scan(a)
+        assert hereditary_invariant_sets(a) == hereditary_invariant_masks(a)
+    for _, g in fixture_graphs():
+        d = condition_m_graph(g)
+        assert (d.value, d.witness) == condition_m_graph_scan(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs())
+def test_condition_m_matches_oracles_on_random_graphs(g):
+    d = condition_m_graph(g)
+    assert (d.value, d.witness) == condition_m_graph_scan(g)
+    a = trivial_action(g)
+    m = condition_M_ss(a)
+    assert (m.value, m.witness) == condition_m_action_scan(a) == (d.value, d.witness)
+    assert hereditary_invariant_sets(a) == hereditary_invariant_masks(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(doubled_actions())
+def test_condition_m_matches_oracles_on_random_actions(a):
+    validate_action(a, depth=2)
+    d = condition_M_ss(a)
+    assert (d.value, d.witness) == condition_m_action_scan(a)
+    assert hereditary_invariant_sets(a) == hereditary_invariant_masks(a)
 
 
 def test_ss_semigroup_overflow(mirror):
