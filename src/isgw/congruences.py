@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import InverseSemigroup, per_semigroup
+from .core import InverseSemigroup, cayley_graphs, per_semigroup
 from .errors import InternalContract, NotCongruence, NotIdeal, TooLarge
 from .relations import EquivalenceRelation, SemigroupHomomorphism, h_and_mu
 from .semilattice import Semilattice, is_0_disjunctive
@@ -185,15 +185,24 @@ def quotient(s: InverseSemigroup, rho: Congruence, *, check: bool = True) -> Quo
 
 
 def rees_congruence(s: InverseSemigroup, ideal) -> Congruence:
-    """Collapse an ideal to zero, leave everything else alone."""
+    """Collapse an ideal to zero, leave everything else alone.  A set is an
+    ideal iff it is closed under multiplication by the generators on either
+    side: O(|I|*|G|) lookups."""
     members = frozenset(ideal)
     if not members or s.zero not in members:
         raise NotIdeal("an ideal must contain the zero")
-    for a in s.elements():
-        for i in members:
-            for b in s.elements():
-                if s.product(s.product(a, i), b) not in members:
-                    raise NotIdeal(f"{a}*{i}*{b} escapes the set")
+    foreign = [i for i in members if not isinstance(i, int) or not 0 <= i < s.n]
+    if foreign:
+        raise NotIdeal(f"{foreign[0]!r} is not an element")
+    right, left = cayley_graphs(s)
+    for i in sorted(members):
+        if members.issuperset(right[i]) and members.issuperset(left[i]):
+            continue
+        for g, ig, gi in zip(s.generators, right[i], left[i]):
+            if ig not in members:
+                raise NotIdeal(f"{i}*{g} escapes the set")
+            if gi not in members:
+                raise NotIdeal(f"{g}*{i} escapes the set")
     return make_congruence(s, lambda a: -1 if a in members else a)
 
 

@@ -133,9 +133,10 @@ class InverseSemigroup:
     """Finite inverse semigroup with a designated zero.
 
     Every invariant is validated at construction, at every size, and the
-    semigroup is immutable afterwards.  Structures derived from S alone
-    (natural order, H/mu, ideals, double arrow, groupoids) are computed on
-    first use and cached, see ``per_semigroup``.
+    semigroup is immutable afterwards.  ``generators`` is the generating set
+    that Light's associativity test found.  Structures derived from S alone
+    (natural order, Cayley graphs, H/mu, ideals, double arrow, groupoids) are
+    computed on first use and cached, see ``per_semigroup``.
     """
 
     def __init__(self, mul, inv, zero, labels=None, pmaps=None):
@@ -174,7 +175,7 @@ class InverseSemigroup:
             if self.mul[z][s] != z or self.mul[s][z] != z:
                 raise NotInverse(f"designated zero is not absorbing at {s}")
 
-        _check_associative(self.mul)
+        self.generators = _check_associative(self.mul)
 
         for s in range(n):
             t = self.inv[s]
@@ -258,6 +259,16 @@ class InverseSemigroup:
 
 
 @per_semigroup
+def cayley_graphs(s: InverseSemigroup) -> tuple:
+    """(right, left) Cayley graphs of S over ``s.generators``: right[x] and
+    left[x] list x*g and g*x for each generator g.  O(n*|G|) lookups."""
+    pick = _picker(s.generators)
+    right = tuple(map(pick, s.mul))
+    left = tuple(zip(*pick(s.mul)))
+    return right, left
+
+
+@per_semigroup
 def _pmap_index(s: InverseSemigroup) -> dict:
     return {p: i for i, p in enumerate(s.pmaps)}
 
@@ -302,7 +313,7 @@ def _generating_set(mul) -> list:
     return gens
 
 
-def _check_associative(mul) -> None:
+def _check_associative(mul) -> tuple:
     """Light's associativity test over a tuple-of-tuples table.
 
     The elements g with (x*g)*y == x*(g*y) for all x, y are closed under
@@ -310,15 +321,17 @@ def _check_associative(mul) -> None:
     generating set passes (Clifford & Preston, vol. 1, section 1.2).  Each
     (g, x) pair compares a whole row at C speed: O(n^2*|G|).  For a closure
     G is a subset of the seeds, plus the zero when it is adjoined; for a
-    semilattice G can be all of S.
+    semilattice G can be all of S.  Returns G.
     """
-    for g in _generating_set(mul):
+    gens = tuple(_generating_set(mul))
+    for g in gens:
         row_g = mul[g]
         times_g = _picker(row_g)  # row x -> x*(g*y) for every y
         for x, row in enumerate(mul):
             if times_g(row) != mul[row[g]]:
                 y = next(y for y, xgy in enumerate(mul[row[g]]) if xgy != row[row_g[y]])
                 raise NotAssociative(f"({x}*{g})*{y} != {x}*({g}*{y})")
+    return gens
 
 
 # -- closures of partial bijections -----------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import InverseSemigroup, per_semigroup
+from .core import InverseSemigroup, cayley_graphs, per_semigroup
 from .errors import CapExceeded, DomainViolation, InternalContract
 from .semilattice import Semilattice, is_cover, has_trapping_condition, atoms
 from .util import Decision, UnionFind, downsets, group_by, subsets
@@ -79,8 +79,25 @@ def classify_order_ideal(s: InverseSemigroup, lattice: Semilattice, x: frozenset
 
 # -- ideals of S --------------------------------------------------------------
 
+def ideal_generated(s: InverseSemigroup, seed) -> frozenset:
+    """The ideal S^1 X S^1 generated by the seed X: its closure under left and
+    right multiplication by the generators of S, O(|ideal|*|G|) lookups.  In
+    an inverse semigroup x = x x* x, so this is also SXS."""
+    right, left = cayley_graphs(s)
+    members = set(seed)
+    frontier = members
+    while frontier:
+        step = set()
+        for x in frontier:
+            step.update(right[x])
+            step.update(left[x])
+        frontier = step - members
+        members |= frontier
+    return frozenset(members)
+
+
 def principal_ideal(s: InverseSemigroup, a: int) -> frozenset:
-    return frozenset(s.product(s.product(x, a), y) for x in s.elements() for y in s.elements())
+    return ideal_generated(s, (a,))
 
 
 def _ideal_trace(s: InverseSemigroup, members: frozenset) -> frozenset:
@@ -124,10 +141,7 @@ def enumerate_ideals(s: InverseSemigroup) -> tuple:
     )
     from_xs = {}
     for x in invariant_xs:
-        sxs = frozenset(
-            s.product(s.product(a, e), b)
-            for e in x for a in s.elements() for b in s.elements()
-        )
+        sxs = ideal_generated(s, x)
         from_xs[x] = sxs
         if _ideal_trace(s, sxs) != x:
             raise InternalContract("SXS does not trace back to X")
@@ -178,12 +192,10 @@ def saturated_ideal_generated(s: InverseSemigroup, seed) -> frozenset:
     lattice = Semilattice.from_semigroup(s)
     x = frozenset(seed) | {s.zero}
     while True:
-        members = frozenset(
-            s.product(s.product(a, e), b)
-            for e in x for a in s.elements() for b in s.elements()
-        )
-        x2 = saturate(lattice, _ideal_trace(s, members))
-        if x2 == _ideal_trace(s, members):
+        members = ideal_generated(s, x)
+        trace = _ideal_trace(s, members)
+        x2 = saturate(lattice, trace)
+        if x2 == trace:
             once_more = saturate(lattice, x2)
             if once_more != x2:
                 raise InternalContract("saturation failed to be idempotent")

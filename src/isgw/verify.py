@@ -486,10 +486,13 @@ def _check_exact_action(a, truncated, s, faith, m) -> list:
                       rel.h_and_mu(s).fundamental == faith.faithful,
                       detail=f"faithful={faith.faithful}"))
 
+    quotients = {}  # hereditary invariant vertex set -> (its ideal, S / ideal)
+    for v_set in ss.hereditary_invariant_sets(a):
+        ideal = _vertex_ideal(a, truncated, s, v_set)
+        quotients[v_set] = (ideal, cg.rees_quotient(s, ideal))
     all_disj = all(
-        is_0_disjunctive(Semilattice.from_semigroup(
-            cg.rees_quotient(s, _vertex_ideal(a, truncated, s, v_set)).quotient)).value
-        for v_set in ss.hereditary_invariant_sets(a)
+        is_0_disjunctive(Semilattice.from_semigroup(q.quotient)).value
+        for _, q in quotients.values()
     )
     out.append(_entry("ss_quotients_zero_disjunctive_iff_m", all_disj == m.value,
                       detail=f"m={m.value} all_quotients={all_disj}"))
@@ -519,12 +522,11 @@ def _check_exact_action(a, truncated, s, faith, m) -> list:
             break
     out.append(_entry("vertex_ideal_path_criterion", ok, witness))
 
-    ideals_by_v = {}
+    generated = set()
     ok = True
     witness = None
-    for v_set in ss.hereditary_invariant_sets(a):
-        ideal = _vertex_ideal(a, truncated, s, v_set)
-        ideals_by_v[v_set] = ideal
+    for v_set, (ideal, _) in quotients.items():
+        generated.add(ideal)
         back = frozenset(
             elements[i].alpha.src for i in ideal if i != 0
         )
@@ -533,7 +535,6 @@ def _check_exact_action(a, truncated, s, faith, m) -> list:
             witness = sorted(v_set)
             break
     all_ideals = {i.elements for i in ifl.enumerate_ideals(s)}
-    generated = set(ideals_by_v.values())
     if all_ideals != generated:
         ok = False
         witness = "ideal sets differ"
@@ -541,9 +542,7 @@ def _check_exact_action(a, truncated, s, faith, m) -> list:
 
     ok = True
     witness = None
-    for v_set in ss.hereditary_invariant_sets(a):
-        ideal = ideals_by_v[v_set]
-        q = cg.rees_quotient(s, ideal)
+    for v_set, (_, q) in quotients.items():
         sub_action = ss.quotient_action(a, v_set)
         sub_trunc = ss.ss_semigroup(sub_action, truncated.depth)
         sub_s = sub_trunc.to_inverse_semigroup()

@@ -4,7 +4,9 @@ loop, the any()-scan natural order, and table validation with the direct
 scan for a second inverse (``isgw.core``); the path-pair product of the
 graph inverse semigroup, the condition (M) scans for graphs and for
 actions, and the mask loop over hereditary invariant vertex sets
-(``isgw.graphs``, ``isgw.selfsimilar``).
+(``isgw.graphs``, ``isgw.selfsimilar``); principal ideals, SXS and the ideal
+test of the Rees congruence over all products (``isgw.ideals_filters``,
+``isgw.congruences``).
 """
 
 import itertools
@@ -172,3 +174,40 @@ def hereditary_invariant_masks(action):
             continue
         out.append(h)
     return sorted(out, key=lambda h: (len(h), tuple(sorted(h))))
+
+
+def principal_ideal_by_products(s, a):
+    """SaS, as the set of all products x*a*y (row y of the table of x*a)."""
+    return frozenset().union(*(s.mul[s.product(x, a)] for x in s.elements()))
+
+
+def sxs_by_products(s, x):
+    """SXS, as the set of all products a*e*b with e in X."""
+    return frozenset().union(*(s.mul[s.product(a, e)] for e in x for a in s.elements()))
+
+
+def ideals_by_unions(s):
+    """Every ideal of S: the zero ideal and all unions of principal ideals."""
+    principals = {principal_ideal_by_products(s, a) for a in s.elements()}
+    found = {frozenset({s.zero})}
+    frontier = list(found)
+    while frontier:
+        fresh = []
+        for ideal in frontier:
+            for p in principals:
+                u = ideal | p
+                if u not in found:
+                    found.add(u)
+                    fresh.append(u)
+        frontier = fresh
+    return found
+
+
+def is_ideal_by_products(s, members):
+    """Whether the Rees congruence accepts the set: it contains the zero and
+    a*i*b stays inside for every a, b in S and i in the set."""
+    members = frozenset(members)
+    if s.zero not in members:
+        return False
+    return all(members.issuperset(s.mul[s.product(a, i)])
+               for a in s.elements() for i in members)

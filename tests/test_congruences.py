@@ -140,6 +140,16 @@ def test_rees_congruence_edges(i2, i2n):
         rees_congruence(i2, {i2n["E11"]})  # missing the zero
 
 
+def test_rees_congruence_rejects_an_out_of_range_member(i2, i2n):
+    with pytest.raises(NotIdeal, match="7 is not an element"):
+        rees_congruence(i2, {i2n["0"], i2.n})
+
+
+def test_rees_congruence_rejects_a_negative_member(i2, i2n):
+    with pytest.raises(NotIdeal, match="-1 is not an element"):
+        rees_congruence(i2, {i2n["0"], -1})
+
+
 def test_quotient_rejects_non_congruence(i2, i2n):
     from isgw.congruences import make_congruence
 

@@ -1,0 +1,79 @@
+"""Ideals by generator search against their all-products oracles
+(tests/oracles.py): principal ideals, the ideal enumeration with its SXS
+round trip, and the ideal test of the Rees congruence."""
+
+import pytest
+from hypothesis import given, settings
+
+from isgw.congruences import rees_congruence
+from isgw.core import from_partial_bijections
+from isgw.corpus import builtin_corpus
+from isgw.errors import NotIdeal
+from isgw.ideals_filters import (
+    enumerate_ideals,
+    ideal_generated,
+    is_invariant_order_ideal,
+    order_ideals,
+    principal_ideal,
+)
+from isgw.semilattice import Semilattice
+
+from oracles import ideals_by_unions, is_ideal_by_products, principal_ideal_by_products, sxs_by_products
+from test_core_oracles import generator_sets
+
+
+def _accepts(s, members):
+    try:
+        rees_congruence(s, members)
+    except NotIdeal:
+        return False
+    return True
+
+
+def assert_ideals_match(s):
+    for a in s.elements():
+        assert principal_ideal(s, a) == principal_ideal_by_products(s, a), a
+    lattice = Semilattice.from_semigroup(s)
+    for x in order_ideals(lattice):
+        if is_invariant_order_ideal(s, x):
+            assert ideal_generated(s, x) == sxs_by_products(s, x), sorted(x)
+    assert {i.elements for i in enumerate_ideals(s)} == ideals_by_unions(s)
+
+
+def assert_rees_test_matches(s):
+    """On every ideal, every ideal plus one outside element and every ideal
+    minus one nonzero element."""
+    for ideal in enumerate_ideals(s):
+        members = ideal.elements
+        candidates = [members]
+        candidates += [members | {x} for x in s.elements() if x not in members]
+        candidates += [members - {i} for i in members if i != s.zero]
+        for c in candidates:
+            assert _accepts(s, c) == is_ideal_by_products(s, c), sorted(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_sets())
+def test_ideals_match_oracles_on_random_closures(gens):
+    assert_ideals_match(from_partial_bijections(gens))
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_sets())
+def test_rees_test_matches_oracle_on_random_closures(gens):
+    assert_rees_test_matches(from_partial_bijections(gens))
+
+
+@pytest.fixture(scope="module")
+def corpus_semigroups():
+    return [inst.semigroup for inst in builtin_corpus() if inst.kind == "semigroup"]
+
+
+def test_ideals_match_oracles_on_builtin_corpus(corpus_semigroups):
+    for s in corpus_semigroups:
+        assert_ideals_match(s)
+
+
+def test_rees_test_matches_oracle_on_builtin_corpus(corpus_semigroups):
+    for s in corpus_semigroups:
+        assert_rees_test_matches(s)
