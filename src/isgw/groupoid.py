@@ -70,9 +70,12 @@ class FiniteGroupoid:
                 raise InternalContract("arrow endpoints escape the unit set")
             if s.star(u) not in self._arrow_set:
                 raise InternalContract("arrows not closed under inversion")
+        by_source = {}
+        for v in self.arrows:
+            by_source.setdefault(self.source(v), []).append(v)
         for u in self.arrows:
-            for v in self.arrows:
-                if self.composable(v, u) and s.product(v, u) not in self._arrow_set:
+            for v in by_source.get(self.range(u), ()):
+                if s.product(v, u) not in self._arrow_set:
                     raise InternalContract("arrows not closed under composition")
 
     # d and r in the groupoid sense, as filter minima

@@ -6,7 +6,10 @@ graph inverse semigroup, the condition (M) scans for graphs and for
 actions, and the mask loop over hereditary invariant vertex sets
 (``isgw.graphs``, ``isgw.selfsimilar``); principal ideals, SXS and the ideal
 test of the Rees congruence over all products (``isgw.ideals_filters``,
-``isgw.congruences``).
+``isgw.congruences``); the double arrow by down-set intersections, the
+compatibility test over all products and the congruence closure saturated
+by all elements (``isgw.congruences``); the closure of a groupoid's arrows
+over all pairs (``isgw.groupoid``).
 """
 
 import itertools
@@ -15,6 +18,7 @@ from isgw.core import PartialBijection
 from isgw.errors import NotAssociative, NotInverse, Overflow
 from isgw.graphs import _reachable_from, is_hereditary, paths_up_to
 from isgw.selfsimilar import g_independent_edges, vertex_orbits
+from isgw.util import UnionFind, group_by
 
 
 def all_pairs_closure(generators, labels=None):
@@ -211,3 +215,73 @@ def is_ideal_by_products(s, members):
         return False
     return all(members.issuperset(s.mul[s.product(a, i)])
                for a in s.elements() for i in members)
+
+
+def double_arrow_by_intersections(s):
+    """Partition of the double-arrow relation, with a -> b iff every nonzero
+    x below a has a nonzero common lower bound with b; n^2 set intersections.
+    Raises AssertionError if the relation is not transitive."""
+    order = s.order()
+    down = [set(order.down(a)) - {s.zero} for a in s.elements()]
+
+    def arrow(a, b):
+        return all(down[x] & down[b] for x in down[a])
+
+    n = s.n
+    related = [[arrow(a, b) and arrow(b, a) for b in range(n)] for a in range(n)]
+    dsu = UnionFind(n)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if related[a][b]:
+                dsu.union(a, b)
+    for a in range(n):
+        for b in range(n):
+            assert (dsu.find(a) == dsu.find(b)) == related[a][b], (a, b)
+    return frozenset(group_by(range(n), dsu.find))
+
+
+def is_compatible_by_products(s, index):
+    """Whether a ~ b (equal ``index``) implies c*a ~ c*b and a*c ~ b*c for
+    every c in S: O(n^3) products."""
+    for a in s.elements():
+        for b in s.elements():
+            if index[a] != index[b]:
+                continue
+            for c in s.elements():
+                if index[s.product(c, a)] != index[s.product(c, b)]:
+                    return False
+                if index[s.product(a, c)] != index[s.product(b, c)]:
+                    return False
+    return True
+
+
+def congruence_closure_by_saturation(s, pairs):
+    """Partition of the least congruence containing the pairs: union-find
+    saturated by multiplying every class by every element until nothing
+    changes."""
+    dsu = UnionFind(s.n)
+    for a, b in pairs:
+        dsu.union(a, b)
+    changed = True
+    while changed:
+        changed = False
+        buckets = {}
+        for a in s.elements():
+            buckets.setdefault(dsu.find(a), []).append(a)
+        for members in buckets.values():
+            base = members[0]
+            for b in members[1:]:
+                for c in s.elements():
+                    if dsu.union(s.product(c, base), s.product(c, b)):
+                        changed = True
+                    if dsu.union(s.product(base, c), s.product(b, c)):
+                        changed = True
+    return frozenset(group_by(range(s.n), dsu.find))
+
+
+def is_closed_by_all_pairs(g):
+    """Whether v*u is an arrow of the groupoid for every pair of arrows with
+    the source of v equal to the range of u."""
+    arrows = set(g.arrows)
+    return all(g.s.product(v, u) in arrows
+               for u in g.arrows for v in g.arrows if g.composable(v, u))

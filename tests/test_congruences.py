@@ -158,6 +158,23 @@ def test_quotient_rejects_non_congruence(i2, i2n):
         quotient(i2, bogus)
 
 
+def test_quotient_rejects_a_right_congruence_by_left_products(i2, i2n):
+    """The L relation of I2 (a ~ b iff a*a = b*b) is stable under every right
+    translate but not under the left ones."""
+    from isgw.congruences import make_congruence
+
+    l_rel = make_congruence(i2, lambda a: i2.product(i2.star(a), a))
+    index = l_rel.class_index
+    assert not l_rel.is_equality()
+    assert all(index[i2.product(a, c)] == index[i2.product(b, c)]
+               for cls in l_rel.classes for a in cls for b in cls for c in i2.elements())
+    assert l_rel.same(i2n["E11"], i2n["E21"])
+    with pytest.raises(NotCongruence, match="left product"):
+        quotient(i2, l_rel, check=True)
+    with pytest.raises(NotCongruence, match="left product"):
+        make_congruence(i2, lambda a: i2.product(i2.star(a), a), check=True)
+
+
 def test_all_congruences_rees_i2(i2, i2n):
     rep = all_congruences_rees(i2)
     assert rep.value is False
