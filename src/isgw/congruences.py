@@ -65,6 +65,16 @@ def universal_congruence(s: InverseSemigroup) -> Congruence:
     return make_congruence(s, lambda a: 0)
 
 
+def _merge_pair_orbits(dsu: UnionFind, right, left, stack: list) -> None:
+    """Merge each pair of the stack in ``dsu`` and, for each union that
+    succeeds, push the pair's translates by every generator on either side."""
+    while stack:
+        a, b = stack.pop()
+        if dsu.union(a, b):
+            stack.extend(zip(right[a], right[b]))
+            stack.extend(zip(left[a], left[b]))
+
+
 def congruence_closure(s: InverseSemigroup, pairs) -> Congruence:
     """Least congruence containing the given pairs, by pair orbits (Freese,
     "Computing congruences efficiently", Algebra Universalis 59, 2008): each
@@ -72,49 +82,64 @@ def congruence_closure(s: InverseSemigroup, pairs) -> Congruence:
     generator on either side, so at most n - 1 unions push 2|G| pairs each."""
     right, left = cayley_graphs(s)
     dsu = UnionFind(s.n)
-    stack = list(pairs)
-    while stack:
-        a, b = stack.pop()
-        if dsu.union(a, b):
-            stack.extend(zip(right[a], right[b]))
-            stack.extend(zip(left[a], left[b]))
+    _merge_pair_orbits(dsu, right, left, list(pairs))
     return make_congruence(s, dsu.find)
 
 
-def _join(s: InverseSemigroup, rho: Congruence, sigma: Congruence) -> Congruence:
-    """Join in the congruence lattice; for semigroup congruences the
-    transitive closure of the union is already compatible."""
-    dsu = UnionFind(s.n)
-    for c in rho.classes + sigma.classes:
-        dsu.union_all(c)
-    return make_congruence(s, dsu.find)
+@per_semigroup
+def congruence_lattice(s: InverseSemigroup) -> tuple:
+    """Every congruence of S, sorted by decreasing class count and then by
+    class index; see ``enumerate_congruences``."""
+    right, left = cayley_graphs(s)
+    n = s.n
 
+    def join(roots: tuple, a: int, b: int) -> tuple:
+        dsu = UnionFind(n)
+        dsu.parent[:] = roots  # each element points at its root
+        _merge_pair_orbits(dsu, right, left, [(a, b)])
+        return tuple(map(dsu.find, range(n)))
 
-def enumerate_congruences(s: InverseSemigroup, bound: int = DEFAULT_ENUMERATION_BOUND) -> list:
-    """The full congruence lattice, as all joins of principal congruences."""
-    if s.n > bound:
-        raise TooLarge(f"|S| = {s.n} exceeds enumeration bound {bound}")
-    principals = []
-    seen_p = set()
-    for a, b in itertools.combinations(range(s.n), 2):
-        p = congruence_closure(s, [(a, b)])
-        if p.class_index not in seen_p:
-            seen_p.add(p.class_index)
-            principals.append(p)
+    equality = tuple(range(n))
+    generating_pairs = []
+    principals = set()
+    for a, b in itertools.combinations(range(n), 2):
+        p = join(equality, a, b)
+        if p not in principals:
+            principals.add(p)
+            generating_pairs.append((a, b))
 
-    found = {equality_congruence(s).class_index: equality_congruence(s)}
-    frontier = list(found.values())
+    found = {equality}
+    frontier = [equality]
     while frontier:
         fresh = []
         for rho in frontier:
-            for p in principals:
-                j = _join(s, rho, p)
-                if j.class_index not in found:
-                    found[j.class_index] = j
+            for a, b in generating_pairs:
+                if rho[a] == rho[b]:
+                    continue
+                j = join(rho, a, b)
+                if j not in found:
+                    found.add(j)
                     fresh.append(j)
         frontier = fresh
-    out = sorted(found.values(), key=lambda r: (-len(r.classes), r.class_index))
-    return out
+    lattice = [make_congruence(s, roots.__getitem__) for roots in found]
+    return tuple(sorted(lattice, key=lambda r: (-len(r.classes), r.class_index)))
+
+
+def enumerate_congruences(s: InverseSemigroup, bound: int = DEFAULT_ENUMERATION_BOUND) -> list:
+    """The full congruence lattice, as all joins of principal congruences,
+    computed once per semigroup.
+
+    A congruence is held as the tuple of its union-find roots; each class is
+    rooted at its least member, so the tuple is a canonical key.  One
+    generating pair (a, b) is kept per distinct principal congruence, and
+    rho v Cg(a, b) is rho itself when rho relates a and b, else the closure
+    of the single pair (a, b) by pair orbits on a copy of rho's roots (Torpey,
+    *Semigroup congruences*, PhD thesis, St Andrews, 2019).  Only the distinct
+    members are packaged as Congruence objects.  Raises TooLarge above the
+    bound, and returns a fresh list each call."""
+    if s.n > bound:
+        raise TooLarge(f"|S| = {s.n} exceeds enumeration bound {bound}")
+    return list(congruence_lattice(s))
 
 
 @per_semigroup
@@ -199,14 +224,15 @@ def _class_label(s: InverseSemigroup, cls: frozenset) -> str:
 
 def quotient(s: InverseSemigroup, rho: Congruence, *, check: bool = True) -> QuotientSemigroup:
     """Quotient semigroup on the classes; the class of 0 is the new zero."""
+    index = rho.class_index
     if check:
-        _check_compatible(s, rho.class_index)
+        _check_compatible(s, index)
     reps = [min(c) for c in rho.classes]
-    mul = [[rho.class_index[s.product(ra, rb)] for rb in reps] for ra in reps]
-    inv = [rho.class_index[s.star(r)] for r in reps]
+    mul = [[index[row[rb]] for rb in reps] for row in (s.mul[ra] for ra in reps)]
+    inv = [index[s.star(r)] for r in reps]
     labels = [_class_label(s, c) for c in rho.classes]
-    q = InverseSemigroup(mul, inv, rho.class_index[s.zero], labels=labels)
-    return QuotientSemigroup(source=s, quotient=q, projection=rho.class_index)
+    q = InverseSemigroup(mul, inv, index[s.zero], labels=labels)
+    return QuotientSemigroup(source=s, quotient=q, projection=index)
 
 
 def rees_congruence(s: InverseSemigroup, ideal) -> Congruence:

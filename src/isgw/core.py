@@ -135,8 +135,9 @@ class InverseSemigroup:
     Every invariant is validated at construction, at every size, and the
     semigroup is immutable afterwards.  ``generators`` is the generating set
     that Light's associativity test found.  Structures derived from S alone
-    (natural order, Cayley graphs, H/mu, ideals, double arrow, groupoids) are
-    computed on first use and cached, see ``per_semigroup``.
+    (natural order, Cayley graphs, H/mu, ideals, double arrow, congruence
+    lattice, groupoids) are computed on first use and cached, see
+    ``per_semigroup``.
     """
 
     def __init__(self, mul, inv, zero, labels=None, pmaps=None):

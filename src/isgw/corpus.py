@@ -65,26 +65,30 @@ def group_with_zero_fixture() -> InverseSemigroup:
 
 # -- all small semilattices, via intersection-closed families -------------------
 
-def _family_semigroup(sets: tuple) -> InverseSemigroup:
-    ordered = sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
+def _family_table(family) -> tuple:
+    """The sets of an intersection-closed family in (size, members) order,
+    and its meet table over that order; the empty set comes first."""
+    ordered = sorted(family, key=lambda s: (len(s), tuple(sorted(s))))
     idx = {s: i for i, s in enumerate(ordered)}
-    mul = [[idx[a & b] for b in ordered] for a in ordered]
+    return ordered, tuple(tuple(idx[a & b] for b in ordered) for a in ordered)
+
+
+def _family_semigroup(ordered: list, mul: tuple) -> InverseSemigroup:
     labels = ["0" if not s else "{" + "".join(map(str, sorted(s))) + "}" for s in ordered]
     return from_tables(mul, list(range(len(ordered))), 0, labels=labels)
 
 
-def _meet_table_key(s: InverseSemigroup) -> tuple:
-    """Isomorphism-invariant-ish fingerprint plus a canonical table under the
-    best permutation; exact for the tiny sizes used here."""
-    n = s.n
+def _meet_table_key(mul: tuple) -> tuple:
+    """Canonical form of a meet table with zero 0: the least relabelled
+    table over the permutations that fix 0, an exact isomorphism invariant."""
+    n = len(mul)
     best = None
-    for perm in itertools.permutations(range(n)):
-        if perm[s.zero] != 0:
-            continue
-        table = tuple(
-            tuple(perm[s.mul[a][b]] for b in sorted(range(n), key=perm.__getitem__))
-            for a in sorted(range(n), key=perm.__getitem__)
-        )
+    for rest in itertools.permutations(range(1, n)):
+        perm = (0,) + rest
+        inv = [0] * n
+        for a, pa in enumerate(perm):
+            inv[pa] = a
+        table = tuple(tuple(perm[mul[a][b]] for b in inv) for a in inv)
         if best is None or table < best:
             best = table
     return best
@@ -92,20 +96,25 @@ def _meet_table_key(s: InverseSemigroup) -> tuple:
 
 def small_semilattices(max_size: int = 5) -> list:
     """Every meet semilattice with zero of at most max_size elements, up to
-    isomorphism, realized as an intersection-closed family over four points."""
+    isomorphism, realized as an intersection-closed family over four points.
+    Each distinct meet table is canonicalized once, and a semigroup is built
+    for the first family of each isomorphism class only."""
     points = (0, 1, 2, 3)
     nonempty = [frozenset(c)
                 for k in range(1, 5)
                 for c in itertools.combinations(points, k)]
+    key_of = {}  # meet table -> canonical form
     out = {}
     for k in range(0, max_size):
         for combo in itertools.combinations(nonempty, k):
             family = frozenset(combo) | {frozenset()}
             if all(a & b in family for a in family for b in family):
-                s = _family_semigroup(tuple(family))
-                key = _meet_table_key(s)
+                ordered, mul = _family_table(family)
+                key = key_of.get(mul)
+                if key is None:
+                    key = key_of[mul] = _meet_table_key(mul)
                 if key not in out:
-                    out[key] = s
+                    out[key] = _family_semigroup(ordered, mul)
     return [out[k] for k in sorted(out)]
 
 

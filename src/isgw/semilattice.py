@@ -107,15 +107,24 @@ def is_0_disjunctive(lattice: Semilattice) -> Decision:
 
 
 def _minimal_cover_with(lattice: Semilattice, e: int, fixed: int, candidates) -> tuple | None:
-    """Smallest subset D of candidates with e -> D + {fixed}, or None."""
-    pool = [c for c in candidates if c != lattice.zero]
-    if not is_cover(lattice, e, pool + [fixed]).value:
+    """Smallest subset D of candidates with e -> D + {fixed}, or None.  The
+    nonzero elements below e are listed once, and each subset is tested
+    against that list by table lookups."""
+    z = lattice.zero
+    mul = lattice.parent.mul
+    pool = [c for c in candidates if c != z]
+    below = [mul[x] for x in lattice.below(e) if x != z]  # rows of the x <= e
+
+    def covers(members) -> bool:
+        return all(any(row[c] != z for c in members) for row in below)
+
+    if not covers(pool + [fixed]):
         return None
     if len(pool) > MINIMAL_COVER_SEARCH_LIMIT:
         return tuple(sorted(pool))
     for size in range(len(pool) + 1):
         for combo in itertools.combinations(pool, size):
-            if is_cover(lattice, e, list(combo) + [fixed]).value:
+            if covers(combo + (fixed,)):
                 return combo
     return tuple(sorted(pool))
 

@@ -45,13 +45,6 @@ class UnionFind:
         self.parent[rb] = ra
         return True
 
-    def union_all(self, items) -> None:
-        """Merge all the given members into one class."""
-        items = iter(items)
-        first = next(items, None)
-        for b in items:
-            self.union(first, b)
-
 
 def group_by(items, key) -> list:
     """Classes of items with equal key, as frozensets sorted by least member."""

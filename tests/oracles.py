@@ -8,16 +8,22 @@ actions, and the mask loop over hereditary invariant vertex sets
 test of the Rees congruence over all products (``isgw.ideals_filters``,
 ``isgw.congruences``); the double arrow by down-set intersections, the
 compatibility test over all products and the congruence closure saturated
-by all elements (``isgw.congruences``); the closure of a groupoid's arrows
-over all pairs (``isgw.groupoid``).
+by all elements, and the congruence lattice by joins of whole congruences
+(``isgw.congruences``); the closure of a groupoid's arrows over all pairs
+(``isgw.groupoid``); the minimal cover search by ``is_cover`` calls
+(``isgw.semilattice``); the census of small semilattices that builds and
+canonicalizes a semigroup for every intersection-closed family
+(``isgw.corpus``).
 """
 
 import itertools
 
-from isgw.core import PartialBijection
+from isgw.congruences import congruence_closure, equality_congruence, make_congruence
+from isgw.core import PartialBijection, from_tables
 from isgw.errors import NotAssociative, NotInverse, Overflow
 from isgw.graphs import _reachable_from, is_hereditary, paths_up_to
 from isgw.selfsimilar import g_independent_edges, vertex_orbits
+from isgw.semilattice import MINIMAL_COVER_SEARCH_LIMIT, is_cover
 from isgw.util import UnionFind, group_by
 
 
@@ -285,3 +291,99 @@ def is_closed_by_all_pairs(g):
     arrows = set(g.arrows)
     return all(g.s.product(v, u) in arrows
                for u in g.arrows for v in g.arrows if g.composable(v, u))
+
+
+def _join(s, rho, sigma):
+    """Join in the congruence lattice; for semigroup congruences the
+    transitive closure of the union is already compatible."""
+    dsu = UnionFind(s.n)
+    for c in rho.classes + sigma.classes:
+        first = min(c)
+        for b in c:
+            dsu.union(first, b)
+    return make_congruence(s, dsu.find)
+
+
+def congruence_lattice_by_joins(s):
+    """The congruence lattice as all joins of principal congruences, each
+    join a new union-find over the classes of both sides, sorted by
+    decreasing class count and then by class index."""
+    principals = []
+    seen_p = set()
+    for a, b in itertools.combinations(range(s.n), 2):
+        p = congruence_closure(s, [(a, b)])
+        if p.class_index not in seen_p:
+            seen_p.add(p.class_index)
+            principals.append(p)
+
+    found = {equality_congruence(s).class_index: equality_congruence(s)}
+    frontier = list(found.values())
+    while frontier:
+        fresh = []
+        for rho in frontier:
+            for p in principals:
+                j = _join(s, rho, p)
+                if j.class_index not in found:
+                    found[j.class_index] = j
+                    fresh.append(j)
+        frontier = fresh
+    return sorted(found.values(), key=lambda r: (-len(r.classes), r.class_index))
+
+
+def _family_semigroup(sets):
+    ordered = sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
+    idx = {s: i for i, s in enumerate(ordered)}
+    mul = [[idx[a & b] for b in ordered] for a in ordered]
+    labels = ["0" if not s else "{" + "".join(map(str, sorted(s))) + "}" for s in ordered]
+    return from_tables(mul, list(range(len(ordered))), 0, labels=labels)
+
+
+def _canonical_table(s):
+    """The least relabelled table over all permutations that send the zero
+    to 0."""
+    n = s.n
+    best = None
+    for perm in itertools.permutations(range(n)):
+        if perm[s.zero] != 0:
+            continue
+        table = tuple(
+            tuple(perm[s.mul[a][b]] for b in sorted(range(n), key=perm.__getitem__))
+            for a in sorted(range(n), key=perm.__getitem__)
+        )
+        if best is None or table < best:
+            best = table
+    return best
+
+
+def small_semilattices_by_semigroups(max_size=5):
+    """The census of small semilattices, building, validating and
+    canonicalizing a semigroup for every intersection-closed family."""
+    points = (0, 1, 2, 3)
+    nonempty = [frozenset(c)
+                for k in range(1, 5)
+                for c in itertools.combinations(points, k)]
+    out = {}
+    for k in range(0, max_size):
+        for combo in itertools.combinations(nonempty, k):
+            family = frozenset(combo) | {frozenset()}
+            if all(a & b in family for a in family for b in family):
+                s = _family_semigroup(tuple(family))
+                key = _canonical_table(s)
+                if key not in out:
+                    out[key] = s
+    return [out[k] for k in sorted(out)]
+
+
+def minimal_cover_by_is_cover(lattice, e, fixed, candidates):
+    """Smallest subset D of candidates with e -> D + {fixed}, or None, trying
+    subsets in increasing size with one ``is_cover`` call each."""
+    pool = [c for c in candidates if c != lattice.zero]
+    if not is_cover(lattice, e, pool + [fixed]).value:
+        return None
+    if len(pool) > MINIMAL_COVER_SEARCH_LIMIT:
+        return tuple(sorted(pool))
+    for size in range(len(pool) + 1):
+        for combo in itertools.combinations(pool, size):
+            if is_cover(lattice, e, list(combo) + [fixed]).value:
+                return combo
+    return tuple(sorted(pool))

@@ -164,6 +164,8 @@ GOLDEN_SHA256 = {
         "f1602952a339cdf6da4d66ec11572b2158f1cc29fe36cd7550a20b504af7796c",
     "analyze semigroup i2.json --json":
         "b8ed75da2693c4072f35ca2c02364c3a98b135a40a56a8ef59723c1ae37458f4",
+    "analyze congruences i2.json --json":
+        "279014cfa3c22dad263bf8a446bd482fe0ff999a583745953075db66193feebb",
 }
 
 

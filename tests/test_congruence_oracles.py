@@ -1,23 +1,25 @@
 """The congruence layer over the generators against its brute-force oracles
 (tests/oracles.py): the double arrow by down-set bitsets, the compatibility
-test, the congruence closure by pair orbits, and the composition closure of
-a groupoid checked on composable pairs only."""
+test, the congruence closure by pair orbits, the congruence lattice by
+incremental joins, and the composition closure of a groupoid checked on
+composable pairs only."""
 
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from isgw.congruences import (
     _check_compatible,
     congruence_closure,
     double_arrow,
+    enumerate_congruences,
     rees_congruence,
     rees_quotient,
 )
 from isgw.core import from_partial_bijections
 from isgw.corpus import builtin_corpus
-from isgw.errors import InternalContract, NotCongruence
+from isgw.errors import CapExceeded, InternalContract, NotCongruence
 from isgw.groupoid import FiniteGroupoid, build_groupoids
 from isgw.ideals_filters import enumerate_ideals
 from isgw.relations import EquivalenceRelation, h_and_mu
@@ -25,6 +27,7 @@ from isgw.util import group_by
 
 from oracles import (
     congruence_closure_by_saturation,
+    congruence_lattice_by_joins,
     double_arrow_by_intersections,
     is_closed_by_all_pairs,
     is_compatible_by_products,
@@ -86,6 +89,12 @@ def assert_compatibility_matches(s):
     return decisions
 
 
+def assert_lattice_matches(s):
+    """Same members in the same order; Congruence equality compares the
+    partition and the Rees, 0-restricted and idempotent-separating flags."""
+    assert enumerate_congruences(s, s.n) == congruence_lattice_by_joins(s)
+
+
 def _closed(g):
     try:
         FiniteGroupoid(g.s, g.units, g.arrows)
@@ -135,6 +144,17 @@ def test_congruence_closure_matches_oracle_on_random_pairs(gens, data):
 
 
 @settings(max_examples=60, deadline=None)
+@given(generator_sets(max_degree=3))
+def test_congruence_lattice_matches_oracle_on_random_closures(gens):
+    try:
+        s = from_partial_bijections(gens, max_elements=10)
+    except CapExceeded:
+        s = None
+    assume(s is not None)
+    assert_lattice_matches(s)
+
+
+@settings(max_examples=60, deadline=None)
 @given(generator_sets())
 def test_groupoid_closure_matches_oracle_on_random_closures(gens):
     assert_groupoid_closure_matches(from_partial_bijections(gens))
@@ -162,6 +182,14 @@ def test_congruence_closure_matches_oracle_on_builtin_corpus(corpus_semigroups):
         for p in itertools.combinations(range(s.n), 2):
             oracle = congruence_closure_by_saturation(s, [p])
             assert congruence_closure(s, [p]).partition() == oracle, p
+
+
+def test_congruence_lattice_matches_oracle_on_builtin_corpus(corpus_semigroups):
+    sizes = [s.n for s in corpus_semigroups if s.n <= 11]
+    assert max(sizes) == 11
+    for s in corpus_semigroups:
+        if s.n <= 11:
+            assert_lattice_matches(s)
 
 
 def test_groupoid_closure_matches_oracle_on_builtin_corpus(corpus_semigroups):

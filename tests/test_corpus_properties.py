@@ -13,6 +13,8 @@ from isgw.ideals_filters import filter_space, hull, kernel, order_ideals
 from isgw.relations import h_and_mu
 from isgw.semilattice import Semilattice, is_0_disjunctive
 
+from oracles import small_semilattices_by_semigroups
+
 
 @pytest.fixture(scope="module")
 def corpus():
@@ -31,6 +33,14 @@ def test_corpus_semilattices_unique_up_to_iso():
 
     counts = Counter(s.n for s in sls)
     assert counts == {1: 1, 2: 1, 3: 2, 4: 5, 5: 15}
+
+
+def test_small_semilattices_match_the_per_family_census():
+    fast = small_semilattices()
+    oracle = small_semilattices_by_semigroups()
+    assert len(fast) == len(oracle) == 24
+    for s, t in zip(fast, oracle):
+        assert (s.mul, s.inv, s.zero, s.labels) == (t.mul, t.inv, t.zero, t.labels)
 
 
 def test_mu_inside_h_corpus(corpus):

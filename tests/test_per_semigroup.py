@@ -7,14 +7,16 @@ import pytest
 from conftest import make_i2
 from isgw import cli
 from isgw import ideals_filters as ifl
-from isgw.congruences import condition_L, double_arrow
+from isgw import congruences as cg
+from isgw.congruences import condition_L, congruence_lattice, double_arrow, enumerate_congruences
 from isgw.core import InverseSemigroup, from_tables, per_semigroup
+from isgw.errors import TooLarge
 from isgw.groupoid import build_groupoids, condition_K
 from isgw.relations import centralizer, h_and_mu
 from test_cli import I2_DOC
 
 CACHED = [InverseSemigroup.order, h_and_mu, centralizer, double_arrow, condition_L,
-          ifl.enumerate_ideals, build_groupoids, condition_K]
+          congruence_lattice, ifl.enumerate_ideals, build_groupoids, condition_K]
 
 
 @pytest.mark.parametrize("fn", CACHED)
@@ -58,6 +60,36 @@ def test_analyze_forms_each_principal_ideal_once(tmp_path, monkeypatch, capsys):
     assert cli.main(["analyze", "semigroup", str(path), "--json"]) == 0
     capsys.readouterr()
     assert sorted(calls) == list(range(7))
+
+
+def test_enumeration_bound_is_checked_before_the_cache(i2):
+    assert len(enumerate_congruences(i2)) == 4
+    with pytest.raises(TooLarge):
+        enumerate_congruences(i2, bound=3)
+
+
+def test_enumerate_congruences_returns_a_fresh_list(i2):
+    first = enumerate_congruences(i2)
+    expected = list(first)
+    first.clear()
+    assert enumerate_congruences(i2) == expected
+
+
+def test_congruence_lattice_is_closed_once(monkeypatch):
+    calls = []
+    original = cg._merge_pair_orbits
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cg, "_merge_pair_orbits", counting)
+    s = make_i2()
+    first = enumerate_congruences(s)
+    assert calls
+    calls.clear()
+    assert enumerate_congruences(s) == first
+    assert calls == []
 
 
 def _chain_table(n):
