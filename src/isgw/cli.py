@@ -56,7 +56,7 @@ def _load_json(path: str) -> dict:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _semigroup_properties(report: Report, s, bound: int) -> None:
+def _semigroup_properties(report: Report, s) -> None:
     lattice = Semilattice.from_semigroup(s)
     relations = rel.h_and_mu(s)
     report.add_property("elements", s.n)
@@ -77,13 +77,8 @@ def _semigroup_properties(report: Report, s, bound: int) -> None:
     report.add_property("ideals", len(ideals))
     report.add_property("saturated_ideals",
                         [sorted(i.elements) for i in ideals if i.saturated])
-    try:
-        ar = cg.all_congruences_rees(s, bound=bound)
-        report.add_property("all_congruences_rees", ar.value,
-                            witness=(ar.method_a.witness if ar.method_a else None))
-    except TooLarge:
-        report.add_property("all_congruences_rees", None, hypothesis="unmet-skipped")
-    report.add_property("congruence_free", cg.is_congruence_free(s, bound=bound))
+    report.add_property("all_congruences_rees", cg.all_congruences_rees(s).value)
+    report.add_property("congruence_free", cg.is_congruence_free(s))
     pair = build_groupoids(s)
     eff = effectiveness(pair.tight)
     report.add_property("tight_groupoid",
@@ -137,12 +132,8 @@ def _congruence_properties(report: Report, s, bound: int) -> None:
         report.add_property("rees_congruences", sum(1 for r in lattice if r.is_rees))
     except TooLarge:
         report.add_property("congruences", None, hypothesis="unmet-skipped")
-    try:
-        ar = cg.all_congruences_rees(s, bound=bound)
-        report.add_property("all_congruences_rees", ar.value)
-    except TooLarge:
-        report.add_property("all_congruences_rees", None, hypothesis="unmet-skipped")
-    report.add_property("congruence_free", cg.is_congruence_free(s, bound=bound))
+    report.add_property("all_congruences_rees", cg.all_congruences_rees(s).value)
+    report.add_property("congruence_free", cg.is_congruence_free(s))
 
 
 def _ideal_properties(report: Report, s) -> None:
@@ -254,7 +245,7 @@ def cmd_analyze(args) -> int:
     else:
         s = semigroup_from_json(doc, max_elements=args.max_elements)
         handler = {
-            "semigroup": lambda: _semigroup_properties(report, s, args.enumerate_bound),
+            "semigroup": lambda: _semigroup_properties(report, s),
             "semilattice": lambda: _semilattice_properties(report, s),
             "relations": lambda: _relations_properties(report, s),
             "congruences": lambda: _congruence_properties(report, s, args.enumerate_bound),

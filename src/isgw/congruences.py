@@ -8,7 +8,7 @@ import itertools
 from dataclasses import dataclass
 
 from .core import InverseSemigroup, cayley_graphs, per_semigroup
-from .errors import InternalContract, NotCongruence, NotIdeal, TooLarge
+from .errors import NotCongruence, NotIdeal, TooLarge
 from .relations import EquivalenceRelation, SemigroupHomomorphism, h_and_mu
 from .semilattice import Semilattice, is_0_disjunctive
 from .util import Decision, UnionFind
@@ -23,11 +23,10 @@ class Congruence(EquivalenceRelation):
     is_idempotent_separating: bool
 
 
-def make_congruence(s: InverseSemigroup, rep_of, *, check: bool = False) -> Congruence:
-    """Package a class map into a Congruence, computing the standard flags."""
+def make_congruence(s: InverseSemigroup, rep_of) -> Congruence:
+    """Package a class map into a Congruence, computing the standard flags.
+    Compatibility is not tested here; see ``check_compatible``."""
     rel = EquivalenceRelation.from_class_map(s.n, rep_of)
-    if check:
-        _check_compatible(s, rel.class_index)
     classes = rel.classes
     return Congruence(
         rel.n, classes, rel.class_index,
@@ -38,7 +37,7 @@ def make_congruence(s: InverseSemigroup, rep_of, *, check: bool = False) -> Cong
     )
 
 
-def _check_compatible(s: InverseSemigroup, index) -> None:
+def check_compatible(s: InverseSemigroup, index) -> None:
     """Raise NotCongruence unless the classes of ``index`` are stable under
     multiplication by every generator on either side.  Each element is
     compared with the least member of its class: O(n*|G|) lookups.  This is
@@ -142,15 +141,14 @@ def enumerate_congruences(s: InverseSemigroup, bound: int = DEFAULT_ENUMERATION_
     return list(congruence_lattice(s))
 
 
-@per_semigroup
-def double_arrow(s: InverseSemigroup) -> Congruence:
-    """The congruence identifying a and b when each nonzero element below one
-    has a nonzero common lower bound with the other, both ways round.  The
-    result is checked to be a 0-restricted congruence.
+def double_arrow_rows(s: InverseSemigroup) -> list:
+    """The double-arrow relation as int bitsets: bit b of row a is set when
+    each nonzero element below a has a nonzero common lower bound with b,
+    and each nonzero element below b one with a.
 
-    Sets of elements are int bitsets.  With D(a) the nonzero elements below
-    a, ``meets[x]`` is the set of y whose D(y) meets D(x), and a -> b holds
-    iff b lies in ``meets[x]`` for every x in D(a)."""
+    With D(a) the nonzero elements below a, ``meets[x]`` is the set of y
+    whose D(y) meets D(x), and a -> b holds iff b lies in ``meets[x]`` for
+    every x in D(a)."""
     order = s.order()
     z = s.zero
     n = s.n
@@ -174,31 +172,29 @@ def double_arrow(s: InverseSemigroup) -> Congruence:
             m &= meets[x]
         arrow.append(m)
     related = [0] * n  # related[a]: the b with a -> b and b -> a
-    dsu = UnionFind(n)
     for a in range(n):
         rest = arrow[a]
         while rest:
             low = rest & -rest
             rest ^= low
-            b = low.bit_length() - 1
-            if arrow[b] >> a & 1:
+            if arrow[low.bit_length() - 1] >> a & 1:
                 related[a] |= low
-                if b > a:
-                    dsu.union(a, b)
-    # transitivity must already hold (the relation is proven transitive);
-    # verify rather than trust, then verify compatibility and 0-restriction
-    class_bits = [0] * n
-    for a in range(n):
-        class_bits[dsu.find(a)] |= 1 << a
-    if any(related[a] != class_bits[dsu.find(a)] for a in range(n)):
-        raise InternalContract("double-arrow relation failed transitivity")
-    try:
-        rho = make_congruence(s, dsu.find, check=True)
-    except NotCongruence as exc:
-        raise InternalContract(f"double-arrow relation is not a congruence: {exc}") from exc
-    if not rho.is_zero_restricted:
-        raise InternalContract("double-arrow congruence is not 0-restricted")
-    return rho
+    return related
+
+
+@per_semigroup
+def double_arrow(s: InverseSemigroup) -> Congruence:
+    """The union-find classes of the double-arrow relation
+    (``double_arrow_rows``).  The paper proves the relation a 0-restricted
+    congruence; the verify check ``double_arrow_is_zero_restricted_congruence``
+    tests that it is transitive, compatible and 0-restricted."""
+    dsu = UnionFind(s.n)
+    for a, row in enumerate(double_arrow_rows(s)):
+        while row:
+            low = row & -row
+            row ^= low
+            dsu.union(a, low.bit_length() - 1)
+    return make_congruence(s, dsu.find)
 
 
 @dataclass(frozen=True)
@@ -222,11 +218,12 @@ def _class_label(s: InverseSemigroup, cls: frozenset) -> str:
     return "[" + "|".join(names) + "]"
 
 
-def quotient(s: InverseSemigroup, rho: Congruence, *, check: bool = True) -> QuotientSemigroup:
-    """Quotient semigroup on the classes; the class of 0 is the new zero."""
+def quotient(s: InverseSemigroup, rho: Congruence) -> QuotientSemigroup:
+    """Quotient semigroup on the classes; the class of 0 is the new zero.
+    The product of two classes is read from their least members, so rho must
+    be a congruence (``check_compatible``); the quotient is still validated
+    as an inverse semigroup."""
     index = rho.class_index
-    if check:
-        _check_compatible(s, index)
     reps = [min(c) for c in rho.classes]
     mul = [[index[row[rb]] for rb in reps] for row in (s.mul[ra] for ra in reps)]
     inv = [index[s.star(r)] for r in reps]
@@ -258,49 +255,24 @@ def rees_congruence(s: InverseSemigroup, ideal) -> Congruence:
 
 
 def rees_quotient(s: InverseSemigroup, ideal) -> QuotientSemigroup:
-    return quotient(s, rees_congruence(s, ideal), check=False)
+    return quotient(s, rees_congruence(s, ideal))
 
 
-@dataclass(frozen=True)
-class AllReesReport:
-    value: bool
-    method_a: Decision | None  # None when enumeration was skipped (too large)
-    method_b: Decision
-    agree: bool | None
-
-
-def all_congruences_rees(s: InverseSemigroup, bound: int = DEFAULT_ENUMERATION_BOUND) -> AllReesReport:
-    """Two independent decisions that every congruence is Rees.
-
-    Method A enumerates the congruence lattice and inspects every member.
-    Method B checks, for every ideal I, that S/I is fundamental with a
-    0-disjunctive semilattice.  Both must agree whenever A runs.
-    """
+def all_congruences_rees(s: InverseSemigroup) -> Decision:
+    """Whether every congruence of S is a Rees congruence: S/I is fundamental
+    with a 0-disjunctive semilattice for every ideal I.  A negative decision
+    names the first ideal that fails and how.  The verify check
+    ``all_rees_characterization`` compares it with a scan of the congruence
+    lattice for a non-Rees member."""
     from .ideals_filters import enumerate_ideals
 
-    method_b = Decision(True)
     for ideal in enumerate_ideals(s):
         q = rees_quotient(s, ideal.elements).quotient
         if not h_and_mu(q).fundamental:
-            method_b = Decision(False, ("quotient_not_fundamental", ideal.elements))
-            break
+            return Decision(False, ("quotient_not_fundamental", ideal.elements))
         if not is_0_disjunctive(Semilattice.from_semigroup(q)).value:
-            method_b = Decision(False, ("quotient_not_0_disjunctive", ideal.elements))
-            break
-
-    method_a = None
-    agree = None
-    if s.n <= bound:
-        method_a = Decision(True)
-        for rho in enumerate_congruences(s, bound):
-            if not rho.is_rees:
-                method_a = Decision(False, rho.partition())
-                break
-        agree = method_a.value == method_b.value
-        if not agree:
-            raise InternalContract("all-congruences-Rees methods disagree")
-    return AllReesReport(value=method_b.value, method_a=method_a,
-                         method_b=method_b, agree=agree)
+            return Decision(False, ("quotient_not_0_disjunctive", ideal.elements))
+    return Decision(True)
 
 
 def is_0_simple(s: InverseSemigroup) -> bool:
@@ -313,28 +285,19 @@ def is_0_simple(s: InverseSemigroup) -> bool:
     return ideal_sets == {frozenset({s.zero}), frozenset(s.elements())}
 
 
-def is_congruence_free(s: InverseSemigroup, bound: int = DEFAULT_ENUMERATION_BOUND) -> bool:
-    """Fundamental, 0-simple, with a 0-disjunctive semilattice; cross-checked
-    against the congruence lattice when S is small enough to enumerate."""
-    by_structure = (
+def is_congruence_free(s: InverseSemigroup) -> bool:
+    """Fundamental, 0-simple, with a 0-disjunctive semilattice.  The verify
+    check ``congruence_free_characterization`` compares this with the
+    congruence lattice."""
+    return (
         h_and_mu(s).fundamental
         and is_0_simple(s)
         and is_0_disjunctive(Semilattice.from_semigroup(s)).value
     )
-    if s.n <= bound:
-        lattice = enumerate_congruences(s, bound)
-        by_enumeration = (
-            len(lattice) == 2
-            and any(r.is_equality() for r in lattice)
-            and any(r.is_universal() for r in lattice)
-        )
-        if by_structure != by_enumeration:
-            raise InternalContract("congruence-freeness characterizations disagree")
-    return by_structure
 
 
 @per_semigroup
 def condition_L(s: InverseSemigroup) -> bool:
     """The double-arrow quotient is fundamental."""
-    q = quotient(s, double_arrow(s), check=False).quotient
+    q = quotient(s, double_arrow(s)).quotient
     return h_and_mu(q).fundamental

@@ -59,15 +59,7 @@ class DanglingEndpoint(IsgwError):
 
 
 class InternalContract(IsgwError):
-    """Two internally redundant computations disagreed; this is a bug."""
-
-
-class TheoremFalsified(IsgwError):
-    """A verification run found a failing theorem instance."""
-
-
-class HypothesisUnmet(IsgwError):
-    """An operation was asked to assert a statement whose hypotheses fail."""
+    """An internal invariant of one computation failed; this is a bug."""
 
 
 class AxiomViolation(IsgwError):

@@ -44,8 +44,10 @@ class Semilattice:
         return tuple(e for e in self.elements if e != self.zero)
 
     def below(self, e: int) -> tuple:
-        """Elements of the carrier that are <= e (zero included)."""
-        return tuple(f for f in self.elements if self.leq(f, e))
+        """Elements of the carrier that are <= e (zero included): f <= e
+        iff e*f = f, read from the row of e."""
+        row = self.parent.mul[e]
+        return tuple(f for f in self.elements if row[f] == f)
 
     def strictly_below(self, e: int) -> tuple:
         return tuple(f for f in self.below(e) if f != e and f != self.zero)

@@ -15,7 +15,7 @@ from . import relations as rel
 from . import selfsimilar as ss
 from .core import InverseSemigroup
 from .corpus import CorpusInstance, builtin_corpus
-from .errors import CapExceeded, InternalContract, TooLarge
+from .errors import CapExceeded, NotCongruence, TooLarge
 from .graphs import (
     GraphPath,
     graph_conditions,
@@ -32,7 +32,7 @@ from .groupoid import (
     weakly_fixed_criterion,
 )
 from .report import Report, TheoremEntry
-from .semilattice import Semilattice, is_0_disjunctive, is_cover
+from .semilattice import Semilattice, atoms, is_0_disjunctive, is_cover
 from .util import subsets
 
 ENUM_BOUND = 8
@@ -51,19 +51,39 @@ def _skipped(name: str, detail: str) -> TheoremEntry:
 
 # -- semigroup-level checks -----------------------------------------------------
 
+def _double_arrow_failure(s: InverseSemigroup, da) -> tuple | None:
+    """(detail, counterexample) for the first way the classes ``da`` of the
+    double-arrow relation fail to be a 0-restricted congruence, or None.
+    The relation is transitive iff the related row of each element is the
+    bitset of its class."""
+    class_bits = [0] * len(da.classes)
+    for a, i in enumerate(da.class_index):
+        class_bits[i] |= 1 << a
+    for a, row in enumerate(cg.double_arrow_rows(s)):
+        diff = row ^ class_bits[da.class_index[a]]
+        if diff:
+            return "relation is not transitive", (a, (diff & -diff).bit_length() - 1)
+    try:
+        cg.check_compatible(s, da.class_index)
+    except NotCongruence as exc:
+        return f"not a congruence: {exc}", da.partition()
+    if not da.is_zero_restricted:
+        return "not 0-restricted", sorted(da.class_of(s.zero))
+    return None
+
+
 def check_collapse_congruence(s: InverseSemigroup) -> list:
     """The double-arrow relation is a 0-restricted congruence and collapsing
     by it produces a 0-disjunctive semilattice; the two degenerate directions
     relating it to the 0-disjunctive property hold as well."""
-    out = []
-    try:
-        da = cg.double_arrow(s)
-        out.append(_entry("double_arrow_is_zero_restricted_congruence", True))
-    except InternalContract as exc:
-        out.append(_entry("double_arrow_is_zero_restricted_congruence", False,
-                          detail=str(exc)))
-        return out
-    q = cg.quotient(s, da, check=False).quotient
+    da = cg.double_arrow(s)
+    failure = _double_arrow_failure(s, da)
+    if failure:
+        detail, witness = failure
+        return [_entry("double_arrow_is_zero_restricted_congruence", False, witness,
+                       detail=detail)]
+    out = [_entry("double_arrow_is_zero_restricted_congruence", True)]
+    q = cg.quotient(s, da).quotient
     out.append(_entry("collapse_semilattice_zero_disjunctive",
                       is_0_disjunctive(Semilattice.from_semigroup(q)).value))
     zero_disj = is_0_disjunctive(Semilattice.from_semigroup(s)).value
@@ -88,11 +108,12 @@ def check_mu_properties(s: InverseSemigroup) -> list:
     out.append(_entry("mu_contained_in_h", inside))
     mu_cong = cg.make_congruence(s, lambda a: mu.class_index[a])
     try:
-        cg.quotient(s, mu_cong)  # validates compatibility
-        ok = mu_cong.is_idempotent_separating
-        out.append(_entry("mu_is_idempotent_separating_congruence", ok))
-    except Exception as exc:  # noqa: BLE001 - report, never swallow
-        out.append(_entry("mu_is_idempotent_separating_congruence", False, detail=str(exc)))
+        cg.check_compatible(s, mu_cong.class_index)
+        out.append(_entry("mu_is_idempotent_separating_congruence",
+                          mu_cong.is_idempotent_separating))
+    except NotCongruence as exc:
+        out.append(_entry("mu_is_idempotent_separating_congruence", False,
+                          mu_cong.partition(), detail=str(exc)))
     if s.n <= ENUM_BOUND:
         maximal = True
         witness = None
@@ -109,11 +130,28 @@ def check_mu_properties(s: InverseSemigroup) -> list:
     return out
 
 
+def _tight_by_covers(lattice: Semilattice, m: int) -> bool:
+    """The filter with minimum m is tight: no cover of a member of the filter
+    avoids it."""
+    for e in lattice.elements:
+        if not lattice.leq(m, e):
+            continue
+        outside = [x for x in lattice.below(e)
+                   if x != lattice.zero and not lattice.leq(m, x)]
+        if outside and is_cover(lattice, e, outside, require_below=True).value:
+            return False
+    return True
+
+
 def check_hull_kernel(s: InverseSemigroup, rng: random.Random) -> list:
     out = []
     lattice = Semilattice.from_semigroup(s)
-    space = ifl.filter_space(lattice)  # internally cross-checks tight = ultra = atoms
-    out.append(_entry("tight_equals_ultra_equals_atoms", True))
+    space = ifl.filter_space(lattice)
+    atom_set = frozenset(atoms(lattice))
+    split = next((m for m in space.mins
+                  if len({m in space.tight, m in space.ultra, m in atom_set,
+                          _tight_by_covers(lattice, m)}) > 1), None)
+    out.append(_entry("tight_equals_ultra_equals_atoms", split is None, split))
 
     ideals_of_e = ifl.order_ideals(lattice)
     ok = all(ifl.kernel(lattice, ifl.hull(lattice, x)) == x for x in ideals_of_e)
@@ -146,7 +184,6 @@ def check_hull_kernel(s: InverseSemigroup, rng: random.Random) -> list:
     samples = 0
     lemma_ok = True
     witness = None
-    trapping_holds = True  # finite semilattices always trap; asserted elsewhere
     nonzero = list(lattice.nonzero())
     while samples < SAMPLES_PER_INSTANCE and nonzero:
         e = rng.choice(nonzero)
@@ -158,19 +195,18 @@ def check_hull_kernel(s: InverseSemigroup, rng: random.Random) -> list:
             lemma_ok = False
             witness = (e, tuple(c))
             break
-        if trapping_holds:
-            # under trapping, every filter in the set holds an element below e
-            # orthogonal to all the excluded ones
-            for m in members:
-                found = any(
-                    lattice.leq(m, x) and lattice.leq(x, e)
-                    and all(lattice.meet(x, ei) == lattice.zero for ei in c)
-                    for x in lattice.elements
-                )
-                if not found:
-                    lemma_ok = False
-                    witness = ("separating_element", e, tuple(c), m)
-                    break
+        # finite semilattices always trap, so every filter in the set holds
+        # an element below e orthogonal to all the excluded ones
+        for m in members:
+            found = any(
+                lattice.leq(m, x) and lattice.leq(x, e)
+                and all(lattice.meet(x, ei) == lattice.zero for ei in c)
+                for x in lattice.elements
+            )
+            if not found:
+                lemma_ok = False
+                witness = ("separating_element", e, tuple(c), m)
+                break
         if not lemma_ok:
             break
         samples += 1
@@ -186,16 +222,33 @@ def check_hull_kernel(s: InverseSemigroup, rng: random.Random) -> list:
     return out
 
 
+def _ideal_round_trip_failure(s: InverseSemigroup, ideals) -> tuple | None:
+    """(detail, counterexample) for the first invariant order ideal X of E
+    or ideal of S that fails to round-trip through X -> SXS and ideal ->
+    its idempotents, or None."""
+    ideal_sets = {i.elements for i in ideals}
+    from_xs = {}
+    for x in ifl.order_ideals(Semilattice.from_semigroup(s)):
+        if not ifl.is_invariant_order_ideal(s, x):
+            continue
+        sxs = from_xs[x] = ifl.ideal_generated(s, x)
+        if ifl.ideal_trace(s, sxs) != x:
+            return "SXS does not trace back to X", sorted(x)
+        if sxs not in ideal_sets:
+            return "SXS is not an enumerated ideal", sorted(x)
+    for ideal in ideals:
+        if from_xs.get(ideal.trace) != ideal.elements:
+            return "ideal does not round-trip through its trace", sorted(ideal.elements)
+    return None
+
+
 def check_ideal_correspondence(s: InverseSemigroup) -> list:
-    out = []
-    try:
-        ideals = ifl.enumerate_ideals(s)  # verifies the SXS round trips
-        out.append(_entry("ideal_correspondence", True,
-                          detail=f"{len(ideals)} ideals"))
-    except InternalContract as exc:
-        out.append(_entry("ideal_correspondence", False, detail=str(exc)))
-        return out
-    lattice = Semilattice.from_semigroup(s)
+    ideals = ifl.enumerate_ideals(s)
+    failure = _ideal_round_trip_failure(s, ideals)
+    if failure:
+        detail, witness = failure
+        return [_entry("ideal_correspondence", False, witness, detail=detail)]
+    out = [_entry("ideal_correspondence", True, detail=f"{len(ideals)} ideals")]
     agree = True
     witness = None
     for ideal in ideals:
@@ -210,7 +263,6 @@ def check_ideal_correspondence(s: InverseSemigroup) -> list:
 
 
 def check_beta_action(s: InverseSemigroup) -> list:
-    lattice = Semilattice.from_semigroup(s)
     mins = [e for e in s.idempotents if e != s.zero]
     ok = True
     witness = None
@@ -253,33 +305,51 @@ def check_condition_k(s: InverseSemigroup) -> list:
                    (rep.value, rep.strongly_effective), hypothesis=hyp)]
 
 
+def _all_rees(s: InverseSemigroup, bound: int) -> tuple:
+    """The library's all-Rees decision, by Rees quotients, and the
+    counterexample of a disagreement with a scan of the congruence lattice
+    for a non-Rees member: (the non-Rees congruence or None, the decision's
+    witness).  The counterexample is None when the two agree, or when
+    |S| > bound and the lattice is not scanned."""
+    rees = cg.all_congruences_rees(s)
+    if s.n > bound:
+        return rees, None
+    non_rees = next((r.partition() for r in cg.enumerate_congruences(s, bound)
+                     if not r.is_rees), None)
+    if (non_rees is None) == rees.value:
+        return rees, None
+    return rees, (non_rees, rees.witness)
+
+
 def check_all_rees(s: InverseSemigroup) -> list:
     out = []
-    try:
-        rep = cg.all_congruences_rees(s, bound=ENUM_BOUND)
-    except InternalContract as exc:
-        return [_entry("all_rees_characterization", False, detail=str(exc))]
-    if rep.method_a is None:
-        out.append(_skipped("all_rees_characterization", "size bound"))
+    small = s.n <= ENUM_BOUND
+    rees, disagreement = _all_rees(s, ENUM_BOUND)
+    if small:
+        out.append(_entry("all_rees_characterization", disagreement is None, disagreement,
+                          detail=f"value={rees.value}"))
     else:
-        out.append(_entry("all_rees_characterization", bool(rep.agree),
-                          detail=f"value={rep.value}"))
-    if rep.value:
+        out.append(_skipped("all_rees_characterization", "size bound"))
+    if rees.value:
         k = condition_K(s)
         out.append(_entry("all_rees_implies_condition_k", k.value))
-    try:
-        cg.is_congruence_free(s, bound=ENUM_BOUND)
-        out.append(_entry("congruence_free_characterization", True))
-    except InternalContract as exc:
-        out.append(_entry("congruence_free_characterization", False, detail=str(exc)))
-    if s.n <= ENUM_BOUND:
-        rigid = all(r.is_equality() for r in cg.enumerate_congruences(s, ENUM_BOUND)
-                    if r.is_zero_restricted)
+    free = cg.is_congruence_free(s)
+    if small:
+        lattice = cg.enumerate_congruences(s, ENUM_BOUND)
+        by_lattice = (len(lattice) == 2
+                      and any(r.is_equality() for r in lattice)
+                      and any(r.is_universal() for r in lattice))
+        agree = free == by_lattice
+        out.append(_entry("congruence_free_characterization", agree,
+                          None if agree else [r.partition() for r in lattice]))
+        rigid = all(r.is_equality() for r in lattice if r.is_zero_restricted)
         expected = rel.h_and_mu(s).fundamental and \
             is_0_disjunctive(Semilattice.from_semigroup(s)).value
         out.append(_entry("zero_restricted_rigidity", rigid == expected,
                           detail=f"rigid={rigid}"))
     else:
+        # above the bound only the structural answer is computed
+        out.append(_entry("congruence_free_characterization", True))
         out.append(_skipped("zero_restricted_rigidity", "size bound"))
     return out
 
@@ -291,7 +361,7 @@ def _generated_homomorphisms(s: InverseSemigroup):
     else:
         rhos = [cg.rees_congruence(s, i.elements) for i in ifl.enumerate_ideals(s)]
     for rho in rhos:
-        q = cg.quotient(s, rho, check=False)
+        q = cg.quotient(s, rho)
         yield q.as_homomorphism()
     for e in s.idempotents:
         closed = {s.zero, e}
@@ -302,12 +372,13 @@ def _generated_homomorphisms(s: InverseSemigroup):
 
 def check_injectivity_criteria(s: InverseSemigroup) -> list:
     count = 0
-    try:
-        for phi in _generated_homomorphisms(s):
-            rel.injectivity_criteria(phi)
-            count += 1
-    except InternalContract as exc:
-        return [_entry("injectivity_criteria_equivalence", False, detail=str(exc))]
+    for phi in _generated_homomorphisms(s):
+        rep = rel.injectivity_criteria(phi)
+        if not (rep.injective == rep.injective_on_centralizer_of_e
+                == (rep.idempotent_pure and rep.idempotent_separating)):
+            return [_entry("injectivity_criteria_equivalence", False, (phi.map, rep),
+                           detail=f"homomorphism {count} of the generated list")]
+        count += 1
     return [_entry("injectivity_criteria_equivalence", True,
                    detail=f"homomorphisms={count}")]
 
@@ -369,9 +440,10 @@ def check_graph_instance(inst: CorpusInstance) -> list:
                       zero_disj == indeg_free,
                       detail=f"zero_disjunctive={zero_disj} indegree_free={indeg_free}"))
 
-    rees = cg.all_congruences_rees(s, bound=max(ENUM_BOUND, 11))
+    rees, disagreement = _all_rees(s, max(ENUM_BOUND, 11))
     out.append(_entry("graph_all_rees_iff_condition_m",
-                      rees.value == conditions.condition_m.value,
+                      disagreement is None and rees.value == conditions.condition_m.value,
+                      disagreement,
                       detail=f"all_rees={rees.value} m={conditions.condition_m.value}"))
 
     atoms_count = build_groupoids(s).tight.n_units()
@@ -552,11 +624,11 @@ def _check_exact_action(a, truncated, s, faith, m) -> list:
             break
     out.append(_entry("quotient_action_isomorphism", ok, witness))
 
-    rees = cg.all_congruences_rees(s, bound=max(ENUM_BOUND, 11))
+    rees, disagreement = _all_rees(s, max(ENUM_BOUND, 11))
     claimed = ss.all_rees_ss(a)
     out.append(_entry("ss_all_rees_iff_strongly_faithful_and_m",
-                      rees.value == claimed.value,
-                      detail=f"semigroup={rees.value} action={claimed.value}"))
+                      disagreement is None and rees.value == claimed.value,
+                      disagreement, detail=f"semigroup={rees.value} action={claimed.value}"))
     return out
 
 

@@ -8,7 +8,7 @@ deferred to later calibration.  Total runtime stays well under a minute.
 import re
 import pytest
 
-from isgw.congruences import all_congruences_rees, condition_L
+from isgw.congruences import all_congruences_rees, condition_L, enumerate_congruences
 from isgw.corpus import builtin_corpus
 from isgw.groupoid import build_groupoids, condition_K, effectiveness
 from isgw.ideals_filters import hull, kernel
@@ -89,7 +89,9 @@ def test_criterion_02_partial_bijection_reproduction(corpus):
         if inst.kind != "semigroup":
             continue
         for phi in _generated_homomorphisms(inst.semigroup):
-            injectivity_criteria(phi)  # raises on any disagreement
+            rep = injectivity_criteria(phi)
+            ok = ok and (rep.injective == rep.injective_on_centralizer_of_e
+                         == (rep.idempotent_pure and rep.idempotent_separating))
             total_homs += 1
     ok = ok and total_homs > 0
     _status(ok, 2, f"7 elements, matrix fixture exact, {total_homs} homomorphisms agree")
@@ -167,12 +169,13 @@ def test_criterion_08_all_rees_oracle(reports, i2, i2n):
     ok = got["fail"] == 0 and got["pass"] > 0
 
     rep = all_congruences_rees(i2)
+    non_rees = [rho.partition() for rho in enumerate_congruences(i2) if not rho.is_rees]
     expected = frozenset({
         frozenset({i2n["I"], i2n["X"]}),
         frozenset({i2n["0"], i2n["E11"], i2n["E12"], i2n["E21"], i2n["E22"]}),
     })
-    ok = ok and rep.value is False and rep.agree is True
-    ok = ok and rep.method_a.witness == expected
+    ok = ok and rep.value is False and rep.value == (not non_rees)
+    ok = ok and non_rees[0] == expected
     _status(ok, 8, f"Rees-characterization methods agree ({got['pass']} instances), "
                    "witness partition pinned")
 

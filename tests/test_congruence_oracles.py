@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from isgw.congruences import (
-    _check_compatible,
+    check_compatible,
     congruence_closure,
     double_arrow,
     enumerate_congruences,
@@ -37,7 +37,7 @@ from test_core_oracles import generator_sets
 
 def _accepts(s, index):
     try:
-        _check_compatible(s, index)
+        check_compatible(s, index)
     except NotCongruence:
         return False
     return True

@@ -2,6 +2,7 @@ import pytest
 
 from isgw.congruences import (
     all_congruences_rees,
+    check_compatible,
     condition_L,
     congruence_closure,
     double_arrow,
@@ -155,12 +156,13 @@ def test_quotient_rejects_non_congruence(i2, i2n):
 
     bogus = make_congruence(i2, lambda a: 0 if a in (i2n["I"], i2n["E11"]) else a)
     with pytest.raises(NotCongruence):
-        quotient(i2, bogus)
+        check_compatible(i2, bogus.class_index)
 
 
 def test_quotient_rejects_a_right_congruence_by_left_products(i2, i2n):
     """The L relation of I2 (a ~ b iff a*a = b*b) is stable under every right
-    translate but not under the left ones."""
+    translate but not under the left ones, so the compatibility test that a
+    quotient needs rejects it."""
     from isgw.congruences import make_congruence
 
     l_rel = make_congruence(i2, lambda a: i2.product(i2.star(a), a))
@@ -170,30 +172,35 @@ def test_quotient_rejects_a_right_congruence_by_left_products(i2, i2n):
                for cls in l_rel.classes for a in cls for b in cls for c in i2.elements())
     assert l_rel.same(i2n["E11"], i2n["E21"])
     with pytest.raises(NotCongruence, match="left product"):
-        quotient(i2, l_rel, check=True)
-    with pytest.raises(NotCongruence, match="left product"):
-        make_congruence(i2, lambda a: i2.product(i2.star(a), a), check=True)
+        check_compatible(i2, index)
+
+
+def non_rees_members(s):
+    """Partitions of the non-Rees members of the congruence lattice."""
+    return [rho.partition() for rho in enumerate_congruences(s) if not rho.is_rees]
 
 
 def test_all_congruences_rees_i2(i2, i2n):
     rep = all_congruences_rees(i2)
     assert rep.value is False
-    assert rep.agree is True
+    non_rees = non_rees_members(i2)
+    assert rep.value == (not non_rees)
     expected_witness = frozenset({
         frozenset({i2n["I"], i2n["X"]}),
         frozenset({i2n["0"], i2n["E11"], i2n["E12"], i2n["E21"], i2n["E22"]}),
     })
-    assert rep.method_a.witness == expected_witness
-    assert rep.method_b.witness[0] in ("quotient_not_fundamental",
-                                       "quotient_not_0_disjunctive")
+    assert non_rees[0] == expected_witness
+    assert rep.witness[0] in ("quotient_not_fundamental",
+                              "quotient_not_0_disjunctive")
 
 
 def test_all_congruences_rees_trivial_cases(e4):
     z = from_tables([[0]], [0], 0)
     assert all_congruences_rees(z).value is True
+    assert all_congruences_rees(z).value == (not non_rees_members(z))
     rep = all_congruences_rees(e4)
     assert rep.value is False
-    assert rep.agree is True
+    assert rep.value == (not non_rees_members(e4))
 
 
 def test_congruence_free(i2, e4):
@@ -213,7 +220,8 @@ def test_double_arrow_always_zero_restricted_congruence(i2, e4, z2z):
     for s in (i2, e4, z2z):
         rho = double_arrow(s)
         assert rho.is_zero_restricted
-        q = quotient(s, rho).quotient  # revalidates compatibility
+        check_compatible(s, rho.class_index)
+        q = quotient(s, rho).quotient
         assert is_0_disjunctive(Semilattice.from_semigroup(q)).value
 
 

@@ -11,7 +11,9 @@ from isgw.core import PartialBijection, from_partial_bijections
 from isgw.corpus import builtin_corpus, small_semilattices
 from isgw.ideals_filters import filter_space, hull, kernel, order_ideals
 from isgw.relations import h_and_mu
-from isgw.semilattice import Semilattice, is_0_disjunctive
+from isgw.semilattice import Semilattice, atoms, is_0_disjunctive
+
+from isgw.verify import _double_arrow_failure, _tight_by_covers
 
 from oracles import small_semilattices_by_semigroups
 
@@ -56,7 +58,7 @@ def test_double_arrow_quotient_idempotent(corpus):
     # collapsing twice changes nothing: the quotient is already 0-disjunctive
     for inst in semigroup_instances(corpus):
         s = inst.semigroup
-        q = quotient(s, double_arrow(s), check=False).quotient
+        q = quotient(s, double_arrow(s)).quotient
         assert double_arrow(q).is_equality(), inst.uid
 
 
@@ -69,8 +71,10 @@ def test_kernel_hull_roundtrip_corpus(corpus):
 
 def test_tight_filters_are_atom_filters_corpus(corpus):
     for inst in semigroup_instances(corpus):
-        # filter_space raises InternalContract when the classifications split
-        filter_space(Semilattice.from_semigroup(inst.semigroup))
+        lattice = Semilattice.from_semigroup(inst.semigroup)
+        space = filter_space(lattice)
+        by_covers = frozenset(m for m in space.mins if _tight_by_covers(lattice, m))
+        assert space.tight == space.ultra == by_covers == frozenset(atoms(lattice)), inst.uid
 
 
 PMAPS3 = [img for img in itertools.product((None, 0, 1, 2), repeat=3)
@@ -89,14 +93,15 @@ def small_inverse_semigroup(draw):
 @settings(max_examples=30, deadline=None)
 @given(small_inverse_semigroup())
 def test_random_double_arrow_is_zero_restricted(s):
-    rho = double_arrow(s)  # internally verified to be a 0-restricted congruence
+    rho = double_arrow(s)
     assert rho.is_zero_restricted
+    assert _double_arrow_failure(s, rho) is None  # transitive, compatible, 0-restricted
 
 
 @settings(max_examples=30, deadline=None)
 @given(small_inverse_semigroup())
 def test_random_collapse_zero_disjunctive(s):
-    q = quotient(s, double_arrow(s), check=False).quotient
+    q = quotient(s, double_arrow(s)).quotient
     assert is_0_disjunctive(Semilattice.from_semigroup(q)).value
 
 

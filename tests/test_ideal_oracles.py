@@ -1,6 +1,7 @@
 """Ideals by generator search against their all-products oracles
-(tests/oracles.py): principal ideals, the ideal enumeration with its SXS
-round trip, and the ideal test of the Rees congruence."""
+(tests/oracles.py): principal ideals, the ideal enumeration, and the ideal
+test of the Rees congruence; and the SXS round trip of the verify check
+``ideal_correspondence`` on the same semigroups."""
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from isgw.ideals_filters import (
     principal_ideal,
 )
 from isgw.semilattice import Semilattice
+from isgw.verify import _ideal_round_trip_failure
 
 from oracles import ideals_by_unions, is_ideal_by_products, principal_ideal_by_products, sxs_by_products
 from test_core_oracles import generator_sets
@@ -37,7 +39,9 @@ def assert_ideals_match(s):
     for x in order_ideals(lattice):
         if is_invariant_order_ideal(s, x):
             assert ideal_generated(s, x) == sxs_by_products(s, x), sorted(x)
-    assert {i.elements for i in enumerate_ideals(s)} == ideals_by_unions(s)
+    ideals = enumerate_ideals(s)
+    assert {i.elements for i in ideals} == ideals_by_unions(s)
+    assert _ideal_round_trip_failure(s, ideals) is None
 
 
 def assert_rees_test_matches(s):

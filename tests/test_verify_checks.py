@@ -1,0 +1,146 @@
+"""The verify checks that compare a library answer with a second computation
+of the same paper statement.  Each test first runs the check on the real
+library, then replaces the library's answer with a wrong one: the check must
+report "fail" with a counterexample, not raise."""
+
+import random
+
+import pytest
+
+from isgw import congruences as cg
+from isgw import ideals_filters as ifl
+from isgw import relations as rel
+from isgw import verify
+from isgw.corpus import builtin_corpus
+from isgw.semilattice import Semilattice, atoms
+from isgw.util import Decision
+
+
+def entry(entries, name):
+    [found] = [e for e in entries if e.name == name]
+    return found
+
+
+def assert_caught(check, args, name, monkeypatch, module, **wrong):
+    """Run the check, then again with the named attributes of the module
+    replaced by wrong ones."""
+    assert entry(check(*args), name).status == "pass"
+    for attr, value in wrong.items():
+        monkeypatch.setattr(module, attr, value)
+    got = entry(check(*args), name)
+    assert got.status == "fail", got
+    assert got.counterexample is not None
+    return got
+
+
+@pytest.mark.parametrize("dropped", range(3))
+def test_ideal_correspondence_names_an_ideal_the_enumeration_missed(i2, monkeypatch, dropped):
+    ideals = ifl.enumerate_ideals(i2)
+    assert len(ideals) == 3
+    wrong = ideals[:dropped] + ideals[dropped + 1:]
+    got = assert_caught(verify.check_ideal_correspondence, (i2,), "ideal_correspondence",
+                        monkeypatch, ifl, enumerate_ideals=lambda s: wrong)
+    assert got.counterexample == sorted(ideals[dropped].trace)
+    assert got.detail == "SXS is not an enumerated ideal"
+
+
+def test_ideal_correspondence_names_an_ideal_that_is_no_sxs(i2, i2n, monkeypatch):
+    bogus = frozenset({i2n["0"], i2n["I"]})
+    wrong = ifl.enumerate_ideals(i2) + (ifl.IdealOfS(bogus, bogus, False, False),)
+    got = assert_caught(verify.check_ideal_correspondence, (i2,), "ideal_correspondence",
+                        monkeypatch, ifl, enumerate_ideals=lambda s: wrong)
+    assert got.counterexample == sorted(bogus)
+    assert got.detail == "ideal does not round-trip through its trace"
+
+
+def test_ideal_correspondence_names_an_x_whose_sxs_loses_it(i2, monkeypatch):
+    got = assert_caught(verify.check_ideal_correspondence, (i2,), "ideal_correspondence",
+                        monkeypatch, ifl, ideal_generated=lambda s, seed: frozenset(s.elements()))
+    assert got.counterexample == [i2.zero]
+    assert got.detail == "SXS does not trace back to X"
+
+
+def _l_relation(s):
+    return cg.make_congruence(s, lambda a: s.product(s.star(a), a))
+
+
+def _class_rows(rho):
+    return [sum(1 << b for b in rho.class_of(a)) for a in range(rho.n)]
+
+
+@pytest.mark.parametrize("wrong, rows, detail", [
+    (cg.universal_congruence, None, "relation is not transitive"),
+    (_l_relation, _class_rows, "not a congruence: left product"),
+    (cg.universal_congruence, _class_rows, "not 0-restricted"),
+])
+def test_collapse_congruence_names_each_broken_property(i2, monkeypatch, wrong, rows, detail):
+    """A wrong class set, then a wrong relation whose classes match it, so the
+    compatibility and 0-restriction tests are reached as well."""
+    patches = {"double_arrow": wrong}
+    if rows is not None:
+        patches["double_arrow_rows"] = lambda s: rows(wrong(s))
+    got = assert_caught(verify.check_collapse_congruence, (i2,),
+                        "double_arrow_is_zero_restricted_congruence", monkeypatch, cg,
+                        **patches)
+    assert got.detail.startswith(detail)
+
+
+def _flipped(fn):
+    def wrong(s):
+        return Decision(not fn(s).value)
+    return wrong
+
+
+def _exact_instance(kind):
+    return next(inst for inst in builtin_corpus(0)
+                if inst.kind == kind and inst.meta.get("exact") is not None)
+
+
+@pytest.mark.parametrize("site", ["semigroup", "graph", "action"])
+def test_all_rees_sites_name_the_disagreement(i2, monkeypatch, site):
+    check, args, name = {
+        "semigroup": (verify.check_all_rees, (i2,), "all_rees_characterization"),
+        "graph": (verify.check_graph_instance, (_exact_instance("graph"),),
+                  "graph_all_rees_iff_condition_m"),
+        "action": (verify.check_action_instance, (_exact_instance("action"),),
+                   "ss_all_rees_iff_strongly_faithful_and_m"),
+    }[site]
+    got = assert_caught(check, args, name, monkeypatch, cg,
+                        all_congruences_rees=_flipped(cg.all_congruences_rees))
+    non_rees, _ = got.counterexample
+    assert non_rees is not None  # none of these semigroups has all congruences Rees
+
+
+def test_congruence_free_characterization_names_the_lattice(i2, monkeypatch):
+    real = cg.is_congruence_free(i2)
+    got = assert_caught(verify.check_all_rees, (i2,), "congruence_free_characterization",
+                        monkeypatch, cg, is_congruence_free=lambda s: not real)
+    assert len(got.counterexample) == len(cg.enumerate_congruences(i2))
+
+
+def _every_filter_ultra(lattice):
+    mins = tuple(sorted(lattice.nonzero()))
+    return ifl.FilterSpace(lattice, mins, frozenset(mins), frozenset(mins))
+
+
+@pytest.mark.parametrize("module, wrong", [
+    (ifl, {"filter_space": _every_filter_ultra}),
+    (verify, {"atoms": lambda lattice: lattice.nonzero()}),
+])
+def test_tight_filter_check_names_the_first_misclassified_filter(i2, i2n, monkeypatch,
+                                                                 module, wrong):
+    """A wrong filter space, then wrong atoms."""
+    got = assert_caught(verify.check_hull_kernel, (i2, random.Random(0)),
+                        "tight_equals_ultra_equals_atoms", monkeypatch, module, **wrong)
+    assert got.counterexample == i2n["I"]
+    assert i2n["I"] not in atoms(Semilattice.from_semigroup(i2))
+
+
+def test_injectivity_check_names_the_homomorphism(i2, monkeypatch):
+    got = assert_caught(verify.check_injectivity_criteria, (i2,),
+                        "injectivity_criteria_equivalence", monkeypatch, rel,
+                        injectivity_criteria=lambda phi: rel.InjectivityReport(
+                            False, True, True, True))
+    phi_map, flags = got.counterexample
+    assert phi_map == tuple(range(i2.n))  # the identity comes first
+    assert flags == rel.InjectivityReport(False, True, True, True)
