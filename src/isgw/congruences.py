@@ -218,12 +218,17 @@ def _class_label(s: InverseSemigroup, cls: frozenset) -> str:
     return "[" + "|".join(names) + "]"
 
 
+@per_semigroup
 def quotient(s: InverseSemigroup, rho: Congruence) -> QuotientSemigroup:
     """Quotient semigroup on the classes; the class of 0 is the new zero.
-    The product of two classes is read from their least members, so rho must
-    be a congruence (``check_compatible``); the quotient is still validated
-    as an inverse semigroup."""
+
+    Raises NotCongruence unless rho is compatible (``check_compatible``,
+    O(n*|G|)); the product of two classes is then read from their least
+    members, and the quotient is validated as an inverse semigroup.  Built
+    once per semigroup and partition: equal congruences share one quotient,
+    and with it the quotient's own cached structures."""
     index = rho.class_index
+    check_compatible(s, index)
     reps = [min(c) for c in rho.classes]
     mul = [[index[row[rb]] for rb in reps] for row in (s.mul[ra] for ra in reps)]
     inv = [index[s.star(r)] for r in reps]
@@ -298,6 +303,7 @@ def is_congruence_free(s: InverseSemigroup) -> bool:
 
 @per_semigroup
 def condition_L(s: InverseSemigroup) -> bool:
-    """The double-arrow quotient is fundamental."""
+    """The double-arrow quotient is fundamental.  The quotient is the one
+    ``quotient`` caches, shared with every other caller."""
     q = quotient(s, double_arrow(s)).quotient
     return h_and_mu(q).fundamental

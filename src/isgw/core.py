@@ -59,10 +59,6 @@ class PartialBijection:
     def empty(cls, degree: int) -> "PartialBijection":
         return cls(degree, (None,) * degree)
 
-    @classmethod
-    def from_dict(cls, degree: int, mapping: dict) -> "PartialBijection":
-        return cls(degree, tuple(mapping.get(x) for x in range(degree)))
-
     def __mul__(self, other: "PartialBijection") -> "PartialBijection":
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
@@ -102,13 +98,16 @@ class NaturalOrder:
 
     mul: tuple
     dom: tuple  # dom[s] = star(s)*s
+    idempotents: tuple
 
     def holds(self, s: int, t: int) -> bool:
         return self.mul[t][self.dom[s]] == s
 
     def down(self, s: int) -> tuple:
-        row = self.mul[s]
-        return tuple(t for t, d in enumerate(self.dom) if row[d] == t)
+        """The t <= s, ascending: t = s*e for the idempotents e <= dom(s),
+        and distinct e give distinct t (dom(s*e) = e).  O(|E|) lookups."""
+        row, dom_row = self.mul[s], self.mul[self.dom[s]]
+        return tuple(sorted([row[e] for e in self.idempotents if dom_row[e] == e]))
 
     def up(self, s: int) -> tuple:
         d = self.dom[s]
@@ -116,15 +115,21 @@ class NaturalOrder:
 
 
 def per_semigroup(fn):
-    """Compute fn(s) once per semigroup: the first call stores the result in
-    the semigroup's cache and every later call returns that same object, so
-    cached results must be immutable.  A call that raises stores nothing."""
+    """Compute fn(s, *args) once per semigroup and arguments: the first call
+    stores the result in the semigroup's cache under (fn, *args), or under
+    fn alone when there are no arguments, and every later call with equal
+    arguments returns that same object.  The arguments must be hashable and
+    cached results immutable.  A call that raises stores nothing."""
 
     @functools.wraps(fn)
-    def cached(s):
-        if fn not in s._cache:
-            s._cache[fn] = fn(s)
-        return s._cache[fn]
+    def cached(s, *args):
+        key = (fn, *args) if args else fn
+        try:
+            return s._cache[key]
+        except KeyError:
+            pass
+        s._cache[key] = value = fn(s, *args)
+        return value
 
     return cached
 
@@ -223,7 +228,8 @@ class InverseSemigroup:
 
     @per_semigroup
     def order(self) -> NaturalOrder:
-        return NaturalOrder(self.mul, tuple(self.mul[t][s] for s, t in enumerate(self.inv)))
+        return NaturalOrder(self.mul, tuple(self.mul[t][s] for s, t in enumerate(self.inv)),
+                            self.idempotents)
 
     def leq(self, s: int, t: int) -> bool:
         return self.order().holds(s, t)
@@ -494,13 +500,6 @@ def from_tables(mul, inv, zero, labels=None) -> InverseSemigroup:
     """Inverse semigroup from explicit tables; all invariants are validated,
     associativity included, at every size."""
     return InverseSemigroup(mul, inv, zero, labels=labels)
-
-
-def build_semigroup(source, labels=None, max_elements: int = DEFAULT_CLOSURE_CAP) -> InverseSemigroup:
-    """Build from a generator list of PartialBijection or a (mul, inv, zero) triple."""
-    if isinstance(source, tuple) and len(source) == 3:
-        return from_tables(*source, labels=labels)
-    return from_partial_bijections(source, labels=labels, max_elements=max_elements)
 
 
 def idempotents(s: InverseSemigroup) -> tuple:

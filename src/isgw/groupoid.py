@@ -254,47 +254,116 @@ def _collapse_map(q: QuotientSemigroup, src: FiniteGroupoid) -> GroupoidMap:
                        arrow_map={u: pi[u] for u in src.arrows})
 
 
+def _bijects(f, units, targets) -> bool:
+    """f restricted to the units is a bijection onto the targets."""
+    images = {f[m] for m in units}
+    return images == set(targets) and len(images) == len(units)
+
+
+def _labelled(entry: TheoremEntry, label: str) -> TheoremEntry:
+    entry.detail = (entry.detail + " " + label).strip()
+    return entry
+
+
+def _formula_independence(s: InverseSemigroup, inner: FiniteGroupoid, x: frozenset,
+                          sub: InverseSemigroup, to_sub: dict, label: str) -> list:
+    """A failure entry for each arrow of the reduction to the ideal whose
+    stated formula depends on the choice of e in F cap I."""
+    out = []
+    for u in inner.arrows:
+        m = inner.source(u)
+        for e in x:
+            if e != s.zero and s.leq(m, e):
+                g = germ_of(sub, to_sub[s.product(u, e)], to_sub[m])
+                if g.rep != to_sub[u]:
+                    out.append(TheoremEntry(
+                        "universal_reduction_to_ideal", "fail",
+                        detail=f"formula depends on the chosen idempotent {label}",
+                        counterexample=(u, e)))
+                    break
+    return out
+
+
+def _ideal_entries(s: InverseSemigroup, level: str, ideal, sub: InverseSemigroup,
+                   to_sub: dict, q_rees: QuotientSemigroup) -> list:
+    """The statements for one ideal at one groupoid level, "universal" (all
+    nonzero idempotents as units) or "tight" (the atoms): restriction to the
+    ideal and the Rees projection biject the units inside and outside it
+    onto the units of the ideal's and the quotient's groupoids, and induce
+    isomorphisms from the two reductions of S's groupoid onto them."""
+    g = getattr(build_groupoids(s), level)
+    sub_g = getattr(build_groupoids(sub), level)
+    rees_g = getattr(build_groupoids(q_rees.quotient), level)
+    x = ideal.trace
+    label = f"ideal:{sorted(x)}"
+    inside = [m for m in g.units if m in x]
+    outside = [m for m in g.units if m not in x]
+    prefix = "" if level == "universal" else "tight_"
+
+    failed = ("restriction" if not _bijects(to_sub, inside, sub_g.units)
+              else "quotient" if not _bijects(q_rees.projection, outside, rees_g.units)
+              else None)
+    entries = [TheoremEntry(prefix + "filter_restriction_homeos",
+                            "fail" if failed else "pass", detail=label,
+                            counterexample=failed)]
+
+    inner = reduction(g, inside)
+    inner_map = GroupoidMap(unit_map={m: to_sub[m] for m in inner.units},
+                            arrow_map={u: to_sub[u] for u in inner.arrows})
+    entries.append(_labelled(_check_functor(inner, sub_g, inner_map,
+                                            f"{level}_reduction_to_ideal"), label))
+    if level == "universal":
+        entries.extend(_formula_independence(s, inner, x, sub, to_sub, label))
+
+    outer = reduction(g, outside)
+    entries.append(_labelled(_check_functor(outer, rees_g, _collapse_map(q_rees, outer),
+                                            f"{level}_reduction_to_quotient"), label))
+    if level == "tight":
+        counts = (rees_g.n_arrows(), outer.n_arrows())
+        same = counts[0] == counts[1]
+        entries.append(TheoremEntry("tight_reduction_arrow_count",
+                                    "pass" if same else "fail", detail=label,
+                                    counterexample=None if same else counts))
+    return entries
+
+
 def verify_structure_theorems(s: InverseSemigroup) -> list:
     """Run every groupoid-level structure statement on one semigroup:
 
     - the double-arrow collapse induces a bijection of tight filter spaces
       and an isomorphism of tight groupoids (built from the explicit maps);
-    - for every ideal, restriction and quotient induce isomorphisms between
-      reductions of the universal groupoid and the groupoids of the ideal and
-      of the Rees quotient;
-    - for every saturated ideal, the same holds at the tight level, where
-      also the filter spaces restrict along the stated maps.
+    - for every ideal, restriction and the Rees projection biject the
+      filters inside and outside it onto the filters of the ideal and of the
+      Rees quotient, and induce isomorphisms between reductions of the
+      universal groupoid and the groupoids of the two;
+    - for every saturated ideal, the same holds at the tight level.
 
+    Both levels run ``_ideal_entries``; the Rees quotients are the ones
+    ``quotient`` caches, shared with ``condition_K`` and the other callers.
     Returns a list of TheoremEntry values; a "fail" entry is a falsification.
     """
     entries = []
-    lattice = Semilattice.from_semigroup(s)
-    pair = build_groupoids(s)
+    tight = build_groupoids(s).tight
 
     # collapse by the double-arrow congruence
-    da = double_arrow(s)
-    q = quotient(s, da)
+    q = quotient(s, double_arrow(s))
     tq = q.quotient
-    pair_q = build_groupoids(tq)
-
-    atom_src = set(atoms(lattice))
-    atom_dst = set(atoms(Semilattice.from_semigroup(tq)))
-    theta = {m: q.projection[m] for m in atom_src}
-    if set(theta.values()) == atom_dst and len(set(theta.values())) == len(atom_src):
+    tight_q = build_groupoids(tq).tight
+    if _bijects(q.projection, tight.units, tight_q.units):
         entries.append(TheoremEntry("tight_spectrum_collapse_homeo", "pass"))
     else:
         entries.append(TheoremEntry("tight_spectrum_collapse_homeo", "fail",
                                     detail="atom filters do not correspond",
-                                    counterexample=sorted(theta.items())))
+                                    counterexample=sorted((m, q.projection[m])
+                                                          for m in tight.units)))
 
-    entries.append(_check_functor(pair.tight, pair_q.tight,
-                                  _collapse_map(q, pair.tight),
+    entries.append(_check_functor(tight, tight_q, _collapse_map(q, tight),
                                   "tight_groupoid_collapse_isomorphism"))
     # the collapse map formula holds on non-canonical germ presentations too
     bad = None
     for a in s.nonzero():
         dom = s.product(s.star(a), a)
-        for m in atom_src:
+        for m in tight.units:
             if s.leq(m, dom):
                 lhs = germ_of(tq, q.projection[a], q.projection[m])
                 rhs = germ_of(tq, q.projection[s.product(a, m)], q.projection[m])
@@ -308,100 +377,11 @@ def verify_structure_theorems(s: InverseSemigroup) -> list:
             "tight_groupoid_collapse_isomorphism", "fail",
             detail="map not constant on a germ class", counterexample=bad))
 
-    ideals = enumerate_ideals(s)
-    for ideal in ideals:
-        x = ideal.trace
-        nonzero_x = sorted(e for e in x if e != s.zero)
-        inside_units = nonzero_x
-        outside_units = sorted(m for m in pair.universal.units if m not in x)
-
+    for ideal in enumerate_ideals(s):
         sub, to_sub = s.restrict(ideal.elements)
-        sub_pair = build_groupoids(sub)
         q_rees = rees_quotient(s, ideal.elements)
-        tq_rees = q_rees.quotient
-        rees_pair = build_groupoids(tq_rees)
-
-        label = f"ideal:{sorted(x)}"
-
-        # filter restriction bijections at the universal level
-        r_i = {m: to_sub[m] for m in inside_units}
-        q_i = {m: q_rees.projection[m] for m in outside_units}
-        ok_r = set(r_i.values()) == {e for e in sub.idempotents if e != sub.zero} \
-            and len(set(r_i.values())) == len(inside_units)
-        ok_q = set(q_i.values()) == {e for e in tq_rees.idempotents if e != tq_rees.zero} \
-            and len(set(q_i.values())) == len(outside_units)
-        entries.append(TheoremEntry(
-            "filter_restriction_homeos", "pass" if ok_r and ok_q else "fail",
-            detail=label,
-            counterexample=None if ok_r and ok_q else ("restriction" if not ok_r else "quotient")))
-
-        # universal reductions: inner part is the groupoid of the ideal
-        inner = reduction(pair.universal, inside_units)
-        inner_map = GroupoidMap(unit_map={m: to_sub[m] for m in inner.units},
-                                arrow_map={u: to_sub[u] for u in inner.arrows})
-        entry = _check_functor(inner, sub_pair.universal, inner_map,
-                               "universal_reduction_to_ideal")
-        entry.detail = (entry.detail + " " + label).strip()
-        entries.append(entry)
-        # the stated formula is independent of the choice of e in F cap I
-        for u in inner.arrows:
-            m = inner.source(u)
-            for e in x:
-                if e != s.zero and s.leq(m, e):
-                    g = germ_of(sub, to_sub[s.product(u, e)], to_sub[m])
-                    if g.rep != to_sub[u]:
-                        entries.append(TheoremEntry(
-                            "universal_reduction_to_ideal", "fail",
-                            detail=f"formula depends on the chosen idempotent {label}",
-                            counterexample=(u, e)))
-                        break
-
-        # universal reductions: outer part is the groupoid of the quotient
-        outer = reduction(pair.universal, outside_units)
-        entry = _check_functor(outer, rees_pair.universal,
-                               _collapse_map(q_rees, outer),
-                               "universal_reduction_to_quotient")
-        entry.detail = (entry.detail + " " + label).strip()
-        entries.append(entry)
-
-        if ideal.saturated:
-            atom_units = set(atoms(lattice))
-            inside_tight = sorted(m for m in inside_units if m in atom_units)
-            outside_tight = sorted(m for m in outside_units if m in atom_units)
-
-            sub_atoms = set(atoms(Semilattice.from_semigroup(sub)))
-            rees_atoms = set(atoms(Semilattice.from_semigroup(tq_rees)))
-            ok_rt = {to_sub[m] for m in inside_tight} == sub_atoms
-            ok_qt = {q_rees.projection[m] for m in outside_tight} == rees_atoms
-            entries.append(TheoremEntry(
-                "tight_filter_restriction_homeos", "pass" if ok_rt and ok_qt else "fail",
-                detail=label,
-                counterexample=None if ok_rt and ok_qt else ("restriction" if not ok_rt else "quotient")))
-
-            inner_t = reduction(pair.tight, inside_tight)
-            entry = _check_functor(
-                inner_t, sub_pair.tight,
-                GroupoidMap(unit_map={m: to_sub[m] for m in inner_t.units},
-                            arrow_map={u: to_sub[u] for u in inner_t.arrows}),
-                "tight_reduction_to_ideal")
-            entry.detail = (entry.detail + " " + label).strip()
-            entries.append(entry)
-
-            outer_t = reduction(pair.tight, outside_tight)
-            entry = _check_functor(
-                outer_t, rees_pair.tight,
-                _collapse_map(q_rees, outer_t),
-                "tight_reduction_to_quotient")
-            entry.detail = (entry.detail + " " + label).strip()
-            entries.append(entry)
-
-            if rees_pair.tight.n_arrows() != outer_t.n_arrows():
-                entries.append(TheoremEntry(
-                    "tight_reduction_arrow_count", "fail", detail=label,
-                    counterexample=(rees_pair.tight.n_arrows(), outer_t.n_arrows())))
-            else:
-                entries.append(TheoremEntry("tight_reduction_arrow_count", "pass",
-                                            detail=label))
+        for level in ("universal", "tight") if ideal.saturated else ("universal",):
+            entries.extend(_ideal_entries(s, level, ideal, sub, to_sub, q_rees))
     return entries
 
 

@@ -21,13 +21,6 @@ MAX_ORBITS = 16
 # -- order ideals of E --------------------------------------------------------
 
 @dataclass(frozen=True)
-class OrderIdealOfE:
-    elements: frozenset
-    invariant: bool
-    saturated: bool
-
-
-@dataclass(frozen=True)
 class IdealOfS:
     elements: frozenset
     trace: frozenset  # the idempotents of the ideal
@@ -67,14 +60,6 @@ def saturate(lattice: Semilattice, x) -> frozenset:
 
 def is_saturated_order_ideal(lattice: Semilattice, x: frozenset) -> bool:
     return saturate(lattice, x) == frozenset(x) | {lattice.zero}
-
-
-def classify_order_ideal(s: InverseSemigroup, lattice: Semilattice, x: frozenset) -> OrderIdealOfE:
-    return OrderIdealOfE(
-        elements=x,
-        invariant=is_invariant_order_ideal(s, x),
-        saturated=is_saturated_order_ideal(lattice, x),
-    )
 
 
 # -- ideals of S --------------------------------------------------------------
@@ -218,9 +203,6 @@ class FilterSpace:
         if m not in self.mins:
             raise DomainViolation(f"{m} is not a filter minimum")
         return Filter(self.lattice, m, m in self.ultra, m in self.tight)
-
-    def filters(self) -> tuple:
-        return tuple(self.filter(m) for m in self.mins)
 
     def basic_set(self, e: int, excluded=()) -> tuple:
         """Filter minima for: e in F while none of the excluded elements is."""

@@ -109,9 +109,6 @@ class SemigroupHomomorphism:
             if m[src.star(a)] != tgt.star(m[a]):
                 raise NotHomomorphism(f"map breaks involution at {a}")
 
-    def apply(self, a: int) -> int:
-        return self.map[a]
-
 
 @dataclass(frozen=True)
 class InjectivityReport:

@@ -418,11 +418,8 @@ def check_graph_instance(inst: CorpusInstance) -> list:
     out = []
     conditions = graph_conditions(g)
 
-    all_free = all(
-        all(quotient_graph(g, h.vertices).in_degree(v) != 1
-            for v in quotient_graph(g, h.vertices).vertices)
-        for h in hereditary_sets(g)
-    )
+    quotients = (quotient_graph(g, h.vertices) for h in hereditary_sets(g))
+    all_free = all(all(q.in_degree(v) != 1 for v in q.vertices) for q in quotients)
     out.append(_entry("condition_m_iff_indegree_free_quotients",
                       conditions.condition_m.value == all_free,
                       detail=f"m={conditions.condition_m.value}"))
@@ -523,15 +520,13 @@ def check_action_instance(inst: CorpusInstance) -> list:
     return out
 
 
-def _paths_from(action, vertex):
-    depth = action.graph.longest_path_length()
-    return [p for p in paths_up_to(action.graph, depth) if p.rng == vertex]
-
-
 def _check_exact_action(a, truncated, s, faith, m) -> list:
     out = []
     mu = rel.h_and_mu(s).mu
     elements = truncated.elements
+    paths_to = {}  # range vertex -> the paths ending there, in enumeration order
+    for p in paths_up_to(a.graph, a.graph.longest_path_length()):
+        paths_to.setdefault(p.rng, []).append(p)
 
     ok = True
     witness = None
@@ -542,7 +537,7 @@ def _check_exact_action(a, truncated, s, faith, m) -> list:
                 continue
             agree = all(
                 ss.act_on_path(a, t1.g, gamma)[0] == ss.act_on_path(a, t2.g, gamma)[0]
-                for gamma in _paths_from(a, t1.beta.src)
+                for gamma in paths_to.get(t1.beta.src, ())
             )
             if mu.same(i, j) != agree:
                 ok = False
@@ -558,13 +553,11 @@ def _check_exact_action(a, truncated, s, faith, m) -> list:
                       rel.h_and_mu(s).fundamental == faith.faithful,
                       detail=f"faithful={faith.faithful}"))
 
-    quotients = {}  # hereditary invariant vertex set -> (its ideal, S / ideal)
-    for v_set in ss.hereditary_invariant_sets(a):
-        ideal = _vertex_ideal(a, truncated, s, v_set)
-        quotients[v_set] = (ideal, cg.rees_quotient(s, ideal))
+    ideals = {v_set: _vertex_ideal(a, truncated, s, v_set)
+              for v_set in ss.hereditary_invariant_sets(a)}
     all_disj = all(
-        is_0_disjunctive(Semilattice.from_semigroup(q.quotient)).value
-        for _, q in quotients.values()
+        is_0_disjunctive(Semilattice.from_semigroup(cg.rees_quotient(s, ideal).quotient)).value
+        for ideal in ideals.values()
     )
     out.append(_entry("ss_quotients_zero_disjunctive_iff_m", all_disj == m.value,
                       detail=f"m={m.value} all_quotients={all_disj}"))
@@ -584,7 +577,7 @@ def _check_exact_action(a, truncated, s, faith, m) -> list:
             has_path = any(
                 p.src == a.act_vertex(h, u)
                 for h in range(a.group.size)
-                for p in _paths_from(a, v)
+                for p in paths_to.get(v, ())
             )
             if in_ideal != has_path:
                 ok = False
@@ -597,7 +590,7 @@ def _check_exact_action(a, truncated, s, faith, m) -> list:
     generated = set()
     ok = True
     witness = None
-    for v_set, (ideal, _) in quotients.items():
+    for v_set, ideal in ideals.items():
         generated.add(ideal)
         back = frozenset(
             elements[i].alpha.src for i in ideal if i != 0
@@ -614,7 +607,8 @@ def _check_exact_action(a, truncated, s, faith, m) -> list:
 
     ok = True
     witness = None
-    for v_set, (_, q) in quotients.items():
+    for v_set, ideal in ideals.items():
+        q = cg.rees_quotient(s, ideal)
         sub_action = ss.quotient_action(a, v_set)
         sub_trunc = ss.ss_semigroup(sub_action, truncated.depth)
         sub_s = sub_trunc.to_inverse_semigroup()

@@ -1,7 +1,8 @@
 """Brute-force or superseded versions of library routines, kept as test
 oracles: the all-pairs closure of partial bijections, the n^3 associativity
-loop, the any()-scan natural order, and table validation with the direct
-scan for a second inverse (``isgw.core``); the path-pair product of the
+loop, the any()-scan natural order, the down-set of an element by a scan of
+S, and table validation with the direct scan for a second inverse
+(``isgw.core``); the path-pair product of the
 graph inverse semigroup, the condition (M) scans for graphs and for
 actions, and the mask loop over hereditary invariant vertex sets
 (``isgw.graphs``, ``isgw.selfsimilar``); principal ideals, SXS and the ideal
@@ -80,6 +81,13 @@ def any_scan_order(mul, idempotents):
     n = len(mul)
     return tuple(tuple(any(mul[t][e] == s for e in idempotents) for t in range(n))
                  for s in range(n))
+
+
+def down_by_scan(order, s: int) -> tuple:
+    """The t <= s of a NaturalOrder, ascending, by a scan of every element:
+    t <= s iff s*dom(t) = t."""
+    row = order.mul[s]
+    return tuple(t for t, d in enumerate(order.dom) if row[d] == t)
 
 
 def validate_by_scans(mul, inv, zero):

@@ -157,6 +157,8 @@ def test_quotient_rejects_non_congruence(i2, i2n):
     bogus = make_congruence(i2, lambda a: 0 if a in (i2n["I"], i2n["E11"]) else a)
     with pytest.raises(NotCongruence):
         check_compatible(i2, bogus.class_index)
+    with pytest.raises(NotCongruence):
+        quotient(i2, bogus)
 
 
 def test_quotient_rejects_a_right_congruence_by_left_products(i2, i2n):
@@ -173,6 +175,8 @@ def test_quotient_rejects_a_right_congruence_by_left_products(i2, i2n):
     assert l_rel.same(i2n["E11"], i2n["E21"])
     with pytest.raises(NotCongruence, match="left product"):
         check_compatible(i2, index)
+    with pytest.raises(NotCongruence, match="left product"):
+        quotient(i2, l_rel)
 
 
 def non_rees_members(s):

@@ -1,5 +1,6 @@
 """The fast semigroup core against its brute-force oracles (tests/oracles.py):
-closure and table, Light's associativity test, validation and natural order."""
+closure and table, Light's associativity test, validation and natural order
+with its down-sets."""
 
 import itertools
 
@@ -10,7 +11,13 @@ from isgw.core import PartialBijection, _check_associative, from_partial_bijecti
 from isgw.corpus import builtin_corpus
 from isgw.errors import NotAssociative, NotInverse
 
-from oracles import all_pairs_closure, any_scan_order, cubic_associativity_failure, validate_by_scans
+from oracles import (
+    all_pairs_closure,
+    any_scan_order,
+    cubic_associativity_failure,
+    down_by_scan,
+    validate_by_scans,
+)
 
 
 @st.composite
@@ -40,6 +47,15 @@ def test_closure_matches_all_pairs_oracle(gens, named):
     assert s.zero == zero
     assert s.labels == oracle_labels
     assert s.pmaps == pmaps
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_sets())
+def test_down_matches_scan_on_random_closures(gens):
+    s = from_partial_bijections(gens)
+    order = s.order()
+    for a in s.elements():
+        assert order.down(a) == down_by_scan(order, a)
 
 
 def _is_associative(mul):

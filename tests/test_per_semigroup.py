@@ -15,14 +15,32 @@ from isgw.groupoid import build_groupoids, condition_K
 from isgw.relations import centralizer, h_and_mu
 from test_cli import I2_DOC
 
+
+def quotient_by_an_ideal(s):
+    """Each call builds its own Rees congruence, equal to the last one."""
+    return cg.quotient(s, cg.rees_congruence(s, ifl.principal_ideal(s, 2)))
+
+
+def rees_quotient_by_an_ideal(s):
+    return cg.rees_quotient(s, ifl.principal_ideal(s, 2))
+
+
 CACHED = [InverseSemigroup.order, h_and_mu, centralizer, double_arrow, condition_L,
-          congruence_lattice, ifl.enumerate_ideals, build_groupoids, condition_K]
+          congruence_lattice, ifl.enumerate_ideals, build_groupoids, condition_K,
+          quotient_by_an_ideal, rees_quotient_by_an_ideal]
 
 
 @pytest.mark.parametrize("fn", CACHED)
 def test_second_call_returns_the_same_object(fn):
     s = make_i2()
     assert fn(s) is fn(s)
+
+
+def test_equal_congruences_share_one_quotient(i2, i2n):
+    ideal = ifl.principal_ideal(i2, i2n["E11"])
+    rho = cg.rees_congruence(i2, set(ideal))
+    assert rho is not cg.rees_congruence(i2, ideal)
+    assert cg.rees_quotient(i2, ideal) is cg.quotient(i2, rho)
 
 
 def test_a_call_that_raises_stores_nothing():
@@ -40,6 +58,44 @@ def test_a_call_that_raises_stores_nothing():
         fails_once(s)
     assert fails_once(s) == fails_once(s) == 7
     assert len(calls) == 2
+
+
+def test_a_call_with_arguments_that_raises_stores_nothing():
+    calls = []
+
+    @per_semigroup
+    def fails_once(s, k):
+        calls.append(k)
+        if len(calls) == 1:
+            raise ValueError("first call")
+        return s.n + k
+
+    s = make_i2()
+    key = (fails_once.__wrapped__, 1)
+    with pytest.raises(ValueError):
+        fails_once(s, 1)
+    assert key not in s._cache
+    assert fails_once(s, 1) == fails_once(s, 1) == 8
+    assert key in s._cache
+    assert fails_once(s, 2) == 9
+    assert calls == [1, 1, 2]
+
+
+def test_verify_builds_each_quotient_once(monkeypatch, capsys):
+    """Each (semigroup, partition) quotient is built once per verify run:
+    the quotient body constructs one QuotientSemigroup per run."""
+    built = []
+    original = cg.QuotientSemigroup
+
+    def counting(source, quotient, projection):
+        built.append((source, projection))
+        return original(source=source, quotient=quotient, projection=projection)
+
+    monkeypatch.setattr(cg, "QuotientSemigroup", counting)
+    assert cli.main(["verify", "builtin", "--json", "--seed", "3"]) == 0
+    capsys.readouterr()
+    keys = [(id(s), projection) for s, projection in built]
+    assert keys and len(set(keys)) == len(keys)
 
 
 def test_enumerate_ideals_returns_a_tuple(i2):
