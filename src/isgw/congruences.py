@@ -226,9 +226,17 @@ def quotient(s: InverseSemigroup, rho: Congruence) -> QuotientSemigroup:
     O(n*|G|)); the product of two classes is then read from their least
     members, and the quotient is validated as an inverse semigroup.  Built
     once per semigroup and partition: equal congruences share one quotient,
-    and with it the quotient's own cached structures."""
+    and with it the quotient's own cached structures.
+
+    The quotient by the equality is S itself, validated when it was built,
+    with the identity projection: the classes are the singletons in element
+    order, so the table built from them would be S's own.  S then shares its
+    caches, and its ``pmaps``, with every caller of that quotient, such as
+    the Rees quotient by {0}."""
     index = rho.class_index
     check_compatible(s, index)
+    if rho.is_equality():
+        return QuotientSemigroup(source=s, quotient=s, projection=index)
     reps = [min(c) for c in rho.classes]
     mul = [[index[row[rb]] for rb in reps] for row in (s.mul[ra] for ra in reps)]
     inv = [index[s.star(r)] for r in reps]

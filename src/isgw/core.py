@@ -234,14 +234,6 @@ class InverseSemigroup:
     def leq(self, s: int, t: int) -> bool:
         return self.order().holds(s, t)
 
-    def element_by_pmap(self, pmap: PartialBijection) -> int:
-        if self.pmaps is None:
-            raise ValueError("semigroup carries no partial-bijection data")
-        index = _pmap_index(self)
-        if pmap not in index:
-            raise ValueError(f"{pmap.describe()} is not an element")
-        return index[pmap]
-
     def restrict(self, subset) -> tuple:
         """Sub-semigroup on a product/inverse-closed subset containing zero.
 
@@ -273,11 +265,6 @@ def cayley_graphs(s: InverseSemigroup) -> tuple:
     right = tuple(map(pick, s.mul))
     left = tuple(zip(*pick(s.mul)))
     return right, left
-
-
-@per_semigroup
-def _pmap_index(s: InverseSemigroup) -> dict:
-    return {p: i for i, p in enumerate(s.pmaps)}
 
 
 def _picker(indices):

@@ -103,9 +103,6 @@ class FiniteGroupoid:
     def inverse(self, u: int) -> int:
         return self.s.star(u)
 
-    def is_unit(self, u: int) -> bool:
-        return u in self._unit_set
-
     def isotropy(self, m: int) -> tuple:
         return tuple(u for u in self.arrows if self.source(u) == m and self.range(u) == m)
 
@@ -120,17 +117,6 @@ class FiniteGroupoid:
         if g.rep not in self._arrow_set:
             raise DomainViolation("germ lies outside this groupoid")
         return g
-
-    def slice_arrows(self, a: int, unit_subset) -> tuple:
-        """Arrows of the form [a, F] for F ranging over the given units
-        (the basic-slice query used by the topology-flavoured tests)."""
-        out = []
-        for m in unit_subset:
-            if self.s.leq(m, self.s.product(self.s.star(a), a)):
-                g = germ_of(self.s, a, m)
-                if g.rep in self._arrow_set:
-                    out.append(g)
-        return tuple(out)
 
     def unit_orbits(self) -> tuple:
         dsu = UnionFind(self.s.n)

@@ -108,18 +108,32 @@ def s_level_saturated(s: InverseSemigroup, members: frozenset) -> bool:
 
 
 @per_semigroup
+def d_class_idempotents(s: InverseSemigroup) -> tuple:
+    """The least idempotent of each D-class, ascending.  In an inverse
+    semigroup a*a D a D aa*, so one union-find pass over the elements, joining
+    a*a with aa*, groups the idempotents by D-class: O(n) lookups."""
+    dsu = UnionFind(s.n)
+    for a, b in enumerate(s.inv):
+        dsu.union(s.mul[b][a], s.mul[a][b])
+    return tuple(min(c) for c in group_by(s.idempotents, dsu.find))
+
+
+@per_semigroup
 def enumerate_ideals(s: InverseSemigroup) -> tuple:
     """All ideals of S, smallest first.
 
     Every ideal is the union of the principal ideals inside it, which form a
     downset of the inclusion order on principal ideals, and each such
-    downset gives a different ideal.  The verify check
+    downset gives a different ideal.  In a finite inverse semigroup J = D
+    and SaS = S(a*a)S, so one principal ideal is formed per D-class, from
+    its least idempotent (``d_class_idempotents``; Howie, *Fundamentals of
+    Semigroup Theory*, 1995, section 5.1).  The verify check
     ``ideal_correspondence`` compares the result with the bijection with
     invariant order ideals of E (X maps to SXS, an ideal to its
     idempotents)."""
     lattice = Semilattice.from_semigroup(s)
 
-    principals = list({principal_ideal(s, a): None for a in s.elements()})
+    principals = [principal_ideal(s, e) for e in d_class_idempotents(s)]
     ideal_sets = {frozenset({s.zero}).union(*d)
                   for d in downsets(principals, frozenset.issubset)}
 
@@ -153,23 +167,6 @@ def finite_cover_witnesses(s: InverseSemigroup) -> dict:
                 raise InternalContract("atom set failed to cover an ideal")
         out[x] = witness
     return out
-
-
-def saturated_ideal_generated(s: InverseSemigroup, seed) -> frozenset:
-    """Least saturated ideal of S containing the given idempotents: alternate
-    two-sided ideal generation with semilattice saturation to a fixed point."""
-    lattice = Semilattice.from_semigroup(s)
-    x = frozenset(seed) | {s.zero}
-    while True:
-        members = ideal_generated(s, x)
-        trace = ideal_trace(s, members)
-        x2 = saturate(lattice, trace)
-        if x2 == trace:
-            once_more = saturate(lattice, x2)
-            if once_more != x2:
-                raise InternalContract("saturation failed to be idempotent")
-            return members
-        x = x2
 
 
 # -- filters ------------------------------------------------------------------

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import InverseSemigroup, per_semigroup
+from .core import InverseSemigroup, _picker, per_semigroup
 from .errors import NotHomomorphism
 from .util import group_by
 
@@ -56,18 +56,20 @@ class RelationsReport:
 def h_and_mu(s: InverseSemigroup) -> RelationsReport:
     """Compute H (equal domain and range idempotents) and mu (equal
     conjugation action on every idempotent); cryptic means mu = H and
-    fundamental means mu is equality."""
+    fundamental means mu is equality.
+
+    The conjugate a e a* is the range (ae)(ae)* of ae, so with the ranges
+    x x* listed once, the mu key of a is the range of each entry a*e of
+    a's row over the idempotents: two lookups per (a, e) pair, at C speed
+    through ``itemgetter``."""
     n = s.n
-    h_key = {a: (s.product(s.star(a), a), s.product(a, s.star(a))) for a in range(n)}
-    h_rel = EquivalenceRelation.from_class_map(n, lambda a: h_key[a])
+    dom = s.order().dom
+    ranges = tuple(map(s.product, range(n), s.inv))
+    h_rel = EquivalenceRelation.from_class_map(n, lambda a: (dom[a], ranges[a]))
 
-    idems = s.idempotents
-
-    def mu_key(a):
-        sa = s.star(a)
-        return tuple(s.product(s.product(a, e), sa) for e in idems)
-
-    mu_rel = EquivalenceRelation.from_class_map(n, mu_key)
+    pick_e = _picker(s.idempotents)
+    mu_rel = EquivalenceRelation.from_class_map(
+        n, lambda a: _picker(pick_e(s.mul[a]))(ranges))
     return RelationsReport(
         h=h_rel,
         mu=mu_rel,

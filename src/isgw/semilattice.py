@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 
-from .core import InverseSemigroup
+from .core import InverseSemigroup, per_semigroup
 from .util import Decision
 
 # Subset searches for minimal covers stay exact below this candidate count.
@@ -134,7 +135,15 @@ def _minimal_cover_with(lattice: Semilattice, e: int, fixed: int, candidates) ->
 def has_trapping_condition(lattice: Semilattice) -> Decision:
     """For each nonzero f < e, e must be covered by f plus finitely many
     elements below e orthogonal to f.  On success the witness maps each pair
-    to a validated cover built from a smallest such orthogonal family."""
+    to a validated cover built from a smallest such orthogonal family; the
+    map is read-only, because the scan runs once per semigroup and carrier
+    (``per_semigroup`` on the parent) and every caller shares the result."""
+    return _trapping(lattice.parent, lattice.elements, lattice.zero)
+
+
+@per_semigroup
+def _trapping(s: InverseSemigroup, elements: tuple, zero: int) -> Decision:
+    lattice = Semilattice(s, elements, zero)
     witnesses = {}
     for e in lattice.nonzero():
         for f in lattice.strictly_below(e):
@@ -144,7 +153,7 @@ def has_trapping_condition(lattice: Semilattice) -> Decision:
             if found is None:
                 return Decision(False, (f, e))
             witnesses[(f, e)] = make_cover(lattice, e, set(found) | {f})
-    return Decision(True, witnesses)
+    return Decision(True, MappingProxyType(witnesses))
 
 
 def atoms(lattice: Semilattice) -> tuple:

@@ -1,6 +1,25 @@
 import pytest
 
 from isgw.core import PartialBijection, from_partial_bijections, from_tables
+from isgw.groupoid import germ_of
+
+
+def element_by_pmap(s, pmap):
+    """Index of a partial bijection in a semigroup built from partial bijections."""
+    return s.pmaps.index(pmap)
+
+
+def slice_arrows(g, a, unit_subset):
+    """Arrows [a, F] of the groupoid g for F ranging over the given units:
+    the germs of a on the basic slice it defines."""
+    s = g.s
+    out = []
+    for m in unit_subset:
+        if s.leq(m, s.product(s.star(a), a)):
+            germ = germ_of(s, a, m)
+            if germ.rep in g.arrows:
+                out.append(germ)
+    return tuple(out)
 
 
 def make_i2():
@@ -22,7 +41,7 @@ def i2_named(s):
         "E12": PartialBijection(2, (None, 0)),
         "0": PartialBijection.empty(2),
     }
-    return {name: s.element_by_pmap(p) for name, p in by_map.items()}
+    return {name: element_by_pmap(s, p) for name, p in by_map.items()}
 
 
 def make_e4():
@@ -40,7 +59,7 @@ def e4_named(s):
         "g": PartialBijection(3, (None, 1, 2)),
         "0": PartialBijection.empty(3),
     }
-    return {name: s.element_by_pmap(p) for name, p in named.items()}
+    return {name: element_by_pmap(s, p) for name, p in named.items()}
 
 
 def make_z2z():

@@ -5,9 +5,11 @@ S, and table validation with the direct scan for a second inverse
 (``isgw.core``); the path-pair product of the
 graph inverse semigroup, the condition (M) scans for graphs and for
 actions, and the mask loop over hereditary invariant vertex sets
-(``isgw.graphs``, ``isgw.selfsimilar``); principal ideals, SXS and the ideal
-test of the Rees congruence over all products (``isgw.ideals_filters``,
-``isgw.congruences``); the double arrow by down-set intersections, the
+(``isgw.graphs``, ``isgw.selfsimilar``); principal ideals of every element,
+SXS and the ideal test of the Rees congruence over all products, and the
+least saturated ideal over given idempotents (``isgw.ideals_filters``,
+``isgw.congruences``); mu by the conjugation of every idempotent
+(``isgw.relations``); the double arrow by down-set intersections, the
 compatibility test over all products and the congruence closure saturated
 by all elements, and the congruence lattice by joins of whole congruences
 (``isgw.congruences``); the closure of a groupoid's arrows over all pairs
@@ -23,8 +25,9 @@ from isgw.congruences import congruence_closure, equality_congruence, make_congr
 from isgw.core import PartialBijection, from_tables
 from isgw.errors import NotAssociative, NotInverse, Overflow
 from isgw.graphs import _reachable_from, is_hereditary, paths_up_to
+from isgw.ideals_filters import ideal_generated, ideal_trace, saturate
 from isgw.selfsimilar import g_independent_edges, vertex_orbits
-from isgw.semilattice import MINIMAL_COVER_SEARCH_LIMIT, is_cover
+from isgw.semilattice import MINIMAL_COVER_SEARCH_LIMIT, Semilattice, is_cover
 from isgw.util import UnionFind, group_by
 
 
@@ -204,9 +207,14 @@ def sxs_by_products(s, x):
     return frozenset().union(*(s.mul[s.product(a, e)] for e in x for a in s.elements()))
 
 
+def principal_ideals_by_products(s):
+    """The distinct principal ideals SaS over all elements a."""
+    return {principal_ideal_by_products(s, a) for a in s.elements()}
+
+
 def ideals_by_unions(s):
     """Every ideal of S: the zero ideal and all unions of principal ideals."""
-    principals = {principal_ideal_by_products(s, a) for a in s.elements()}
+    principals = principal_ideals_by_products(s)
     found = {frozenset({s.zero})}
     frontier = list(found)
     while frontier:
@@ -219,6 +227,31 @@ def ideals_by_unions(s):
                     fresh.append(u)
         frontier = fresh
     return found
+
+
+def saturated_ideal_generated(s, seed):
+    """Least saturated ideal of S containing the given idempotents: alternate
+    two-sided ideal generation with semilattice saturation to a fixed point."""
+    lattice = Semilattice.from_semigroup(s)
+    x = frozenset(seed) | {s.zero}
+    while True:
+        members = ideal_generated(s, x)
+        trace = ideal_trace(s, members)
+        x2 = saturate(lattice, trace)
+        if x2 == trace:
+            assert saturate(lattice, x2) == x2, "saturation failed to be idempotent"
+            return members
+        x = x2
+
+
+def mu_by_conjugation(s):
+    """Partition of mu: a ~ b iff a e a* = b e b* for every idempotent e,
+    each conjugate formed by two products."""
+    def key(a):
+        sa = s.star(a)
+        return tuple(s.product(s.product(a, e), sa) for e in s.idempotents)
+
+    return tuple(group_by(s.elements(), key))
 
 
 def is_ideal_by_products(s, members):

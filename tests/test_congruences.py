@@ -14,9 +14,12 @@ from isgw.congruences import (
     rees_quotient,
     universal_congruence,
 )
-from isgw.core import from_tables
+from isgw.core import InverseSemigroup, from_tables
 from isgw.errors import NotCongruence, NotIdeal, TooLarge
+from isgw.ideals_filters import principal_ideal
 from isgw.semilattice import Semilattice, is_0_disjunctive
+
+from conftest import i2_named, make_i2
 
 
 def partition_by_labels(s, rho):
@@ -106,6 +109,30 @@ def test_quotient_by_equality_is_isomorphic(i2):
         for b in i2.elements():
             pa, pb = q.projection[a], q.projection[b]
             assert q.projection[i2.product(a, b)] == q.quotient.product(pa, pb)
+
+
+def test_quotient_by_equality_is_the_semigroup_itself(i2, e4, z2z):
+    for s in (i2, e4, z2z):
+        q = quotient(s, equality_congruence(s))
+        assert q.quotient is s
+        assert q.projection == tuple(range(s.n))
+        assert rees_quotient(s, {s.zero}).quotient is s
+    assert quotient(i2, double_arrow(i2)).quotient is i2  # the collapse of I2 is trivial
+
+
+def test_quotient_by_a_proper_congruence_is_a_new_validated_semigroup(monkeypatch):
+    s = make_i2()
+    validated = []
+    original = InverseSemigroup._validate
+
+    def recording(self):
+        validated.append(self)
+        return original(self)
+
+    monkeypatch.setattr(InverseSemigroup, "_validate", recording)
+    q = rees_quotient(s, principal_ideal(s, i2_named(s)["E11"])).quotient
+    assert q is not s and validated == [q]
+    assert q.n == 3
 
 
 def test_rees_quotient_i2_is_group_with_zero(i2, i2n, z2z):

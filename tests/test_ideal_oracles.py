@@ -1,7 +1,7 @@
 """Ideals by generator search against their all-products oracles
-(tests/oracles.py): principal ideals, the ideal enumeration, and the ideal
-test of the Rees congruence; and the SXS round trip of the verify check
-``ideal_correspondence`` on the same semigroups."""
+(tests/oracles.py): principal ideals, one per D-class, the ideal
+enumeration, and the ideal test of the Rees congruence; and the SXS round
+trip of the verify check ``ideal_correspondence`` on the same semigroups."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +11,7 @@ from isgw.core import from_partial_bijections
 from isgw.corpus import builtin_corpus
 from isgw.errors import NotIdeal
 from isgw.ideals_filters import (
+    d_class_idempotents,
     enumerate_ideals,
     ideal_generated,
     is_invariant_order_ideal,
@@ -20,7 +21,13 @@ from isgw.ideals_filters import (
 from isgw.semilattice import Semilattice
 from isgw.verify import _ideal_round_trip_failure
 
-from oracles import ideals_by_unions, is_ideal_by_products, principal_ideal_by_products, sxs_by_products
+from oracles import (
+    ideals_by_unions,
+    is_ideal_by_products,
+    principal_ideal_by_products,
+    principal_ideals_by_products,
+    sxs_by_products,
+)
 from test_core_oracles import generator_sets
 
 
@@ -39,6 +46,11 @@ def assert_ideals_match(s):
     for x in order_ideals(lattice):
         if is_invariant_order_ideal(s, x):
             assert ideal_generated(s, x) == sxs_by_products(s, x), sorted(x)
+    # J = D: one distinct principal ideal per D-class, from its least idempotent
+    reps = d_class_idempotents(s)
+    by_class = [principal_ideal(s, e) for e in reps]
+    assert len(set(by_class)) == len(reps)
+    assert set(by_class) == principal_ideals_by_products(s)
     ideals = enumerate_ideals(s)
     assert {i.elements for i in ideals} == ideals_by_unions(s)
     assert _ideal_round_trip_failure(s, ideals) is None

@@ -2,11 +2,12 @@ import itertools
 
 import pytest
 
-from isgw.core import from_tables
+from isgw.core import PartialBijection, from_partial_bijections, from_tables
 from isgw.corpus import builtin_corpus
 from isgw.errors import DomainViolation
 from isgw.ideals_filters import (
     beta_act,
+    d_class_idempotents,
     enumerate_ideals,
     filter_space,
     hull,
@@ -18,12 +19,12 @@ from isgw.ideals_filters import (
     principal_ideal,
     s_level_saturated,
     saturate,
-    saturated_ideal_generated,
 )
 from isgw.semilattice import Semilattice
 from isgw.util import subsets
 
 from conftest import make_chain
+from oracles import saturated_ideal_generated
 
 
 @pytest.fixture(scope="module")
@@ -228,3 +229,40 @@ def test_finite_cover_witnesses(i2, i2n):
     full = frozenset(i2.idempotents)
     assert set(covers[full]) == {i2n["E11"], i2n["E22"]}
     assert covers[frozenset({i2n["0"]})] == ()
+
+
+def symmetric_inverse_monoid(n):
+    """I_n from the transposition (0 1), the n-cycle and the partial
+    identity that misses point n-1."""
+    swap = (1, 0) + tuple(range(2, n))
+    cycle = tuple((x + 1) % n for x in range(n))
+    partial = tuple(range(n - 1)) + (None,)
+    return from_partial_bijections([PartialBijection(n, g) for g in (swap, cycle, partial)])
+
+
+@pytest.mark.parametrize("n, sizes", [(2, [1, 5, 7]), (3, [1, 10, 28, 34]),
+                                      (4, [1, 17, 89, 185, 209])])
+def test_ideals_of_symmetric_inverse_monoids_are_the_rank_ideals(n, sizes):
+    """I_n has one D-class per rank 0..n, and its ideals are the n + 1 rank
+    ideals, a chain; the one of rank <= k has sum_{j<=k} C(n,j)^2 j!
+    elements (Lawson, *Inverse Semigroups*, 1998)."""
+    s = symmetric_inverse_monoid(n)
+    assert len(d_class_idempotents(s)) == n + 1
+    ideals = [i.elements for i in enumerate_ideals(s)]
+    assert [len(i) for i in ideals] == sizes
+    assert all(a < b for a, b in zip(ideals, ideals[1:]))
+
+
+def test_brandt_b3_is_0_simple():
+    """B3, the 3 x 3 matrix units with zero, is 0-simple: two D-classes and
+    exactly the ideals {0} and B3."""
+    units = []
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        image = [None] * 3
+        image[j] = i
+        units.append(PartialBijection(3, tuple(image)))
+    s = from_partial_bijections(units)
+    assert s.n == 10
+    assert len(d_class_idempotents(s)) == 2
+    assert [i.elements for i in enumerate_ideals(s)] == [frozenset({s.zero}),
+                                                        frozenset(s.elements())]

@@ -13,6 +13,7 @@ from isgw.core import InverseSemigroup, from_tables, per_semigroup
 from isgw.errors import TooLarge
 from isgw.groupoid import build_groupoids, condition_K
 from isgw.relations import centralizer, h_and_mu
+from isgw.semilattice import Semilattice, has_trapping_condition
 from test_cli import I2_DOC
 
 
@@ -25,9 +26,15 @@ def rees_quotient_by_an_ideal(s):
     return cg.rees_quotient(s, ifl.principal_ideal(s, 2))
 
 
+def trapping_on_the_idempotents(s):
+    """Each call builds its own Semilattice view, equal to the last one."""
+    return has_trapping_condition(Semilattice.from_semigroup(s))
+
+
 CACHED = [InverseSemigroup.order, h_and_mu, centralizer, double_arrow, condition_L,
-          congruence_lattice, ifl.enumerate_ideals, build_groupoids, condition_K,
-          quotient_by_an_ideal, rees_quotient_by_an_ideal]
+          congruence_lattice, ifl.enumerate_ideals, ifl.d_class_idempotents,
+          build_groupoids, condition_K, quotient_by_an_ideal, rees_quotient_by_an_ideal,
+          trapping_on_the_idempotents]
 
 
 @pytest.mark.parametrize("fn", CACHED)
@@ -41,6 +48,38 @@ def test_equal_congruences_share_one_quotient(i2, i2n):
     rho = cg.rees_congruence(i2, set(ideal))
     assert rho is not cg.rees_congruence(i2, ideal)
     assert cg.rees_quotient(i2, ideal) is cg.quotient(i2, rho)
+
+
+def test_callers_share_one_trapping_scan():
+    s = make_i2()
+    trapping = trapping_on_the_idempotents(s)
+    assert condition_K(s).trapping is trapping
+    assert ifl.invariant_subsets(s).trapping is trapping
+    with pytest.raises(TypeError):
+        trapping.witness[(0, 0)] = None
+    sub = Semilattice(s, s.idempotents[:2], s.zero)
+    assert has_trapping_condition(sub) is not trapping
+
+
+def test_analyze_builds_no_table_twice(tmp_path, monkeypatch, capsys):
+    """``analyze semigroup`` validates the input once and each distinct
+    quotient once; the Rees quotient by {0} and any collapse by an equality
+    are the input itself."""
+    expected = make_i2().mul
+    tables = []
+    original = InverseSemigroup._validate
+
+    def recording(self):
+        tables.append(self.mul)
+        return original(self)
+
+    monkeypatch.setattr(InverseSemigroup, "_validate", recording)
+    path = tmp_path / "i2.json"
+    path.write_text(json.dumps(I2_DOC))
+    assert cli.main(["analyze", "semigroup", str(path), "--json"]) == 0
+    capsys.readouterr()
+    assert tables[0] == expected
+    assert len(set(tables)) == len(tables)
 
 
 def test_a_call_that_raises_stores_nothing():
@@ -103,10 +142,13 @@ def test_enumerate_ideals_returns_a_tuple(i2):
 
 
 def test_analyze_forms_each_principal_ideal_once(tmp_path, monkeypatch, capsys):
+    """One principal ideal per D-class: I2 has three, of ranks 0, 1 and 2,
+    each formed from an idempotent."""
     calls = []
     original = ifl.principal_ideal
 
     def counting(s, a):
+        assert s.is_idempotent(a)
         calls.append(a)
         return original(s, a)
 
@@ -115,7 +157,7 @@ def test_analyze_forms_each_principal_ideal_once(tmp_path, monkeypatch, capsys):
     path.write_text(json.dumps(I2_DOC))
     assert cli.main(["analyze", "semigroup", str(path), "--json"]) == 0
     capsys.readouterr()
-    assert sorted(calls) == list(range(7))
+    assert len(calls) == len(set(calls)) == 3
 
 
 def test_enumeration_bound_is_checked_before_the_cache(i2):

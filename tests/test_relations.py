@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from isgw.congruences import rees_quotient
+from isgw.core import from_partial_bijections
+from isgw.corpus import builtin_corpus
 from isgw.errors import NotHomomorphism
 from isgw.relations import (
     SemigroupHomomorphism,
@@ -10,6 +13,9 @@ from isgw.relations import (
     h_and_mu,
     injectivity_criteria,
 )
+
+from oracles import mu_by_conjugation
+from test_core_oracles import generator_sets
 
 
 def test_i2_h_and_mu(i2, i2n):
@@ -39,6 +45,20 @@ def mu_oracle(s, a, b):
         s.product(s.product(a, e), s.star(a)) == s.product(s.product(b, e), s.star(b))
         for e in s.idempotents
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_sets())
+def test_mu_matches_conjugation_oracle_on_random_closures(gens):
+    s = from_partial_bijections(gens)
+    assert h_and_mu(s).mu.classes == mu_by_conjugation(s)
+
+
+def test_mu_matches_conjugation_oracle_on_builtin_corpus():
+    for inst in builtin_corpus():
+        if inst.kind == "semigroup":
+            s = inst.semigroup
+            assert h_and_mu(s).mu.classes == mu_by_conjugation(s), inst.uid
 
 
 @pytest.mark.parametrize("maker", ["i2", "e4", "z2z"])
