@@ -3,19 +3,29 @@ the conjugation action on filters, and the hull/kernel correspondence.
 
 For a finite semilattice every filter is the up-set of its minimum, so
 filters are carried around as their minimum element; all the set-level
-operations reduce to order lookups.
+operations reduce to mask tests on the bitset view of E
+(``semilattice.order_masks``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .core import InverseSemigroup, cayley_graphs, per_semigroup
 from .errors import CapExceeded, DomainViolation, InternalContract
-from .semilattice import Semilattice, is_cover, has_trapping_condition, atoms
+from .semilattice import (
+    OrderMasks,
+    Semilattice,
+    atoms,
+    has_trapping_condition,
+    order_masks,
+    positions,
+)
 from .util import Decision, UnionFind, downsets, group_by, subsets
 
 MAX_ORBITS = 16
+MAX_ORDER_IDEALS = 1 << 20
 
 
 # -- order ideals of E --------------------------------------------------------
@@ -28,38 +38,74 @@ class IdealOfS:
     is_zero_only: bool
 
 
-def order_ideals(lattice: Semilattice, cap: int = 1 << 20) -> list:
-    """All nonempty downward-closed subsets of the carrier (each contains 0)."""
-    out = [x | {lattice.zero} for x in downsets(list(lattice.nonzero()), lattice.leq, cap=cap)]
-    return sorted({frozenset(x) for x in out}, key=lambda x: (len(x), tuple(sorted(x))))
+def order_ideals(lattice: Semilattice) -> tuple:
+    """All nonempty downward-closed subsets of the carrier (each contains
+    0), smallest first; enumerated once per semigroup and carrier."""
+    return _order_ideals(lattice.parent, lattice.elements, lattice.zero)
+
+
+@per_semigroup
+def _order_ideals(s: InverseSemigroup, elements: tuple, zero: int) -> tuple:
+    view = order_masks(Semilattice(s, elements, zero))
+    ideals = [view.zero]
+    # fewer elements below first, so everything strictly below an element
+    # has been decided when it is reached
+    for i in sorted(range(len(view.elements)), key=lambda i: view.down[i].bit_count()):
+        b = 1 << i
+        if b == view.zero:
+            continue
+        strict = view.down[i] ^ b
+        ideals += [m | b for m in ideals if not strict & ~m]
+        if len(ideals) > MAX_ORDER_IDEALS:
+            raise CapExceeded(f"more than {MAX_ORDER_IDEALS} downsets")
+    ordered = sorted((view.members(m) for m in ideals), key=lambda x: (len(x), x))
+    return tuple(frozenset(x) for x in ordered)
 
 
 def is_invariant_order_ideal(s: InverseSemigroup, x: frozenset) -> bool:
-    for a in s.elements():
-        if s.product(a, s.star(a)) in x and s.product(s.star(a), a) not in x:
-            return False
-    return True
+    """X is invariant when a*a lies in X whenever aa* does: for each e in X,
+    the mask of the a*a with aa* = e lies inside X, |X| mask tests."""
+    members = order_masks(Semilattice.from_semigroup(s)).mask(x)
+    domains = _domains_over_ranges(s)
+    return all(not domains[e] & ~members for e in x)
 
 
-def saturate(lattice: Semilattice, x) -> frozenset:
-    """Least saturated order ideal containing x: keep adding every element
-    whose down-set is covered from inside x."""
-    current = set(x) | {lattice.zero}
+@per_semigroup
+def _domains_over_ranges(s: InverseSemigroup) -> MappingProxyType:
+    """Each idempotent e mapped to the mask of the a*a with aa* = e, over
+    the bitset view of E(S): O(n) lookups."""
+    position = order_masks(Semilattice.from_semigroup(s)).position
+    out = dict.fromkeys(s.idempotents, 0)
+    for a, b in enumerate(s.inv):
+        out[s.mul[a][b]] |= 1 << position[s.mul[b][a]]
+    return MappingProxyType(out)
+
+
+def _saturated_mask(view: OrderMasks, current: int) -> int:
+    """Least saturated order ideal over a mask: keep adding every element
+    whose down-set is covered from inside the mask."""
+    current |= view.zero
     changed = True
     while changed:
         changed = False
-        for e in lattice.nonzero():
-            if e in current:
-                continue
-            members = [c for c in lattice.below(e) if c in current and c != lattice.zero]
-            if members and is_cover(lattice, e, members, require_below=True).value:
-                current.add(e)
+        for i, down in enumerate(view.down):
+            b = 1 << i
+            if not current & b and view.covers(i, current & down):
+                current |= b
                 changed = True
-    return frozenset(current)
+    return current
+
+
+def saturate(lattice: Semilattice, x) -> frozenset:
+    """Least saturated order ideal containing x."""
+    view = order_masks(lattice)
+    return frozenset(view.members(_saturated_mask(view, view.mask(x))))
 
 
 def is_saturated_order_ideal(lattice: Semilattice, x: frozenset) -> bool:
-    return saturate(lattice, x) == frozenset(x) | {lattice.zero}
+    view = order_masks(lattice)
+    members = view.mask(x) | view.zero
+    return _saturated_mask(view, members) == members
 
 
 # -- ideals of S --------------------------------------------------------------
@@ -203,24 +249,20 @@ class FilterSpace:
 
     def basic_set(self, e: int, excluded=()) -> tuple:
         """Filter minima for: e in F while none of the excluded elements is."""
-        out = []
-        for m in self.mins:
-            if self.lattice.leq(m, e) and not any(self.lattice.leq(m, x) for x in excluded):
-                out.append(m)
-        return tuple(out)
+        view = order_masks(self.lattice)
+        allowed = view.down[view.index(e)] & ~view.zero
+        for x in excluded:
+            allowed &= ~view.down[view.index(x)]
+        return view.members(allowed)
 
     def tight_basic_set(self, e: int, excluded=()) -> tuple:
         return tuple(m for m in self.basic_set(e, excluded) if m in self.tight)
 
 
-def _is_ultra(lattice: Semilattice, m: int) -> bool:
-    members = [e for e in lattice.elements if lattice.leq(m, e)]
-    for f in lattice.nonzero():
-        if lattice.leq(m, f):
-            continue
-        if all(lattice.meet(f, e) != lattice.zero for e in members):
-            return False
-    return True
+def _is_ultra(view: OrderMasks, i: int) -> bool:
+    """No nonzero f outside the filter up[i] meets every member of it."""
+    members = view.up[i]
+    return all(members & ~view.meets[f] for f in positions(view.full & ~members & ~view.zero))
 
 
 def filter_space(lattice: Semilattice) -> FilterSpace:
@@ -229,17 +271,19 @@ def filter_space(lattice: Semilattice) -> FilterSpace:
     and a finite space is discrete, so they are the ultrafilters.  The
     verify check ``tight_equals_ultra_equals_atoms`` compares both with the
     filters that no cover avoids and with the atom filters."""
+    view = order_masks(lattice)
     mins = tuple(sorted(lattice.nonzero()))
-    ultra = frozenset(m for m in mins if _is_ultra(lattice, m))
+    ultra = frozenset(m for m in mins if _is_ultra(view, view.position[m]))
     return FilterSpace(lattice, mins, ultra, ultra)
 
 
 def hull(lattice: Semilattice, x) -> tuple:
-    """Minima of the filters disjoint from x."""
-    members = frozenset(x)
-    space_mins = sorted(lattice.nonzero())
-    return tuple(m for m in space_mins
-                 if not any(lattice.leq(m, e) for e in members))
+    """Minima of the filters disjoint from x: the nonzero m with
+    up[m] & X == 0, ascending."""
+    view = order_masks(lattice)
+    members = view.mask(x)
+    return tuple(m for m, up in zip(view.elements, view.up)
+                 if not up & members and m != lattice.zero)
 
 
 def hull_tight(space: FilterSpace, x) -> tuple:
@@ -247,36 +291,28 @@ def hull_tight(space: FilterSpace, x) -> tuple:
 
 
 def kernel(lattice: Semilattice, filter_mins) -> frozenset:
-    """Idempotents missed by every filter in the family; always an order ideal."""
-    ker = frozenset(
-        e for e in lattice.elements
-        if not any(lattice.leq(m, e) for m in filter_mins)
-    )
-    for e in ker:
-        for f in lattice.elements:
-            if lattice.leq(f, e) and f not in ker:
-                raise InternalContract("kernel failed to be downward closed")
-    return ker
+    """Idempotents missed by every filter in the family: the carrier minus
+    the OR of up[m] over the family; always an order ideal."""
+    view = order_masks(lattice)
+    hit = 0
+    for m in filter_mins:
+        hit |= view.up[view.index(m)]
+    ker = view.full & ~hit
+    if any(view.down[e] & ~ker for e in positions(ker)):
+        raise InternalContract("kernel failed to be downward closed")
+    return frozenset(view.members(ker))
 
 
 def beta_act(s: InverseSemigroup, a: int, filter_min: int) -> int:
-    """Image minimum of the filter under conjugation by a; the domain
-    constraint a*a in F is enforced."""
+    """Image minimum a m a* of the filter with minimum m under conjugation
+    by a; the domain constraint a*a in F is enforced.  The verify check
+    ``conjugation_action_is_invertible`` compares the up-closure of a F a*
+    with the up-set of the image."""
     m = filter_min
     dom = s.product(s.star(a), a)
     if not s.leq(m, dom):
         raise DomainViolation("filter does not contain a*a")
-    new_min = s.product(s.product(a, m), s.star(a))
-    if new_min == s.zero:
-        raise InternalContract("conjugated filter minimum vanished")
-    # sanity: the up-closure of a F a* is exactly the up-set of the new minimum
-    image = {s.product(s.product(a, f), s.star(a))
-             for f in s.idempotents if s.leq(m, f)}
-    closure = {e for e in s.idempotents if any(s.leq(i, e) for i in image)}
-    expected = {e for e in s.idempotents if s.leq(new_min, e)}
-    if closure != expected:
-        raise InternalContract("conjugated filter is not the predicted up-set")
-    return new_min
+    return s.product(s.product(a, m), s.star(a))
 
 
 # -- invariant subsets of the filter spaces ----------------------------------

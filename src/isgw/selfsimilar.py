@@ -291,6 +291,25 @@ ZERO = "0"
 
 
 @dataclass(frozen=True)
+class PathTables:
+    """The paths of a model as integer ids, with every table a triple
+    product reads: ``strip[(p, q)]`` is the tail t of q = p t and
+    ``concat[(p, t)]`` is q, for every split of a path q of the model (so a
+    composable pair missing from ``concat`` is longer than the depth);
+    ``act[g][p]`` is the image id and cocycle of g on p; ``triples[i]`` is
+    the (alpha, g, beta) id triple of element i, and ``index`` its inverse."""
+
+    src: tuple  # path id -> source vertex
+    rng: tuple  # path id -> range vertex
+    length: tuple
+    strip: dict
+    concat: dict
+    act: tuple
+    triples: tuple
+    index: dict
+
+
+@dataclass(frozen=True)
 class TruncatedActionSemigroup:
     """Triples with both path lengths bounded by the depth, plus zero; exact
     when the graph is acyclic and shallow enough."""
@@ -304,17 +323,86 @@ class TruncatedActionSemigroup:
     def _index(self) -> dict:
         return {x: i for i, x in enumerate(self.elements)}
 
+    @functools.cached_property
+    def _tables(self) -> PathTables:
+        """The tables of the model, built once: O(|paths| * depth) splits
+        and |G| * |paths| calls of ``act_on_path``."""
+        action, graph = self.action, self.action.graph
+        paths = paths_up_to(graph, self.depth)
+        ids = {(p.edges, p.src): k for k, p in enumerate(paths)}
+        strip, concat = {}, {}
+        for k, p in enumerate(paths):
+            for cut in range(p.length + 1):
+                head_src = graph.edges[p.edges[cut - 1]].src if cut else p.rng
+                head = ids[(p.edges[:cut], head_src)]
+                tail = ids[(p.edges[cut:], p.src)]
+                strip[(head, k)] = tail
+                concat[(head, tail)] = k
+        act = []
+        for g in range(action.group.size):
+            row = []
+            for p in paths:
+                image, cocycle = act_on_path(action, g, p)
+                image_id = ids.get((image.edges, image.src))
+                if image_id is None:
+                    raise InternalContract("the path action left the paths of the model")
+                row.append((image_id, cocycle))
+            act.append(tuple(row))
+        triples = [None] + [(ids[(t.alpha.edges, t.alpha.src)], t.g,
+                             ids[(t.beta.edges, t.beta.src)]) for t in self.elements[1:]]
+        return PathTables(
+            src=tuple(p.src for p in paths),
+            rng=tuple(p.rng for p in paths),
+            length=tuple(p.length for p in paths),
+            strip=strip,
+            concat=concat,
+            act=tuple(act),
+            triples=tuple(triples),
+            index={x: i for i, x in enumerate(triples) if i},
+        )
+
+    def _join(self, p: int, q: int) -> int:
+        """Id of the path p q; raises Overflow when it is longer than the
+        depth."""
+        tab = self._tables
+        out = tab.concat.get((p, q))
+        if out is None:
+            if tab.src[p] != tab.rng[q]:
+                raise ParseError("paths do not compose")
+            raise Overflow(f"product path length {tab.length[p] + tab.length[q]} "
+                           f"> depth {self.depth}")
+        return out
+
     def product(self, i: int, j: int) -> int:
+        """The product of elements i and j by table lookups; the same
+        product as ``triple_multiply``."""
         if i == 0 or j == 0:
             return 0
-        out = triple_multiply(self.action, self.elements[i], self.elements[j],
-                              depth=self.depth)
-        return 0 if out is None else self._index[out]
+        tab = self._tables
+        grp = self.action.group
+        alpha, g, beta = tab.triples[i]
+        gamma, h, nu = tab.triples[j]
+        tail = tab.strip.get((beta, gamma))
+        if tail is not None:  # gamma = beta tail
+            image, cocycle = tab.act[g][tail]
+            alpha, g, beta = self._join(alpha, image), grp.mul[cocycle][h], nu
+        else:
+            tail = tab.strip.get((gamma, beta))
+            if tail is None:
+                return 0
+            # beta = gamma tail
+            image, cocycle = tab.act[grp.inv[h]][tail]
+            beta, g = self._join(nu, image), grp.mul[g][grp.inv[cocycle]]
+        if tab.src[alpha] != self.action.act_vertex(g, tab.src[beta]):
+            raise InternalContract("triple product broke the membership condition")
+        return tab.index[(alpha, g, beta)]
 
     def involution(self, i: int) -> int:
         if i == 0:
             return 0
-        return self._index[triple_inverse(self.action, self.elements[i])]
+        tab = self._tables
+        alpha, g, beta = tab.triples[i]
+        return tab.index[(beta, self.action.group.inverse(g), alpha)]
 
     def to_inverse_semigroup(self) -> InverseSemigroup:
         """The exact model as a semigroup, built once per model."""
@@ -328,18 +416,18 @@ class TruncatedActionSemigroup:
                 "products are not total")
         # (alpha, g, beta)(gamma, h, nu) is zero unless one of beta and gamma
         # is a prefix of the other, so only those pairs are multiplied
-        elements = self.elements
-        n = len(elements)
+        tab = self._tables
+        n = len(self.elements)
         by_alpha = {}
         for j in range(1, n):
-            by_alpha.setdefault(elements[j].alpha, []).append(j)
+            by_alpha.setdefault(tab.triples[j][0], []).append(j)
         partners = {}
         mul = [[0] * n for _ in range(n)]
         for i in range(1, n):
-            beta = elements[i].beta
+            beta = tab.triples[i][2]
             if beta not in partners:
                 partners[beta] = [j for gamma, js in by_alpha.items()
-                                  if gamma.has_prefix(beta) or beta.has_prefix(gamma)
+                                  if (beta, gamma) in tab.strip or (gamma, beta) in tab.strip
                                   for j in js]
             row = mul[i]
             for j in partners[beta]:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .core import InverseSemigroup, per_semigroup
+from .errors import DomainViolation
 from .util import Decision
 
 # Subset searches for minimal covers stay exact below this candidate count.
@@ -58,6 +59,87 @@ class Semilattice:
 
     def label(self, e: int) -> str:
         return self.parent.labels[e]
+
+
+@dataclass(frozen=True)
+class OrderMasks:
+    """The order of a carrier as int bitsets: bit i stands for
+    ``elements[i]``, ascending.  For each i, ``up[i]`` is the mask of the
+    f >= elements[i], ``down[i]`` of the f <= elements[i], and ``meets[i]``
+    of the c with elements[i] * c != 0."""
+
+    elements: tuple
+    position: MappingProxyType  # element -> its bit position
+    up: tuple
+    down: tuple
+    meets: tuple
+    zero: int  # the bit of the zero
+
+    @property
+    def full(self) -> int:
+        return (1 << len(self.elements)) - 1
+
+    def index(self, e: int) -> int:
+        try:
+            return self.position[e]
+        except KeyError:
+            raise DomainViolation(f"{e} is not in the carrier") from None
+
+    def mask(self, xs) -> int:
+        position = self.position
+        out = 0
+        try:
+            for x in xs:
+                out |= 1 << position[x]
+        except KeyError as exc:
+            raise DomainViolation(f"{exc.args[0]} is not in the carrier") from None
+        return out
+
+    def members(self, mask: int) -> tuple:
+        """The elements of a mask, ascending."""
+        return tuple(map(self.elements.__getitem__, positions(mask)))
+
+    def covers(self, i: int, members: int) -> bool:
+        """Every nonzero x <= elements[i] meets some member."""
+        return all(self.meets[x] & members for x in positions(self.down[i] & ~self.zero))
+
+
+def positions(mask: int):
+    """The set bits of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def order_masks(lattice: Semilattice) -> OrderMasks:
+    """The bitset view of a carrier, built once per semigroup and carrier
+    (``per_semigroup`` on the parent) from the table rows: O(|E|^2)
+    lookups."""
+    return _order_masks(lattice.parent, lattice.elements, lattice.zero)
+
+
+@per_semigroup
+def _order_masks(s: InverseSemigroup, elements: tuple, zero: int) -> OrderMasks:
+    elements = tuple(sorted(elements))
+    up, down, meets = [], [], []
+    for e in elements:
+        row = s.mul[e]
+        u = d = m = 0
+        for j, f in enumerate(elements):
+            ef = row[f]
+            if ef == e:
+                u |= 1 << j
+            if ef == f:
+                d |= 1 << j
+            if ef != zero:
+                m |= 1 << j
+        up.append(u)
+        down.append(d)
+        meets.append(m)
+    position = {e: i for i, e in enumerate(elements)}
+    return OrderMasks(elements, MappingProxyType(position), tuple(up), tuple(down),
+                      tuple(meets), 1 << position[zero])
 
 
 @dataclass(frozen=True)

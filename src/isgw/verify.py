@@ -32,7 +32,7 @@ from .groupoid import (
     weakly_fixed_criterion,
 )
 from .report import Report, TheoremEntry
-from .semilattice import Semilattice, atoms, is_0_disjunctive, is_cover
+from .semilattice import Semilattice, atoms, is_0_disjunctive, is_cover, order_masks, positions
 from .util import subsets
 
 ENUM_BOUND = 8
@@ -133,12 +133,11 @@ def check_mu_properties(s: InverseSemigroup) -> list:
 def _tight_by_covers(lattice: Semilattice, m: int) -> bool:
     """The filter with minimum m is tight: no cover of a member of the filter
     avoids it."""
-    for e in lattice.elements:
-        if not lattice.leq(m, e):
-            continue
-        outside = [x for x in lattice.below(e)
-                   if x != lattice.zero and not lattice.leq(m, x)]
-        if outside and is_cover(lattice, e, outside, require_below=True).value:
+    view = order_masks(lattice)
+    members = view.up[view.index(m)]
+    for e in positions(members):
+        outside = view.down[e] & ~view.zero & ~members
+        if outside and view.covers(e, outside):
             return False
     return True
 
@@ -263,21 +262,25 @@ def check_ideal_correspondence(s: InverseSemigroup) -> list:
 
 
 def check_beta_action(s: InverseSemigroup) -> list:
+    """Conjugation by a carries the filter F with minimum m onto the up-set
+    of the image minimum (the up-closure of a F a*), and conjugation by a*
+    carries it back."""
+    view = order_masks(Semilattice.from_semigroup(s))
+    up, position = view.up, view.position
     mins = [e for e in s.idempotents if e != s.zero]
-    ok = True
-    witness = None
     for a in s.elements():
-        dom = s.product(s.star(a), a)
+        a_star = s.star(a)
+        dom = s.product(a_star, a)
         for m in mins:
             if not s.leq(m, dom):
                 continue
             image = ifl.beta_act(s, a, m)
-            back = ifl.beta_act(s, s.star(a), image)
-            if back != m:
-                ok = False
-                witness = (a, m)
-                break
-    return [_entry("conjugation_action_is_invertible", ok, witness)]
+            closure = 0
+            for f in view.members(up[position[m]]):
+                closure |= up[position[s.product(s.product(a, f), a_star)]]
+            if closure != up[position[image]] or ifl.beta_act(s, a_star, image) != m:
+                return [_entry("conjugation_action_is_invertible", False, (a, m))]
+    return [_entry("conjugation_action_is_invertible", True)]
 
 
 def check_structure_theorems(s: InverseSemigroup) -> list:
@@ -641,18 +644,19 @@ def _rees_quotient_matches(a, truncated, q, sub_action, sub_trunc, sub_s, v_set)
     """The projection that kills triples entering the vertex set implements an
     isomorphism between the Rees quotient and the quotient-action semigroup."""
     elements = truncated.elements
-    sub_elements = sub_trunc.elements
+    index_of = {e.eid: i for i, e in enumerate(sub_action.graph.edges)}
+
+    def _transplant(path):
+        """The path over the quotient graph (edge ids are stable)."""
+        eids = (path.graph.edges[i].eid for i in path.edges)
+        return GraphPath(sub_action.graph, tuple(index_of[x] for x in eids), path.src)
 
     def project(i: int) -> int:
         if i == 0 or elements[i].alpha.src in v_set:
             return 0
         t = elements[i]
-        target = ss.SSTriple(
-            _transplant(sub_action.graph, t.alpha),
-            t.g,
-            _transplant(sub_action.graph, t.beta),
-        )
-        return sub_elements.index(target)
+        target = ss.SSTriple(_transplant(t.alpha), t.g, _transplant(t.beta))
+        return sub_trunc._index[target]
 
     mapping = {}
     for i in range(len(elements)):
@@ -670,13 +674,6 @@ def _rees_quotient_matches(a, truncated, q, sub_action, sub_trunc, sub_s, v_set)
             if mapping[q.quotient.product(x, y)] != sub_s.product(mapping[x], mapping[y]):
                 return False
     return True
-
-
-def _transplant(graph, path):
-    """Rebuild a path object over the quotient graph (edge ids are stable)."""
-    eids = [path.graph.edges[i].eid for i in path.edges]
-    index_of = {e.eid: i for i, e in enumerate(graph.edges)}
-    return GraphPath(graph, tuple(index_of[x] for x in eids), path.src)
 
 
 # -- harness ----------------------------------------------------------------------

@@ -5,10 +5,14 @@ S, and table validation with the direct scan for a second inverse
 (``isgw.core``); the path-pair product of the
 graph inverse semigroup, the condition (M) scans for graphs and for
 actions, and the mask loop over hereditary invariant vertex sets
-(``isgw.graphs``, ``isgw.selfsimilar``); principal ideals of every element,
+(``isgw.graphs``, ``isgw.selfsimilar``); the product table of a triple
+model by ``triple_multiply`` on path objects (``isgw.selfsimilar``);
+principal ideals of every element,
 SXS and the ideal test of the Rees congruence over all products, and the
 least saturated ideal over given idempotents (``isgw.ideals_filters``,
-``isgw.congruences``); mu by the conjugation of every idempotent
+``isgw.congruences``); the order ideals of E, invariance, saturation, hull,
+kernel, basic sets, ultrafilters and tight filters by ``leq`` loops instead
+of bitsets (``isgw.ideals_filters``, ``isgw.verify``); mu by the conjugation of every idempotent
 (``isgw.relations``); the double arrow by down-set intersections, the
 compatibility test over all products and the congruence closure saturated
 by all elements, and the congruence lattice by joins of whole congruences
@@ -25,10 +29,10 @@ from isgw.congruences import congruence_closure, equality_congruence, make_congr
 from isgw.core import PartialBijection, from_tables
 from isgw.errors import NotAssociative, NotInverse, Overflow
 from isgw.graphs import _reachable_from, is_hereditary, paths_up_to
-from isgw.ideals_filters import ideal_generated, ideal_trace, saturate
-from isgw.selfsimilar import g_independent_edges, vertex_orbits
+from isgw.ideals_filters import ideal_generated, ideal_trace
+from isgw.selfsimilar import g_independent_edges, triple_multiply, vertex_orbits
 from isgw.semilattice import MINIMAL_COVER_SEARCH_LIMIT, Semilattice, is_cover
-from isgw.util import UnionFind, group_by
+from isgw.util import UnionFind, downsets, group_by
 
 
 def all_pairs_closure(generators, labels=None):
@@ -158,6 +162,29 @@ def graph_pair_semigroup(g, depth):
     return mul, inv, labels
 
 
+def triple_table_by_objects(truncated):
+    """Rows of the product table of a triple model, every entry by
+    ``triple_multiply`` on the triple objects: an element index, 0 for
+    zero, or None where the product needs a path longer than the depth."""
+    elements = truncated.elements
+    index = {x: i for i, x in enumerate(elements)}
+    rows = []
+    for i, t1 in enumerate(elements):
+        row = []
+        for j, t2 in enumerate(elements):
+            if i == 0 or j == 0:
+                row.append(0)
+                continue
+            try:
+                out = triple_multiply(truncated.action, t1, t2, depth=truncated.depth)
+            except Overflow:
+                row.append(None)
+                continue
+            row.append(0 if out is None else index[out])
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def _condition_m_scan(graph, edge_ids, starts_of):
     for eid in edge_ids:
         i = next(k for k, e in enumerate(graph.edges) if e.eid == eid)
@@ -237,11 +264,86 @@ def saturated_ideal_generated(s, seed):
     while True:
         members = ideal_generated(s, x)
         trace = ideal_trace(s, members)
-        x2 = saturate(lattice, trace)
+        x2 = saturate_by_leq(lattice, trace)
         if x2 == trace:
-            assert saturate(lattice, x2) == x2, "saturation failed to be idempotent"
+            assert saturate_by_leq(lattice, x2) == x2, "saturation failed to be idempotent"
             return members
         x = x2
+
+
+# -- the idempotent semilattice by leq loops ----------------------------------
+
+def order_ideals_by_leq(lattice):
+    """All nonempty downward-closed subsets of the carrier (each contains
+    0), smallest first, by the downset recursion over ``leq``."""
+    out = [x | {lattice.zero} for x in downsets(list(lattice.nonzero()), lattice.leq)]
+    return sorted({frozenset(x) for x in out}, key=lambda x: (len(x), tuple(sorted(x))))
+
+
+def is_invariant_order_ideal_by_products(s, x):
+    """aa* in X forces a*a in X, over every element a."""
+    for a in s.elements():
+        if s.product(a, s.star(a)) in x and s.product(s.star(a), a) not in x:
+            return False
+    return True
+
+
+def saturate_by_leq(lattice, x):
+    """Least saturated order ideal containing x: keep adding every element
+    whose down-set is covered from inside the set, by ``is_cover`` calls."""
+    current = set(x) | {lattice.zero}
+    changed = True
+    while changed:
+        changed = False
+        for e in lattice.nonzero():
+            if e in current:
+                continue
+            members = [c for c in lattice.below(e) if c in current and c != lattice.zero]
+            if members and is_cover(lattice, e, members, require_below=True).value:
+                current.add(e)
+                changed = True
+    return frozenset(current)
+
+
+def hull_by_leq(lattice, x):
+    """Minima of the filters disjoint from x, ascending."""
+    return tuple(m for m in sorted(lattice.nonzero())
+                 if not any(lattice.leq(m, e) for e in x))
+
+
+def kernel_by_leq(lattice, filter_mins):
+    """Idempotents missed by every filter in the family."""
+    return frozenset(e for e in lattice.elements
+                     if not any(lattice.leq(m, e) for m in filter_mins))
+
+
+def basic_set_by_leq(lattice, e, excluded=()):
+    """Filter minima m with m <= e and m <= x for no excluded x."""
+    return tuple(m for m in sorted(lattice.nonzero())
+                 if lattice.leq(m, e) and not any(lattice.leq(m, x) for x in excluded))
+
+
+def is_ultra_by_leq(lattice, m):
+    """No nonzero f outside the filter of m meets every member of it."""
+    members = [e for e in lattice.elements if lattice.leq(m, e)]
+    for f in lattice.nonzero():
+        if lattice.leq(m, f):
+            continue
+        if all(lattice.meet(f, e) != lattice.zero for e in members):
+            return False
+    return True
+
+
+def tight_by_is_cover(lattice, m):
+    """No cover of a member of the filter of m avoids the filter."""
+    for e in lattice.elements:
+        if not lattice.leq(m, e):
+            continue
+        outside = [x for x in lattice.below(e)
+                   if x != lattice.zero and not lattice.leq(m, x)]
+        if outside and is_cover(lattice, e, outside, require_below=True).value:
+            return False
+    return True
 
 
 def mu_by_conjugation(s):

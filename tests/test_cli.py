@@ -19,6 +19,21 @@ MIRROR_DOC = {
     "edge_action": [[0, 1], [1, 0]],
     "cocycle": [[0, 0], [1, 1]],
 }
+# Z/2 swapping each pair of parallel edges of 0 => 1 => 2, and the directed
+# path 0 -> 1 -> ... -> 5: an exact action with quotient actions, and an
+# exact graph
+SWAP_LADDER_DOC = {
+    "kind": "action",
+    "group": {"mul": [[0, 1], [1, 0]], "identity": 0, "labels": ["1", "t"]},
+    "graph": {"vertices": 3, "edges": [
+        {"id": "a", "src": 0, "rng": 1}, {"id": "b", "src": 0, "rng": 1},
+        {"id": "c", "src": 1, "rng": 2}, {"id": "d", "src": 1, "rng": 2}]},
+    "vertex_action": [[0, 1, 2], [0, 1, 2]],
+    "edge_action": [[0, 1, 2, 3], [1, 0, 3, 2]],
+    "cocycle": [[0, 0, 0, 0], [0, 0, 0, 0]],
+}
+CHAIN5_DOC = {"kind": "graph", "vertices": 6,
+              "edges": [{"id": f"e{i}", "src": i, "rng": i + 1} for i in range(5)]}
 
 
 @pytest.fixture
@@ -166,6 +181,8 @@ GOLDEN_SHA256 = {
         "b8ed75da2693c4072f35ca2c02364c3a98b135a40a56a8ef59723c1ae37458f4",
     "analyze congruences i2.json --json":
         "279014cfa3c22dad263bf8a446bd482fe0ff999a583745953075db66193feebb",
+    "verify ladder --json":
+        "d17d581b40d1ebd1c85d4067f47a77213be6995d1fdde13757ba3ec0b4c0272a",
 }
 
 
@@ -173,6 +190,9 @@ GOLDEN_SHA256 = {
 def test_golden_output(command, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "i2.json").write_text(json.dumps(I2_DOC))
+    (tmp_path / "ladder").mkdir()
+    (tmp_path / "ladder" / "SWAP-LADDER2.json").write_text(json.dumps(SWAP_LADDER_DOC))
+    (tmp_path / "ladder" / "CHAIN5.json").write_text(json.dumps(CHAIN5_DOC))
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[command]

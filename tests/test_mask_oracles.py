@@ -1,0 +1,124 @@
+"""The bitset view of E against the leq loops of tests/oracles.py: order
+ideals, invariance, saturation, hull, kernel, basic sets, ultrafilters and
+tight filters, on random closures and on the builtin corpus."""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings
+
+from isgw.core import from_partial_bijections
+from isgw.corpus import builtin_corpus
+from isgw.errors import DomainViolation
+from isgw.ideals_filters import (
+    filter_space,
+    hull,
+    is_invariant_order_ideal,
+    is_saturated_order_ideal,
+    kernel,
+    order_ideals,
+    saturate,
+)
+from isgw.semilattice import Semilattice, order_masks
+from isgw.verify import _tight_by_covers
+
+from oracles import (
+    basic_set_by_leq,
+    hull_by_leq,
+    is_invariant_order_ideal_by_products,
+    is_ultra_by_leq,
+    kernel_by_leq,
+    order_ideals_by_leq,
+    saturate_by_leq,
+    tight_by_is_cover,
+)
+from test_core_oracles import generator_sets
+
+
+def _families(items, rng, limit=64):
+    """Every subset of a small collection, or a seeded sample of them."""
+    if len(items) <= 6:
+        return [frozenset(c) for k in range(len(items) + 1)
+                for c in itertools.combinations(items, k)]
+    return [frozenset(rng.sample(items, rng.randint(0, len(items)))) for _ in range(limit)]
+
+
+def assert_carrier_matches(s, lattice):
+    rng = random.Random(len(lattice.elements))
+    ideals = order_ideals(lattice)
+    assert ideals == tuple(order_ideals_by_leq(lattice))
+    for x in ideals:
+        h = hull(lattice, x)
+        assert h == hull_by_leq(lattice, x), sorted(x)
+        assert kernel(lattice, h) == kernel_by_leq(lattice, h), sorted(x)
+        assert saturate(lattice, x) == saturate_by_leq(lattice, x), sorted(x)
+        assert is_saturated_order_ideal(lattice, x) == (saturate_by_leq(lattice, x) == x)
+    # arbitrary subsets: families of filter minima, which are rarely order ideals
+    for a in _families(sorted(lattice.nonzero()), rng):
+        assert kernel(lattice, a) == kernel_by_leq(lattice, a), sorted(a)
+        assert hull(lattice, a) == hull_by_leq(lattice, a), sorted(a)
+        assert saturate(lattice, a) == saturate_by_leq(lattice, a), sorted(a)
+    space = filter_space(lattice)
+    for e in lattice.elements:
+        for excluded in _families(list(lattice.below(e)), rng, limit=8):
+            assert space.basic_set(e, excluded) == basic_set_by_leq(lattice, e, excluded)
+    return ideals
+
+
+def assert_masks_match(s):
+    lattice = Semilattice.from_semigroup(s)
+    ideals = assert_carrier_matches(s, lattice)
+    for x in ideals:
+        assert is_invariant_order_ideal(s, x) == is_invariant_order_ideal_by_products(s, x)
+    space = filter_space(lattice)
+    for m in space.mins:
+        assert (m in space.ultra) == is_ultra_by_leq(lattice, m), m
+        assert _tight_by_covers(lattice, m) == tight_by_is_cover(lattice, m), m
+    # a carrier other than E(S): the largest proper order ideal
+    proper = [x for x in ideals if len(x) < len(lattice.elements)]
+    if proper:
+        sub = Semilattice(s, tuple(sorted(proper[-1], reverse=True)), s.zero)
+        assert_carrier_matches(s, sub)
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_sets())
+def test_masks_match_leq_oracles_on_random_closures(gens):
+    assert_masks_match(from_partial_bijections(gens))
+
+
+@pytest.fixture(scope="module")
+def corpus_semigroups():
+    return [inst.semigroup for inst in builtin_corpus() if inst.kind == "semigroup"]
+
+
+def test_masks_match_leq_oracles_on_builtin_corpus(corpus_semigroups):
+    for s in corpus_semigroups:
+        assert_masks_match(s)
+
+
+def test_order_ideals_and_masks_are_cached_per_carrier(i2):
+    lattice = Semilattice.from_semigroup(i2)
+    assert order_ideals(lattice) is order_ideals(Semilattice.from_semigroup(i2))
+    assert order_masks(lattice) is order_masks(Semilattice.from_semigroup(i2))
+    assert isinstance(order_ideals(lattice), tuple)
+
+
+def test_masks_read_the_order(e4, e4n):
+    view = order_masks(Semilattice.from_semigroup(e4))
+    bit = {name: 1 << view.index(e) for name, e in e4n.items()}
+    g = view.index(e4n["g"])
+    assert view.up[g] == bit["g"]
+    assert view.down[g] == bit["0"] | bit["f"] | bit["g"]
+    assert view.meets[g] == bit["f"] | bit["g"]  # e is orthogonal to g
+    assert view.meets[view.index(e4n["0"])] == 0
+    assert view.members(view.down[g]) == tuple(sorted((e4n["0"], e4n["f"], e4n["g"])))
+
+
+def test_elements_outside_the_carrier_are_refused(i2, i2n):
+    lattice = Semilattice.from_semigroup(i2)
+    with pytest.raises(DomainViolation):
+        hull(lattice, {i2n["X"]})  # X is not an idempotent
+    with pytest.raises(DomainViolation):
+        kernel(lattice, {i2n["E21"]})

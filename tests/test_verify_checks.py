@@ -144,3 +144,14 @@ def test_injectivity_check_names_the_homomorphism(i2, monkeypatch):
     phi_map, flags = got.counterexample
     assert phi_map == tuple(range(i2.n))  # the identity comes first
     assert flags == rel.InjectivityReport(False, True, True, True)
+
+
+def test_beta_action_check_names_the_pair_whose_image_is_not_the_up_closure(
+        i2, monkeypatch):
+    """A conjugation that fixes every filter is invertible, so only the
+    up-closure comparison can catch it."""
+    got = assert_caught(verify.check_beta_action, (i2,), "conjugation_action_is_invertible",
+                        monkeypatch, ifl, beta_act=lambda s, a, m: m)
+    a, m = got.counterexample
+    assert i2.leq(m, i2.product(i2.star(a), a))
+    assert i2.product(i2.product(a, m), i2.star(a)) != m
