@@ -68,8 +68,6 @@ def _semigroup_properties(report: Report, s) -> None:
     report.add_property("zero_disjunctive", zd.value, witness=zd.witness)
     tr = has_trapping_condition(lattice)
     report.add_property("trapping_condition", tr.value)
-    report.add_property("hausdorff", True,
-                        witness="finite: meets are finitely generated")
     report.add_property("condition_l", cg.condition_L(s))
     k = condition_K(s)
     report.add_property("condition_k", k.value)
@@ -145,12 +143,11 @@ def _ideal_properties(report: Report, s) -> None:
         for i in ideals
     ])
     space = ifl.filter_space(lattice)
-    hull_table = {}
-    for x in ifl.order_ideals(lattice):
-        if ifl.is_invariant_order_ideal(s, x):
-            hull_table["{" + ",".join(sorted(s.labels[e] for e in x)) + "}"] = \
-                sorted(s.labels[m] for m in ifl.hull(lattice, x))
-    report.add_property("hull_of_invariant_order_ideals", hull_table)
+    # the invariant order ideals of E are the traces of the ideals of S
+    report.add_property("hull_of_invariant_order_ideals", {
+        "{" + ",".join(sorted(s.labels[e] for e in i.trace)) + "}":
+        sorted(s.labels[m] for m in ifl.hull(lattice, i.trace))
+        for i in ideals})
     kernel_full = ifl.kernel(lattice, space.mins)
     report.add_property("kernel_of_full_space",
                         sorted(s.labels[e] for e in kernel_full))
@@ -190,7 +187,6 @@ def _graph_properties(report: Report, g, depth: int) -> None:
                         witness=conditions.condition_m.witness)
     report.add_property("in_degrees", {str(v): g.in_degree(v) for v in g.vertices})
     report.add_property("acyclic", g.is_acyclic())
-    report.add_property("row_finite", True, witness="finite graph")
     report.add_property("hereditary_sets",
                         [{"vertices": sorted(h.vertices), "saturated": h.saturated}
                          for h in hereditary_sets(g)])

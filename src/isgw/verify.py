@@ -27,12 +27,21 @@ from .graphs import (
 from .groupoid import (
     build_groupoids,
     condition_K,
+    effectiveness,
     germ_of,
     verify_structure_theorems,
     weakly_fixed_criterion,
 )
 from .report import Report, TheoremEntry
-from .semilattice import Semilattice, atoms, is_0_disjunctive, is_cover, order_masks, positions
+from .semilattice import (
+    Semilattice,
+    atoms,
+    has_trapping_condition,
+    is_0_disjunctive,
+    is_cover,
+    order_masks,
+    positions,
+)
 from .util import subsets
 
 ENUM_BOUND = 8
@@ -152,9 +161,22 @@ def check_hull_kernel(s: InverseSemigroup, rng: random.Random) -> list:
                           _tight_by_covers(lattice, m)}) > 1), None)
     out.append(_entry("tight_equals_ultra_equals_atoms", split is None, split))
 
-    ideals_of_e = ifl.order_ideals(lattice)
-    ok = all(ifl.kernel(lattice, ifl.hull(lattice, x)) == x for x in ideals_of_e)
-    out.append(_entry("kernel_hull_identity", ok))
+    # one pass over the order ideals X of E: kernel(hull(X)) = X; X is
+    # invariant iff hull(X) is a union of filter orbits; and each saturated
+    # invariant X is the kernel of its tight hull
+    rep = ifl.invariant_subsets(s)
+    identity_ok = True
+    transfer = correspondence = None
+    for x in ifl.order_ideals(lattice):
+        hx = frozenset(ifl.hull(lattice, x))
+        identity_ok = identity_ok and ifl.kernel(lattice, hx) == x
+        invariant = ifl.is_invariant_order_ideal(s, x)
+        if transfer is None and invariant != all(o <= hx or not o & hx for o in rep.orbits):
+            transfer = (x, hx)
+        if (correspondence is None and invariant and ifl.is_saturated_order_ideal(lattice, x)
+                and ifl.kernel(lattice, ifl.hull_tight(space, x)) != x):
+            correspondence = ("kernel_of_hull", x)
+    out.append(_entry("kernel_hull_identity", identity_ok))
 
     expansion_ok = True
     witness = None
@@ -212,12 +234,13 @@ def check_hull_kernel(s: InverseSemigroup, rng: random.Random) -> list:
     out.append(_entry("empty_tight_basic_set_iff_cover", lemma_ok, witness,
                       detail=f"samples={samples}"))
 
-    rep = ifl.invariant_subsets(s)
-    out.append(_entry("hull_invariance_transfer", rep.hull_invariance.value,
-                      rep.hull_invariance.witness))
-    hyp = rep.hypothesis
-    out.append(_entry("tight_ideal_correspondence", rep.tight_correspondence.value,
-                      rep.tight_correspondence.witness, hypothesis=hyp))
+    out.append(_entry("hull_invariance_transfer", transfer is None, transfer))
+    if correspondence is None:
+        correspondence = next(
+            (("hull_of_kernel", a) for a in rep.invariant_tight_subsets
+             if frozenset(ifl.hull_tight(space, ifl.kernel(lattice, a))) != a), None)
+    out.append(_entry("tight_ideal_correspondence", correspondence is None, correspondence,
+                      hypothesis=_trapping_hypothesis(s)))
     return out
 
 
@@ -297,15 +320,25 @@ def check_effectiveness_chain(s: InverseSemigroup) -> list:
     return out
 
 
+def _trapping_hypothesis(s: InverseSemigroup) -> str:
+    """The hypothesis tag of a statement that assumes the trapping condition
+    on E: "met", or "unmet-recorded" when E lacks it."""
+    trapping = has_trapping_condition(Semilattice.from_semigroup(s))
+    return "met" if trapping.value else "unmet-recorded"
+
+
 def check_condition_k(s: InverseSemigroup) -> list:
-    rep = condition_K(s)
-    hyp = "met" if rep.trapping.value else "unmet-recorded"
-    if rep.consistent is None:
+    """Condition (K) holds iff the tight groupoid is strongly effective, under
+    the trapping hypothesis; without it both values are recorded."""
+    values = (condition_K(s).value,
+              effectiveness(build_groupoids(s).tight).strongly_effective.value)
+    hyp = _trapping_hypothesis(s)
+    if hyp != "met":
         return [TheoremEntry("strong_effectiveness_iff_condition_k", "skipped",
                              hypothesis=hyp, detail="trapping fails; values recorded",
-                             counterexample=(rep.value, rep.strongly_effective))]
-    return [_entry("strong_effectiveness_iff_condition_k", rep.consistent,
-                   (rep.value, rep.strongly_effective), hypothesis=hyp)]
+                             counterexample=values)]
+    return [_entry("strong_effectiveness_iff_condition_k", values[0] == values[1], values,
+                   hypothesis=hyp)]
 
 
 def _all_rees(s: InverseSemigroup, bound: int) -> tuple:

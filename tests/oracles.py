@@ -12,8 +12,8 @@ SXS and the ideal test of the Rees congruence over all products, and the
 least saturated ideal over given idempotents (``isgw.ideals_filters``,
 ``isgw.congruences``); the order ideals of E, invariance, saturation, hull,
 kernel, basic sets, ultrafilters and tight filters by ``leq`` loops instead
-of bitsets (``isgw.ideals_filters``, ``isgw.verify``); mu by the conjugation of every idempotent
-(``isgw.relations``); the double arrow by down-set intersections, the
+of bitsets (``isgw.ideals_filters``, ``isgw.verify``); mu by the conjugation of every idempotent and
+the homomorphism test over all pairs of elements (``isgw.relations``); the double arrow by down-set intersections, the
 compatibility test over all products and the congruence closure saturated
 by all elements, and the congruence lattice by joins of whole congruences
 (``isgw.congruences``); the closure of a groupoid's arrows over all pairs
@@ -354,6 +354,20 @@ def mu_by_conjugation(s):
         return tuple(s.product(s.product(a, e), sa) for e in s.idempotents)
 
     return tuple(group_by(s.elements(), key))
+
+
+def is_homomorphism_by_all_pairs(source, target, m):
+    """Whether the map is a homomorphism of inverse semigroups with zero:
+    in range, m(ab) = m(a)m(b) for all n^2 pairs, m(0) = 0 and m(a*) =
+    m(a)*."""
+    if len(m) != source.n or any(not 0 <= x < target.n for x in m):
+        return False
+    elements = source.elements()
+    if any(m[source.product(a, b)] != target.product(m[a], m[b])
+           for a in elements for b in elements):
+        return False
+    return m[source.zero] == target.zero and all(
+        m[source.star(a)] == target.star(m[a]) for a in elements)
 
 
 def is_ideal_by_products(s, members):

@@ -178,9 +178,11 @@ GOLDEN_SHA256 = {
     "verify builtin --json --seed 0":
         "f1602952a339cdf6da4d66ec11572b2158f1cc29fe36cd7550a20b504af7796c",
     "analyze semigroup i2.json --json":
-        "b8ed75da2693c4072f35ca2c02364c3a98b135a40a56a8ef59723c1ae37458f4",
+        "0e0e27acc60b35333d789e963b76f819699cba3e14f21d299a38491630f140fc",
     "analyze congruences i2.json --json":
         "279014cfa3c22dad263bf8a446bd482fe0ff999a583745953075db66193feebb",
+    "analyze ideals i2.json --json":
+        "3c9460b6292cae6cda8eddfd95c9d9bcfa5623aa6a73fc03ad2b31519f5f2769",
     "verify ladder --json":
         "d17d581b40d1ebd1c85d4067f47a77213be6995d1fdde13757ba3ec0b4c0272a",
 }

@@ -14,6 +14,7 @@ from isgw.groupoid import (
     verify_structure_theorems,
     weakly_fixed_criterion,
 )
+from isgw.verify import check_condition_k
 
 from conftest import make_chain, slice_arrows
 
@@ -141,14 +142,15 @@ def test_slice_helper(i2, i2n):
 
 
 def test_condition_k(i2, z2z):
-    rep = condition_K(i2)
-    assert rep.value is True
-    assert rep.strongly_effective is True
-    assert rep.consistent is True
-    repz = condition_K(z2z)
-    assert repz.value is False
-    assert repz.strongly_effective is False
-    assert repz.consistent is True
+    """Condition (K) and strong effectiveness agree on I2 (both hold) and on
+    Z2Z (both fail); the verify check records the pair it compared."""
+    for s, holds in ((i2, True), (z2z, False)):
+        assert condition_K(s).value is holds
+        assert effectiveness(build_groupoids(s).tight).strongly_effective.value is holds
+        [entry] = check_condition_k(s)
+        assert entry.name == "strong_effectiveness_iff_condition_k"
+        assert (entry.status, entry.hypothesis) == ("pass", "met")
+        assert entry.counterexample == (holds, holds)
 
 
 def test_condition_k_zero_semigroup():

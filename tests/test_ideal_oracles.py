@@ -56,6 +56,14 @@ def assert_ideals_match(s):
     assert _ideal_round_trip_failure(s, ideals) is None
 
 
+def assert_traces_are_the_invariant_order_ideals(s):
+    """The library reads the invariant order ideals of E as the traces of
+    the ideals of S; the scan of all order ideals is the oracle."""
+    scan = [x for x in order_ideals(Semilattice.from_semigroup(s))
+            if is_invariant_order_ideal(s, x)]
+    assert {i.trace for i in enumerate_ideals(s)} == set(scan)
+
+
 def assert_rees_test_matches(s):
     """On every ideal, every ideal plus one outside element and every ideal
     minus one nonzero element."""
@@ -72,6 +80,12 @@ def assert_rees_test_matches(s):
 @given(generator_sets())
 def test_ideals_match_oracles_on_random_closures(gens):
     assert_ideals_match(from_partial_bijections(gens))
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_sets())
+def test_ideal_traces_match_invariance_scan_on_random_closures(gens):
+    assert_traces_are_the_invariant_order_ideals(from_partial_bijections(gens))
 
 
 @settings(max_examples=200, deadline=None)
@@ -93,3 +107,8 @@ def test_ideals_match_oracles_on_builtin_corpus(corpus_semigroups):
 def test_rees_test_matches_oracle_on_builtin_corpus(corpus_semigroups):
     for s in corpus_semigroups:
         assert_rees_test_matches(s)
+
+
+def test_ideal_traces_match_invariance_scan_on_builtin_corpus(corpus_semigroups):
+    for s in corpus_semigroups:
+        assert_traces_are_the_invariant_order_ideals(s)

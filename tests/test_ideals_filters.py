@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -20,8 +21,9 @@ from isgw.ideals_filters import (
     s_level_saturated,
     saturate,
 )
-from isgw.semilattice import Semilattice
+from isgw.semilattice import Semilattice, has_trapping_condition
 from isgw.util import subsets
+from isgw.verify import check_hull_kernel
 
 from conftest import make_chain
 from oracles import saturated_ideal_generated
@@ -185,9 +187,12 @@ def test_invariant_subsets_i2(i2, i2n):
     rep = invariant_subsets(i2)
     assert rep.invariant_tight_subsets == (
         frozenset(), frozenset({i2n["E11"], i2n["E22"]}))
-    assert rep.hull_invariance.value
-    assert rep.tight_correspondence.value
-    assert rep.trapping.value and rep.hypothesis == "met"
+    # the hull transfer and the tight correspondence are verify checks
+    entries = {e.name: e for e in check_hull_kernel(i2, random.Random(0))}
+    assert entries["hull_invariance_transfer"].status == "pass"
+    assert entries["tight_ideal_correspondence"].status == "pass"
+    assert has_trapping_condition(Semilattice.from_semigroup(i2)).value
+    assert entries["tight_ideal_correspondence"].hypothesis == "met"
 
 
 def test_invariant_subsets_semilattice(e4):

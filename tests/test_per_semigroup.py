@@ -1,11 +1,12 @@
 """Structures derived from S alone are computed once per semigroup."""
 
 import json
+import random
 
 import pytest
 
 from conftest import make_i2
-from isgw import cli
+from isgw import cli, verify
 from isgw import ideals_filters as ifl
 from isgw import congruences as cg
 from isgw.congruences import condition_L, congruence_lattice, double_arrow, enumerate_congruences
@@ -13,8 +14,13 @@ from isgw.core import InverseSemigroup, from_tables, per_semigroup
 from isgw.errors import TooLarge
 from isgw.groupoid import build_groupoids, condition_K
 from isgw.relations import centralizer, h_and_mu
+from isgw.report import Report
 from isgw.semilattice import Semilattice, has_trapping_condition
 from test_cli import I2_DOC
+
+# I3 from the transposition (0 1), the 3-cycle and the partial identity
+# that misses point 2
+I3_DOC = {"degree": 3, "generators": [[1, 0, 2], [1, 2, 0], [0, 1, None]]}
 
 
 def quotient_by_an_ideal(s):
@@ -50,11 +56,22 @@ def test_equal_congruences_share_one_quotient(i2, i2n):
     assert cg.rees_quotient(i2, ideal) is cg.quotient(i2, rho)
 
 
-def test_callers_share_one_trapping_scan():
+def test_callers_share_one_trapping_scan(monkeypatch):
+    """The CLI's ``trapping_condition`` property and the hypothesis of the
+    verify checks that assume trapping read the same scan."""
     s = make_i2()
     trapping = trapping_on_the_idempotents(s)
-    assert condition_K(s).trapping is trapping
-    assert ifl.invariant_subsets(s).trapping is trapping
+    seen = []
+    for module in (cli, verify):
+        def recording(lattice, module=module):
+            seen.append((module.__name__, has_trapping_condition(lattice)))
+            return seen[-1][1]
+        monkeypatch.setattr(module, "has_trapping_condition", recording)
+    cli._semigroup_properties(Report("i2"), s)
+    verify.check_condition_k(s)
+    verify.check_hull_kernel(s, random.Random(0))
+    assert {name for name, _ in seen} == {"isgw.cli", "isgw.verify"}
+    assert all(result is trapping for _, result in seen)
     with pytest.raises(TypeError):
         trapping.witness[(0, 0)] = None
     sub = Semilattice(s, s.idempotents[:2], s.zero)
@@ -158,6 +175,21 @@ def test_analyze_forms_each_principal_ideal_once(tmp_path, monkeypatch, capsys):
     assert cli.main(["analyze", "semigroup", str(path), "--json"]) == 0
     capsys.readouterr()
     assert len(calls) == len(set(calls)) == 3
+
+
+def test_analyze_ideals_tests_no_order_ideal_for_invariance(tmp_path, monkeypatch, capsys):
+    """``analyze ideals`` reads the invariant order ideals of E as the traces
+    of the ideals of S; it never scans the order ideals for them."""
+    calls = []
+    original = ifl.is_invariant_order_ideal
+    monkeypatch.setattr(ifl, "is_invariant_order_ideal",
+                        lambda s, x: calls.append(x) or original(s, x))
+    path = tmp_path / "i3.json"
+    path.write_text(json.dumps(I3_DOC))
+    assert cli.main(["analyze", "ideals", str(path), "--json"]) == 0
+    props = json.loads(capsys.readouterr().out)["properties"]
+    assert len(props["hull_of_invariant_order_ideals"]["value"]) == 4
+    assert calls == []
 
 
 def test_enumeration_bound_is_checked_before_the_cache(i2):

@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from isgw.congruences import rees_quotient
 from isgw.core import from_partial_bijections
 from isgw.corpus import builtin_corpus
 from isgw.errors import NotHomomorphism
+from isgw.ideals_filters import enumerate_ideals
 from isgw.relations import (
     SemigroupHomomorphism,
     centralizer,
@@ -14,7 +15,7 @@ from isgw.relations import (
     injectivity_criteria,
 )
 
-from oracles import mu_by_conjugation
+from oracles import is_homomorphism_by_all_pairs, mu_by_conjugation
 from test_core_oracles import generator_sets
 
 
@@ -109,6 +110,53 @@ def test_not_a_homomorphism_rejected(i2, i2n):
     broken[i2n["X"]] = i2n["E11"]
     with pytest.raises(NotHomomorphism):
         SemigroupHomomorphism(i2, i2, tuple(broken))
+
+
+def _accepted(source, target, m):
+    try:
+        SemigroupHomomorphism(source, target, m)
+    except NotHomomorphism:
+        return False
+    return True
+
+
+@st.composite
+def candidate_maps(draw):
+    """(source, target, map): the identity or the projection onto a Rees
+    quotient, with up to two entries a moved to random targets b, and a*
+    moved to b* so that the involution test does not decide alone."""
+    s = from_partial_bijections(draw(generator_sets()))
+    ideals = enumerate_ideals(s)
+    ideal = draw(st.sampled_from(ideals + (None,)))
+    if ideal is None:
+        target, m = s, list(range(s.n))
+    else:
+        q = rees_quotient(s, ideal.elements)
+        target, m = q.quotient, list(q.projection)
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.integers(0, s.n - 1)), draw(st.integers(0, target.n - 1))
+        m[a], m[s.star(a)] = b, target.star(b)
+    return s, target, tuple(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(candidate_maps())
+def test_homomorphism_test_over_generators_matches_all_pairs(case):
+    source, target, m = case
+    assert _accepted(source, target, m) == is_homomorphism_by_all_pairs(source, target, m)
+
+
+def test_homomorphism_test_matches_all_pairs_on_perturbed_corpus_maps():
+    """Every single-entry change of the identity of each corpus semigroup."""
+    for inst in builtin_corpus():
+        if inst.kind != "semigroup":
+            continue
+        s = inst.semigroup
+        for a in s.elements():
+            for b in s.elements():
+                m = tuple(b if x == a else x for x in range(s.n))
+                assert _accepted(s, s, m) == is_homomorphism_by_all_pairs(s, s, m), (
+                    inst.uid, a, b)
 
 
 # -- exact rational matrix fixture ---------------------------------------------

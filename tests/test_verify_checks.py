@@ -12,6 +12,7 @@ from isgw import ideals_filters as ifl
 from isgw import relations as rel
 from isgw import verify
 from isgw.corpus import builtin_corpus
+from isgw.groupoid import ConditionKReport
 from isgw.semilattice import Semilattice, atoms
 from isgw.util import Decision
 
@@ -155,3 +156,43 @@ def test_beta_action_check_names_the_pair_whose_image_is_not_the_up_closure(
     a, m = got.counterexample
     assert i2.leq(m, i2.product(i2.star(a), a))
     assert i2.product(i2.product(a, m), i2.star(a)) != m
+
+
+def test_hull_invariance_transfer_names_the_order_ideal_and_its_hull(i2, i2n, monkeypatch):
+    """With every order ideal called invariant, the first one that is not
+    has a hull that is no union of filter orbits."""
+    got = assert_caught(verify.check_hull_kernel, (i2, random.Random(0)),
+                        "hull_invariance_transfer", monkeypatch, ifl,
+                        is_invariant_order_ideal=lambda s, x: True)
+    x, hx = got.counterexample
+    assert x == frozenset({i2n["0"], i2n["E11"]})
+    assert hx == frozenset({i2n["E22"], i2n["I"]})
+
+
+def test_tight_ideal_correspondence_names_an_ideal_not_the_kernel_of_its_hull(
+        i2, i2n, monkeypatch):
+    got = assert_caught(verify.check_hull_kernel, (i2, random.Random(0)),
+                        "tight_ideal_correspondence", monkeypatch, ifl,
+                        hull_tight=lambda space, x: ())
+    assert got.counterexample == ("kernel_of_hull", frozenset({i2n["0"]}))
+    assert got.hypothesis == "met"
+
+
+def test_tight_ideal_correspondence_names_a_tight_set_not_the_hull_of_its_kernel(
+        i2, i2n, monkeypatch):
+    """An extra "invariant tight subset" holding the non-tight filter at I."""
+    real = ifl.invariant_subsets(i2)
+    wrong = ifl.InvariantSubsetsReport(
+        real.orbits, real.invariant_tight_subsets + (frozenset({i2n["I"]}),))
+    got = assert_caught(verify.check_hull_kernel, (i2, random.Random(0)),
+                        "tight_ideal_correspondence", monkeypatch, ifl,
+                        invariant_subsets=lambda s: wrong)
+    assert got.counterexample == ("hull_of_kernel", frozenset({i2n["I"]}))
+
+
+def test_condition_k_check_names_both_values(i2, monkeypatch):
+    got = assert_caught(verify.check_condition_k, (i2,),
+                        "strong_effectiveness_iff_condition_k", monkeypatch, verify,
+                        condition_K=lambda s: ConditionKReport(False, ()))
+    assert got.counterexample == (False, True)
+    assert got.hypothesis == "met"
