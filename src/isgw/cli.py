@@ -68,6 +68,8 @@ def _semigroup_properties(report: Report, s) -> None:
     report.add_property("zero_disjunctive", zd.value, witness=zd.witness)
     tr = has_trapping_condition(lattice)
     report.add_property("trapping_condition", tr.value)
+    report.add_property("hausdorff", True,
+                        witness="finite: meets are finitely generated")
     report.add_property("condition_l", cg.condition_L(s))
     k = condition_K(s)
     report.add_property("condition_k", k.value)
