@@ -232,7 +232,9 @@ class InverseSemigroup:
                             self.idempotents)
 
     def leq(self, s: int, t: int) -> bool:
-        return self.order().holds(s, t)
+        """s <= t iff s = t*(s*s), read from the table (``NaturalOrder``)."""
+        mul = self.mul
+        return mul[t][mul[self.inv[s]][s]] == s
 
     def restrict(self, subset) -> tuple:
         """Sub-semigroup on a product/inverse-closed subset containing zero.
@@ -243,14 +245,18 @@ class InverseSemigroup:
         if self.zero not in elems:
             raise ValueError("subset must contain the zero")
         to_sub = {a: i for i, a in enumerate(elems)}
-        for a in elems:
-            if self.inv[a] not in to_sub:
-                raise ValueError("subset not closed under inversion")
-            for b in elems:
-                if self.mul[a][b] not in to_sub:
-                    raise ValueError("subset not closed under products")
-        mul = [[to_sub[self.mul[a][b]] for b in elems] for a in elems]
-        inv = [to_sub[self.inv[a]] for a in elems]
+        # new index of each old element, -1 outside the subset; each row of
+        # the table is read through it at C speed
+        pos = [-1] * self.n
+        for a, i in to_sub.items():
+            pos[a] = i
+        pick = _picker(elems)
+        inv = _picker(pick(self.inv))(pos)
+        mul = [_picker(pick(self.mul[a]))(pos) for a in elems]
+        bad = next((k for k, row in enumerate(mul) if inv[k] < 0 or -1 in row), None)
+        if bad is not None:
+            raise ValueError("subset not closed under inversion" if inv[bad] < 0
+                             else "subset not closed under products")
         pmaps = tuple(self.pmaps[a] for a in elems) if self.pmaps is not None else None
         sub = InverseSemigroup(mul, inv, to_sub[self.zero],
                                labels=[self.labels[a] for a in elems], pmaps=pmaps)

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .congruences import QuotientSemigroup, condition_L, double_arrow, quotient, rees_quotient
-from .core import InverseSemigroup, per_semigroup
+from .core import InverseSemigroup, _picker, per_semigroup
 from .errors import DomainViolation, InternalContract, NotInvariant
 from .ideals_filters import enumerate_ideals
 from .report import TheoremEntry
@@ -49,6 +49,10 @@ class FiniteGroupoid:
 
     def __init__(self, s: InverseSemigroup, units, arrows, *, check: bool = True):
         self.s = s
+        # d and r in the groupoid sense, as filter minima: source(u) = u*u
+        # and range(u) = uu*, read from tables built once per semigroup
+        self.source = s.order().dom.__getitem__
+        self.range = _ranges(s).__getitem__
         self.units = tuple(sorted(units))
         self.arrows = tuple(sorted(arrows))
         self._unit_set = frozenset(self.units)
@@ -58,28 +62,27 @@ class FiniteGroupoid:
 
     def _validate(self) -> None:
         s = self.s
+        units, arrows = self._unit_set, self._arrow_set
         for m in self.units:
             if not s.is_idempotent(m) or m == s.zero:
                 raise InternalContract("units must be nonzero idempotents")
-            if m not in self._arrow_set:
+            if m not in arrows:
                 raise InternalContract("identity arrow missing")
+        by_range = {}  # unit -> the arrows with that range, in arrow order
         for u in self.arrows:
             if u == s.zero:
                 raise InternalContract("zero cannot be an arrow")
-            if self.source(u) not in self._unit_set or self.range(u) not in self._unit_set:
+            if self.source(u) not in units or self.range(u) not in units:
                 raise InternalContract("arrow endpoints escape the unit set")
-            if s.star(u) not in self._arrow_set:
+            if s.inv[u] not in arrows:
                 raise InternalContract("arrows not closed under inversion")
-        for v, u in self.composable_pairs():
-            if s.product(v, u) not in self._arrow_set:
+            by_range.setdefault(self.range(u), []).append(u)
+        # v*u for every composable pair: row v of the table read at the
+        # arrows u with range the source of v
+        for v in self.arrows:
+            us = by_range.get(self.source(v))
+            if us and not arrows.issuperset(_picker(us)(s.mul[v])):
                 raise InternalContract("arrows not closed under composition")
-
-    # d and r in the groupoid sense, as filter minima
-    def source(self, u: int) -> int:
-        return self.s.product(self.s.star(u), u)
-
-    def range(self, u: int) -> int:
-        return self.s.product(u, self.s.star(u))
 
     def composable_pairs(self):
         """Every composable pair (v, u): u in arrow order and, for each u,
@@ -123,6 +126,13 @@ class FiniteGroupoid:
         for u in self.arrows:
             dsu.union(self.source(u), self.range(u))
         return tuple(group_by(self.units, dsu.find))
+
+
+@per_semigroup
+def _ranges(s: InverseSemigroup) -> tuple:
+    """uu* for every element u, read as the domain of u*."""
+    dom = s.order().dom
+    return tuple(dom[b] for b in s.inv)
 
 
 @dataclass(frozen=True)
@@ -227,8 +237,10 @@ def _check_functor(src: FiniteGroupoid, dst: FiniteGroupoid, gmap: GroupoidMap,
                                 or len(arrow_map) != len(src.arrows)):
         return TheoremEntry(name, "fail", detail="arrow map is not a bijection",
                             counterexample=(len(set(arrow_map.values())), len(dst.arrows)))
+    # endpoints are preserved, so the images of a composable pair compose
+    src_mul, dst_mul = src.s.mul, dst.s.mul
     for v, u in src.composable_pairs():
-        if arrow_map[src.s.product(v, u)] != dst.compose(arrow_map[v], arrow_map[u]):
+        if arrow_map[src_mul[v][u]] != dst_mul[arrow_map[v]][arrow_map[u]]:
             return TheoremEntry(name, "fail", detail="composition not preserved",
                                 counterexample=(v, u))
     return TheoremEntry(name, "pass")
@@ -256,10 +268,11 @@ def _formula_independence(s: InverseSemigroup, inner: FiniteGroupoid, x: frozens
     """A failure entry for each arrow of the reduction to the ideal whose
     stated formula depends on the choice of e in F cap I."""
     out = []
+    mul = s.mul
     for u in inner.arrows:
         m = inner.source(u)
         for e in x:
-            if e != s.zero and s.leq(m, e):
+            if e != s.zero and mul[e][m] == m:  # m <= e, both idempotent
                 g = germ_of(sub, to_sub[s.product(u, e)], to_sub[m])
                 if g.rep != to_sub[u]:
                     out.append(TheoremEntry(

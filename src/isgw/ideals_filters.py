@@ -295,10 +295,16 @@ def kernel(lattice: Semilattice, filter_mins) -> frozenset:
     hit = 0
     for m in filter_mins:
         hit |= view.up[view.index(m)]
+    return frozenset(view.members(kernel_mask(view, hit)))
+
+
+def kernel_mask(view: OrderMasks, hit: int) -> int:
+    """The kernel as a mask: the carrier minus ``hit``, the OR of the up-sets
+    of a family of filters; checked to be an order ideal."""
     ker = view.full & ~hit
     if any(view.down[e] & ~ker for e in positions(ker)):
         raise InternalContract("kernel failed to be downward closed")
-    return frozenset(view.members(ker))
+    return ker
 
 
 def beta_act(s: InverseSemigroup, a: int, filter_min: int) -> int:

@@ -13,9 +13,9 @@ from . import congruences as cg
 from . import ideals_filters as ifl
 from . import relations as rel
 from . import selfsimilar as ss
-from .core import InverseSemigroup
+from .core import InverseSemigroup, per_semigroup
 from .corpus import CorpusInstance, builtin_corpus
-from .errors import CapExceeded, NotCongruence, TooLarge
+from .errors import CapExceeded, NotCongruence, NotHomomorphism, TooLarge
 from .graphs import (
     GraphPath,
     graph_conditions,
@@ -42,7 +42,6 @@ from .semilattice import (
     order_masks,
     positions,
 )
-from .util import subsets
 
 ENUM_BOUND = 8
 SAMPLES_PER_INSTANCE = 40
@@ -151,6 +150,38 @@ def _tight_by_covers(lattice: Semilattice, m: int) -> bool:
     return True
 
 
+@per_semigroup
+def _invariant_order_ideals(s: InverseSemigroup) -> frozenset:
+    """The invariant order ideals of E, by one scan of all order ideals
+    (capped by ``MAX_ORDER_IDEALS``): the second computation that the checks
+    ``ideal_correspondence`` and ``hull_invariance_transfer`` compare with
+    the ideals of S and with the filter orbits."""
+    return frozenset(x for x in ifl.order_ideals(Semilattice.from_semigroup(s))
+                     if ifl.is_invariant_order_ideal(s, x))
+
+
+def _family_pool(up: list, rng: random.Random) -> dict:
+    """The families of filters the hull-kernel statements are tested on, as
+    masks over the filter minima (bit i for the i-th), each mapped to the OR
+    of the up-sets of its filters: every family when there are at most 10
+    minima, in the order of ``util.subsets``; else 30 random ones."""
+    k = len(up)
+    if k <= 10:
+        hits = [0] * (1 << k)
+        for a in range(1, 1 << k):
+            low = a & -a
+            hits[a] = hits[a ^ low] | up[low.bit_length() - 1]
+        return dict(enumerate(hits))
+    pool = {}
+    for _ in range(30):
+        picked = rng.sample(range(k), rng.randint(0, k))  # the draws of sampling the minima
+        hit = 0
+        for i in picked:
+            hit |= up[i]
+        pool.setdefault(sum(1 << i for i in picked), hit)
+    return pool
+
+
 def check_hull_kernel(s: InverseSemigroup, rng: random.Random) -> list:
     out = []
     lattice = Semilattice.from_semigroup(s)
@@ -165,12 +196,13 @@ def check_hull_kernel(s: InverseSemigroup, rng: random.Random) -> list:
     # invariant iff hull(X) is a union of filter orbits; and each saturated
     # invariant X is the kernel of its tight hull
     rep = ifl.invariant_subsets(s)
+    invariant_ideals = _invariant_order_ideals(s)
     identity_ok = True
     transfer = correspondence = None
     for x in ifl.order_ideals(lattice):
         hx = frozenset(ifl.hull(lattice, x))
         identity_ok = identity_ok and ifl.kernel(lattice, hx) == x
-        invariant = ifl.is_invariant_order_ideal(s, x)
+        invariant = x in invariant_ideals
         if transfer is None and invariant != all(o <= hx or not o & hx for o in rep.orbits):
             transfer = (x, hx)
         if (correspondence is None and invariant and ifl.is_saturated_order_ideal(lattice, x)
@@ -178,29 +210,42 @@ def check_hull_kernel(s: InverseSemigroup, rng: random.Random) -> list:
             correspondence = ("kernel_of_hull", x)
     out.append(_entry("kernel_hull_identity", identity_ok))
 
-    expansion_ok = True
-    witness = None
-    mins = list(space.mins)
-    pool = list(subsets(mins)) if len(mins) <= 10 else [
-        frozenset(rng.sample(mins, rng.randint(0, len(mins)))) for _ in range(30)]
-    for a in pool:
-        hk = frozenset(ifl.hull(lattice, ifl.kernel(lattice, a)))
-        if not frozenset(a) <= hk:
-            expansion_ok = False
-            witness = a
-            break
-    out.append(_entry("hull_kernel_expansion", expansion_ok, witness))
+    view = order_masks(lattice)
+    mins = space.mins
+    up = [view.up[view.position[m]] for m in mins]
+    pool = _family_pool(up, rng)
 
-    saturated_ok = True
+    def family(a: int) -> frozenset:
+        return frozenset(m for i, m in enumerate(mins) if a >> i & 1)
+
+    # A lies in hull(kernel(A)) iff no filter of A meets kernel(A); each
+    # kernel, and its hull as a mask, is formed once per distinct union of
+    # up-sets
+    hull_of = {}
+    witness = None
+    for a, hit in pool.items():
+        if hit not in hull_of:
+            ker = ifl.kernel_mask(view, hit)
+            hull_of[hit] = sum(1 << i for i, u in enumerate(up) if not u & ker)
+        if a & ~hull_of[hit]:
+            witness = family(a)
+            break
+    out.append(_entry("hull_kernel_expansion", witness is None, witness))
+
+    # the kernel of the tight part of A depends on that part alone: each is
+    # decided once, in the order the pool first reaches it
+    tight = sum(1 << i for i, m in enumerate(mins) if m in space.tight)
+    decided = set()
     witness = None
     for a in pool:
-        tight_a = frozenset(a) & space.tight
-        k = ifl.kernel(lattice, tight_a)
-        if not ifl.is_saturated_order_ideal(lattice, k):
-            saturated_ok = False
+        if a & tight in decided:
+            continue
+        decided.add(a & tight)
+        tight_a = family(a & tight)
+        if not ifl.is_saturated_order_ideal(lattice, ifl.kernel(lattice, tight_a)):
             witness = tight_a
             break
-    out.append(_entry("kernel_of_tight_family_is_saturated", saturated_ok, witness))
+    out.append(_entry("kernel_of_tight_family_is_saturated", witness is None, witness))
 
     samples = 0
     lemma_ok = True
@@ -249,9 +294,10 @@ def _ideal_round_trip_failure(s: InverseSemigroup, ideals) -> tuple | None:
     or ideal of S that fails to round-trip through X -> SXS and ideal ->
     its idempotents, or None."""
     ideal_sets = {i.elements for i in ideals}
+    invariant_ideals = _invariant_order_ideals(s)
     from_xs = {}
     for x in ifl.order_ideals(Semilattice.from_semigroup(s)):
-        if not ifl.is_invariant_order_ideal(s, x):
+        if x not in invariant_ideals:
             continue
         sxs = from_xs[x] = ifl.ideal_generated(s, x)
         if ifl.ideal_trace(s, sxs) != x:
@@ -560,30 +606,10 @@ def _check_exact_action(a, truncated, s, faith, m) -> list:
     out = []
     mu = rel.h_and_mu(s).mu
     elements = truncated.elements
-    paths_to = {}  # range vertex -> the paths ending there, in enumeration order
-    for p in paths_up_to(a.graph, a.graph.longest_path_length()):
-        paths_to.setdefault(p.rng, []).append(p)
+    paths_to = _paths_into(a)
 
-    ok = True
-    witness = None
-    for i in range(1, len(elements)):
-        for j in range(1, len(elements)):
-            t1, t2 = elements[i], elements[j]
-            if t1.alpha != t2.alpha or t1.beta != t2.beta:
-                continue
-            agree = all(
-                ss.act_on_path(a, t1.g, gamma)[0] == ss.act_on_path(a, t2.g, gamma)[0]
-                for gamma in paths_to.get(t1.beta.src, ())
-            )
-            if mu.same(i, j) != agree:
-                ok = False
-                witness = (t1.describe(a), t2.describe(a))
-                break
-        if not ok:
-            break
-    # distinct (alpha, beta) shapes are never mu-related beyond idempotent data;
-    # the relation itself was computed on all pairs above where it can hold
-    out.append(_entry("mu_path_criterion", ok, witness))
+    witness = _mu_path_failure(a, truncated, mu, paths_to)
+    out.append(_entry("mu_path_criterion", witness is None, witness))
 
     out.append(_entry("fundamental_iff_faithful",
                       rel.h_and_mu(s).fundamental == faith.faithful,
@@ -641,18 +667,8 @@ def _check_exact_action(a, truncated, s, faith, m) -> list:
         witness = "ideal sets differ"
     out.append(_entry("hereditary_invariant_ideal_correspondence", ok, witness))
 
-    ok = True
-    witness = None
-    for v_set, ideal in ideals.items():
-        q = cg.rees_quotient(s, ideal)
-        sub_action = ss.quotient_action(a, v_set)
-        sub_trunc = ss.ss_semigroup(sub_action, truncated.depth)
-        sub_s = sub_trunc.to_inverse_semigroup()
-        if not _rees_quotient_matches(a, truncated, q, sub_action, sub_trunc, sub_s, v_set):
-            ok = False
-            witness = sorted(v_set)
-            break
-    out.append(_entry("quotient_action_isomorphism", ok, witness))
+    witness = _quotient_action_failure(a, truncated, s, ideals)
+    out.append(_entry("quotient_action_isomorphism", witness is None, witness))
 
     rees, disagreement = _all_rees(s, max(ENUM_BOUND, 11))
     claimed = ss.all_rees_ss(a)
@@ -660,6 +676,44 @@ def _check_exact_action(a, truncated, s, faith, m) -> list:
                       disagreement is None and rees.value == claimed.value,
                       disagreement, detail=f"semigroup={rees.value} action={claimed.value}"))
     return out
+
+
+def _paths_into(a) -> dict:
+    """Each range vertex mapped to the paths of the graph ending there, in
+    enumeration order."""
+    paths_to = {}
+    for p in paths_up_to(a.graph, a.graph.longest_path_length()):
+        paths_to.setdefault(p.rng, []).append(p)
+    return paths_to
+
+
+def _mu_path_failure(a, truncated, mu, paths_to) -> tuple | None:
+    """The first pair (i, j) of nonzero elements of the exact model, in
+    index order, with equal paths alpha and beta, on which mu disagrees with
+    "g and h act alike on every path into the source of beta", described;
+    or None.  The criterion speaks of pairs of one shape (alpha, beta), so
+    only those are visited, and the action of each group element on the
+    paths into each vertex is computed once."""
+    elements = truncated.elements
+    shapes = {}  # (alpha, beta) -> the elements of that shape, ascending
+    shape_of = [None] * len(elements)
+    actions = {}  # (g, vertex) -> the images of the paths into the vertex
+    for i in range(1, len(elements)):
+        t = elements[i]
+        shape_of[i] = shapes.setdefault((t.alpha, t.beta), [])
+        shape_of[i].append(i)
+        if (t.g, t.beta.src) not in actions:
+            actions[t.g, t.beta.src] = tuple(ss.act_on_path(a, t.g, gamma)[0]
+                                             for gamma in paths_to.get(t.beta.src, ()))
+    cls = mu.class_index
+    for i in range(1, len(elements)):
+        t1 = elements[i]
+        acts = actions[t1.g, t1.beta.src]
+        for j in shape_of[i]:
+            t2 = elements[j]
+            if (cls[i] == cls[j]) != (acts == actions[t2.g, t2.beta.src]):
+                return t1.describe(a), t2.describe(a)
+    return None
 
 
 def _vertex_ideal(a, truncated, s, v_set) -> frozenset:
@@ -671,6 +725,23 @@ def _vertex_ideal(a, truncated, s, v_set) -> frozenset:
         if elements[i].alpha.src in v_set:
             members.add(i)
     return frozenset(members)
+
+
+def _quotient_action_failure(a, truncated, s, ideals) -> list | None:
+    """The first hereditary invariant vertex set, sorted, whose Rees
+    quotient (by its ideal in ``ideals``) does not match the model of the
+    quotient action; or None."""
+    for v_set, ideal in ideals.items():
+        q = cg.rees_quotient(s, ideal)
+        if v_set:
+            sub_action = ss.quotient_action(a, v_set)
+            sub_trunc = ss.ss_semigroup(sub_action, truncated.depth)
+        else:  # removing no vertex leaves the action and its model as they are
+            sub_action, sub_trunc = a, truncated
+        sub_s = sub_trunc.to_inverse_semigroup()
+        if not _rees_quotient_matches(a, truncated, q, sub_action, sub_trunc, sub_s, v_set):
+            return sorted(v_set)
+    return None
 
 
 def _rees_quotient_matches(a, truncated, q, sub_action, sub_trunc, sub_s, v_set) -> bool:
@@ -702,10 +773,11 @@ def _rees_quotient_matches(a, truncated, q, sub_action, sub_trunc, sub_s, v_set)
         return False
     if sorted(set(mapping.values())) != list(range(sub_s.n)):
         return False
-    for x in range(q.quotient.n):
-        for y in range(q.quotient.n):
-            if mapping[q.quotient.product(x, y)] != sub_s.product(mapping[x], mapping[y]):
-                return False
+    try:
+        rel.SemigroupHomomorphism(q.quotient, sub_s, tuple(map(mapping.__getitem__,
+                                                              range(q.quotient.n))))
+    except NotHomomorphism:
+        return False
     return True
 
 

@@ -20,19 +20,26 @@ by all elements, and the congruence lattice by joins of whole congruences
 (``isgw.groupoid``); the minimal cover search by ``is_cover`` calls
 (``isgw.semilattice``); the census of small semilattices that builds and
 canonicalizes a semigroup for every intersection-closed family
-(``isgw.corpus``).
+(``isgw.corpus``); and three loops of the verify checks: the
+hull-kernel statements over every family of filters as frozensets, the
+mu-path criterion over all ordered pairs of triples, and the quotient-action
+match with a rebuilt model for every vertex set and its product test over
+all pairs (``isgw.verify``).
 """
 
 import itertools
 
+from isgw import congruences as cg
+from isgw import ideals_filters as ifl
+from isgw import selfsimilar as ss
 from isgw.congruences import congruence_closure, equality_congruence, make_congruence
 from isgw.core import PartialBijection, from_tables
 from isgw.errors import NotAssociative, NotInverse, Overflow
-from isgw.graphs import _reachable_from, is_hereditary, paths_up_to
+from isgw.graphs import GraphPath, _reachable_from, is_hereditary, paths_up_to
 from isgw.ideals_filters import ideal_generated, ideal_trace
 from isgw.selfsimilar import g_independent_edges, triple_multiply, vertex_orbits
 from isgw.semilattice import MINIMAL_COVER_SEARCH_LIMIT, Semilattice, is_cover
-from isgw.util import UnionFind, downsets, group_by
+from isgw.util import UnionFind, downsets, group_by, subsets
 
 
 def all_pairs_closure(generators, labels=None):
@@ -544,3 +551,85 @@ def minimal_cover_by_is_cover(lattice, e, fixed, candidates):
             if is_cover(lattice, e, list(combo) + [fixed]).value:
                 return combo
     return tuple(sorted(pool))
+
+
+def hull_kernel_pool_by_sets(s, rng):
+    """The counterexamples of ``hull_kernel_expansion`` and
+    ``kernel_of_tight_family_is_saturated`` (None where a statement holds),
+    by one hull and kernel of frozensets per family of the pool.  The pool
+    is every family of filters when there are at most 10 minima, else 30
+    drawn from rng as the verify check draws them."""
+    lattice = Semilattice.from_semigroup(s)
+    space = ifl.filter_space(lattice)
+    mins = list(space.mins)
+    pool = list(subsets(mins)) if len(mins) <= 10 else [
+        frozenset(rng.sample(mins, rng.randint(0, len(mins)))) for _ in range(30)]
+    expansion = next((a for a in pool if not frozenset(a) <= frozenset(
+        ifl.hull(lattice, ifl.kernel(lattice, a)))), None)
+    saturated = next((a & space.tight for a in pool if not ifl.is_saturated_order_ideal(
+        lattice, ifl.kernel(lattice, a & space.tight))), None)
+    return expansion, saturated
+
+
+def mu_path_failure_by_all_pairs(action, truncated, mu):
+    """The first ordered pair of nonzero triples with equal alpha and beta
+    on which mu disagrees with "g and h act alike on every path into the
+    source of beta", described; or None.  Visits all ordered pairs and acts
+    on the paths anew for each."""
+    paths_to = {}
+    for p in paths_up_to(action.graph, action.graph.longest_path_length()):
+        paths_to.setdefault(p.rng, []).append(p)
+    elements = truncated.elements
+    for i in range(1, len(elements)):
+        for j in range(1, len(elements)):
+            t1, t2 = elements[i], elements[j]
+            if t1.alpha != t2.alpha or t1.beta != t2.beta:
+                continue
+            agree = all(
+                ss.act_on_path(action, t1.g, gamma)[0] == ss.act_on_path(action, t2.g, gamma)[0]
+                for gamma in paths_to.get(t1.beta.src, ()))
+            if mu.same(i, j) != agree:
+                return t1.describe(action), t2.describe(action)
+    return None
+
+
+def quotient_action_failure_by_all_pairs(action, truncated, s, ideals):
+    """The first vertex set, sorted, whose Rees quotient by its ideal does
+    not match the model of the quotient action, rebuilt for every set, the
+    empty one included; the map is tested on all pairs of elements."""
+    for v_set, ideal in ideals.items():
+        q = cg.rees_quotient(s, ideal)
+        sub_action = ss.quotient_action(action, v_set)
+        sub_trunc = ss.ss_semigroup(sub_action, truncated.depth)
+        if not _rees_quotient_matches_by_all_pairs(truncated, q, sub_action, sub_trunc,
+                                                   sub_trunc.to_inverse_semigroup(), v_set):
+            return sorted(v_set)
+    return None
+
+
+def _rees_quotient_matches_by_all_pairs(truncated, q, sub_action, sub_trunc, sub_s, v_set):
+    elements = truncated.elements
+    index_of = {e.eid: i for i, e in enumerate(sub_action.graph.edges)}
+
+    def transplant(path):
+        eids = (path.graph.edges[i].eid for i in path.edges)
+        return GraphPath(sub_action.graph, tuple(index_of[x] for x in eids), path.src)
+
+    def project(i):
+        if i == 0 or elements[i].alpha.src in v_set:
+            return 0
+        t = elements[i]
+        return sub_trunc._index[ss.SSTriple(transplant(t.alpha), t.g, transplant(t.beta))]
+
+    mapping = {}
+    for i in range(len(elements)):
+        qi, pi = q.projection[i], project(i)
+        if qi in mapping and mapping[qi] != pi:
+            return False
+        mapping[qi] = pi
+    if sorted(mapping) != list(range(q.quotient.n)):
+        return False
+    if sorted(set(mapping.values())) != list(range(sub_s.n)):
+        return False
+    return all(mapping[q.quotient.product(x, y)] == sub_s.product(mapping[x], mapping[y])
+               for x in range(q.quotient.n) for y in range(q.quotient.n))

@@ -34,6 +34,26 @@ SWAP_LADDER_DOC = {
 }
 CHAIN5_DOC = {"kind": "graph", "vertices": 6,
               "edges": [{"id": f"e{i}", "src": i, "rng": i + 1} for i in range(5)]}
+# two degree-4 closures of 53 elements with 9 nonzero idempotents each, so
+# the hull-kernel checks run over every family of filters
+RND4_A_DOC = {"kind": "semigroup", "degree": 4,
+              "generators": [[None, 2, None, 3], [2, 0, 3, 1], [1, 3, 0, 2]]}
+RND4_B_DOC = {"kind": "semigroup", "degree": 4,
+              "generators": [[3, 2, 0, 1], [None, 3, None, None], [2, None, None, 1]]}
+
+
+def brandt_doc(group_order, n):
+    """The Brandt semigroup B(Z/group_order, n) in table form: zero, then the
+    triples (i, g, j), with (i,g,j)(k,h,l) = (i,g+h,l) if j == k, else 0."""
+    triples = [(i, g, j) for i in range(n) for g in range(group_order) for j in range(n)]
+    index = {t: k + 1 for k, t in enumerate(triples)}
+    table = [[0] * (len(triples) + 1)]
+    for i, g, j in triples:
+        table.append([0] + [index[(i, (g + h) % group_order, l)] if j == k else 0
+                            for k, h, l in triples])
+    inv = [0] + [index[(j, -g % group_order, i)] for i, g, j in triples]
+    return {"kind": "semigroup", "table": table, "inv": inv, "zero": 0,
+            "labels": ["0"] + [f"({i},{g},{j})" for i, g, j in triples]}
 
 
 @pytest.fixture
@@ -185,6 +205,8 @@ GOLDEN_SHA256 = {
         "3c9460b6292cae6cda8eddfd95c9d9bcfa5623aa6a73fc03ad2b31519f5f2769",
     "verify ladder --json":
         "d17d581b40d1ebd1c85d4067f47a77213be6995d1fdde13757ba3ec0b4c0272a",
+    "verify mid --json":
+        "5b9864e368fb56f126035497b21e1e199fc23083d1d9b6ff694801651584612c",
 }
 
 
@@ -195,6 +217,10 @@ def test_golden_output(command, tmp_path, monkeypatch, capsys):
     (tmp_path / "ladder").mkdir()
     (tmp_path / "ladder" / "SWAP-LADDER2.json").write_text(json.dumps(SWAP_LADDER_DOC))
     (tmp_path / "ladder" / "CHAIN5.json").write_text(json.dumps(CHAIN5_DOC))
+    (tmp_path / "mid").mkdir()
+    for name, doc in (("BRANDT-Z2-5", brandt_doc(2, 5)), ("RND4-A", RND4_A_DOC),
+                      ("RND4-B", RND4_B_DOC)):
+        (tmp_path / "mid" / f"{name}.json").write_text(json.dumps(doc))
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[command]

@@ -9,14 +9,21 @@ from conftest import make_i2
 from isgw import cli, verify
 from isgw import ideals_filters as ifl
 from isgw import congruences as cg
+from isgw import selfsimilar as ss
 from isgw.congruences import condition_L, congruence_lattice, double_arrow, enumerate_congruences
-from isgw.core import InverseSemigroup, from_tables, per_semigroup
+from isgw.core import (
+    InverseSemigroup,
+    PartialBijection,
+    from_partial_bijections,
+    from_tables,
+    per_semigroup,
+)
 from isgw.errors import TooLarge
 from isgw.groupoid import build_groupoids, condition_K
 from isgw.relations import centralizer, h_and_mu
 from isgw.report import Report
 from isgw.semilattice import Semilattice, has_trapping_condition
-from test_cli import I2_DOC
+from test_cli import I2_DOC, SWAP_LADDER_DOC
 
 # I3 from the transposition (0 1), the 3-cycle and the partial identity
 # that misses point 2
@@ -253,3 +260,57 @@ def test_exact_model_semigroup_is_built_once():
         assert model.to_inverse_semigroup() is instances[f"S-{uid}"].semigroup
         owner = instances.get(f"G-{uid}") or instances[f"ACT-{uid}"]
         assert owner.meta["exact"] is model
+
+
+def test_verify_scans_the_order_ideals_for_invariance_once(monkeypatch):
+    """``ideal_correspondence`` and ``hull_invariance_transfer`` share one
+    invariance scan: one test per order ideal of E(I3), 19 in all, not 38."""
+    s = from_partial_bijections([PartialBijection(3, tuple(g))
+                                 for g in I3_DOC["generators"]])
+    calls = []
+    original = ifl.is_invariant_order_ideal
+    monkeypatch.setattr(ifl, "is_invariant_order_ideal",
+                        lambda s, x: calls.append(x) or original(s, x))
+    verify.check_ideal_correspondence(s)
+    verify.check_hull_kernel(s, random.Random(0))
+    assert len(calls) == len(set(calls)) == len(ifl.order_ideals(Semilattice.from_semigroup(s)))
+    assert len(calls) == 19
+
+
+def test_mu_path_criterion_acts_once_per_element_and_path(monkeypatch):
+    """On SWAP-LADDER2 each group element acts on each path into a vertex at
+    most once, so no (element, path) pair is acted on twice."""
+    action = ss.action_from_json(SWAP_LADDER_DOC)
+    model = ss.ss_semigroup(action, action.graph.longest_path_length())
+    s = model.to_inverse_semigroup()
+    calls, depth = [], [0]
+    original = ss.act_on_path
+
+    def counting(a, g, path):  # records the outermost call of each recursion
+        if not depth[0]:
+            calls.append((g, path))
+        depth[0] += 1
+        try:
+            return original(a, g, path)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(ss, "act_on_path", counting)
+    paths_to = verify._paths_into(action)
+    assert verify._mu_path_failure(action, model, h_and_mu(s).mu, paths_to) is None
+    pairs = sum(len(paths_to.get(t.beta.src, ())) for t in model.elements[1:])
+    assert calls and len(set(calls)) == len(calls) <= pairs
+
+
+def test_verify_reuses_the_model_for_the_empty_vertex_set(tmp_path, monkeypatch, capsys):
+    """``verify`` on SWAP-LADDER2 builds the semigroup of its exact model and
+    of the quotient actions by its three nonempty hereditary invariant
+    vertex sets, four in all; removing no vertex reuses the model."""
+    runs = []
+    prop = vars(ss.TruncatedActionSemigroup)["_semigroup"]
+    original = prop.func
+    monkeypatch.setattr(prop, "func", lambda model: runs.append(model) or original(model))
+    (tmp_path / "SWAP-LADDER2.json").write_text(json.dumps(SWAP_LADDER_DOC))
+    assert cli.main(["verify", str(tmp_path), "--json"]) == 0
+    capsys.readouterr()
+    assert len(runs) == len(set(map(id, runs))) == 4

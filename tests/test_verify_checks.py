@@ -3,6 +3,7 @@ of the same paper statement.  Each test first runs the check on the real
 library, then replaces the library's answer with a wrong one: the check must
 report "fail" with a counterexample, not raise."""
 
+import dataclasses
 import random
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from isgw import congruences as cg
 from isgw import ideals_filters as ifl
 from isgw import relations as rel
+from isgw import selfsimilar as ss
 from isgw import verify
 from isgw.corpus import builtin_corpus
 from isgw.groupoid import ConditionKReport
@@ -159,11 +161,12 @@ def test_beta_action_check_names_the_pair_whose_image_is_not_the_up_closure(
 
 
 def test_hull_invariance_transfer_names_the_order_ideal_and_its_hull(i2, i2n, monkeypatch):
-    """With every order ideal called invariant, the first one that is not
-    has a hull that is no union of filter orbits."""
+    """With every order ideal called invariant by the shared scan, the first
+    one that is not has a hull that is no union of filter orbits."""
+    every = frozenset(ifl.order_ideals(Semilattice.from_semigroup(i2)))
     got = assert_caught(verify.check_hull_kernel, (i2, random.Random(0)),
-                        "hull_invariance_transfer", monkeypatch, ifl,
-                        is_invariant_order_ideal=lambda s, x: True)
+                        "hull_invariance_transfer", monkeypatch, verify,
+                        _invariant_order_ideals=lambda s: every)
     x, hx = got.counterexample
     assert x == frozenset({i2n["0"], i2n["E11"]})
     assert hx == frozenset({i2n["E22"], i2n["I"]})
@@ -196,3 +199,52 @@ def test_condition_k_check_names_both_values(i2, monkeypatch):
                         condition_K=lambda s: ConditionKReport(False, ()))
     assert got.counterexample == (False, True)
     assert got.hypothesis == "met"
+
+
+def test_hull_kernel_expansion_names_the_first_family_outside_its_hull(i2, i2n, monkeypatch):
+    """A kernel holding every idempotent meets every filter, so the first
+    nonempty family of the pool, the filter at I alone, is caught."""
+    got = assert_caught(verify.check_hull_kernel, (i2, random.Random(0)),
+                        "hull_kernel_expansion", monkeypatch, ifl,
+                        kernel_mask=lambda view, hit: view.full)
+    assert got.counterexample == frozenset({i2n["I"]})
+
+
+def test_kernel_of_tight_family_names_the_first_tight_part(i2, i2n, monkeypatch):
+    """With only the whole carrier called saturated, the first family of the
+    pool with a nonempty tight part, the atom E11, is caught."""
+    got = assert_caught(verify.check_hull_kernel, (i2, random.Random(0)),
+                        "kernel_of_tight_family_is_saturated", monkeypatch, ifl,
+                        is_saturated_order_ideal=lambda lattice, x:
+                            len(x) == len(lattice.elements))
+    assert got.counterexample == frozenset({i2n["E11"]})
+
+
+def _exact_group_action():
+    """ACT-SWAP-D2: Z/2 acting on an exact model."""
+    return next(inst for inst in builtin_corpus(0)
+                if inst.kind == "action" and inst.meta.get("exact") is not None
+                and inst.action.group.size > 1)
+
+
+def test_mu_path_criterion_names_the_first_pair_that_acts_alike(monkeypatch):
+    """With mu the equality, the first two triples of one shape whose group
+    elements act alike on the paths into beta are caught."""
+    inst = _exact_group_action()
+    assert inst.uid == "ACT-SWAP-D2"
+    s = inst.meta["exact"].to_inverse_semigroup()
+    equality = rel.EquivalenceRelation.from_class_map(s.n, lambda a: a)
+    wrong = dataclasses.replace(rel.h_and_mu(s), mu=equality)
+    got = assert_caught(verify.check_action_instance, (inst,), "mu_path_criterion",
+                        monkeypatch, rel, h_and_mu=lambda s: wrong)
+    assert got.counterexample == ("(v0,1,v0)", "(v0,t,v0)")
+
+
+def test_quotient_action_isomorphism_names_the_first_vertex_set(monkeypatch):
+    """A quotient action that removes nothing matches the Rees quotient by
+    the empty vertex set only, so the next set, {0}, is caught."""
+    inst = _exact_group_action()
+    assert ss.hereditary_invariant_sets(inst.action)[:2] == [frozenset(), frozenset({0})]
+    got = assert_caught(verify.check_action_instance, (inst,), "quotient_action_isomorphism",
+                        monkeypatch, ss, quotient_action=lambda a, v_set: a)
+    assert got.counterexample == [0]
