@@ -224,15 +224,15 @@ def quotient(s: InverseSemigroup, rho: Congruence) -> QuotientSemigroup:
 
     Raises NotCongruence unless rho is compatible (``check_compatible``,
     O(n*|G|)); the product of two classes is then read from their least
-    members, and the quotient is validated as an inverse semigroup.  Built
-    once per semigroup and partition: equal congruences share one quotient,
-    and with it the quotient's own cached structures.
+    members.  A homomorphic image of an inverse semigroup is inverse, so the
+    quotient is built by ``InverseSemigroup._derived`` and not validated
+    again.  Built once per semigroup and partition: equal congruences share
+    one quotient, and with it the quotient's own cached structures.
 
-    The quotient by the equality is S itself, validated when it was built,
-    with the identity projection: the classes are the singletons in element
-    order, so the table built from them would be S's own.  S then shares its
-    caches, and its ``pmaps``, with every caller of that quotient, such as
-    the Rees quotient by {0}."""
+    The quotient by the equality is S itself, with the identity projection:
+    the classes are the singletons in element order, so the table built from
+    them would be S's own.  S then shares its caches, and its ``pmaps``, with
+    every caller of that quotient, such as the Rees quotient by {0}."""
     index = rho.class_index
     check_compatible(s, index)
     if rho.is_equality():
@@ -241,7 +241,7 @@ def quotient(s: InverseSemigroup, rho: Congruence) -> QuotientSemigroup:
     mul = [[index[row[rb]] for rb in reps] for row in (s.mul[ra] for ra in reps)]
     inv = [index[s.star(r)] for r in reps]
     labels = [_class_label(s, c) for c in rho.classes]
-    q = InverseSemigroup(mul, inv, index[s.zero], labels=labels)
+    q = InverseSemigroup._derived(mul, inv, index[s.zero], labels)
     return QuotientSemigroup(source=s, quotient=q, projection=index)
 
 

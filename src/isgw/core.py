@@ -2,7 +2,11 @@
 
 A semigroup is built once, from partial bijections or from explicit tables,
 validated, and then treated as immutable; every later module works through
-O(1) table lookups on the canonical indices.
+O(1) table lookups on the canonical indices.  Subsemigroups and quotients of
+a validated semigroup are inverse by construction: ``InverseSemigroup._derived``
+builds them without validating them again, and a tier-1 test property
+(``tests/test_per_semigroup.py``) validates in full every one that a verify
+run builds.
 
 A closure of partial bijections is enumerated on its right Cayley graph over
 the generators, and its multiplication table is filled by tracing words,
@@ -137,15 +141,36 @@ def per_semigroup(fn):
 class InverseSemigroup:
     """Finite inverse semigroup with a designated zero.
 
-    Every invariant is validated at construction, at every size, and the
+    The public constructor validates every invariant, at every size, and the
     semigroup is immutable afterwards.  ``generators`` is the generating set
-    that Light's associativity test found.  Structures derived from S alone
-    (natural order, Cayley graphs, H/mu, ideals, double arrow, congruence
-    lattice, groupoids) are computed on first use and cached, see
-    ``per_semigroup``.
+    of Light's associativity test (``_generating_set`` of the table).  A
+    subsemigroup (``restrict``) or a quotient by a congruence is built by
+    ``_derived``, which skips the checks its validated source guarantees.
+    Structures derived from S alone (natural order, Cayley graphs, H/mu,
+    ideals, double arrow, congruence lattice, groupoids) are computed on
+    first use and cached, see ``per_semigroup``.
     """
 
     def __init__(self, mul, inv, zero, labels=None, pmaps=None):
+        self._store(mul, inv, zero, labels, pmaps)
+        self._validate()
+        self._index()
+
+    @classmethod
+    def _derived(cls, mul, inv, zero, labels, pmaps=None) -> "InverseSemigroup":
+        """A semigroup whose tables are a subsemigroup or a homomorphic image
+        of a validated inverse semigroup, and so associative and inverse by
+        construction (Howie, *Fundamentals of Semigroup Theory*, 1995, 5.1):
+        no range scan, zero, involution, idempotent or Light's test.  The
+        generators are the ones Light's test would return.  That every table
+        built here passes full validation is a tier-1 test property."""
+        s = cls.__new__(cls)
+        s._store(mul, inv, zero, labels, pmaps)
+        s.generators = tuple(_generating_set(s.mul))
+        s._index()
+        return s
+
+    def _store(self, mul, inv, zero, labels, pmaps) -> None:
         self.mul = tuple(tuple(row) for row in mul)
         self.inv = tuple(inv)
         self.zero = zero
@@ -154,7 +179,8 @@ class InverseSemigroup:
             labels = tuple(str(i) for i in range(self.n))
         self.labels = tuple(labels)
         self.pmaps = tuple(pmaps) if pmaps is not None else None
-        self._validate()
+
+    def _index(self) -> None:
         self.idempotents = tuple(sorted(e for e in range(self.n) if self.mul[e][e] == e))
         self._idempotent_set = frozenset(self.idempotents)
         self._cache = {}
@@ -239,7 +265,10 @@ class InverseSemigroup:
     def restrict(self, subset) -> tuple:
         """Sub-semigroup on a product/inverse-closed subset containing zero.
 
-        Returns (sub, to_sub) where to_sub maps old indices to new ones.
+        Closure under products and inverses is checked; the subsemigroup of
+        an inverse semigroup is then inverse, and is built by ``_derived``
+        without being validated again.  Returns (sub, to_sub) where to_sub
+        maps old indices to new ones.
         """
         elems = sorted(set(subset))
         if self.zero not in elems:
@@ -258,8 +287,8 @@ class InverseSemigroup:
             raise ValueError("subset not closed under inversion" if inv[bad] < 0
                              else "subset not closed under products")
         pmaps = tuple(self.pmaps[a] for a in elems) if self.pmaps is not None else None
-        sub = InverseSemigroup(mul, inv, to_sub[self.zero],
-                               labels=[self.labels[a] for a in elems], pmaps=pmaps)
+        sub = InverseSemigroup._derived(mul, inv, to_sub[self.zero],
+                                        [self.labels[a] for a in elems], pmaps)
         return sub, to_sub
 
 

@@ -65,19 +65,6 @@ def group_with_zero_fixture() -> InverseSemigroup:
 
 # -- all small semilattices, via intersection-closed families -------------------
 
-def _family_table(family) -> tuple:
-    """The sets of an intersection-closed family in (size, members) order,
-    and its meet table over that order; the empty set comes first."""
-    ordered = sorted(family, key=lambda s: (len(s), tuple(sorted(s))))
-    idx = {s: i for i, s in enumerate(ordered)}
-    return ordered, tuple(tuple(idx[a & b] for b in ordered) for a in ordered)
-
-
-def _family_semigroup(ordered: list, mul: tuple) -> InverseSemigroup:
-    labels = ["0" if not s else "{" + "".join(map(str, sorted(s))) + "}" for s in ordered]
-    return from_tables(mul, list(range(len(ordered))), 0, labels=labels)
-
-
 def _meet_table_key(mul: tuple) -> tuple:
     """Canonical form of a meet table with zero 0: the least relabelled
     table over the permutations that fix 0, an exact isomorphism invariant."""
@@ -96,25 +83,31 @@ def _meet_table_key(mul: tuple) -> tuple:
 
 def small_semilattices(max_size: int = 5) -> list:
     """Every meet semilattice with zero of at most max_size elements, up to
-    isomorphism, realized as an intersection-closed family over four points.
-    Each distinct meet table is canonicalized once, and a semigroup is built
-    for the first family of each isomorphism class only."""
-    points = (0, 1, 2, 3)
-    nonempty = [frozenset(c)
-                for k in range(1, 5)
-                for c in itertools.combinations(points, k)]
+    isomorphism, realized as an intersection-closed family of subsets of
+    four points, each subset an int mask.  Each distinct meet table is
+    canonicalized once, and a semigroup is built for the first family of
+    each isomorphism class only."""
+    members = {}  # nonempty mask -> its points, in (size, members) order
+    for k in range(1, 5):
+        for points in itertools.combinations(range(4), k):
+            members[sum(1 << p for p in points)] = points
     key_of = {}  # meet table -> canonical form
     out = {}
     for k in range(0, max_size):
-        for combo in itertools.combinations(nonempty, k):
-            family = frozenset(combo) | {frozenset()}
-            if all(a & b in family for a in family for b in family):
-                ordered, mul = _family_table(family)
+        for combo in itertools.combinations(members, k):
+            family = {0, *combo}
+            if all(a & b in family for a, b in itertools.combinations(combo, 2)):
+                # combinations keep the (size, members) order: the family's
+                # order, with the empty set first
+                ordered = (0, *combo)
+                idx = {m: i for i, m in enumerate(ordered)}
+                mul = tuple(tuple(idx[a & b] for b in ordered) for a in ordered)
                 key = key_of.get(mul)
                 if key is None:
                     key = key_of[mul] = _meet_table_key(mul)
                 if key not in out:
-                    out[key] = _family_semigroup(ordered, mul)
+                    labels = ["0"] + ["{" + "".join(map(str, members[m])) + "}" for m in combo]
+                    out[key] = from_tables(mul, list(range(len(ordered))), 0, labels=labels)
     return [out[k] for k in sorted(out)]
 
 

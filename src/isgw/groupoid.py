@@ -45,9 +45,31 @@ def germ_of(s: InverseSemigroup, a: int, filter_min: int) -> Germ:
 
 class FiniteGroupoid:
     """Discrete groupoid whose arrows are semigroup elements in canonical
-    germ form; composition is the restricted product."""
+    germ form; composition is the restricted product.
 
-    def __init__(self, s: InverseSemigroup, units, arrows, *, check: bool = True):
+    The public constructor validates the units and arrows.  The universal
+    and tight groupoids of S and their reductions to invariant unit sets are
+    groupoids by construction and are built by ``_derived``, unvalidated;
+    a tier-1 test property (``tests/test_per_semigroup.py``) validates every
+    one that a verify run builds."""
+
+    def __init__(self, s: InverseSemigroup, units, arrows):
+        self._store(s, units, arrows)
+        self._validate()
+
+    @classmethod
+    def _derived(cls, s: InverseSemigroup, units, arrows) -> "FiniteGroupoid":
+        """The groupoid on units and arrows that form one by construction.
+        In an inverse semigroup v*v = uu* gives (vu)*(vu) = u*u, so
+        composites of nonzero arrows are nonzero; e -> ueu* maps the
+        idempotents below u*u onto those below uu* in order, so uu* is an
+        atom when u*u is one; and a reduction to an invariant set of units
+        keeps closure under products and inverses."""
+        g = cls.__new__(cls)
+        g._store(s, units, arrows)
+        return g
+
+    def _store(self, s: InverseSemigroup, units, arrows) -> None:
         self.s = s
         # d and r in the groupoid sense, as filter minima: source(u) = u*u
         # and range(u) = uu*, read from tables built once per semigroup
@@ -57,8 +79,6 @@ class FiniteGroupoid:
         self.arrows = tuple(sorted(arrows))
         self._unit_set = frozenset(self.units)
         self._arrow_set = frozenset(self.arrows)
-        if check:
-            self._validate()
 
     def _validate(self) -> None:
         s = self.s
@@ -148,10 +168,10 @@ def build_groupoids(s: InverseSemigroup) -> GroupoidPair:
     lattice = Semilattice.from_semigroup(s)
     units = [e for e in s.idempotents if e != s.zero]
     arrows = [u for u in s.elements() if u != s.zero]
-    universal = FiniteGroupoid(s, units, arrows)
+    universal = FiniteGroupoid._derived(s, units, arrows)
     atom_units = set(atoms(lattice))
     tight_arrows = [u for u in arrows if universal.source(u) in atom_units]
-    tight = FiniteGroupoid(s, sorted(atom_units), tight_arrows)
+    tight = FiniteGroupoid._derived(s, sorted(atom_units), tight_arrows)
     return GroupoidPair(universal, tight)
 
 
@@ -163,7 +183,7 @@ def reduction(g: FiniteGroupoid, unit_subset) -> FiniteGroupoid:
     for u in g.arrows:
         if (g.source(u) in a) != (g.range(u) in a):
             raise NotInvariant(f"arrow {u} crosses the boundary")
-    return FiniteGroupoid(g.s, sorted(a), [u for u in g.arrows if g.source(u) in a])
+    return FiniteGroupoid._derived(g.s, sorted(a), [u for u in g.arrows if g.source(u) in a])
 
 
 @dataclass(frozen=True)

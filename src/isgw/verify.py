@@ -746,7 +746,11 @@ def _quotient_action_failure(a, truncated, s, ideals) -> list | None:
 
 def _rees_quotient_matches(a, truncated, q, sub_action, sub_trunc, sub_s, v_set) -> bool:
     """The projection that kills triples entering the vertex set implements an
-    isomorphism between the Rees quotient and the quotient-action semigroup."""
+    isomorphism between the Rees quotient and the quotient-action semigroup:
+    a well-defined homomorphism onto a semigroup of the same size, and so
+    one-to-one."""
+    if q.quotient.n != sub_s.n:
+        return False
     elements = truncated.elements
     index_of = {e.eid: i for i, e in enumerate(sub_action.graph.edges)}
 

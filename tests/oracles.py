@@ -608,6 +608,8 @@ def quotient_action_failure_by_all_pairs(action, truncated, s, ideals):
 
 
 def _rees_quotient_matches_by_all_pairs(truncated, q, sub_action, sub_trunc, sub_s, v_set):
+    if q.quotient.n != sub_s.n:
+        return False
     elements = truncated.elements
     index_of = {e.eid: i for i, e in enumerate(sub_action.graph.edges)}
 

@@ -120,7 +120,9 @@ def test_quotient_by_equality_is_the_semigroup_itself(i2, e4, z2z):
     assert quotient(i2, double_arrow(i2)).quotient is i2  # the collapse of I2 is trivial
 
 
-def test_quotient_by_a_proper_congruence_is_a_new_validated_semigroup(monkeypatch):
+def test_quotient_by_a_proper_congruence_is_built_by_construction(monkeypatch):
+    """The quotient is a new semigroup that is not validated again, and its
+    tables pass full validation with the same generators."""
     s = make_i2()
     validated = []
     original = InverseSemigroup._validate
@@ -131,8 +133,11 @@ def test_quotient_by_a_proper_congruence_is_a_new_validated_semigroup(monkeypatc
 
     monkeypatch.setattr(InverseSemigroup, "_validate", recording)
     q = rees_quotient(s, principal_ideal(s, i2_named(s)["E11"])).quotient
-    assert q is not s and validated == [q]
+    assert q is not s and validated == []
     assert q.n == 3
+    full = InverseSemigroup(q.mul, q.inv, q.zero, labels=q.labels)
+    assert validated == [full]
+    assert full.generators == q.generators and full.idempotents == q.idempotents
 
 
 def test_rees_quotient_i2_is_group_with_zero(i2, i2n, z2z):

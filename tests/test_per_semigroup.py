@@ -6,7 +6,7 @@ import random
 import pytest
 
 from conftest import make_i2
-from isgw import cli, verify
+from isgw import cli, core, verify
 from isgw import ideals_filters as ifl
 from isgw import congruences as cg
 from isgw import selfsimilar as ss
@@ -19,7 +19,7 @@ from isgw.core import (
     per_semigroup,
 )
 from isgw.errors import TooLarge
-from isgw.groupoid import build_groupoids, condition_K
+from isgw.groupoid import FiniteGroupoid, build_groupoids, condition_K
 from isgw.relations import centralizer, h_and_mu
 from isgw.report import Report
 from isgw.semilattice import Semilattice, has_trapping_condition
@@ -85,10 +85,33 @@ def test_callers_share_one_trapping_scan(monkeypatch):
     assert has_trapping_condition(sub) is not trapping
 
 
+def record_derived(monkeypatch, cls) -> list:
+    """Every object that ``cls._derived`` builds from now on, in order."""
+    built = []
+    original = cls._derived
+
+    def recording(*args):
+        made = original(*args)
+        built.append(made)
+        return made
+
+    monkeypatch.setattr(cls, "_derived", staticmethod(recording))
+    return built
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    """One entry per later call of owner.name."""
+    calls = []
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
 def test_analyze_builds_no_table_twice(tmp_path, monkeypatch, capsys):
-    """``analyze semigroup`` validates the input once and each distinct
-    quotient once; the Rees quotient by {0} and any collapse by an equality
-    are the input itself."""
+    """``analyze semigroup`` validates the input once, runs Light's test on
+    it alone, and builds each distinct quotient once, by construction; the
+    Rees quotient by {0} and any collapse by an equality are the input
+    itself."""
     expected = make_i2().mul
     tables = []
     original = InverseSemigroup._validate
@@ -98,12 +121,49 @@ def test_analyze_builds_no_table_twice(tmp_path, monkeypatch, capsys):
         return original(self)
 
     monkeypatch.setattr(InverseSemigroup, "_validate", recording)
+    derived = record_derived(monkeypatch, InverseSemigroup)
+    light = count_calls(monkeypatch, core, "_check_associative")
     path = tmp_path / "i2.json"
     path.write_text(json.dumps(I2_DOC))
     assert cli.main(["analyze", "semigroup", str(path), "--json"]) == 0
     capsys.readouterr()
-    assert tables[0] == expected
+    assert tables == [expected] and len(light) == 1
+    assert derived
+    tables += [q.mul for q in derived]
     assert len(set(tables)) == len(tables)
+
+
+def test_verify_validates_no_groupoid(tmp_path, monkeypatch, capsys):
+    """The groupoids of S and their reductions are groupoids by
+    construction: a verify of I2 builds them all without validation."""
+    built = record_derived(monkeypatch, FiniteGroupoid)
+    validated = count_calls(monkeypatch, FiniteGroupoid, "_validate")
+    (tmp_path / "i2.json").write_text(json.dumps({**I2_DOC, "kind": "semigroup"}))
+    assert cli.main(["verify", str(tmp_path), "--json"]) == 0
+    capsys.readouterr()
+    assert built and validated == []
+
+
+def test_structures_built_by_construction_pass_full_validation(tmp_path, monkeypatch, capsys):
+    """Every subsemigroup, quotient and groupoid that a verify run and
+    ``analyze semigroup`` on I3 build without validation passes it in
+    full, and a semigroup keeps the generators of Light's test."""
+    semigroups = record_derived(monkeypatch, InverseSemigroup)
+    groupoids = record_derived(monkeypatch, FiniteGroupoid)
+    path = tmp_path / "i3.json"
+    path.write_text(json.dumps(I3_DOC))
+    assert cli.main(["verify", "builtin", "--json", "--seed", "0"]) == 0
+    assert cli.main(["analyze", "semigroup", str(path), "--json"]) == 0
+    capsys.readouterr()
+    assert any(q.pmaps is not None for q in semigroups)  # restrictions
+    assert any(q.pmaps is None for q in semigroups)  # quotients
+    for q in semigroups:
+        full = InverseSemigroup(q.mul, q.inv, q.zero, labels=q.labels, pmaps=q.pmaps)
+        assert full.generators == q.generators
+        assert full.idempotents == q.idempotents
+    assert groupoids
+    for g in groupoids:
+        g._validate()
 
 
 def test_a_call_that_raises_stores_nothing():

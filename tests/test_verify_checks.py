@@ -248,3 +248,14 @@ def test_quotient_action_isomorphism_names_the_first_vertex_set(monkeypatch):
     got = assert_caught(verify.check_action_instance, (inst,), "quotient_action_isomorphism",
                         monkeypatch, ss, quotient_action=lambda a, v_set: a)
     assert got.counterexample == [0]
+
+
+def test_quotient_action_isomorphism_names_a_map_that_is_not_one_to_one(monkeypatch):
+    """With every vertex ideal {0}, each Rees quotient is S itself, and its
+    projection onto a smaller quotient-action model is a homomorphism onto it
+    but not one-to-one: the first nonempty vertex set is caught."""
+    inst = _exact_group_action()
+    got = assert_caught(verify.check_action_instance, (inst,), "quotient_action_isomorphism",
+                        monkeypatch, verify, _vertex_ideal=lambda a, truncated, s, v_set:
+                            frozenset({0}))
+    assert got.counterexample == [0]
