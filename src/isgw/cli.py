@@ -27,7 +27,6 @@ from .errors import (
     NotAssociative,
     NotInverse,
     ParseError,
-    TooLarge,
 )
 from .graphs import graph_conditions, graph_semigroup, hereditary_sets, parse_graph
 from .groupoid import build_groupoids, condition_K, effectiveness
@@ -77,7 +76,8 @@ def _semigroup_properties(report: Report, s) -> None:
     report.add_property("ideals", len(ideals))
     report.add_property("saturated_ideals",
                         [sorted(i.elements) for i in ideals if i.saturated])
-    report.add_property("all_congruences_rees", cg.all_congruences_rees(s).value)
+    rees = cg.all_congruences_rees(s)
+    report.add_property("all_congruences_rees", rees.value, witness=rees.witness)
     report.add_property("congruence_free", cg.is_congruence_free(s))
     pair = build_groupoids(s)
     eff = effectiveness(pair.tight)
@@ -121,18 +121,16 @@ def _relations_properties(report: Report, s) -> None:
                         sorted(s.labels[x] for x in rel.centralizer(s)))
 
 
-def _congruence_properties(report: Report, s, bound: int) -> None:
+def _congruence_properties(report: Report, s) -> None:
     da = cg.double_arrow(s)
     report.add_property("double_arrow_classes",
                         [sorted(s.labels[x] for x in c) for c in da.classes])
     report.add_property("condition_l", cg.condition_L(s))
-    try:
-        lattice = cg.enumerate_congruences(s, bound)
-        report.add_property("congruences", len(lattice))
-        report.add_property("rees_congruences", sum(1 for r in lattice if r.is_rees))
-    except TooLarge:
-        report.add_property("congruences", None, hypothesis="unmet-skipped")
-    report.add_property("all_congruences_rees", cg.all_congruences_rees(s).value)
+    lattice = cg.enumerate_congruences(s)
+    report.add_property("congruences", len(lattice))
+    report.add_property("rees_congruences", sum(1 for r in lattice if r.is_rees))
+    rees = cg.all_congruences_rees(s)
+    report.add_property("all_congruences_rees", rees.value, witness=rees.witness)
     report.add_property("congruence_free", cg.is_congruence_free(s))
 
 
@@ -246,7 +244,7 @@ def cmd_analyze(args) -> int:
             "semigroup": lambda: _semigroup_properties(report, s),
             "semilattice": lambda: _semilattice_properties(report, s),
             "relations": lambda: _relations_properties(report, s),
-            "congruences": lambda: _congruence_properties(report, s, args.enumerate_bound),
+            "congruences": lambda: _congruence_properties(report, s),
             "ideals": lambda: _ideal_properties(report, s),
             "groupoid": lambda: _groupoid_properties(report, s),
         }[args.kind]
@@ -348,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--json", action="store_true")
     p_analyze.add_argument("--max-elements", type=int, default=10_000)
     p_analyze.add_argument("--depth", type=int, default=3)
-    p_analyze.add_argument("--enumerate-bound", type=int, default=10)
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_verify = sub.add_parser("verify", help="run every theorem check")
@@ -375,7 +372,7 @@ def main(argv=None) -> int:
     except (ParseError, DanglingEndpoint, NotInverse, NotAssociative, AxiomViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (CapExceeded, TooLarge) as exc:
+    except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
     except IsgwError as exc:

@@ -1,4 +1,4 @@
-"""Congruence machinery: closures, full lattice enumeration, the double-arrow
+"""Congruence machinery: closures, the congruence lattice, the double-arrow
 collapse, Rees congruences and quotients, and the derived conditions
 (condition L, all-congruences-Rees, congruence-freeness)."""
 
@@ -8,12 +8,10 @@ import itertools
 from dataclasses import dataclass
 
 from .core import InverseSemigroup, cayley_graphs, per_semigroup
-from .errors import NotCongruence, NotIdeal, TooLarge
+from .errors import NotCongruence, NotIdeal
 from .relations import EquivalenceRelation, SemigroupHomomorphism, h_and_mu
 from .semilattice import Semilattice, is_0_disjunctive
 from .util import Decision, UnionFind
-
-DEFAULT_ENUMERATION_BOUND = 10
 
 
 @dataclass(frozen=True)
@@ -86,9 +84,18 @@ def congruence_closure(s: InverseSemigroup, pairs) -> Congruence:
 
 
 @per_semigroup
-def congruence_lattice(s: InverseSemigroup) -> tuple:
-    """Every congruence of S, sorted by decreasing class count and then by
-    class index; see ``enumerate_congruences``."""
+def enumerate_congruences(s: InverseSemigroup) -> tuple:
+    """Every congruence of S, computed once per semigroup, sorted by
+    decreasing class count and then by class index: all joins of the
+    principal congruences of the kernel-trace pairs, each pair of idempotents
+    (e, f) and (x, xx*) for each x that is not idempotent.  They suffice
+    because a rho b iff a*a rho b*b and ab* lies in the kernel of rho, which
+    holds x iff x rho xx* (Howie, *Fundamentals of Semigroup Theory*, 1995,
+    section 5.3).  A congruence is held as the tuple of its union-find roots,
+    each class rooted at its least member; one pair is kept per distinct
+    principal congruence, and rho v Cg(a, b) closes the single pair (a, b) by
+    pair orbits on a copy of rho's roots (Torpey, *Semigroup congruences*,
+    PhD thesis, St Andrews, 2019)."""
     right, left = cayley_graphs(s)
     n = s.n
 
@@ -98,10 +105,13 @@ def congruence_lattice(s: InverseSemigroup) -> tuple:
         _merge_pair_orbits(dsu, right, left, [(a, b)])
         return tuple(map(dsu.find, range(n)))
 
+    candidates = itertools.chain(
+        itertools.combinations(s.idempotents, 2),
+        ((x, s.product(x, s.star(x))) for x in range(n) if not s.is_idempotent(x)))
     equality = tuple(range(n))
     generating_pairs = []
     principals = set()
-    for a, b in itertools.combinations(range(n), 2):
+    for a, b in candidates:
         p = join(equality, a, b)
         if p not in principals:
             principals.add(p)
@@ -122,23 +132,6 @@ def congruence_lattice(s: InverseSemigroup) -> tuple:
         frontier = fresh
     lattice = [make_congruence(s, roots.__getitem__) for roots in found]
     return tuple(sorted(lattice, key=lambda r: (-len(r.classes), r.class_index)))
-
-
-def enumerate_congruences(s: InverseSemigroup, bound: int = DEFAULT_ENUMERATION_BOUND) -> list:
-    """The full congruence lattice, as all joins of principal congruences,
-    computed once per semigroup.
-
-    A congruence is held as the tuple of its union-find roots; each class is
-    rooted at its least member, so the tuple is a canonical key.  One
-    generating pair (a, b) is kept per distinct principal congruence, and
-    rho v Cg(a, b) is rho itself when rho relates a and b, else the closure
-    of the single pair (a, b) by pair orbits on a copy of rho's roots (Torpey,
-    *Semigroup congruences*, PhD thesis, St Andrews, 2019).  Only the distinct
-    members are packaged as Congruence objects.  Raises TooLarge above the
-    bound, and returns a fresh list each call."""
-    if s.n > bound:
-        raise TooLarge(f"|S| = {s.n} exceeds enumeration bound {bound}")
-    return list(congruence_lattice(s))
 
 
 def double_arrow_rows(s: InverseSemigroup) -> list:
@@ -274,17 +267,17 @@ def rees_quotient(s: InverseSemigroup, ideal) -> QuotientSemigroup:
 def all_congruences_rees(s: InverseSemigroup) -> Decision:
     """Whether every congruence of S is a Rees congruence: S/I is fundamental
     with a 0-disjunctive semilattice for every ideal I.  A negative decision
-    names the first ideal that fails and how.  The verify check
-    ``all_rees_characterization`` compares it with a scan of the congruence
-    lattice for a non-Rees member."""
+    names how the first failing ideal fails, and its elements in ascending
+    order.  The verify check ``all_rees_characterization`` compares it with a
+    scan of the congruence lattice for a non-Rees member."""
     from .ideals_filters import enumerate_ideals
 
     for ideal in enumerate_ideals(s):
         q = rees_quotient(s, ideal.elements).quotient
         if not h_and_mu(q).fundamental:
-            return Decision(False, ("quotient_not_fundamental", ideal.elements))
+            return Decision(False, ("quotient_not_fundamental", tuple(sorted(ideal.elements))))
         if not is_0_disjunctive(Semilattice.from_semigroup(q)).value:
-            return Decision(False, ("quotient_not_0_disjunctive", ideal.elements))
+            return Decision(False, ("quotient_not_0_disjunctive", tuple(sorted(ideal.elements))))
     return Decision(True)
 
 

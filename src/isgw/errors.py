@@ -42,10 +42,6 @@ class Overflow(IsgwError):
     """A truncated model was asked for a product beyond its depth bound."""
 
 
-class TooLarge(IsgwError):
-    """An enumeration exceeded its configured size bound."""
-
-
 class CapExceeded(IsgwError):
     """A closure or enumeration exceeded its hard element cap."""
 

@@ -13,8 +13,6 @@ from typing import Any
 
 SCHEMA_VERSION = "1"
 
-HYPOTHESIS_STATES = ("met", "unmet-skipped", "unmet-recorded")
-
 
 def jsonable(value: Any) -> Any:
     """Convert nested witness data into deterministic JSON-friendly values."""

@@ -92,6 +92,20 @@ def test_analyze_other_semigroup_kinds(files, capsys, kind):
     assert "instance:" in out
 
 
+def test_analyze_congruences_counts_the_lattice_at_every_size(tmp_path, capsys):
+    """I3 has 34 elements, 7 congruences (Liber, 1953), and 4 Rees
+    congruences, one per rank ideal."""
+    path = _write(tmp_path, "i3.json",
+                  {"degree": 3, "generators": [[1, 0, 2], [1, 2, 0], [0, 1, None]]})
+    code, out, _ = run_cli(capsys, "analyze", "congruences", path, "--json")
+    assert code == 0
+    props = json.loads(out)["properties"]
+    assert props["congruences"]["value"] == 7
+    assert props["rees_congruences"]["value"] == 4
+    assert props["all_congruences_rees"]["value"] is False
+    assert props["all_congruences_rees"]["witness"][0] == "quotient_not_fundamental"
+
+
 def test_analyze_graph(files, capsys):
     code, out, _ = run_cli(capsys, "analyze", "graph", files["l1"], "--json")
     assert code == 0
@@ -196,17 +210,17 @@ def test_verify_reports_falsification(monkeypatch, capsys):
 # byte-identical; the hashes do not depend on PYTHONHASHSEED.
 GOLDEN_SHA256 = {
     "verify builtin --json --seed 0":
-        "f1602952a339cdf6da4d66ec11572b2158f1cc29fe36cd7550a20b504af7796c",
+        "78a6e510d84b12a40cda04ae8d631c23b49edaa6d578f1a41eac450cdb98d4ca",
     "analyze semigroup i2.json --json":
-        "b8ed75da2693c4072f35ca2c02364c3a98b135a40a56a8ef59723c1ae37458f4",
+        "41f42b44782610701fcb094dfaa8d94fc1cb51cb80ee432e0652096672209a9c",
     "analyze congruences i2.json --json":
-        "279014cfa3c22dad263bf8a446bd482fe0ff999a583745953075db66193feebb",
+        "bdc12948e0df28bdebc1a3c27781f056a8b2d92a502263d2923a261569f7213e",
     "analyze ideals i2.json --json":
         "3c9460b6292cae6cda8eddfd95c9d9bcfa5623aa6a73fc03ad2b31519f5f2769",
     "verify ladder --json":
-        "d17d581b40d1ebd1c85d4067f47a77213be6995d1fdde13757ba3ec0b4c0272a",
+        "e2ffaed9819596736e284bf09d3c9c663f4c1b68260863208b272850a5723842",
     "verify mid --json":
-        "5b9864e368fb56f126035497b21e1e199fc23083d1d9b6ff694801651584612c",
+        "2d3c2f5b9c12a10b07f2f25e4e74ab1c49df7be0606e2082e2ec99f2c3ce965a",
 }
 
 

@@ -14,12 +14,14 @@ from isgw.congruences import (
     rees_quotient,
     universal_congruence,
 )
-from isgw.core import InverseSemigroup, from_tables
-from isgw.errors import NotCongruence, NotIdeal, TooLarge
+from isgw.core import InverseSemigroup, from_tables, semigroup_from_json
+from isgw.errors import NotCongruence, NotIdeal
 from isgw.ideals_filters import principal_ideal
 from isgw.semilattice import Semilattice, is_0_disjunctive
 
 from conftest import i2_named, make_i2
+from test_cli import brandt_doc
+from test_ideals_filters import symmetric_inverse_monoid
 
 
 def partition_by_labels(s, rho):
@@ -72,9 +74,21 @@ def test_enumerate_zero_semigroup():
     assert lattice[0].is_equality() and lattice[0].is_universal()
 
 
-def test_enumerate_respects_bound(i2):
-    with pytest.raises(TooLarge):
-        enumerate_congruences(i2, bound=3)
+@pytest.mark.parametrize("n, count", [(2, 4), (3, 7), (4, 11)])
+def test_congruence_count_of_symmetric_inverse_monoids(n, count):
+    """|Con(I_n)| = 1 + sum_{k <= n} |N(S_k)|, with N(S_k) the normal
+    subgroups of the symmetric group S_k (Liber, 1953)."""
+    assert len(enumerate_congruences(symmetric_inverse_monoid(n))) == count
+
+
+@pytest.mark.parametrize("k, n", [(1, 3), (2, 4), (3, 3), (4, 2), (6, 2)])
+def test_congruence_count_of_brandt_semigroups(k, n):
+    """The congruences of B(G, n) are the universal one and one per normal
+    subgroup of G (Howie, *Fundamentals of Semigroup Theory*, 1995, ch. 3),
+    so |Con(B(Z/k, n))| = d(k) + 1 with d(k) the number of divisors of k."""
+    divisors = sum(1 for d in range(1, k + 1) if k % d == 0)
+    s = semigroup_from_json(brandt_doc(k, n))
+    assert len(enumerate_congruences(s)) == divisors + 1
 
 
 def test_double_arrow_e4(e4, e4n):

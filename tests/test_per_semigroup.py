@@ -10,7 +10,7 @@ from isgw import cli, core, verify
 from isgw import ideals_filters as ifl
 from isgw import congruences as cg
 from isgw import selfsimilar as ss
-from isgw.congruences import condition_L, congruence_lattice, double_arrow, enumerate_congruences
+from isgw.congruences import condition_L, double_arrow, enumerate_congruences
 from isgw.core import (
     InverseSemigroup,
     PartialBijection,
@@ -18,7 +18,6 @@ from isgw.core import (
     from_tables,
     per_semigroup,
 )
-from isgw.errors import TooLarge
 from isgw.groupoid import FiniteGroupoid, build_groupoids, condition_K
 from isgw.relations import centralizer, h_and_mu
 from isgw.report import Report
@@ -45,7 +44,7 @@ def trapping_on_the_idempotents(s):
 
 
 CACHED = [InverseSemigroup.order, h_and_mu, centralizer, double_arrow, condition_L,
-          congruence_lattice, ifl.enumerate_ideals, ifl.d_class_idempotents,
+          enumerate_congruences, ifl.enumerate_ideals, ifl.d_class_idempotents,
           build_groupoids, condition_K, quotient_by_an_ideal, rees_quotient_by_an_ideal,
           trapping_on_the_idempotents]
 
@@ -257,19 +256,6 @@ def test_analyze_ideals_tests_no_order_ideal_for_invariance(tmp_path, monkeypatc
     props = json.loads(capsys.readouterr().out)["properties"]
     assert len(props["hull_of_invariant_order_ideals"]["value"]) == 4
     assert calls == []
-
-
-def test_enumeration_bound_is_checked_before_the_cache(i2):
-    assert len(enumerate_congruences(i2)) == 4
-    with pytest.raises(TooLarge):
-        enumerate_congruences(i2, bound=3)
-
-
-def test_enumerate_congruences_returns_a_fresh_list(i2):
-    first = enumerate_congruences(i2)
-    expected = list(first)
-    first.clear()
-    assert enumerate_congruences(i2) == expected
 
 
 def test_congruence_lattice_is_closed_once(monkeypatch):

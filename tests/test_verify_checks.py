@@ -18,6 +18,8 @@ from isgw.groupoid import ConditionKReport
 from isgw.semilattice import Semilattice, atoms
 from isgw.util import Decision
 
+from conftest import i2_named
+
 
 def entry(entries, name):
     [found] = [e for e in entries if e.name == name]
@@ -119,6 +121,40 @@ def test_congruence_free_characterization_names_the_lattice(i2, monkeypatch):
     got = assert_caught(verify.check_all_rees, (i2,), "congruence_free_characterization",
                         monkeypatch, cg, is_congruence_free=lambda s: not real)
     assert len(got.counterexample) == len(cg.enumerate_congruences(i2))
+
+
+def _lattice_with(extra):
+    """The real congruence lattice of S and one wrong member."""
+    real = cg.enumerate_congruences
+    return lambda s: real(s) + (extra(s),)
+
+
+def _units_merged(s):
+    """I and X of I2 in one class, every other element alone: a relation
+    with one idempotent per class and the zero alone, so it reads as a proper
+    idempotent-separating and 0-restricted congruence (it is not compatible:
+    multiplying by E11 separates I from X)."""
+    n = i2_named(s)
+    return cg.make_congruence(s, lambda a: n["I"] if a == n["X"] else a)
+
+
+def test_mu_maximality_names_an_idempotent_separating_congruence_outside_mu(
+        i2, monkeypatch):
+    assert rel.h_and_mu(i2).fundamental and i2.n <= verify.ENUM_BOUND
+    got = assert_caught(verify.check_mu_properties, (i2,),
+                        "mu_is_maximum_idempotent_separating", monkeypatch, cg,
+                        enumerate_congruences=_lattice_with(_units_merged))
+    assert got.counterexample == _units_merged(i2).partition()
+
+
+def test_zero_restricted_rigidity_names_a_proper_zero_restricted_congruence(
+        i2, monkeypatch):
+    """I2 is fundamental with a 0-disjunctive semilattice, so its only
+    0-restricted congruence is the equality."""
+    got = assert_caught(verify.check_all_rees, (i2,), "zero_restricted_rigidity",
+                        monkeypatch, cg, enumerate_congruences=_lattice_with(_units_merged))
+    assert got.counterexample == [_units_merged(i2).partition()]
+    assert got.detail == "rigid=False"
 
 
 def _every_filter_ultra(lattice):
