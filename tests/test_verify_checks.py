@@ -3,7 +3,7 @@ of the same paper statement.  Each test first runs the check on the real
 library, then replaces the library's answer with a wrong one: the check must
 report "fail" with a counterexample, not raise."""
 
-import dataclasses
+import json
 import random
 
 import pytest
@@ -14,7 +14,9 @@ from isgw import relations as rel
 from isgw import selfsimilar as ss
 from isgw import verify
 from isgw.corpus import builtin_corpus
-from isgw.groupoid import ConditionKReport
+from isgw.errors import ParseError
+from isgw.groupoid import ConditionKReport, Germ
+from isgw.report import Report
 from isgw.semilattice import Semilattice, atoms
 from isgw.util import Decision
 
@@ -26,7 +28,7 @@ def entry(entries, name):
     return found
 
 
-def assert_caught(check, args, name, monkeypatch, module, **wrong):
+def assert_fails(check, args, name, monkeypatch, module, **wrong):
     """Run the check, then again with the named attributes of the module
     replaced by wrong ones."""
     assert entry(check(*args), name).status == "pass"
@@ -34,6 +36,12 @@ def assert_caught(check, args, name, monkeypatch, module, **wrong):
         monkeypatch.setattr(module, attr, value)
     got = entry(check(*args), name)
     assert got.status == "fail", got
+    return got
+
+
+def assert_caught(check, args, name, monkeypatch, module, **wrong):
+    """assert_fails, and the failing entry names a counterexample."""
+    got = assert_fails(check, args, name, monkeypatch, module, **wrong)
     assert got.counterexample is not None
     return got
 
@@ -185,6 +193,19 @@ def test_injectivity_check_names_the_homomorphism(i2, monkeypatch):
     assert flags == rel.InjectivityReport(False, True, True, True)
 
 
+def test_record_counterexample_renders_as_its_fields(i2, monkeypatch):
+    """A record inside a counterexample is rendered as the dict of its fields."""
+    monkeypatch.setattr(rel, "injectivity_criteria",
+                        lambda phi: rel.InjectivityReport(False, True, True, True))
+    report = Report("I2")
+    for e in verify.check_injectivity_criteria(i2):
+        report.add_theorem(e)
+    rendered = report.to_dict()["theorems"]["injectivity_criteria_equivalence"]
+    assert json.dumps(rendered["counterexample"]) == (
+        '[[0, 1, 2, 3, 4, 5, 6], {"idempotent_pure": true, "idempotent_separating": true, '
+        '"injective": false, "injective_on_centralizer_of_e": true}]')
+
+
 def test_beta_action_check_names_the_pair_whose_image_is_not_the_up_closure(
         i2, monkeypatch):
     """A conjugation that fixes every filter is invertible, so only the
@@ -270,7 +291,8 @@ def test_mu_path_criterion_names_the_first_pair_that_acts_alike(monkeypatch):
     assert inst.uid == "ACT-SWAP-D2"
     s = inst.meta["exact"].to_inverse_semigroup()
     equality = rel.EquivalenceRelation.from_class_map(s.n, lambda a: a)
-    wrong = dataclasses.replace(rel.h_and_mu(s), mu=equality)
+    real = rel.h_and_mu(s)
+    wrong = rel.RelationsReport(real.h, equality, real.cryptic, real.fundamental)
     got = assert_caught(verify.check_action_instance, (inst,), "mu_path_criterion",
                         monkeypatch, rel, h_and_mu=lambda s: wrong)
     assert got.counterexample == ("(v0,1,v0)", "(v0,t,v0)")
@@ -295,3 +317,73 @@ def test_quotient_action_isomorphism_names_a_map_that_is_not_one_to_one(monkeypa
                         monkeypatch, verify, _vertex_ideal=lambda a, truncated, s, v_set:
                             frozenset({0}))
     assert got.counterexample == [0]
+
+
+# -- statements whose failure has no counterexample, or a plain one ---------------
+
+def _instance(uid):
+    return next(inst for inst in builtin_corpus(0) if inst.uid == uid)
+
+
+def test_mu_congruence_check_names_the_classes_of_a_relation_that_is_no_congruence(
+        i2, monkeypatch):
+    """mu replaced by the L relation (equal domains), which is not compatible
+    with left multiplication."""
+    real = rel.h_and_mu(i2)
+    l_rel = rel.EquivalenceRelation.from_class_map(i2.n, lambda a: i2.product(i2.star(a), a))
+    wrong = rel.RelationsReport(real.h, l_rel, real.cryptic, real.fundamental)
+    got = assert_caught(verify.check_mu_properties, (i2,),
+                        "mu_is_idempotent_separating_congruence", monkeypatch, rel,
+                        h_and_mu=lambda s: wrong)
+    assert got.counterexample == l_rel.partition()
+    assert got.detail.startswith("left product")
+
+
+def test_saturation_check_names_the_first_ideal_whose_levels_disagree(i2, monkeypatch):
+    real = ifl.s_level_saturated
+    got = assert_caught(verify.check_ideal_correspondence, (i2,),
+                        "saturation_agrees_at_both_levels", monkeypatch, ifl,
+                        s_level_saturated=lambda s, members: not real(s, members))
+    assert got.counterexample == sorted(ifl.enumerate_ideals(i2)[0].elements)
+
+
+def test_all_rees_implies_condition_k_fails_when_condition_k_does(monkeypatch):
+    """SL02-n3 has only Rees congruences, so the implication is checked."""
+    s = _instance("SL02-n3").semigroup
+    assert cg.all_congruences_rees(s).value
+    got = assert_fails(verify.check_all_rees, (s,), "all_rees_implies_condition_k",
+                       monkeypatch, verify, condition_K=lambda s: ConditionKReport(False, ()))
+    assert got.counterexample is None
+
+
+def test_germ_check_names_the_first_arrow_whose_germ_moves(i2, monkeypatch):
+    got = assert_caught(verify.check_germ_canonical_stability, (i2,),
+                        "germ_canonicalization_stable", monkeypatch, verify,
+                        germ_of=lambda s, a, m: Germ(s.zero, m))
+    assert got.counterexample == min(a for a in i2.elements() if a != i2.zero)
+
+
+def test_graph_condition_l_check_fails_on_a_flipped_condition_l(monkeypatch):
+    real = cg.condition_L
+    got = assert_fails(verify.check_graph_instance, (_exact_instance("graph"),),
+                       "graph_condition_l_matches_collapse", monkeypatch, cg,
+                       condition_L=lambda s: not real(s))
+    assert got.counterexample is None
+
+
+def test_tight_units_check_names_both_counts(monkeypatch):
+    inst = _exact_instance("graph")
+    got = assert_fails(verify.check_graph_instance, (inst,),
+                       "tight_units_are_maximal_path_filters", monkeypatch, verify,
+                       _all_paths=lambda truncated: ())
+    assert got.detail.endswith(" maximal_paths=0")
+    assert not got.detail.startswith("atoms=0 ")
+
+
+def test_action_axioms_check_reports_the_validation_error(monkeypatch):
+    def broken(action):
+        raise ParseError("cocycle breaks the axioms")
+
+    got = assert_fails(verify.check_action_instance, (_exact_group_action(),),
+                       "action_axioms_hold", monkeypatch, ss, validate_action=broken)
+    assert got.detail == "cocycle breaks the axioms"
