@@ -5,20 +5,25 @@ collapse, Rees congruences and quotients, and the derived conditions
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .core import InverseSemigroup, cayley_graphs, per_semigroup
 from .errors import NotCongruence, NotIdeal
 from .relations import EquivalenceRelation, SemigroupHomomorphism, h_and_mu
 from .semilattice import Semilattice, is_0_disjunctive
-from .util import Decision, UnionFind
+from .util import Decision, Record, UnionFind, set_field
 
 
-@dataclass(frozen=True)
 class Congruence(EquivalenceRelation):
-    is_rees: bool
-    is_zero_restricted: bool
-    is_idempotent_separating: bool
+    __slots__ = ("is_rees", "is_zero_restricted", "is_idempotent_separating")
+
+    def __init__(self, n: int, classes: tuple, class_index: tuple, is_rees: bool,
+                 is_zero_restricted: bool, is_idempotent_separating: bool):
+        set_field(self, "n", n)
+        set_field(self, "classes", classes)
+        set_field(self, "class_index", class_index)
+        set_field(self, "is_rees", is_rees)
+        set_field(self, "is_zero_restricted", is_zero_restricted)
+        set_field(self, "is_idempotent_separating", is_idempotent_separating)
 
 
 def make_congruence(s: InverseSemigroup, rep_of) -> Congruence:
@@ -190,11 +195,14 @@ def double_arrow(s: InverseSemigroup) -> Congruence:
     return make_congruence(s, dsu.find)
 
 
-@dataclass(frozen=True)
-class QuotientSemigroup:
-    source: InverseSemigroup
-    quotient: InverseSemigroup
-    projection: tuple  # source element -> quotient element
+class QuotientSemigroup(Record):
+    __slots__ = ("source", "quotient", "projection")
+
+    def __init__(self, source: InverseSemigroup, quotient: InverseSemigroup,
+                 projection: tuple):
+        set_field(self, "source", source)
+        set_field(self, "quotient", quotient)
+        set_field(self, "projection", projection)  # source element -> quotient element
 
     def as_homomorphism(self) -> SemigroupHomomorphism:
         return SemigroupHomomorphism(self.source, self.quotient, self.projection)

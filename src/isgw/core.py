@@ -21,35 +21,35 @@ from __future__ import annotations
 import functools
 import itertools
 from array import array
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import CapExceeded, NotAssociative, NotInverse, ParseError
+from .util import Record, set_field
 
 DEFAULT_CLOSURE_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class PartialBijection:
+class PartialBijection(Record):
     """Partial injective map on {0, ..., degree-1}.
 
     ``image[x]`` is the image of the point x, or None where the map is
     undefined.  Products compose like functions: (f*g)(x) = f(g(x)).
     """
 
-    degree: int
-    image: tuple
+    __slots__ = ("degree", "image")
 
-    def __post_init__(self):
-        if self.degree <= 0:
+    def __init__(self, degree: int, image: tuple):
+        set_field(self, "degree", degree)
+        set_field(self, "image", image)
+        if degree <= 0:
             raise ValueError("degree must be positive")
-        if len(self.image) != self.degree:
+        if len(image) != degree:
             raise ValueError("image tuple must have one entry per point")
         seen = set()
-        for y in self.image:
+        for y in image:
             if y is None:
                 continue
-            if not (0 <= y < self.degree):
+            if not (0 <= y < degree):
                 raise ValueError(f"image point {y} out of range")
             if y in seen:
                 raise ValueError("not injective")
@@ -91,8 +91,7 @@ class PartialBijection:
         return "[" + ",".join(f"{x}>{y}" for x, y in enumerate(self.image) if y is not None) + "]"
 
 
-@dataclass(frozen=True)
-class NaturalOrder:
+class NaturalOrder(Record):
     """The natural partial order: s <= t iff s = t*e for some idempotent e.
 
     In an inverse semigroup this holds iff s = t*dom(s), where dom(s) is the
@@ -100,9 +99,12 @@ class NaturalOrder:
     each comparison is one table lookup and no n x n table is kept.
     """
 
-    mul: tuple
-    dom: tuple  # dom[s] = star(s)*s
-    idempotents: tuple
+    __slots__ = ("mul", "dom", "idempotents")
+
+    def __init__(self, mul: tuple, dom: tuple, idempotents: tuple):
+        set_field(self, "mul", mul)
+        set_field(self, "dom", dom)  # dom[s] = star(s)*s
+        set_field(self, "idempotents", idempotents)
 
     def holds(self, s: int, t: int) -> bool:
         return self.mul[t][self.dom[s]] == s
@@ -532,22 +534,50 @@ def natural_order(s: InverseSemigroup) -> NaturalOrder:
     return s.order()
 
 
+def _int_list(value, what: str) -> list:
+    """value, if it is a JSON list of integers; otherwise ParseError."""
+    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
+        raise ParseError(f"{what} must be a list of integers")
+    return value
+
+
+def _labels(obj: dict) -> list | None:
+    labels = obj.get("labels")
+    if labels is not None and not (isinstance(labels, list)
+                                   and all(isinstance(x, str) for x in labels)):
+        raise ParseError("labels must be a list of strings")
+    return labels
+
+
 def semigroup_from_json(obj: dict, max_elements: int = DEFAULT_CLOSURE_CAP) -> InverseSemigroup:
-    """Parse the documented JSON schema (generator form or table form)."""
+    """Parse the documented JSON schema (generator form or table form).  A
+    document whose fields have the wrong JSON types raises ParseError."""
     if not isinstance(obj, dict):
         raise ParseError("semigroup document must be an object")
     if "generators" in obj:
+        rows = obj["generators"]
+        if not isinstance(rows, list) or not all(
+                isinstance(row, list) and all(y is None or isinstance(y, int) for y in row)
+                for row in rows):
+            raise ParseError("generators must be lists of integers or null")
         try:
             degree = int(obj["degree"])
-            gens = [PartialBijection(degree, tuple(row)) for row in obj["generators"]]
+            gens = [PartialBijection(degree, tuple(row)) for row in rows]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad generator document: {exc}") from exc
         if not gens:
             raise ParseError("empty generator list")
-        return from_partial_bijections(gens, labels=obj.get("labels"), max_elements=max_elements)
+        return from_partial_bijections(gens, labels=_labels(obj), max_elements=max_elements)
     if "table" in obj:
         try:
-            return from_tables(obj["table"], obj["inv"], obj["zero"], labels=obj.get("labels"))
+            table, inv, zero = obj["table"], obj["inv"], obj["zero"]
         except KeyError as exc:
             raise ParseError(f"table document missing field: {exc}") from exc
+        if not isinstance(table, list):
+            raise ParseError("table must be a list of rows")
+        for row in table:
+            _int_list(row, "each table row")
+        if not isinstance(zero, int):
+            raise ParseError("zero must be an integer")
+        return from_tables(table, _int_list(inv, "inv"), zero, labels=_labels(obj))
     raise ParseError("semigroup document needs either generators or a table")

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 
 from .core import InverseSemigroup, PartialBijection, from_partial_bijections, from_tables
 from .errors import CapExceeded
@@ -27,19 +26,24 @@ from .selfsimilar import (
     trivial_action,
     vertex_swap_action,
 )
+from .util import MutableRecord
 
 RANDOM_SUBSEMIGROUP_MAX = 14
 RANDOM_TRIES_PER_INSTANCE = 60
 
 
-@dataclass
-class CorpusInstance:
-    uid: str
-    kind: str  # "semigroup" | "graph" | "action"
-    semigroup: InverseSemigroup | None = None
-    graph: DirectedGraph | None = None
-    action: SelfSimilarAction | None = None
-    meta: dict = field(default_factory=dict)
+class CorpusInstance(MutableRecord):
+    __slots__ = ("uid", "kind", "semigroup", "graph", "action", "meta")
+
+    def __init__(self, uid: str, kind: str, semigroup: InverseSemigroup | None = None,
+                 graph: DirectedGraph | None = None, action: SelfSimilarAction | None = None,
+                 meta: dict | None = None):
+        self.uid = uid
+        self.kind = kind  # "semigroup" | "graph" | "action"
+        self.semigroup = semigroup
+        self.graph = graph
+        self.action = action
+        self.meta = {} if meta is None else meta
 
 
 # -- fixture semigroups --------------------------------------------------------

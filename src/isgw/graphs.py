@@ -9,32 +9,32 @@ from right to left.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import DanglingEndpoint, NotHereditary, ParseError, CapExceeded
-from .util import Decision
+from .util import Decision, Record, set_field
 
 MAX_CONDITION_VERTICES = 12
 
 
-@dataclass(frozen=True)
-class Edge:
-    eid: str
-    src: int
-    rng: int
+class Edge(Record):
+    __slots__ = ("eid", "src", "rng")
+
+    def __init__(self, eid: str, src: int, rng: int):
+        set_field(self, "eid", eid)
+        set_field(self, "src", src)
+        set_field(self, "rng", rng)
 
 
-@dataclass(frozen=True)
-class DirectedGraph:
-    vertices: tuple  # vertex ids, not necessarily dense after quotients
-    edges: tuple  # Edge values; edge indices are positions in this tuple
+class DirectedGraph(Record):
+    __slots__ = ("vertices", "edges")
 
-    def __post_init__(self):
-        vs = frozenset(self.vertices)
-        for e in self.edges:
+    def __init__(self, vertices: tuple, edges: tuple):
+        set_field(self, "vertices", vertices)  # vertex ids, not necessarily dense after quotients
+        set_field(self, "edges", edges)  # Edge values; edge indices are positions in this tuple
+        vs = frozenset(vertices)
+        for e in edges:
             if e.src not in vs or e.rng not in vs:
                 raise DanglingEndpoint(f"edge {e.eid} touches a missing vertex")
-        if len({e.eid for e in self.edges}) != len(self.edges):
+        if len({e.eid for e in edges}) != len(edges):
             raise ParseError("duplicate edge ids")
 
     def edges_into(self, v: int) -> tuple:
@@ -82,10 +82,12 @@ class DirectedGraph:
 def parse_graph(obj: dict) -> DirectedGraph:
     if not isinstance(obj, dict):
         raise ParseError("graph document must be an object")
+    edge_docs = obj.get("edges", [])
+    if not isinstance(edge_docs, list) or not all(isinstance(e, dict) for e in edge_docs):
+        raise ParseError("edges must be a list of objects")
     try:
         n = int(obj["vertices"])
-        edges = tuple(Edge(str(e["id"]), int(e["src"]), int(e["rng"]))
-                      for e in obj.get("edges", []))
+        edges = tuple(Edge(str(e["id"]), int(e["src"]), int(e["rng"])) for e in edge_docs)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad graph document: {exc}") from exc
     if n < 0:
@@ -93,23 +95,24 @@ def parse_graph(obj: dict) -> DirectedGraph:
     return DirectedGraph(tuple(range(n)), edges)
 
 
-@dataclass(frozen=True)
-class GraphPath:
+class GraphPath(Record, compare=("edges", "src")):
     """Edge tuple in composition order (range-end edge first); a bare vertex
-    is the length-zero path at that vertex."""
+    is the length-zero path at that vertex.  Equality and hash leave the
+    graph out."""
 
-    graph: DirectedGraph = field(compare=False)
-    edges: tuple = ()
-    src: int = 0
+    __slots__ = ("graph", "edges", "src")
 
-    def __post_init__(self):
-        g = self.graph
-        if self.src not in g.vertices:
-            raise DanglingEndpoint(f"no vertex {self.src}")
-        for i, j in zip(self.edges, self.edges[1:]):
-            if g.edges[i].src != g.edges[j].rng:
+    def __init__(self, graph: DirectedGraph, edges: tuple = (), src: int = 0):
+        set_field(self, "graph", graph)
+        set_field(self, "edges", edges)
+        set_field(self, "src", src)
+        if src not in graph.vertices:
+            raise DanglingEndpoint(f"no vertex {src}")
+        g_edges = graph.edges
+        for i, j in zip(edges, edges[1:]):
+            if g_edges[i].src != g_edges[j].rng:
                 raise ParseError("edges do not compose")
-        if self.edges and g.edges[self.edges[-1]].src != self.src:
+        if edges and g_edges[edges[-1]].src != src:
             raise ParseError("source vertex disagrees with the last edge")
 
     @property
@@ -248,11 +251,13 @@ def _first_return_count(g: DirectedGraph, v: int) -> int:
     return 1
 
 
-@dataclass(frozen=True)
-class GraphConditions:
-    condition_l: Decision
-    condition_k: Decision
-    condition_m: Decision
+class GraphConditions(Record):
+    __slots__ = ("condition_l", "condition_k", "condition_m")
+
+    def __init__(self, condition_l: Decision, condition_k: Decision, condition_m: Decision):
+        set_field(self, "condition_l", condition_l)
+        set_field(self, "condition_k", condition_k)
+        set_field(self, "condition_m", condition_m)
 
 
 def condition_l_graph(g: DirectedGraph) -> Decision:
@@ -301,10 +306,12 @@ def graph_conditions(g: DirectedGraph) -> GraphConditions:
 
 # -- hereditary sets and quotients ---------------------------------------------
 
-@dataclass(frozen=True)
-class HereditarySet:
-    vertices: frozenset
-    saturated: bool
+class HereditarySet(Record):
+    __slots__ = ("vertices", "saturated")
+
+    def __init__(self, vertices: frozenset, saturated: bool):
+        set_field(self, "vertices", vertices)
+        set_field(self, "saturated", saturated)
 
 
 def is_hereditary(g: DirectedGraph, h) -> bool:

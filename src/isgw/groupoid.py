@@ -11,7 +11,6 @@ of the structure theorems collapses to bijectivity of the explicit maps.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .congruences import QuotientSemigroup, condition_L, double_arrow, quotient, rees_quotient
 from .core import InverseSemigroup, _picker, per_semigroup
@@ -19,16 +18,18 @@ from .errors import DomainViolation, InternalContract, NotInvariant
 from .ideals_filters import enumerate_ideals
 from .report import TheoremEntry
 from .semilattice import Semilattice, atoms, is_cover
-from .util import Decision, UnionFind, group_by
+from .util import Decision, Record, UnionFind, group_by, set_field
 
 
-@dataclass(frozen=True)
-class Germ:
+class Germ(Record):
     """Canonical germ: representative element and the minimum of its domain
     filter.  The representative always satisfies rep* rep = source."""
 
-    rep: int
-    source: int
+    __slots__ = ("rep", "source")
+
+    def __init__(self, rep: int, source: int):
+        set_field(self, "rep", rep)
+        set_field(self, "source", source)
 
 
 def germ_of(s: InverseSemigroup, a: int, filter_min: int) -> Germ:
@@ -155,10 +156,12 @@ def _ranges(s: InverseSemigroup) -> tuple:
     return tuple(dom[b] for b in s.inv)
 
 
-@dataclass(frozen=True)
-class GroupoidPair:
-    universal: FiniteGroupoid
-    tight: FiniteGroupoid
+class GroupoidPair(Record):
+    __slots__ = ("universal", "tight")
+
+    def __init__(self, universal: FiniteGroupoid, tight: FiniteGroupoid):
+        set_field(self, "universal", universal)
+        set_field(self, "tight", tight)
 
 
 @per_semigroup
@@ -186,10 +189,12 @@ def reduction(g: FiniteGroupoid, unit_subset) -> FiniteGroupoid:
     return FiniteGroupoid._derived(g.s, sorted(a), [u for u in g.arrows if g.source(u) in a])
 
 
-@dataclass(frozen=True)
-class EffectivenessReport:
-    effective: Decision
-    strongly_effective: Decision
+class EffectivenessReport(Record):
+    __slots__ = ("effective", "strongly_effective")
+
+    def __init__(self, effective: Decision, strongly_effective: Decision):
+        set_field(self, "effective", effective)
+        set_field(self, "strongly_effective", strongly_effective)
 
 
 def effectiveness(g: FiniteGroupoid) -> EffectivenessReport:
@@ -221,13 +226,15 @@ def effectiveness(g: FiniteGroupoid) -> EffectivenessReport:
 
 # -- structure-theorem verification -------------------------------------------
 
-@dataclass(frozen=True)
-class GroupoidMap:
+class GroupoidMap(Record):
     """Explicit functor between finite groupoids, with its own receipts."""
 
-    unit_map: dict
-    arrow_map: dict
-    is_isomorphism: bool = True
+    __slots__ = ("unit_map", "arrow_map", "is_isomorphism")
+
+    def __init__(self, unit_map: dict, arrow_map: dict, is_isomorphism: bool = True):
+        set_field(self, "unit_map", unit_map)
+        set_field(self, "arrow_map", arrow_map)
+        set_field(self, "is_isomorphism", is_isomorphism)
 
 
 def _check_functor(src: FiniteGroupoid, dst: FiniteGroupoid, gmap: GroupoidMap,
@@ -406,10 +413,13 @@ def verify_structure_theorems(s: InverseSemigroup) -> list:
 
 # -- conditions ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConditionKReport:
-    value: bool
-    per_ideal: tuple  # (sorted idempotent trace, condition_L of the quotient)
+class ConditionKReport(Record):
+    __slots__ = ("value", "per_ideal")
+
+    def __init__(self, value: bool, per_ideal: tuple):
+        set_field(self, "value", value)
+        # (sorted idempotent trace, condition_L of the quotient) per saturated ideal
+        set_field(self, "per_ideal", per_ideal)
 
 
 @per_semigroup
@@ -430,12 +440,15 @@ def condition_K(s: InverseSemigroup) -> ConditionKReport:
     return ConditionKReport(value=value, per_ideal=tuple(per_ideal))
 
 
-@dataclass(frozen=True)
-class WeaklyFixedReport:
-    criterion: Decision
-    effective: bool
-    quotient_fundamental: bool
-    chain_holds: bool
+class WeaklyFixedReport(Record):
+    __slots__ = ("criterion", "effective", "quotient_fundamental", "chain_holds")
+
+    def __init__(self, criterion: Decision, effective: bool, quotient_fundamental: bool,
+                 chain_holds: bool):
+        set_field(self, "criterion", criterion)
+        set_field(self, "effective", effective)
+        set_field(self, "quotient_fundamental", quotient_fundamental)
+        set_field(self, "chain_holds", chain_holds)
 
 
 def weakly_fixed_criterion(s: InverseSemigroup) -> WeaklyFixedReport:

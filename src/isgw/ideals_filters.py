@@ -9,7 +9,6 @@ operations reduce to mask tests on the bitset view of E
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from .core import InverseSemigroup, cayley_graphs, per_semigroup
@@ -21,7 +20,7 @@ from .semilattice import (
     order_masks,
     positions,
 )
-from .util import UnionFind, downsets, group_by, subsets
+from .util import Record, UnionFind, downsets, group_by, set_field, subsets
 
 MAX_ORBITS = 16
 MAX_ORDER_IDEALS = 1 << 20
@@ -29,12 +28,15 @@ MAX_ORDER_IDEALS = 1 << 20
 
 # -- order ideals of E --------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdealOfS:
-    elements: frozenset
-    trace: frozenset  # the idempotents of the ideal
-    saturated: bool
-    is_zero_only: bool
+class IdealOfS(Record):
+    __slots__ = ("elements", "trace", "saturated", "is_zero_only")
+
+    def __init__(self, elements: frozenset, trace: frozenset, saturated: bool,
+                 is_zero_only: bool):
+        set_field(self, "elements", elements)
+        set_field(self, "trace", trace)  # the idempotents of the ideal
+        set_field(self, "saturated", saturated)
+        set_field(self, "is_zero_only", is_zero_only)
 
 
 def order_ideals(lattice: Semilattice) -> tuple:
@@ -215,12 +217,15 @@ def finite_cover_witnesses(s: InverseSemigroup) -> dict:
 
 # -- filters ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Filter:
-    lattice: Semilattice
-    min_element: int
-    is_ultra: bool
-    is_tight: bool
+class Filter(Record):
+    __slots__ = ("lattice", "min_element", "is_ultra", "is_tight")
+
+    def __init__(self, lattice: Semilattice, min_element: int, is_ultra: bool,
+                 is_tight: bool):
+        set_field(self, "lattice", lattice)
+        set_field(self, "min_element", min_element)
+        set_field(self, "is_ultra", is_ultra)
+        set_field(self, "is_tight", is_tight)
 
     @property
     def kind(self) -> str:
@@ -233,12 +238,15 @@ class Filter:
         return tuple(e for e in self.lattice.elements if self.contains(e))
 
 
-@dataclass(frozen=True)
-class FilterSpace:
-    lattice: Semilattice
-    mins: tuple  # one per filter, sorted
-    ultra: frozenset
-    tight: frozenset
+class FilterSpace(Record):
+    __slots__ = ("lattice", "mins", "ultra", "tight")
+
+    def __init__(self, lattice: Semilattice, mins: tuple, ultra: frozenset,
+                 tight: frozenset):
+        set_field(self, "lattice", lattice)
+        set_field(self, "mins", mins)  # one per filter, sorted
+        set_field(self, "ultra", ultra)
+        set_field(self, "tight", tight)
 
     def filter(self, m: int) -> Filter:
         if m not in self.mins:
@@ -329,10 +337,12 @@ def _unions(orbits) -> tuple:
     return tuple(sorted(unions, key=lambda x: (len(x), tuple(sorted(x)))))
 
 
-@dataclass(frozen=True)
-class InvariantSubsetsReport:
-    orbits: tuple  # frozensets of filter minima
-    invariant_tight_subsets: tuple
+class InvariantSubsetsReport(Record):
+    __slots__ = ("orbits", "invariant_tight_subsets")
+
+    def __init__(self, orbits: tuple, invariant_tight_subsets: tuple):
+        set_field(self, "orbits", orbits)  # frozensets of filter minima
+        set_field(self, "invariant_tight_subsets", invariant_tight_subsets)
 
     @property
     def invariant_subsets(self) -> tuple:

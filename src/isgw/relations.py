@@ -4,20 +4,20 @@ homomorphisms between inverse semigroups."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import InverseSemigroup, _picker, per_semigroup
 from .errors import NotHomomorphism
-from .util import group_by
+from .util import Record, group_by, set_field
 
 
-@dataclass(frozen=True)
-class EquivalenceRelation:
+class EquivalenceRelation(Record):
     """Partition of the element indices into disjoint classes."""
 
-    n: int
-    classes: tuple  # tuple of frozensets, sorted by least member
-    class_index: tuple  # per element, position of its class in ``classes``
+    __slots__ = ("n", "classes", "class_index")
+
+    def __init__(self, n: int, classes: tuple, class_index: tuple):
+        set_field(self, "n", n)
+        set_field(self, "classes", classes)  # frozensets, sorted by least member
+        set_field(self, "class_index", class_index)  # per element, its class's position
 
     @classmethod
     def from_class_map(cls, n: int, rep_of) -> "EquivalenceRelation":
@@ -44,12 +44,15 @@ class EquivalenceRelation:
         return frozenset(self.classes)
 
 
-@dataclass(frozen=True)
-class RelationsReport:
-    h: EquivalenceRelation
-    mu: EquivalenceRelation
-    cryptic: bool
-    fundamental: bool
+class RelationsReport(Record):
+    __slots__ = ("h", "mu", "cryptic", "fundamental")
+
+    def __init__(self, h: EquivalenceRelation, mu: EquivalenceRelation, cryptic: bool,
+                 fundamental: bool):
+        set_field(self, "h", h)
+        set_field(self, "mu", mu)
+        set_field(self, "cryptic", cryptic)
+        set_field(self, "fundamental", fundamental)
 
 
 @per_semigroup
@@ -88,22 +91,22 @@ def centralizer(s: InverseSemigroup) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SemigroupHomomorphism:
-    source: InverseSemigroup
-    target: InverseSemigroup
-    map: tuple  # image index per source element
+class SemigroupHomomorphism(Record):
+    __slots__ = ("source", "target", "map")
 
-    def __post_init__(self):
-        """m(ab) = m(a)m(b) is tested for b in the generating set G of the
-        source only: by induction on the length of b as a product of
-        generators, that is equivalent, at O(n*|G|) lookups."""
-        src, tgt = self.source, self.target
-        if len(self.map) != src.n:
+    def __init__(self, source: InverseSemigroup, target: InverseSemigroup, map: tuple):
+        """map holds the image index of each source element.  m(ab) = m(a)m(b)
+        is tested for b in the generating set G of the source only: by
+        induction on the length of b as a product of generators, that is
+        equivalent, at O(n*|G|) lookups."""
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "map", map)
+        src, tgt, m = source, target, map
+        if len(m) != src.n:
             raise NotHomomorphism("map length mismatch")
-        if any(not (0 <= x < tgt.n) for x in self.map):
+        if any(not (0 <= x < tgt.n) for x in m):
             raise NotHomomorphism("image index out of range")
-        m = self.map
         for g in src.generators:
             for a, row in enumerate(src.mul):
                 if m[row[g]] != tgt.mul[m[a]][m[g]]:
@@ -115,12 +118,16 @@ class SemigroupHomomorphism:
                 raise NotHomomorphism(f"map breaks involution at {a}")
 
 
-@dataclass(frozen=True)
-class InjectivityReport:
-    injective: bool
-    injective_on_centralizer_of_e: bool
-    idempotent_pure: bool
-    idempotent_separating: bool
+class InjectivityReport(Record):
+    __slots__ = ("injective", "injective_on_centralizer_of_e", "idempotent_pure",
+                 "idempotent_separating")
+
+    def __init__(self, injective: bool, injective_on_centralizer_of_e: bool,
+                 idempotent_pure: bool, idempotent_separating: bool):
+        set_field(self, "injective", injective)
+        set_field(self, "injective_on_centralizer_of_e", injective_on_centralizer_of_e)
+        set_field(self, "idempotent_pure", idempotent_pure)
+        set_field(self, "idempotent_separating", idempotent_separating)
 
 
 def injectivity_criteria(phi: SemigroupHomomorphism) -> InjectivityReport:

@@ -8,52 +8,62 @@ included.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, is_dataclass, asdict
 from typing import Any
+
+from .util import MutableRecord, Record
 
 SCHEMA_VERSION = "1"
 
 
 def jsonable(value: Any) -> Any:
-    """Convert nested witness data into deterministic JSON-friendly values."""
+    """Convert nested witness data into deterministic JSON-friendly values; a
+    record becomes the dict of its fields."""
     if isinstance(value, (frozenset, set)):
         return sorted((jsonable(v) for v in value), key=repr)
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in sorted(value.items(), key=lambda kv: repr(kv[0]))}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
-    if is_dataclass(value) and not isinstance(value, type):
-        return jsonable(asdict(value))
+    if isinstance(value, Record):
+        return jsonable({name: getattr(value, name) for name in value._fields})
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     return repr(value)
 
 
-@dataclass
-class PropertyEntry:
-    value: Any
-    witness: Any = None
-    hypothesis: str = "met"
+class PropertyEntry(MutableRecord):
+    __slots__ = ("value", "witness", "hypothesis")
+
+    def __init__(self, value: Any, witness: Any = None, hypothesis: str = "met"):
+        self.value = value
+        self.witness = witness
+        self.hypothesis = hypothesis
 
 
-@dataclass
-class TheoremEntry:
-    name: str
-    status: str  # "pass" | "fail" | "skipped" | "error" (the check raised)
-    hypothesis: str = "met"
-    detail: str = ""
-    counterexample: Any = None
+class TheoremEntry(MutableRecord):
+    __slots__ = ("name", "status", "hypothesis", "detail", "counterexample")
+
+    def __init__(self, name: str, status: str, hypothesis: str = "met", detail: str = "",
+                 counterexample: Any = None):
+        self.name = name
+        self.status = status  # "pass" | "fail" | "skipped" | "error" (the check raised)
+        self.hypothesis = hypothesis
+        self.detail = detail
+        self.counterexample = counterexample
 
     @property
     def failed(self) -> bool:
         return self.status == "fail"
 
 
-@dataclass
-class Report:
-    instance: str
-    properties: dict = field(default_factory=dict)
-    theorems: dict = field(default_factory=dict)
+class Report(MutableRecord):
+    __slots__ = ("instance", "properties", "theorems")
+
+    def __init__(self, instance: str, properties: dict | None = None,
+                 theorems: dict | None = None):
+        self.instance = instance
+        self.properties = {} if properties is None else properties
+        self.theorems = {} if theorems is None else theorems
 
     def add_property(self, name: str, value, witness=None, hypothesis="met") -> None:
         self.properties[name] = PropertyEntry(jsonable(value), jsonable(witness), hypothesis)

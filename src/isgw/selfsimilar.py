@@ -10,7 +10,6 @@ exactly from the tables; path recursion follows that one defining rule.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .core import InverseSemigroup
 from .errors import (
@@ -34,39 +33,40 @@ from .graphs import (
     two_loops,
     vertex_path,
 )
-from .util import Decision
+from .util import Decision, Record, set_field
 
 VALIDATION_DEPTH = 4
 MAX_FIXED_PATH_WITNESSES = 200
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
-    mul: tuple
-    identity: int
-    labels: tuple
-    inv: tuple = ()
+class FiniteGroup(Record):
+    """A group table with its identity and labels; ``inv`` is computed."""
 
-    def __post_init__(self):
-        n = len(self.mul)
-        if any(len(row) != n for row in self.mul):
+    __slots__ = ("mul", "identity", "labels", "inv")
+
+    def __init__(self, mul: tuple, identity: int, labels: tuple):
+        set_field(self, "mul", mul)
+        set_field(self, "identity", identity)
+        set_field(self, "labels", labels)
+        n = len(mul)
+        if any(len(row) != n for row in mul):
             raise ParseError("group table is not square")
         for a in range(n):
             for b in range(n):
                 for c in range(n):
-                    if self.mul[self.mul[a][b]][c] != self.mul[a][self.mul[b][c]]:
+                    if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
                         raise ParseError("group table is not associative")
-        e = self.identity
-        if any(self.mul[e][a] != a or self.mul[a][e] != a for a in range(n)):
+        e = identity
+        if any(mul[e][a] != a or mul[a][e] != a for a in range(n)):
             raise ParseError("identity element is wrong")
         inv = []
         for a in range(n):
-            cands = [b for b in range(n) if self.mul[a][b] == e and self.mul[b][a] == e]
+            cands = [b for b in range(n) if mul[a][b] == e and mul[b][a] == e]
             if len(cands) != 1:
                 raise ParseError(f"element {a} lacks a unique inverse")
             inv.append(cands[0])
-        object.__setattr__(self, "inv", tuple(inv))
-        if len(self.labels) != n:
+        set_field(self, "inv", tuple(inv))
+        if len(labels) != n:
             raise ParseError("group label count mismatch")
 
     @property
@@ -90,13 +90,16 @@ class FiniteGroup:
         return cls(mul, 0, labels)
 
 
-@dataclass(frozen=True)
-class SelfSimilarAction:
-    group: FiniteGroup
-    graph: DirectedGraph
-    vertex_action: dict  # (g, vertex) -> vertex
-    edge_action: dict  # (g, eid) -> eid
-    cocycle: dict  # (g, eid) -> group element
+class SelfSimilarAction(Record):
+    __slots__ = ("group", "graph", "vertex_action", "edge_action", "cocycle", "__dict__")
+
+    def __init__(self, group: FiniteGroup, graph: DirectedGraph, vertex_action: dict,
+                 edge_action: dict, cocycle: dict):
+        set_field(self, "group", group)
+        set_field(self, "graph", graph)
+        set_field(self, "vertex_action", vertex_action)  # (g, vertex) -> vertex
+        set_field(self, "edge_action", edge_action)  # (g, eid) -> eid
+        set_field(self, "cocycle", cocycle)  # (g, eid) -> group element
 
     def act_vertex(self, g: int, v: int) -> int:
         return self.vertex_action[(g, v)]
@@ -236,13 +239,15 @@ def validate_action(action: SelfSimilarAction, depth: int = VALIDATION_DEPTH) ->
 
 # -- the triple semigroup -------------------------------------------------------
 
-@dataclass(frozen=True)
-class SSTriple:
+class SSTriple(Record):
     """(alpha, g, beta) with source(alpha) = g * source(beta)."""
 
-    alpha: GraphPath
-    g: int
-    beta: GraphPath
+    __slots__ = ("alpha", "g", "beta")
+
+    def __init__(self, alpha: GraphPath, g: int, beta: GraphPath):
+        set_field(self, "alpha", alpha)
+        set_field(self, "g", g)
+        set_field(self, "beta", beta)
 
     def sort_key(self):
         return (self.alpha.sort_key(), self.g, self.beta.sort_key())
@@ -290,8 +295,7 @@ def triple_multiply(action: SelfSimilarAction, t1: SSTriple, t2: SSTriple,
 ZERO = "0"
 
 
-@dataclass(frozen=True)
-class PathTables:
+class PathTables(Record):
     """The paths of a model as integer ids, with every table a triple
     product reads: ``strip[(p, q)]`` is the tail t of q = p t and
     ``concat[(p, t)]`` is q, for every split of a path q of the model (so a
@@ -299,25 +303,31 @@ class PathTables:
     ``act[g][p]`` is the image id and cocycle of g on p; ``triples[i]`` is
     the (alpha, g, beta) id triple of element i, and ``index`` its inverse."""
 
-    src: tuple  # path id -> source vertex
-    rng: tuple  # path id -> range vertex
-    length: tuple
-    strip: dict
-    concat: dict
-    act: tuple
-    triples: tuple
-    index: dict
+    __slots__ = ("src", "rng", "length", "strip", "concat", "act", "triples", "index")
+
+    def __init__(self, src: tuple, rng: tuple, length: tuple, strip: dict, concat: dict,
+                 act: tuple, triples: tuple, index: dict):
+        set_field(self, "src", src)  # path id -> source vertex
+        set_field(self, "rng", rng)  # path id -> range vertex
+        set_field(self, "length", length)
+        set_field(self, "strip", strip)
+        set_field(self, "concat", concat)
+        set_field(self, "act", act)
+        set_field(self, "triples", triples)
+        set_field(self, "index", index)
 
 
-@dataclass(frozen=True)
-class TruncatedActionSemigroup:
+class TruncatedActionSemigroup(Record):
     """Triples with both path lengths bounded by the depth, plus zero; exact
     when the graph is acyclic and shallow enough."""
 
-    action: SelfSimilarAction
-    depth: int
-    elements: tuple
-    exact: bool
+    __slots__ = ("action", "depth", "elements", "exact", "__dict__")
+
+    def __init__(self, action: SelfSimilarAction, depth: int, elements: tuple, exact: bool):
+        set_field(self, "action", action)
+        set_field(self, "depth", depth)
+        set_field(self, "elements", elements)
+        set_field(self, "exact", exact)
 
     @functools.cached_property
     def _index(self) -> dict:
@@ -512,20 +522,26 @@ def quotient_action(action: SelfSimilarAction, v_set) -> SelfSimilarAction:
     return sub
 
 
-@dataclass(frozen=True)
-class TrivialPairSet:
+class TrivialPairSet(Record):
     """Pairs (g, v) where g acts trivially on every path into v; the greatest
     fixed point of the one-step closure."""
 
-    pairs: frozenset
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: frozenset):
+        set_field(self, "pairs", pairs)
 
 
-@dataclass(frozen=True)
-class FaithfulnessReport:
-    faithful: bool
-    strongly_faithful: bool
-    trivial_pairs: TrivialPairSet
-    hypothesis: str  # "met" unless some vertex has no incoming or outgoing edge
+class FaithfulnessReport(Record):
+    __slots__ = ("faithful", "strongly_faithful", "trivial_pairs", "hypothesis")
+
+    def __init__(self, faithful: bool, strongly_faithful: bool, trivial_pairs: TrivialPairSet,
+                 hypothesis: str):
+        set_field(self, "faithful", faithful)
+        set_field(self, "strongly_faithful", strongly_faithful)
+        set_field(self, "trivial_pairs", trivial_pairs)
+        # "met" unless some vertex has no incoming or outgoing edge
+        set_field(self, "hypothesis", hypothesis)
 
 
 def _trivial_pairs(action: SelfSimilarAction) -> frozenset:

@@ -9,28 +9,29 @@ an outer cover drops the containment requirement.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from .core import InverseSemigroup, per_semigroup
 from .errors import DomainViolation
-from .util import Decision
+from .util import Decision, Record, set_field
 
 # Subset searches for minimal covers stay exact below this candidate count.
 MINIMAL_COVER_SEARCH_LIMIT = 12
 
 
-@dataclass(frozen=True)
-class Semilattice:
+class Semilattice(Record):
     """View of E(S) with meet given by the ambient product.
 
     Elements are indices into the parent semigroup, so results can be passed
     straight back to the other modules.
     """
 
-    parent: InverseSemigroup
-    elements: tuple
-    zero: int
+    __slots__ = ("parent", "elements", "zero")
+
+    def __init__(self, parent: InverseSemigroup, elements: tuple, zero: int):
+        set_field(self, "parent", parent)
+        set_field(self, "elements", elements)
+        set_field(self, "zero", zero)
 
     @classmethod
     def from_semigroup(cls, s: InverseSemigroup) -> "Semilattice":
@@ -61,19 +62,22 @@ class Semilattice:
         return self.parent.labels[e]
 
 
-@dataclass(frozen=True)
-class OrderMasks:
+class OrderMasks(Record):
     """The order of a carrier as int bitsets: bit i stands for
     ``elements[i]``, ascending.  For each i, ``up[i]`` is the mask of the
     f >= elements[i], ``down[i]`` of the f <= elements[i], and ``meets[i]``
     of the c with elements[i] * c != 0."""
 
-    elements: tuple
-    position: MappingProxyType  # element -> its bit position
-    up: tuple
-    down: tuple
-    meets: tuple
-    zero: int  # the bit of the zero
+    __slots__ = ("elements", "position", "up", "down", "meets", "zero")
+
+    def __init__(self, elements: tuple, position: MappingProxyType, up: tuple,
+                 down: tuple, meets: tuple, zero: int):
+        set_field(self, "elements", elements)
+        set_field(self, "position", position)  # element -> its bit position
+        set_field(self, "up", up)
+        set_field(self, "down", down)
+        set_field(self, "meets", meets)
+        set_field(self, "zero", zero)  # the bit of the zero
 
     @property
     def full(self) -> int:
@@ -142,13 +146,15 @@ def _order_masks(s: InverseSemigroup, elements: tuple, zero: int) -> OrderMasks:
                       tuple(meets), 1 << position[zero])
 
 
-@dataclass(frozen=True)
-class Cover:
+class Cover(Record):
     """A target idempotent together with a finite covering set."""
 
-    target: int
-    members: frozenset
-    outer: bool = False
+    __slots__ = ("target", "members", "outer")
+
+    def __init__(self, target: int, members: frozenset, outer: bool = False):
+        set_field(self, "target", target)
+        set_field(self, "members", members)
+        set_field(self, "outer", outer)
 
 
 def make_cover(lattice: "Semilattice", e: int, members, *, outer: bool = False) -> Cover:

@@ -1,24 +1,87 @@
-"""Small shared helpers: boolean decisions with witnesses, union-find,
-grouping into classes, downset enumeration."""
+"""Small shared helpers: the record base class, boolean decisions with
+witnesses, union-find, grouping into classes, downset enumeration."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Iterator
 
 from .errors import CapExceeded
 
+# Writes a field of an immutable record; only a record's __init__ uses it.
+set_field = object.__setattr__
 
-@dataclass(frozen=True)
-class Decision:
+
+class Record:
+    """Base of the value records: immutable objects with named fields.
+
+    A subclass lists its fields in ``__slots__`` (after those of a record it
+    extends) and writes its own ``__init__``, which sets each field once
+    with ``set_field``.  The base gives what a frozen dataclass would: a
+    record equals another of the same class with equal fields, its hash
+    covers the same fields, its repr reads ``Name(field=value, ...)``, and
+    assignment raises AttributeError.  ``class R(Record, compare=(...))``
+    leaves the other fields out of equality and hash.  A subclass that
+    needs ``functools.cached_property`` adds ``"__dict__"`` to its slots.
+
+    Nothing is compiled per class: the methods below are shared, so import
+    costs no more than for any plain class.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, compare: tuple | None = None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = tuple(f for f in cls.__dict__.get("__slots__", ()) if f != "__dict__")
+        cls._fields = cls._fields + own
+        names = cls._fields if compare is None else compare
+        if len(names) == 1:  # hash a 1-tuple, as a dataclass does
+            cls._key = staticmethod(lambda record, get=attrgetter(names[0]): (get(record),))
+        elif names:
+            cls._key = attrgetter(*names)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class MutableRecord(Record):
+    """A record whose fields may be reassigned (plain ``self.x = x`` in
+    __init__); like a mutable dataclass it is unhashable."""
+
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+
+class Decision(Record):
     """A boolean outcome together with the witness that justifies it.
 
     For a positive decision the witness (if any) exhibits the object that was
     found; for a negative one it exhibits the counterexample.
     """
 
-    value: bool
-    witness: Any = None
+    __slots__ = ("value", "witness")
+
+    def __init__(self, value: bool, witness: Any = None):
+        set_field(self, "value", value)
+        set_field(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.value

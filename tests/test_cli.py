@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -176,6 +177,17 @@ def test_verify_builtin_subprocess_deterministic_and_parallel():
     run2 = subprocess.run(cmd, capture_output=True, text=True, env=env2, timeout=600)
     assert run2.returncode == 0
     assert run1.stdout == run2.stdout
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """The records are plain classes (``util.Record``): a ``@dataclass``
+    compiles its methods at every import, and ``dataclasses`` imports
+    ``inspect``, which nothing else in isgw needs."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, isgw.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), timeout=60, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 def test_cap_exceeded_exit_code(files, capsys):
