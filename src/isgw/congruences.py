@@ -18,9 +18,7 @@ class Congruence(EquivalenceRelation):
 
     def __init__(self, n: int, classes: tuple, class_index: tuple, is_rees: bool,
                  is_zero_restricted: bool, is_idempotent_separating: bool):
-        set_field(self, "n", n)
-        set_field(self, "classes", classes)
-        set_field(self, "class_index", class_index)
+        EquivalenceRelation.__init__(self, n, classes, class_index)
         set_field(self, "is_rees", is_rees)
         set_field(self, "is_zero_restricted", is_zero_restricted)
         set_field(self, "is_idempotent_separating", is_idempotent_separating)

@@ -19,8 +19,8 @@ class Record:
     extends) and writes its own ``__init__``, which sets each field once
     with ``set_field``.  The base gives what a frozen dataclass would: a
     record equals another of the same class with equal fields, its hash
-    covers the same fields, its repr reads ``Name(field=value, ...)``, and
-    assignment raises AttributeError.  ``class R(Record, compare=(...))``
+    covers the same fields, its repr reads ``Name(field=value, ...)``,
+    assignment raises AttributeError, and copy and pickle work.  ``class R(Record, compare=(...))``
     leaves the other fields out of equality and hash.  A subclass that
     needs ``functools.cached_property`` adds ``"__dict__"`` to its slots.
 
@@ -58,6 +58,17 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        """copy and pickle rebuild a record from its fields, without __init__."""
+        return _rebuild, (type(self), tuple(getattr(self, name) for name in self._fields))
+
+
+def _rebuild(cls, values: tuple) -> Record:
+    record = cls.__new__(cls)
+    for name, value in zip(cls._fields, values):
+        set_field(record, name, value)
+    return record
 
 
 class MutableRecord(Record):

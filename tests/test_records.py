@@ -1,6 +1,9 @@
 """The value records (``util.Record``): equality, hash, repr, immutability,
 defaults and constructor validation, as a frozen dataclass would give them."""
 
+import copy
+import pickle
+
 import pytest
 
 from isgw.congruences import Congruence
@@ -80,6 +83,16 @@ def test_constructors_keep_their_validation():
     s = from_partial_bijections([PartialBijection(2, (1, 0))])
     with pytest.raises(NotHomomorphism, match="length"):
         SemigroupHomomorphism(s, s, (0,) * (s.n - 1))
+
+
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
+                                    lambda r: pickle.loads(pickle.dumps(r))])
+def test_records_copy_and_pickle(copier):
+    group = FiniteGroup.cyclic(3)
+    assert copier(group) == group and copier(group).inv == (0, 2, 1)
+    entry = TheoremEntry("t", "fail", counterexample=(Decision(False, 1),))
+    assert copier(entry) == entry
+    assert copier(GraphPath(LOOP, (0,), 0)).graph == LOOP
 
 
 def test_cached_properties_work_on_records():
