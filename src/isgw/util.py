@@ -20,9 +20,10 @@ class Record:
     with ``set_field``.  The base gives what a frozen dataclass would: a
     record equals another of the same class with equal fields, its hash
     covers the same fields, its repr reads ``Name(field=value, ...)``,
-    assignment raises AttributeError, and copy and pickle work.  ``class R(Record, compare=(...))``
-    leaves the other fields out of equality and hash.  A subclass that
-    needs ``functools.cached_property`` adds ``"__dict__"`` to its slots.
+    assignment raises AttributeError, and copy and pickle work.
+    ``class R(Record, compare=(...))`` leaves the other fields out of
+    equality and hash.  A subclass that needs ``functools.cached_property``
+    adds ``"__dict__"`` to its slots.
 
     Nothing is compiled per class: the methods below are shared, so import
     costs no more than for any plain class.
