@@ -265,18 +265,13 @@ def _instances_from_dir(path: Path) -> list:
                                             semigroup=semigroup_from_json(doc)))
         elif kind == "graph":
             g = parse_graph(doc)
-            exact = None
-            if g.is_acyclic():
-                exact = graph_semigroup(g, max(1, g.longest_path_length()))
-            instances.append(CorpusInstance(file.name, "graph", graph=g,
-                                            meta={"exact": exact}))
+            instances.append(CorpusInstance(
+                file.name, "graph", graph=g,
+                meta={"exact": ssim.exact_model(ssim.trivial_action(g))}))
         elif kind == "action":
             a = ssim.action_from_json(doc)
-            exact = None
-            if a.graph.is_acyclic():
-                exact = ssim.ss_semigroup(a, max(1, a.graph.longest_path_length()))
             instances.append(CorpusInstance(file.name, "action", action=a,
-                                            meta={"exact": exact}))
+                                            meta={"exact": ssim.exact_model(a)}))
         else:
             raise ParseError(f"{file}: missing or unknown kind")
     if not instances:

@@ -24,7 +24,7 @@ from array import array
 from operator import itemgetter
 
 from .errors import CapExceeded, NotAssociative, NotInverse, ParseError
-from .util import Record, set_field
+from .util import Record, json_int, set_field
 
 DEFAULT_CLOSURE_CAP = 10_000
 
@@ -536,9 +536,10 @@ def natural_order(s: InverseSemigroup) -> NaturalOrder:
 
 def _int_list(value, what: str) -> list:
     """value, if it is a JSON list of integers; otherwise ParseError."""
-    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
+    if not isinstance(value, list):
         raise ParseError(f"{what} must be a list of integers")
-    return value
+    what = f"an entry of {what}"
+    return [json_int(x, what) for x in value]
 
 
 def _labels(obj: dict) -> list | None:
@@ -556,13 +557,13 @@ def semigroup_from_json(obj: dict, max_elements: int = DEFAULT_CLOSURE_CAP) -> I
         raise ParseError("semigroup document must be an object")
     if "generators" in obj:
         rows = obj["generators"]
-        if not isinstance(rows, list) or not all(
-                isinstance(row, list) and all(y is None or isinstance(y, int) for y in row)
-                for row in rows):
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ParseError("generators must be lists of integers or null")
         try:
-            degree = int(obj["degree"])
-            gens = [PartialBijection(degree, tuple(row)) for row in rows]
+            degree = json_int(obj["degree"], "degree")
+            gens = [PartialBijection(degree, tuple(
+                None if y is None else json_int(y, "a generator entry") for y in row))
+                for row in rows]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad generator document: {exc}") from exc
         if not gens:
@@ -577,7 +578,6 @@ def semigroup_from_json(obj: dict, max_elements: int = DEFAULT_CLOSURE_CAP) -> I
             raise ParseError("table must be a list of rows")
         for row in table:
             _int_list(row, "each table row")
-        if not isinstance(zero, int):
-            raise ParseError("zero must be an integer")
-        return from_tables(table, _int_list(inv, "inv"), zero, labels=_labels(obj))
+        return from_tables(table, _int_list(inv, "inv"), json_int(zero, "zero"),
+                           labels=_labels(obj))
     raise ParseError("semigroup document needs either generators or a table")

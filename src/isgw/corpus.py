@@ -12,7 +12,6 @@ from .errors import CapExceeded
 from .graphs import (
     DirectedGraph,
     Edge,
-    graph_semigroup,
     single_arrow,
     single_loop,
     two_loops,
@@ -20,9 +19,9 @@ from .graphs import (
 from .selfsimilar import (
     SelfSimilarAction,
     edge_swap_action,
+    exact_model,
     lazy_z2_action,
     mirror_action,
-    ss_semigroup,
     trivial_action,
     vertex_swap_action,
 )
@@ -182,7 +181,7 @@ def fixture_actions() -> list:
 
 # -- assembled corpus -------------------------------------------------------------
 
-def builtin_corpus(seed: int = 0, depth: int = 4) -> list:
+def builtin_corpus(seed: int = 0) -> list:
     instances = []
 
     instances.append(CorpusInstance("I2", "semigroup",
@@ -202,9 +201,7 @@ def builtin_corpus(seed: int = 0, depth: int = 4) -> list:
 
     graph_instances = []
     for name, g in fixture_graphs():
-        exact = None
-        if g.is_acyclic() and g.longest_path_length() <= depth:
-            exact = graph_semigroup(g, max(1, g.longest_path_length()))
+        exact = exact_model(trivial_action(g))
         inst = CorpusInstance(f"G-{name}", "graph", graph=g,
                               meta={"exact": exact})
         graph_instances.append(inst)
@@ -216,9 +213,7 @@ def builtin_corpus(seed: int = 0, depth: int = 4) -> list:
                 meta={"graph": g, "truncated": exact}))
 
     for name, a in fixture_actions():
-        exact = None
-        if a.graph.is_acyclic() and a.graph.longest_path_length() <= depth:
-            exact = ss_semigroup(a, max(1, a.graph.longest_path_length()))
+        exact = exact_model(a)
         instances.append(CorpusInstance(f"ACT-{name}", "action", action=a,
                                         meta={"exact": exact}))
         if exact is not None:

@@ -10,7 +10,7 @@ from right to left.
 from __future__ import annotations
 
 from .errors import DanglingEndpoint, NotHereditary, ParseError, CapExceeded
-from .util import Decision, Record, set_field
+from .util import Decision, Record, json_int, set_field, unions
 
 MAX_CONDITION_VERTICES = 12
 
@@ -86,8 +86,9 @@ def parse_graph(obj: dict) -> DirectedGraph:
     if not isinstance(edge_docs, list) or not all(isinstance(e, dict) for e in edge_docs):
         raise ParseError("edges must be a list of objects")
     try:
-        n = int(obj["vertices"])
-        edges = tuple(Edge(str(e["id"]), int(e["src"]), int(e["rng"])) for e in edge_docs)
+        n = json_int(obj["vertices"], "vertices")
+        edges = tuple(Edge(str(e["id"]), json_int(e["src"], "an edge's src"),
+                           json_int(e["rng"], "an edge's rng")) for e in edge_docs)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad graph document: {exc}") from exc
     if n < 0:
@@ -330,14 +331,14 @@ def _is_saturated_vertex_set(g: DirectedGraph, h: frozenset) -> bool:
 
 
 def hereditary_sets(g: DirectedGraph) -> list:
-    """All hereditary vertex sets with their saturation flags."""
-    out = []
-    vs = sorted(g.vertices)
-    for mask in range(1 << len(vs)):
-        h = frozenset(vs[i] for i in range(len(vs)) if mask >> i & 1)
-        if is_hereditary(g, h):
-            out.append(HereditarySet(h, _is_saturated_vertex_set(g, h)))
-    return sorted(out, key=lambda h: (len(h.vertices), tuple(sorted(h.vertices))))
+    """All hereditary vertex sets with their saturation flags, smallest
+    first.  A set is hereditary when it holds every vertex with a path into
+    one of its members, so the hereditary sets are the unions of the
+    vertices' predecessor sets."""
+    reach = {w: _reachable_from(g, w) for w in g.vertices}
+    preds = [frozenset(w for w in g.vertices if v in reach[w]) for v in g.vertices]
+    found = sorted(unions(preds, frozenset()), key=lambda h: (len(h), tuple(sorted(h))))
+    return [HereditarySet(h, _is_saturated_vertex_set(g, h)) for h in found]
 
 
 def quotient_graph(g: DirectedGraph, v_set) -> DirectedGraph:

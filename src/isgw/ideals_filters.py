@@ -12,7 +12,7 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from .core import InverseSemigroup, cayley_graphs, per_semigroup
-from .errors import CapExceeded, DomainViolation, InternalContract
+from .errors import DomainViolation, InternalContract
 from .semilattice import (
     OrderMasks,
     Semilattice,
@@ -20,10 +20,7 @@ from .semilattice import (
     order_masks,
     positions,
 )
-from .util import Record, UnionFind, downsets, group_by, set_field, subsets
-
-MAX_ORBITS = 16
-MAX_ORDER_IDEALS = 1 << 20
+from .util import Record, UnionFind, group_by, set_field, unions
 
 
 # -- order ideals of E --------------------------------------------------------
@@ -48,17 +45,8 @@ def order_ideals(lattice: Semilattice) -> tuple:
 @per_semigroup
 def _order_ideals(s: InverseSemigroup, elements: tuple, zero: int) -> tuple:
     view = order_masks(Semilattice(s, elements, zero))
-    ideals = [view.zero]
-    # fewer elements below first, so everything strictly below an element
-    # has been decided when it is reached
-    for i in sorted(range(len(view.elements)), key=lambda i: view.down[i].bit_count()):
-        b = 1 << i
-        if b == view.zero:
-            continue
-        strict = view.down[i] ^ b
-        ideals += [m | b for m in ideals if not strict & ~m]
-        if len(ideals) > MAX_ORDER_IDEALS:
-            raise CapExceeded(f"more than {MAX_ORDER_IDEALS} downsets")
+    # every order ideal is the union of the down-sets of its members
+    ideals = unions(view.down, view.zero)
     ordered = sorted((view.members(m) for m in ideals), key=lambda x: (len(x), x))
     return tuple(frozenset(x) for x in ordered)
 
@@ -169,20 +157,18 @@ def d_class_idempotents(s: InverseSemigroup) -> tuple:
 def enumerate_ideals(s: InverseSemigroup) -> tuple:
     """All ideals of S, smallest first.
 
-    Every ideal is the union of the principal ideals inside it, which form a
-    downset of the inclusion order on principal ideals, and each such
-    downset gives a different ideal.  In a finite inverse semigroup J = D
-    and SaS = S(a*a)S, so one principal ideal is formed per D-class, from
-    its least idempotent (``d_class_idempotents``; Howie, *Fundamentals of
-    Semigroup Theory*, 1995, section 5.1).  The verify check
-    ``ideal_correspondence`` compares the result with the bijection with
-    invariant order ideals of E (X maps to SXS, an ideal to its
-    idempotents)."""
+    Every ideal is the union of the principal ideals inside it, and with
+    the zero ideal every union of principal ideals is an ideal.  In a
+    finite inverse semigroup J = D and SaS = S(a*a)S, so one principal
+    ideal is formed per D-class, from its least idempotent
+    (``d_class_idempotents``; Howie, *Fundamentals of Semigroup Theory*,
+    1995, section 5.1).  The verify check ``ideal_correspondence`` compares
+    the result with the bijection with invariant order ideals of E (X maps
+    to SXS, an ideal to its idempotents)."""
     lattice = Semilattice.from_semigroup(s)
 
     principals = [principal_ideal(s, e) for e in d_class_idempotents(s)]
-    ideal_sets = {frozenset({s.zero}).union(*d)
-                  for d in downsets(principals, frozenset.issubset)}
+    ideal_sets = unions(principals, frozenset({s.zero}))
 
     out = []
     for members in sorted(ideal_sets, key=lambda m: (len(m), tuple(sorted(m)))):
@@ -329,12 +315,9 @@ def beta_act(s: InverseSemigroup, a: int, filter_min: int) -> int:
 
 # -- invariant subsets of the filter spaces ----------------------------------
 
-def _unions(orbits) -> tuple:
+def _orbit_unions(orbits) -> tuple:
     """Every union of the given orbits, smallest first."""
-    if len(orbits) > MAX_ORBITS:
-        raise CapExceeded(f"{len(orbits)} filter orbits")
-    unions = {frozenset().union(*chosen) for chosen in subsets(list(orbits))}
-    return tuple(sorted(unions, key=lambda x: (len(x), tuple(sorted(x)))))
+    return tuple(sorted(unions(orbits, frozenset()), key=lambda x: (len(x), tuple(sorted(x)))))
 
 
 class InvariantSubsetsReport(Record):
@@ -347,7 +330,7 @@ class InvariantSubsetsReport(Record):
     @property
     def invariant_subsets(self) -> tuple:
         """Invariant subsets of the full filter space: the unions of orbits."""
-        return _unions(self.orbits)
+        return _orbit_unions(self.orbits)
 
 
 def _filter_orbits(s: InverseSemigroup, mins) -> list:
@@ -373,5 +356,5 @@ def invariant_subsets(s: InverseSemigroup) -> InvariantSubsetsReport:
             raise InternalContract("an orbit mixes tight and non-tight filters")
     return InvariantSubsetsReport(
         orbits=tuple(orbits),
-        invariant_tight_subsets=_unions([o for o in orbits if o <= space.tight]),
+        invariant_tight_subsets=_orbit_unions([o for o in orbits if o <= space.tight]),
     )

@@ -33,7 +33,7 @@ from .graphs import (
     two_loops,
     vertex_path,
 )
-from .util import Decision, Record, set_field
+from .util import Decision, Record, json_int, set_field
 
 VALIDATION_DEPTH = 4
 MAX_FIXED_PATH_WITNESSES = 200
@@ -462,6 +462,16 @@ def ss_semigroup(action: SelfSimilarAction, depth: int) -> TruncatedActionSemigr
     return TruncatedActionSemigroup(action, depth, (ZERO,) + tuple(triples), exact)
 
 
+def exact_model(action: SelfSimilarAction) -> TruncatedActionSemigroup | None:
+    """The triple semigroup of an acyclic action at depth max(1, longest
+    path), which holds every triple; None when the graph has a cycle.  The
+    model of a graph is that of its trivial action."""
+    graph = action.graph
+    if not graph.is_acyclic():
+        return None
+    return ss_semigroup(action, max(1, graph.longest_path_length()))
+
+
 # -- conditions on the action ----------------------------------------------------
 
 def vertex_orbits(action: SelfSimilarAction) -> dict:
@@ -775,15 +785,16 @@ def action_from_json(obj: dict) -> SelfSimilarAction:
         raise ParseError("action document must be an object")
     try:
         grp = FiniteGroup(
-            tuple(tuple(row) for row in obj["group"]["mul"]),
-            int(obj["group"]["identity"]),
+            tuple(tuple(json_int(x, "a group table entry") for x in row)
+                  for row in obj["group"]["mul"]),
+            json_int(obj["group"]["identity"], "the group identity"),
             tuple(obj["group"].get("labels", [str(i) for i in range(len(obj["group"]["mul"]))])),
         )
         graph = parse_graph(obj["graph"])
         n_vertices, n_edges = len(graph.vertices), len(graph.edges)
 
         def entry(table: str, g: int, i: int, bound: int) -> int:
-            x = int(obj[table][g][i])
+            x = json_int(obj[table][g][i], f"{table}[{g}][{i}]")
             if not 0 <= x < bound:
                 raise ParseError(f"bad action document: {table}[{g}][{i}] = {x} "
                                  f"is not in range({bound})")

@@ -1,12 +1,15 @@
 """Small shared helpers: the record base class, boolean decisions with
-witnesses, union-find, grouping into classes, downset enumeration."""
+witnesses, union-find, grouping into classes, the unions of a family of
+sets, and the integer reader of the JSON documents."""
 
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Any, Callable, Iterator
+from typing import Any
 
-from .errors import CapExceeded
+from .errors import CapExceeded, ParseError
+
+MAX_UNIONS = 1 << 20
 
 # Writes a field of an immutable record; only a record's __init__ uses it.
 set_field = object.__setattr__
@@ -129,38 +132,20 @@ def group_by(items, key) -> list:
     return sorted((frozenset(c) for c in buckets.values()), key=min)
 
 
-def downsets(elements: list, leq: Callable[[Any, Any], bool], cap: int = 1_000_000) -> Iterator[frozenset]:
-    """Yield every downward-closed subset of a finite poset.
-
-    Elements are processed in an order compatible with ``leq`` (fewer elements
-    below first), so a candidate may be included exactly when everything
-    strictly below it is already in.  Only valid downsets are generated, the
-    empty set included.
-    """
-    order = sorted(elements, key=lambda x: sum(1 for y in elements if leq(y, x)))
-    below = {x: [y for y in order if y != x and leq(y, x)] for x in order}
-    count = 0
-
-    def rec(i: int, current: set) -> Iterator[frozenset]:
-        nonlocal count
-        if i == len(order):
-            count += 1
-            if count > cap:
-                raise CapExceeded(f"more than {cap} downsets")
-            yield frozenset(current)
-            return
-        x = order[i]
-        yield from rec(i + 1, current)
-        if all(y in current for y in below[x]):
-            current.add(x)
-            yield from rec(i + 1, current)
-            current.remove(x)
-
-    yield from rec(0, set())
+def unions(family, base) -> list:
+    """Every union of base with members of family (frozensets, or int masks
+    with ``|`` as union), each once; more than ``MAX_UNIONS`` raise
+    CapExceeded."""
+    found = dict.fromkeys((base,))
+    for member in family:
+        found.update(dict.fromkeys([u | member for u in found]))
+        if len(found) > MAX_UNIONS:
+            raise CapExceeded(f"more than {MAX_UNIONS} unions")
+    return list(found)
 
 
-def subsets(items: list) -> Iterator[frozenset]:
-    """All subsets of a small collection, in a deterministic order."""
-    n = len(items)
-    for mask in range(1 << n):
-        yield frozenset(items[i] for i in range(n) if mask >> i & 1)
+def json_int(value, what: str) -> int:
+    """value, if it is a JSON integer; a bool, float or string raises ParseError."""
+    if type(value) is not int:  # bool is a subclass of int
+        raise ParseError(f"{what} must be an integer, not {type(value).__name__}")
+    return value

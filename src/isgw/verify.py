@@ -156,7 +156,7 @@ def _tight_by_covers(lattice: Semilattice, m: int) -> bool:
 @per_semigroup
 def _invariant_order_ideals(s: InverseSemigroup) -> frozenset:
     """The invariant order ideals of E, by one scan of all order ideals
-    (capped by ``MAX_ORDER_IDEALS``): the second computation that the checks
+    (capped by ``util.MAX_UNIONS``): the second computation that the checks
     ``ideal_correspondence`` and ``hull_invariance_transfer`` compare with
     the ideals of S and with the filter orbits."""
     return frozenset(x for x in ifl.order_ideals(Semilattice.from_semigroup(s))
@@ -167,7 +167,7 @@ def _family_pool(up: list, rng: random.Random) -> dict:
     """The families of filters the hull-kernel statements are tested on, as
     masks over the filter minima (bit i for the i-th), each mapped to the OR
     of the up-sets of its filters: every family when there are at most 10
-    minima, in the order of ``util.subsets``; else 30 random ones."""
+    minima, in the order of their masks; else 30 random ones."""
     k = len(up)
     if k <= 10:
         hits = [0] * (1 << k)

@@ -4,9 +4,9 @@ loop, the any()-scan natural order, the down-set of an element by a scan of
 S, and table validation with the direct scan for a second inverse
 (``isgw.core``); the path-pair product of the
 graph inverse semigroup, the condition (M) scans for graphs and for
-actions, and the mask loop over hereditary invariant vertex sets
-(``isgw.graphs``, ``isgw.selfsimilar``); the product table of a triple
-model by ``triple_multiply`` on path objects (``isgw.selfsimilar``);
+actions, and the mask loops over hereditary vertex sets and hereditary
+invariant vertex sets (``isgw.graphs``, ``isgw.selfsimilar``); the
+product table of a triple model by ``triple_multiply`` on path objects (``isgw.selfsimilar``);
 principal ideals of every element,
 SXS and the ideal test of the Rees congruence over all products, and the
 least saturated ideal over given idempotents (``isgw.ideals_filters``,
@@ -17,9 +17,12 @@ the homomorphism test over all pairs of elements (``isgw.relations``); the doubl
 compatibility test over all products and the congruence closure saturated
 by all elements, and the congruence lattice by joins of whole congruences
 (``isgw.congruences``); the closure of a groupoid's arrows over all pairs
-(``isgw.groupoid``); the minimal cover search by ``is_cover`` calls
-(``isgw.semilattice``); the census of small semilattices that builds and
-canonicalizes a semigroup for every intersection-closed family
+and strong effectiveness by one reduction per union of unit orbits
+(``isgw.groupoid``); every downset of a poset by recursion and every
+subset of a collection by masks, where the library takes unions of a
+generating family (``isgw.util``); the minimal cover search by
+``is_cover`` calls (``isgw.semilattice``); the census of small
+semilattices that builds and canonicalizes a semigroup for every intersection-closed family
 (``isgw.corpus``); and three loops of the verify checks: the
 hull-kernel statements over every family of filters as frozensets, the
 mu-path criterion over all ordered pairs of triples, and the quotient-action
@@ -34,12 +37,57 @@ from isgw import ideals_filters as ifl
 from isgw import selfsimilar as ss
 from isgw.congruences import congruence_closure, equality_congruence, make_congruence
 from isgw.core import PartialBijection, from_tables
-from isgw.errors import NotAssociative, NotInverse, Overflow
-from isgw.graphs import GraphPath, _reachable_from, is_hereditary, paths_up_to
+from isgw.errors import CapExceeded, NotAssociative, NotInverse, Overflow
+from isgw.graphs import (
+    GraphPath,
+    HereditarySet,
+    _is_saturated_vertex_set,
+    _reachable_from,
+    is_hereditary,
+    paths_up_to,
+)
+from isgw.groupoid import reduction
 from isgw.ideals_filters import ideal_generated, ideal_trace
 from isgw.selfsimilar import g_independent_edges, triple_multiply, vertex_orbits
 from isgw.semilattice import MINIMAL_COVER_SEARCH_LIMIT, Semilattice, is_cover
-from isgw.util import UnionFind, downsets, group_by, subsets
+from isgw.util import Decision, UnionFind, group_by
+
+
+def downsets(elements: list, leq, cap: int = 1_000_000):
+    """Yield every downward-closed subset of a finite poset.
+
+    Elements are processed in an order compatible with ``leq`` (fewer elements
+    below first), so a candidate may be included exactly when everything
+    strictly below it is already in.  Only valid downsets are generated, the
+    empty set included.
+    """
+    order = sorted(elements, key=lambda x: sum(1 for y in elements if leq(y, x)))
+    below = {x: [y for y in order if y != x and leq(y, x)] for x in order}
+    count = 0
+
+    def rec(i: int, current: set):
+        nonlocal count
+        if i == len(order):
+            count += 1
+            if count > cap:
+                raise CapExceeded(f"more than {cap} downsets")
+            yield frozenset(current)
+            return
+        x = order[i]
+        yield from rec(i + 1, current)
+        if all(y in current for y in below[x]):
+            current.add(x)
+            yield from rec(i + 1, current)
+            current.remove(x)
+
+    yield from rec(0, set())
+
+
+def subsets(items: list):
+    """All subsets of a small collection, in a deterministic order."""
+    n = len(items)
+    for mask in range(1 << n):
+        yield frozenset(items[i] for i in range(n) if mask >> i & 1)
 
 
 def all_pairs_closure(generators, labels=None):
@@ -214,6 +262,18 @@ def condition_m_action_scan(action):
     orbits = vertex_orbits(action)
     return _condition_m_scan(action.graph, g_independent_edges(action),
                              orbits.__getitem__)
+
+
+def hereditary_sets_by_masks(g):
+    """All hereditary vertex sets with their saturation flags, smallest
+    first, by a test of every one of the 2^|V| vertex subsets."""
+    out = []
+    vs = sorted(g.vertices)
+    for mask in range(1 << len(vs)):
+        h = frozenset(vs[i] for i in range(len(vs)) if mask >> i & 1)
+        if is_hereditary(g, h):
+            out.append(HereditarySet(h, _is_saturated_vertex_set(g, h)))
+    return sorted(out, key=lambda h: (len(h.vertices), tuple(sorted(h.vertices))))
 
 
 def hereditary_invariant_masks(action):
@@ -447,6 +507,23 @@ def congruence_closure_by_saturation(s, pairs):
                     if dsu.union(s.product(base, c), s.product(b, c)):
                         changed = True
     return frozenset(group_by(range(s.n), dsu.find))
+
+
+def strong_effectiveness_by_all_unions(g):
+    """Strong effectiveness of a groupoid by one reduction per union of unit
+    orbits, in order of size and then of orbits: the first union whose
+    reduction has a unit with nontrivial isotropy, with that unit and
+    arrow, fails it."""
+    orbits = g.unit_orbits()
+    for k in range(len(orbits) + 1):
+        for combo in itertools.combinations(orbits, k):
+            subset = frozenset().union(*combo) if combo else frozenset()
+            h = reduction(g, subset)
+            for m in h.units:
+                for u in h.isotropy(m):
+                    if u != m:
+                        return Decision(False, (subset, (m, u)))
+    return Decision(True)
 
 
 def is_closed_by_all_pairs(g):

@@ -288,6 +288,18 @@ def test_out_of_range_action_index_exit_code(tmp_path, capsys, table, bad):
     assert f"{table}[1][0]" in err and "not in range(2)" in err
 
 
+def test_analyze_ideals_over_the_union_cap_exits_3(tmp_path, monkeypatch, capsys):
+    """The one cap of every union enumeration (ideals, order ideals,
+    invariant subsets, hereditary sets), lowered so that I2's three ideals
+    exceed it."""
+    from isgw import util
+
+    monkeypatch.setattr(util, "MAX_UNIONS", 2)
+    code, _, err = run_cli(capsys, "analyze", "ideals", _write(tmp_path, "i2.json", I2_DOC))
+    assert code == 3
+    assert "more than 2 unions" in err
+
+
 def test_verify_directory_with_array_document_exit_code(tmp_path, capsys):
     _write(tmp_path, "a.json", [1, 2])
     code, _, err = run_cli(capsys, "verify", str(tmp_path))

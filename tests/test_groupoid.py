@@ -1,6 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+
+from isgw import groupoid
+from isgw.core import from_partial_bijections
+from isgw.corpus import builtin_corpus
 
 from isgw.core import from_tables
 from isgw.errors import DomainViolation, NotInvariant
@@ -17,6 +22,8 @@ from isgw.groupoid import (
 from isgw.verify import check_condition_k
 
 from conftest import make_chain, slice_arrows
+from oracles import strong_effectiveness_by_all_unions
+from test_core_oracles import generator_sets
 
 
 def brute_force_germs(s):
@@ -130,6 +137,42 @@ def test_effectiveness(i2, z2z, e4):
     assert not rep.strongly_effective.value
     units_only = effectiveness(build_groupoids(e4).tight)
     assert units_only.effective.value and units_only.strongly_effective.value
+
+
+def assert_strong_effectiveness_matches_oracle(s):
+    pair = build_groupoids(s)
+    for g in (pair.universal, pair.tight):
+        strong = effectiveness(g).strongly_effective
+        oracle = strong_effectiveness_by_all_unions(g)
+        assert (strong.value, strong.witness) == (oracle.value, oracle.witness)
+
+
+def test_strong_effectiveness_matches_all_unions_oracle_on_builtin_corpus():
+    for inst in builtin_corpus(0):
+        if inst.kind == "semigroup":
+            assert_strong_effectiveness_matches_oracle(inst.semigroup)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_sets())
+def test_strong_effectiveness_matches_all_unions_oracle_on_random_closures(gens):
+    assert_strong_effectiveness_matches_oracle(from_partial_bijections(gens))
+
+
+def test_strong_effectiveness_reduces_each_orbit_once(monkeypatch):
+    """One reduction per unit orbit, not one per union of orbits: the chain
+    0 < 1 < ... < 4 has four singleton orbits, all effective, so every orbit
+    is reduced."""
+    calls = []
+
+    def counted(g, units):
+        calls.append(units)
+        return reduction(g, units)
+
+    monkeypatch.setattr(groupoid, "reduction", counted)
+    g = build_groupoids(make_chain(5)).universal
+    assert effectiveness(g).strongly_effective.value
+    assert calls == list(g.unit_orbits()) and len(calls) == 4
 
 
 def test_slice_helper(i2, i2n):

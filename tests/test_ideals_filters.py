@@ -22,11 +22,10 @@ from isgw.ideals_filters import (
     saturate,
 )
 from isgw.semilattice import Semilattice, has_trapping_condition
-from isgw.util import subsets
 from isgw.verify import check_hull_kernel
 
 from conftest import make_chain
-from oracles import saturated_ideal_generated
+from oracles import saturated_ideal_generated, subsets
 
 
 @pytest.fixture(scope="module")

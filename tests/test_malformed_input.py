@@ -1,7 +1,9 @@
 """Malformed input documents end in exit code 2 (or 3 for a size cap) with
 an ``error:`` line, never in a traceback: first the reproducers found by
-hand, then a property that corrupts one node of a valid document of every
-kind and feeds it to every ``analyze`` kind and to ``verify <dir>``."""
+hand, then numbers that are no JSON integers (floats, numeric strings and
+booleans) at every kind of integer node, then a property that corrupts one
+node of a valid document of every kind and feeds it to every ``analyze``
+kind and to ``verify <dir>``."""
 
 import contextlib
 import io
@@ -76,13 +78,54 @@ def test_malformed_semigroup_document_is_a_parse_error(name):
     assert_rejected(results)
 
 
+def _action(**changes):
+    return dict(ACTION_DOC, **changes)
+
+
+NOT_INTEGERS = {
+    "degree-float": ("semigroup", {"degree": 2.7, "generators": [[1, 0]]}),
+    "degree-bool": ("semigroup", {"degree": True, "generators": [[0]]}),
+    "degree-string": ("semigroup", {"degree": "2", "generators": [[1, 0]]}),
+    "generator-entry-bool": ("semigroup", {"degree": 2, "generators": [[True, 0]]}),
+    "generator-entry-float": ("semigroup", {"degree": 2, "generators": [[1.0, 0]]}),
+    "table-entry-bool": ("semigroup", dict(ONE_ELEMENT_DOC, table=[[False]])),
+    "table-entry-float": ("semigroup", dict(ONE_ELEMENT_DOC, table=[[0.0]])),
+    "inv-entry-bool": ("semigroup", dict(ONE_ELEMENT_DOC, inv=[False])),
+    "zero-bool": ("semigroup", dict(ONE_ELEMENT_DOC, zero=False)),
+    "zero-float": ("semigroup", dict(ONE_ELEMENT_DOC, zero=0.0)),
+    "vertices-float": ("graph", {"vertices": 2.5,
+                                 "edges": [{"id": "x", "src": 0, "rng": 1.9}]}),
+    "vertices-string": ("graph", {"vertices": "2",
+                                  "edges": [{"id": "x", "src": "0", "rng": True}]}),
+    "edge-src-bool": ("graph", {"vertices": 2, "edges": [{"id": "x", "src": True, "rng": 1}]}),
+    "edge-rng-float": ("graph", {"vertices": 2, "edges": [{"id": "x", "src": 0, "rng": 1.0}]}),
+    "group-identity-bool": ("action", _action(group=dict(ACTION_DOC["group"], identity=False))),
+    "group-table-float": ("action", _action(group=dict(ACTION_DOC["group"],
+                                                       mul=[[0.0, 1], [1, 0]]))),
+    "group-table-string": ("action", _action(group=dict(ACTION_DOC["group"],
+                                                        mul=[[0, "1"], [1, 0]]))),
+    "vertex-action-string": ("action", _action(vertex_action=[["0"], [0]])),
+    "edge-action-bool": ("action", _action(edge_action=[[False, True], [1, 0]])),
+    "cocycle-float": ("action", _action(cocycle=[[0, 0], [1.5, 1]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_INTEGERS))
+def test_number_that_is_no_json_integer_is_a_parse_error(name):
+    kind, doc = NOT_INTEGERS[name]
+    results = run_both(doc, kind, ANALYZE_BY_DOC[kind])
+    assert {code for code, _ in results} == {2}
+    assert_rejected(results)
+
+
 # -- corrupting one node ----------------------------------------------------------
 
 # Values of a JSON type that the schema never allows at a node of the given
-# type: a non-numeric string or a container where a number belongs, and so
-# on; or the node left out of its object.
+# type: a string, a float, a boolean or a container where an integer
+# belongs, and so on; or the node left out of its object.
 DELETE = object()
-WRONG = {int: (None, "x", [0], {}, -1, 99, DELETE), list: (None, "x", 7, {}, DELETE),
+WRONG = {int: (None, "x", [0], {}, -1, 99, 0.5, 1.0, "1", True, DELETE),
+         list: (None, "x", 7, {}, DELETE),
          dict: (None, "x", 7, [], DELETE)}
 OPTIONAL = ("labels", "edges")
 

@@ -1,9 +1,12 @@
 """The decisions pinned in perfbench/pins.json, checked with the benchmark's
 own output checks (perfbench/checks.py) on the documents it pins: a changed
-status or property fails the test suite, not only a benchmark run.  Nothing
-under perfbench is written."""
+status or property fails the test suite, not only a benchmark run; and the
+benchmark's own selftest, run in a subprocess.  Nothing under perfbench is
+written."""
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -53,3 +56,15 @@ def test_analyze_semigroup_matches_the_pins(name, tmp_path, capsys):
     assert code == 0
     assert checks.analyze_failures(payload, PINS["analyze"][name],
                                    inputs.doc_reference(doc)) == []
+
+
+def test_perfbench_selftest_passes():
+    """The benchmark's own tests (perfbench/selftest.py, which this suite
+    does not collect), in a subprocess that writes no bytecode under
+    perfbench."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench/selftest.py"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]

@@ -9,6 +9,7 @@ from isgw.graphs import (
     GraphPath,
     condition_m_graph,
     graph_semigroup,
+    hereditary_sets,
     single_arrow,
     single_loop,
     two_loops,
@@ -41,6 +42,7 @@ from oracles import (
     condition_m_graph_scan,
     graph_pair_semigroup,
     hereditary_invariant_masks,
+    hereditary_sets_by_masks,
 )
 
 
@@ -205,6 +207,13 @@ def test_condition_m_and_hereditary_sets_match_oracles_on_fixtures():
     for _, g in fixture_graphs():
         d = condition_m_graph(g)
         assert (d.value, d.witness) == condition_m_graph_scan(g)
+        assert hereditary_sets(g) == hereditary_sets_by_masks(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_vertices=7, max_edges=10))
+def test_hereditary_sets_match_mask_oracle_on_random_graphs(g):
+    assert hereditary_sets(g) == hereditary_sets_by_masks(g)
 
 
 @settings(max_examples=150, deadline=None)
