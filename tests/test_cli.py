@@ -11,6 +11,9 @@ from isgw.cli import main
 
 I2_DOC = {"degree": 2, "generators": [[0, 1], [1, 0], [0, None]],
           "labels": ["I", "X", "E11"]}
+# E4: 0 < e, 0 < f < g, e orthogonal to f and g; not 0-disjunctive
+E4_DOC = {"degree": 3, "generators": [[0, None, None], [None, 1, None], [None, 1, 2]],
+          "labels": ["e", "f", "g"]}
 L1_DOC = {"vertices": 1, "edges": [{"id": "e", "src": 0, "rng": 0}]}
 MIRROR_DOC = {
     "group": {"mul": [[0, 1], [1, 0]], "identity": 0, "labels": ["1", "t"]},
@@ -229,6 +232,12 @@ GOLDEN_SHA256 = {
         "bdc12948e0df28bdebc1a3c27781f056a8b2d92a502263d2923a261569f7213e",
     "analyze ideals i2.json --json":
         "3c9460b6292cae6cda8eddfd95c9d9bcfa5623aa6a73fc03ad2b31519f5f2769",
+    "analyze semilattice i2.json --json":
+        "7ad9d81a8f95b5606d2bfe620e35512c71c4a2514e6e24bd50bab38bfe46c90d",
+    "analyze semilattice e4.json --json":
+        "a1d8142956d5bfaab827b3a8a1cf31682a485d376252e9941f5c69a7cd89eaf9",
+    "analyze semigroup e4.json --json":
+        "89d6345b4c3efe691155b1c0c940cad40bd12c18812b5c75a2eca788aaab1aff",
     "verify ladder --json":
         "e2ffaed9819596736e284bf09d3c9c663f4c1b68260863208b272850a5723842",
     "verify mid --json":
@@ -240,6 +249,7 @@ GOLDEN_SHA256 = {
 def test_golden_output(command, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "i2.json").write_text(json.dumps(I2_DOC))
+    (tmp_path / "e4.json").write_text(json.dumps(E4_DOC))
     (tmp_path / "ladder").mkdir()
     (tmp_path / "ladder" / "SWAP-LADDER2.json").write_text(json.dumps(SWAP_LADDER_DOC))
     (tmp_path / "ladder" / "CHAIN5.json").write_text(json.dumps(CHAIN5_DOC))
