@@ -315,22 +315,12 @@ def beta_act(s: InverseSemigroup, a: int, filter_min: int) -> int:
 
 # -- invariant subsets of the filter spaces ----------------------------------
 
-def _orbit_unions(orbits) -> tuple:
-    """Every union of the given orbits, smallest first."""
-    return tuple(sorted(unions(orbits, frozenset()), key=lambda x: (len(x), tuple(sorted(x)))))
-
-
 class InvariantSubsetsReport(Record):
     __slots__ = ("orbits", "invariant_tight_subsets")
 
     def __init__(self, orbits: tuple, invariant_tight_subsets: tuple):
         set_field(self, "orbits", orbits)  # frozensets of filter minima
         set_field(self, "invariant_tight_subsets", invariant_tight_subsets)
-
-    @property
-    def invariant_subsets(self) -> tuple:
-        """Invariant subsets of the full filter space: the unions of orbits."""
-        return _orbit_unions(self.orbits)
 
 
 def _filter_orbits(s: InverseSemigroup, mins) -> list:
@@ -354,7 +344,6 @@ def invariant_subsets(s: InverseSemigroup) -> InvariantSubsetsReport:
         kinds = {m in space.tight for m in orbit}
         if len(kinds) > 1:
             raise InternalContract("an orbit mixes tight and non-tight filters")
+    tight = unions([o for o in orbits if o <= space.tight], frozenset())
     return InvariantSubsetsReport(
-        orbits=tuple(orbits),
-        invariant_tight_subsets=_orbit_unions([o for o in orbits if o <= space.tight]),
-    )
+        tuple(orbits), tuple(sorted(tight, key=lambda x: (len(x), tuple(sorted(x))))))

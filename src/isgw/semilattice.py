@@ -1,22 +1,21 @@
 """Analysis of the idempotent meet semilattice of an inverse semigroup.
 
-Covers, orthogonality, the 0-disjunctive property and the trapping condition
-all reduce to finite scans here.  A cover of e (written e -> C) is a set C of
-elements below e such that every nonzero x below e meets some member of C;
-an outer cover drops the containment requirement.
+E is read through one bitset view of its carrier (``order_masks``), built
+once per semigroup and carrier: covers, atoms, orthogonality, the
+0-disjunctive property and the trapping condition are mask tests on it.  A
+cover of e (written e -> C) is a set C of elements below e such that every
+nonzero x below e meets some member of C; an outer cover drops the
+containment requirement.  The trapping condition is one cover test per
+pair f < e.  Witnesses are the least ones, in ascending element order.
 """
 
 from __future__ import annotations
 
-import itertools
 from types import MappingProxyType
 
 from .core import InverseSemigroup, per_semigroup
 from .errors import DomainViolation
 from .util import Decision, Record, set_field
-
-# Subset searches for minimal covers stay exact below this candidate count.
-MINIMAL_COVER_SEARCH_LIMIT = 12
 
 
 class Semilattice(Record):
@@ -51,12 +50,6 @@ class Semilattice(Record):
         iff e*f = f, read from the row of e."""
         row = self.parent.mul[e]
         return tuple(f for f in self.elements if row[f] == f)
-
-    def strictly_below(self, e: int) -> tuple:
-        return tuple(f for f in self.below(e) if f != e and f != self.zero)
-
-    def orthogonal(self, f: int) -> tuple:
-        return tuple(e for e in self.elements if self.meet(e, f) == self.zero)
 
     def label(self, e: int) -> str:
         return self.parent.labels[e]
@@ -103,9 +96,20 @@ class OrderMasks(Record):
         """The elements of a mask, ascending."""
         return tuple(map(self.elements.__getitem__, positions(mask)))
 
+    def under(self, i: int) -> int:
+        """The mask of the nonzero x < elements[i]."""
+        return self.down[i] & ~self.zero & ~(1 << i)
+
+    def uncovered(self, i: int, members: int) -> int | None:
+        """The least nonzero x <= elements[i] that meets no member, as a bit
+        position, or None when the members cover elements[i]."""
+        meets = self.meets
+        return next((x for x in positions(self.down[i] & ~self.zero) if not meets[x] & members),
+                    None)
+
     def covers(self, i: int, members: int) -> bool:
         """Every nonzero x <= elements[i] meets some member."""
-        return all(self.meets[x] & members for x in positions(self.down[i] & ~self.zero))
+        return self.uncovered(i, members) is None
 
 
 def positions(mask: int):
@@ -119,12 +123,17 @@ def positions(mask: int):
 def order_masks(lattice: Semilattice) -> OrderMasks:
     """The bitset view of a carrier, built once per semigroup and carrier
     (``per_semigroup`` on the parent) from the table rows: O(|E|^2)
-    lookups."""
+    lookups.  A carrier that lacks its zero or holds anything but
+    idempotents of the parent raises DomainViolation."""
     return _order_masks(lattice.parent, lattice.elements, lattice.zero)
 
 
 @per_semigroup
 def _order_masks(s: InverseSemigroup, elements: tuple, zero: int) -> OrderMasks:
+    if zero not in elements:
+        raise DomainViolation(f"the carrier lacks its zero {zero}")
+    if not all(map(s.is_idempotent, elements)):
+        raise DomainViolation("the carrier holds an element that is no idempotent")
     elements = tuple(sorted(elements))
     up, down, meets = [], [], []
     for e in elements:
@@ -146,113 +155,65 @@ def _order_masks(s: InverseSemigroup, elements: tuple, zero: int) -> OrderMasks:
                       tuple(meets), 1 << position[zero])
 
 
-class Cover(Record):
-    """A target idempotent together with a finite covering set."""
-
-    __slots__ = ("target", "members", "outer")
-
-    def __init__(self, target: int, members: frozenset, outer: bool = False):
-        set_field(self, "target", target)
-        set_field(self, "members", members)
-        set_field(self, "outer", outer)
-
-
-def make_cover(lattice: "Semilattice", e: int, members, *, outer: bool = False) -> Cover:
-    """Validated cover of e; raises ValueError when the set does not cover."""
-    d = is_cover(lattice, e, members, require_below=not outer)
-    if not d.value:
-        raise ValueError(f"not a cover of {e}: witness {d.witness}")
-    return Cover(e, frozenset(members), outer)
-
-
 def is_cover(lattice: Semilattice, e: int, members, *, require_below: bool = False) -> Decision:
     """Decide e -> C: every nonzero x <= e meets some member of C.
 
     With require_below=True the containment C subset-of e-down is also
-    demanded (the non-outer notion).  A failing decision carries a witness x
-    with x <= e, x != 0 and xC = {0}.
+    demanded (the non-outer notion).  A failing decision carries the least
+    witness: ("member_not_below", c) for a member c not below e, or else an
+    x with x <= e, x != 0 and xC = {0}.
     """
-    members = [c for c in members if c != lattice.zero]
-    if require_below and any(not lattice.leq(c, e) for c in members):
-        bad = next(c for c in members if not lattice.leq(c, e))
-        return Decision(False, ("member_not_below", bad))
-    for x in lattice.below(e):
-        if x == lattice.zero:
-            continue
-        if all(lattice.meet(x, c) == lattice.zero for c in members):
-            return Decision(False, x)
-    return Decision(True)
+    view = order_masks(lattice)
+    i = view.index(e)
+    members = view.mask(members) & ~view.zero
+    outside = members & ~view.down[i]
+    if require_below and outside:
+        return Decision(False, ("member_not_below", view.elements[next(positions(outside))]))
+    x = view.uncovered(i, members)
+    return Decision(True) if x is None else Decision(False, view.elements[x])
 
 
 def is_0_disjunctive(lattice: Semilattice) -> Decision:
-    """Between any 0 < e < f there must sit a nonzero e' < f orthogonal to e."""
-    for f in lattice.nonzero():
-        for e in lattice.strictly_below(f):
-            found = any(
-                ep != lattice.zero and ep != f and lattice.meet(ep, e) == lattice.zero
-                for ep in lattice.below(f)
-            )
-            if not found:
-                return Decision(False, (e, f))
+    """Between any 0 < e < f there must sit a nonzero e' < f orthogonal to e;
+    the witness of a failure is the least such pair (e, f), f first."""
+    view = order_masks(lattice)
+    for f in positions(view.full & ~view.zero):
+        under = view.under(f)
+        for e in positions(under):
+            if not under & ~view.meets[e]:
+                return Decision(False, (view.elements[e], view.elements[f]))
     return Decision(True)
-
-
-def _minimal_cover_with(lattice: Semilattice, e: int, fixed: int, candidates) -> tuple | None:
-    """Smallest subset D of candidates with e -> D + {fixed}, or None.  The
-    nonzero elements below e are listed once, and each subset is tested
-    against that list by table lookups."""
-    z = lattice.zero
-    mul = lattice.parent.mul
-    pool = [c for c in candidates if c != z]
-    below = [mul[x] for x in lattice.below(e) if x != z]  # rows of the x <= e
-
-    def covers(members) -> bool:
-        return all(any(row[c] != z for c in members) for row in below)
-
-    if not covers(pool + [fixed]):
-        return None
-    if len(pool) > MINIMAL_COVER_SEARCH_LIMIT:
-        return tuple(sorted(pool))
-    for size in range(len(pool) + 1):
-        for combo in itertools.combinations(pool, size):
-            if covers(combo + (fixed,)):
-                return combo
-    return tuple(sorted(pool))
 
 
 def has_trapping_condition(lattice: Semilattice) -> Decision:
     """For each nonzero f < e, e must be covered by f plus finitely many
-    elements below e orthogonal to f.  On success the witness maps each pair
-    to a validated cover built from a smallest such orthogonal family; the
-    map is read-only, because the scan runs once per semigroup and carrier
-    (``per_semigroup`` on the parent) and every caller shares the result."""
+    elements below e orthogonal to f.  Covers grow with their members, so one
+    cover test per pair, by f and every such element, decides it; a failure
+    carries the least pair (f, e), e first.  Cached per semigroup and carrier."""
     return _trapping(lattice.parent, lattice.elements, lattice.zero)
 
 
 @per_semigroup
 def _trapping(s: InverseSemigroup, elements: tuple, zero: int) -> Decision:
-    lattice = Semilattice(s, elements, zero)
-    witnesses = {}
-    for e in lattice.nonzero():
-        for f in lattice.strictly_below(e):
-            candidates = [x for x in lattice.below(e)
-                          if lattice.meet(x, f) == lattice.zero and x != lattice.zero]
-            found = _minimal_cover_with(lattice, e, f, candidates)
-            if found is None:
-                return Decision(False, (f, e))
-            witnesses[(f, e)] = make_cover(lattice, e, set(found) | {f})
-    return Decision(True, MappingProxyType(witnesses))
+    view = _order_masks(s, elements, zero)
+    for e in positions(view.full & ~view.zero):
+        below = view.down[e] & ~view.zero
+        for f in positions(view.under(e)):
+            if not view.covers(e, below & ~view.meets[f] | 1 << f):
+                return Decision(False, (view.elements[f], view.elements[e]))
+    return Decision(True)
 
 
 def atoms(lattice: Semilattice) -> tuple:
-    out = []
-    for e in lattice.nonzero():
-        if not lattice.strictly_below(e):
-            out.append(e)
-    return tuple(out)
+    """The minimal nonzero elements, ascending."""
+    view = order_masks(lattice)
+    return tuple(view.elements[i] for i in positions(view.full & ~view.zero)
+                 if not view.under(i))
 
 
 def atoms_and_orthogonals(lattice: Semilattice) -> tuple:
     """The minimal nonzero elements, and the full orthogonality map f -> f-perp."""
-    perp = {f: frozenset(lattice.orthogonal(f)) for f in lattice.elements}
+    view = order_masks(lattice)
+    perp = {f: frozenset(view.members(view.full & ~view.meets[i]))
+            for i, f in enumerate(view.elements)}
     return atoms(lattice), perp

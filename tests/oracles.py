@@ -20,8 +20,9 @@ by all elements, and the congruence lattice by joins of whole congruences
 and strong effectiveness by one reduction per union of unit orbits
 (``isgw.groupoid``); every downset of a poset by recursion and every
 subset of a collection by masks, where the library takes unions of a
-generating family (``isgw.util``); the minimal cover search by
-``is_cover`` calls (``isgw.semilattice``); the census of small
+generating family (``isgw.util``); covers, the 0-disjunctive property,
+atoms, orthogonality and the trapping condition by ``leq`` and ``meet``
+loops over the carrier instead of bitsets (``isgw.semilattice``); the census of small
 semilattices that builds and canonicalizes a semigroup for every intersection-closed family
 (``isgw.corpus``); and three loops of the verify checks: the
 hull-kernel statements over every family of filters as frozensets, the
@@ -49,7 +50,7 @@ from isgw.graphs import (
 from isgw.groupoid import reduction
 from isgw.ideals_filters import ideal_generated, ideal_trace
 from isgw.selfsimilar import g_independent_edges, triple_multiply, vertex_orbits
-from isgw.semilattice import MINIMAL_COVER_SEARCH_LIMIT, Semilattice, is_cover
+from isgw.semilattice import Semilattice
 from isgw.util import Decision, UnionFind, group_by
 
 
@@ -340,6 +341,66 @@ def saturated_ideal_generated(s, seed):
 
 # -- the idempotent semilattice by leq loops ----------------------------------
 
+def is_cover_by_leq(lattice, e, members, *, require_below=False):
+    """e -> C by a scan of the carrier: every nonzero x <= e meets some
+    member; with require_below, every member is <= e as well.  The witness
+    is the first failure in the order of the carrier and of the members."""
+    members = [c for c in members if c != lattice.zero]
+    if require_below and any(not lattice.leq(c, e) for c in members):
+        bad = next(c for c in members if not lattice.leq(c, e))
+        return Decision(False, ("member_not_below", bad))
+    for x in lattice.below(e):
+        if x == lattice.zero:
+            continue
+        if all(lattice.meet(x, c) == lattice.zero for c in members):
+            return Decision(False, x)
+    return Decision(True)
+
+
+def _under(lattice, e):
+    return [f for f in lattice.below(e) if f != e and f != lattice.zero]
+
+
+def is_0_disjunctive_by_leq(lattice):
+    """Between any 0 < e < f sits a nonzero e' < f orthogonal to e; the
+    witness is the first failing pair (e, f) in the order of the carrier."""
+    for f in lattice.nonzero():
+        for e in _under(lattice, f):
+            found = any(
+                ep != lattice.zero and ep != f and lattice.meet(ep, e) == lattice.zero
+                for ep in lattice.below(f)
+            )
+            if not found:
+                return Decision(False, (e, f))
+    return Decision(True)
+
+
+def atoms_by_leq(lattice):
+    """The nonzero elements with nothing nonzero strictly below them."""
+    return tuple(e for e in lattice.nonzero() if not _under(lattice, e))
+
+
+def orthogonals_by_leq(lattice):
+    """f -> the elements of the carrier whose meet with f is the zero."""
+    return {f: frozenset(e for e in lattice.elements if lattice.meet(e, f) == lattice.zero)
+            for f in lattice.elements}
+
+
+def trapping_by_leq(lattice):
+    """The definition: each nonzero f < e has a finite set D of nonzero
+    x <= e orthogonal to f with e -> D + {f}.  Covers only grow with their
+    members and the carrier is finite, so D may be taken to be every such x;
+    the witness is the first failing pair (f, e) in the order of the
+    carrier."""
+    for e in lattice.nonzero():
+        for f in _under(lattice, e):
+            d = [x for x in lattice.below(e)
+                 if x != lattice.zero and lattice.meet(x, f) == lattice.zero]
+            if not is_cover_by_leq(lattice, e, d + [f]).value:
+                return Decision(False, (f, e))
+    return Decision(True)
+
+
 def order_ideals_by_leq(lattice):
     """All nonempty downward-closed subsets of the carrier (each contains
     0), smallest first, by the downset recursion over ``leq``."""
@@ -357,7 +418,7 @@ def is_invariant_order_ideal_by_products(s, x):
 
 def saturate_by_leq(lattice, x):
     """Least saturated order ideal containing x: keep adding every element
-    whose down-set is covered from inside the set, by ``is_cover`` calls."""
+    whose down-set is covered from inside the set, by ``is_cover_by_leq`` calls."""
     current = set(x) | {lattice.zero}
     changed = True
     while changed:
@@ -366,7 +427,7 @@ def saturate_by_leq(lattice, x):
             if e in current:
                 continue
             members = [c for c in lattice.below(e) if c in current and c != lattice.zero]
-            if members and is_cover(lattice, e, members, require_below=True).value:
+            if members and is_cover_by_leq(lattice, e, members, require_below=True).value:
                 current.add(e)
                 changed = True
     return frozenset(current)
@@ -408,7 +469,7 @@ def tight_by_is_cover(lattice, m):
             continue
         outside = [x for x in lattice.below(e)
                    if x != lattice.zero and not lattice.leq(m, x)]
-        if outside and is_cover(lattice, e, outside, require_below=True).value:
+        if outside and is_cover_by_leq(lattice, e, outside, require_below=True).value:
             return False
     return True
 
@@ -613,21 +674,6 @@ def small_semilattices_by_semigroups(max_size=5):
                 if key not in out:
                     out[key] = s
     return [out[k] for k in sorted(out)]
-
-
-def minimal_cover_by_is_cover(lattice, e, fixed, candidates):
-    """Smallest subset D of candidates with e -> D + {fixed}, or None, trying
-    subsets in increasing size with one ``is_cover`` call each."""
-    pool = [c for c in candidates if c != lattice.zero]
-    if not is_cover(lattice, e, pool + [fixed]).value:
-        return None
-    if len(pool) > MINIMAL_COVER_SEARCH_LIMIT:
-        return tuple(sorted(pool))
-    for size in range(len(pool) + 1):
-        for combo in itertools.combinations(pool, size):
-            if is_cover(lattice, e, list(combo) + [fixed]).value:
-                return combo
-    return tuple(sorted(pool))
 
 
 def hull_kernel_pool_by_sets(s, rng):

@@ -196,9 +196,9 @@ def test_invariant_subsets_i2(i2, i2n):
 
 def test_invariant_subsets_semilattice(e4):
     rep = invariant_subsets(e4)
-    # no non-idempotent elements: every subset of the filter space is invariant
+    # no non-idempotent elements: every filter is its own orbit
     space = filter_space(Semilattice.from_semigroup(e4))
-    assert len(rep.invariant_subsets) == 2 ** len(space.mins)
+    assert len(rep.orbits) == len(space.mins)
 
 
 def test_invariant_order_ideals_i2(i2, i2n):

@@ -1,6 +1,8 @@
 """The bitset view of E against the leq loops of tests/oracles.py: order
-ideals, invariance, saturation, hull, kernel, basic sets, ultrafilters and
-tight filters, on random closures and on the builtin corpus."""
+ideals, invariance, saturation, hull, kernel, basic sets, ultrafilters,
+tight filters, covers, the 0-disjunctive property, atoms, orthogonality and
+the trapping condition, on random closures, on random semilattices and on
+the builtin corpus."""
 
 import itertools
 import random
@@ -20,20 +22,34 @@ from isgw.ideals_filters import (
     order_ideals,
     saturate,
 )
-from isgw.semilattice import Semilattice, order_masks
+from isgw.semilattice import (
+    Semilattice,
+    atoms,
+    atoms_and_orthogonals,
+    has_trapping_condition,
+    is_0_disjunctive,
+    is_cover,
+    order_masks,
+)
 from isgw.verify import _tight_by_covers
 
 from oracles import (
+    atoms_by_leq,
     basic_set_by_leq,
     hull_by_leq,
+    is_0_disjunctive_by_leq,
+    is_cover_by_leq,
     is_invariant_order_ideal_by_products,
     is_ultra_by_leq,
     kernel_by_leq,
     order_ideals_by_leq,
+    orthogonals_by_leq,
     saturate_by_leq,
     tight_by_is_cover,
+    trapping_by_leq,
 )
 from test_core_oracles import generator_sets
+from test_semilattice import closed_family, family_to_semigroup
 
 
 def _families(items, rng, limit=64):
@@ -44,7 +60,25 @@ def _families(items, rng, limit=64):
     return [frozenset(rng.sample(items, rng.randint(0, len(items)))) for _ in range(limit)]
 
 
+def assert_semilattice_matches(lattice):
+    """Values and witnesses.  The leq loops scan in carrier order and the
+    masks give the least witness, so the loops run on the sorted carrier."""
+    ref = Semilattice(lattice.parent, tuple(sorted(lattice.elements)), lattice.zero)
+    assert is_0_disjunctive(lattice) == is_0_disjunctive_by_leq(ref)
+    assert has_trapping_condition(lattice) == trapping_by_leq(ref)
+    ats, perp = atoms_and_orthogonals(lattice)
+    assert ats == atoms(lattice) == atoms_by_leq(ref)
+    assert perp == orthogonals_by_leq(ref)
+    rng = random.Random(len(lattice.elements))
+    for e in ref.elements:
+        for c in _families(sorted(ref.nonzero()), rng, limit=16):
+            for below in (False, True):
+                assert (is_cover(lattice, e, sorted(c), require_below=below)
+                        == is_cover_by_leq(ref, e, sorted(c), require_below=below)), (e, c)
+
+
 def assert_carrier_matches(s, lattice):
+    assert_semilattice_matches(lattice)
     rng = random.Random(len(lattice.elements))
     ideals = order_ideals(lattice)
     assert ideals == tuple(order_ideals_by_leq(lattice))
@@ -98,6 +132,12 @@ def test_masks_match_leq_oracles_on_builtin_corpus(corpus_semigroups):
         assert_masks_match(s)
 
 
+@settings(max_examples=60, deadline=None)
+@given(closed_family())
+def test_semilattice_masks_match_leq_oracles_on_random_semilattices(family):
+    assert_semilattice_matches(Semilattice.from_semigroup(family_to_semigroup(family)))
+
+
 def test_order_ideals_and_masks_are_cached_per_carrier(i2):
     lattice = Semilattice.from_semigroup(i2)
     assert order_ideals(lattice) is order_ideals(Semilattice.from_semigroup(i2))
@@ -122,3 +162,13 @@ def test_elements_outside_the_carrier_are_refused(i2, i2n):
         hull(lattice, {i2n["X"]})  # X is not an idempotent
     with pytest.raises(DomainViolation):
         kernel(lattice, {i2n["E21"]})
+
+
+def test_bad_carriers_are_refused(i2, i2n):
+    """A carrier holds its zero and idempotents of the parent, nothing else."""
+    nonzero = tuple(e for e in i2.idempotents if e != i2.zero)
+    for elements in (nonzero, i2.idempotents + (i2n["X"],), i2.idempotents + (i2.n,)):
+        lattice = Semilattice(i2, elements, i2.zero)
+        for call in (order_masks, has_trapping_condition, lambda x: hull(x, ())):
+            with pytest.raises(DomainViolation):
+                call(lattice)

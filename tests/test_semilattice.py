@@ -4,10 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isgw.core import from_tables
-from isgw.corpus import builtin_corpus
 from isgw.semilattice import (
     Semilattice,
-    _minimal_cover_with,
     atoms_and_orthogonals,
     has_trapping_condition,
     is_0_disjunctive,
@@ -15,7 +13,6 @@ from isgw.semilattice import (
 )
 
 from conftest import make_chain
-from oracles import minimal_cover_by_is_cover
 
 
 @pytest.fixture(scope="module")
@@ -85,16 +82,6 @@ def test_trapping_condition(le4, li2):
     assert has_trapping_condition(chain).value
 
 
-def test_trapping_witness_is_orthogonal_cover(li2, i2n):
-    d = has_trapping_condition(li2)
-    for (f, e), cover in d.witness.items():
-        assert cover.target == e and not cover.outer
-        extra = cover.members - {f}
-        assert all(li2.meet(x, f) == li2.zero for x in extra)
-        assert all(li2.leq(x, e) for x in extra)
-        assert is_cover(li2, e, cover.members).value
-
-
 def test_atoms_and_orthogonals_e4(le4, e4n):
     ats, perp = atoms_and_orthogonals(le4)
     assert set(ats) == {e4n["e"], e4n["f"]}
@@ -162,33 +149,3 @@ def test_random_semilattice_trapping_always_holds_finite(family):
     lattice = Semilattice.from_semigroup(family_to_semigroup(family))
     assert has_trapping_condition(lattice).value
 
-
-def assert_minimal_covers_match(lattice, extra=()):
-    """For each nonzero f < e, on the orthogonal candidates that the trapping
-    condition searches and on each extra candidate list."""
-    searched = 0
-    for e in lattice.nonzero():
-        for f in lattice.strictly_below(e):
-            orthogonal = [x for x in lattice.below(e)
-                          if lattice.meet(x, f) == lattice.zero and x != lattice.zero]
-            for candidates in [orthogonal, *extra]:
-                found = _minimal_cover_with(lattice, e, f, candidates)
-                assert found == minimal_cover_by_is_cover(lattice, e, f, candidates)
-                searched += found is not None
-    return searched
-
-
-@settings(max_examples=40, deadline=None)
-@given(closed_family(), st.data())
-def test_random_semilattice_minimal_covers_match_oracle(family, data):
-    s = family_to_semigroup(family)
-    extra = data.draw(st.lists(st.integers(0, s.n - 1), max_size=4))
-    assert_minimal_covers_match(Semilattice.from_semigroup(s), [extra])
-
-
-def test_minimal_covers_match_oracle_on_builtin_corpus():
-    searched = 0
-    for inst in builtin_corpus():
-        if inst.kind == "semigroup":
-            searched += assert_minimal_covers_match(Semilattice.from_semigroup(inst.semigroup))
-    assert searched > 0
