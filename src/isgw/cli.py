@@ -9,6 +9,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -329,7 +330,10 @@ def cmd_corpus(args) -> int:
     raise ParseError(f"unknown corpus action {args.action}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later ``main`` call: parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="isgw",
         description="finite inverse semigroup and tight groupoid workbench")

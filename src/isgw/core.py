@@ -9,18 +9,18 @@ builds them without validating them again, and a tier-1 test property
 run builds.
 
 A closure of partial bijections is enumerated on its right Cayley graph over
-the generators, and its multiplication table is filled by tracing words,
-a*(w*g) = (a*w)*g, one lookup per entry (Froidure & Pin, "Algorithms for
-computing finite semigroups", 1997).  Associativity is checked at every size
-by Light's test against a generating set of the table (Clifford & Preston,
-vol. 1, section 1.2).
+the generators, and its multiplication table is filled row by row by tracing
+words, (w*g)*b = w*(g*b): the row of w*g is the row of w read through the
+fixed map b -> g*b of the seed g, one getter per seed and one C call per row
+(Froidure & Pin, "Algorithms for computing finite semigroups", 1997).
+Associativity is checked at every size by Light's test against a generating
+set of the table (Clifford & Preston, vol. 1, section 1.2).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from array import array
 from operator import itemgetter
 
 from .errors import CapExceeded, NotAssociative, NotInverse, ParseError
@@ -393,8 +393,8 @@ def _right_cayley_closure(seeds: list, max_elements: int) -> tuple:
     index = {g: x for x, g in enumerate(elems)}
     if len(elems) > max_elements:
         raise CapExceeded(f"closure exceeded {max_elements} elements")
-    source = array("i", [-1]) * len(elems)
-    right = array("i")
+    source = [-1] * len(elems)
+    right = []
     x = 0
     while x < len(elems):
         w = elems[x]
@@ -413,45 +413,53 @@ def _right_cayley_closure(seeds: list, max_elements: int) -> tuple:
     return elems, index, right, source
 
 
-def _trace_columns(right: array, source: array, k: int, generated: int) -> array:
-    """Column-major multiplication table, cols[x*n + a] = index of a*x.
+def _raw_inverse(raw: tuple) -> tuple:
+    out = [-1] * len(raw)
+    for x, y in enumerate(raw[:-1]):
+        out[y] = x  # an undefined point (y = -1) writes the sentinel slot
+    out[-1] = -1
+    return tuple(out)
 
-    The column of a seed is read off the right Cayley graph; the column of
-    x = w*g follows from the column of w as a*x = (a*w)*g, one lookup per
-    entry.  Columns from `generated` on (the adjoined zero) are constant.
+
+def _trace_rows(left: list, source: list, n: int, zero: int) -> list:
+    """The rows of the closure's table in discovery order, row[b] = x*b.
+
+    left[j] is the row of the seed j, and the row of x = w*g_j follows from
+    the row of w as x*b = w*(g_j*b): one fixed getter per seed, one C call
+    per row.  The row of an adjoined zero (past the end of source) is
+    constant.
     """
-    n = len(right) // k
-    by_seed = [right[j::k].tolist() for j in range(k)]  # by_seed[j][a] = a*seeds[j]
-    cols = array("i")
-    for x in range(n):
-        if x < k:
-            cols.extend(array("i", by_seed[x]))
-        elif x < generated:
-            w, j = divmod(source[x], k)
-            cols.extend(array("i", _picker(cols[w * n:(w + 1) * n])(by_seed[j])))
-        else:
-            cols.extend(array("i", [x]) * n)
-    return cols
+    k = len(left)
+    steps = [_picker(row) for row in left]
+    rows = list(left)
+    for found in source[k:]:
+        w, j = divmod(found, k)
+        rows.append(steps[j](rows[w]))
+    if len(rows) < n:
+        rows.append((zero,) * n)
+    return rows
 
 
-def _all_pairs_order(cols: array, n: int, k: int, generated: int) -> list:
+def _all_pairs_order(rows: list, inv: list, k: int, generated: int) -> list:
     """The generated elements in the order the all-pairs closure finds them.
 
     That closure starts from the seeds; each round multiplies every element
     known at its start by every element the previous round found, a*b before
     b*a.  Its order fixes the canonical indices, labels and reports.  It is
-    replayed here on the traced table, so it costs lookups, not products,
-    and it stops once every generated element is placed.
+    replayed here on the traced rows, b*a read as (a* * b*)*, so it costs
+    lookups, not products, and it stops once every generated element is
+    placed.
     """
     order = list(range(k))
     seen = set(order)
     frontier = order
     while len(order) < generated:
         pick = _picker(frontier)
+        pick_star = _picker(pick(inv))
         fresh = []
         for a in order[:]:
-            right_of_a = pick(cols[a::n])  # a*b for b in frontier
-            left_of_a = pick(cols[a * n:(a + 1) * n])  # b*a for b in frontier
+            right_of_a = pick(rows[a])  # a*b for b in frontier
+            left_of_a = _picker(pick_star(rows[inv[a]]))(inv)  # b*a for b in frontier
             if seen.issuperset(right_of_a) and seen.issuperset(left_of_a):
                 continue
             for pair in zip(right_of_a, left_of_a):
@@ -494,30 +502,36 @@ def from_partial_bijections(generators, labels=None, max_elements: int = DEFAULT
     generated = len(elems)
     empty = _raw(PartialBijection.empty(degree))
     zero = index.get(empty)
-    adjoined = zero is None
-    if adjoined:
+    if zero is None:
         zero = generated
         if zero >= max_elements:
             raise CapExceeded(f"closure exceeded {max_elements} elements")
         index[empty] = zero
         elems.append(empty)
-        right.extend(array("i", [zero]) * k)
+        right += [zero] * k
     n = len(elems)
-    cols = _trace_columns(right, source, k, generated)
-    order = _all_pairs_order(cols, n, k, generated)
-    if adjoined:
+    # inv[x] = index of elems[x]^-1.  The seeds are closed under inverses, so
+    # the seed j* = inv[j] reads g_j*b = (b^-1 * g_j*)^-1 off the Cayley graph.
+    inv = [index[_raw_inverse(p)] for p in elems]
+    star = _picker(inv)
+    left = [_picker(star(right[inv[j]::k]))(inv) for j in range(k)]
+    order = _all_pairs_order(_trace_rows(left, source, n, zero), inv, k, generated)
+    if generated < n:
         order.append(zero)  # last, as the all-pairs closure adjoins it
 
+    # The table is traced again on canonical indices, from the seed rows
+    # relabelled once; the discovery rows are gone by then, so one n x n
+    # table is alive at a time.
     pos = [0] * n
     for i, x in enumerate(order):
         pos[x] = i
-    pick = _picker(order)
-    mul = [_picker(pick(cols[a::n]))(pos) for a in order]
-    del cols
+    relabel = _picker(order)
+    left = [_picker(relabel(row))(pos) for row in left]
+    mul = relabel(_trace_rows(left, source, n, pos[zero]))
     pmaps = [_cooked(elems[x]) for x in order]
-    inv = [pos[index[_raw(p.inverse())]] for p in pmaps]
     elem_labels = [name_of.get(p, p.describe()) for p in pmaps]
-    return InverseSemigroup(mul, inv, pos[zero], labels=elem_labels, pmaps=pmaps)
+    return InverseSemigroup(mul, _picker(relabel(inv))(pos), pos[zero],
+                            labels=elem_labels, pmaps=pmaps)
 
 
 def from_tables(mul, inv, zero, labels=None) -> InverseSemigroup:

@@ -1,5 +1,7 @@
 import itertools
 import re
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +36,23 @@ def test_zero_adjoined_when_not_generated():
     s = from_partial_bijections([PartialBijection(2, (0, None))])
     assert s.n == 2
     assert s.pmaps[s.zero].is_empty()
+
+
+def test_closure_keeps_one_table_alive_at_a_time():
+    """Building I4 allocates little beyond what it keeps: the transient peak
+    over the retained semigroup stays under a quarter of its table, so no
+    second n x n table is alive at once."""
+    gens = [PartialBijection(4, g) for g in ((1, 0, 2, 3), (1, 2, 3, 0), (0, 1, 2, None))]
+    from_partial_bijections(gens)  # first call outside the trace
+    tracemalloc.start()
+    try:
+        s = from_partial_bijections(gens)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table = sys.getsizeof(s.mul) + sum(map(sys.getsizeof, s.mul))
+    assert s.n == 209
+    assert peak - retained <= 0.25 * table
 
 
 def test_e4_closure(e4, e4n):

@@ -5,9 +5,15 @@ with its down-sets."""
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from isgw.core import PartialBijection, _check_associative, from_partial_bijections, from_tables
+from isgw.core import (
+    PartialBijection,
+    _check_associative,
+    _generating_set,
+    from_partial_bijections,
+    from_tables,
+)
 from isgw.corpus import builtin_corpus
 from isgw.errors import NotAssociative, NotInverse
 
@@ -36,8 +42,23 @@ def generator_sets(draw, max_degree=4):
     return draw(st.lists(partial_bijections(degree), min_size=1, max_size=3))
 
 
+def _pbs(degree, *images):
+    return [PartialBijection(degree, image) for image in images]
+
+
+# The explicit examples are closures the strategy (degree <= 4) never draws:
+# I4 (209 elements) with its self-inverse transposition, a degree-5 pair of
+# 206 elements, a single self-inverse seed (one seed, so one-element
+# frontiers), the empty map alone (n = 1), an identity alone (zero adjoined)
+# and two orthogonal partial identities (zero generated).
 @settings(max_examples=60, deadline=None)
 @given(generator_sets(), st.booleans())
+@example(_pbs(4, (1, 0, 2, 3), (1, 2, 3, 0), (0, 1, 2, None)), False)
+@example(_pbs(5, (2, 3, 1, 0, 4), (4, None, 2, None, 1)), False)
+@example(_pbs(3, (1, 0, 2)), True)
+@example(_pbs(2, (None, None)), False)
+@example(_pbs(3, (0, 1, 2)), True)
+@example(_pbs(2, (0, None), (None, 1)), False)
 def test_closure_matches_all_pairs_oracle(gens, named):
     labels = [f"g{i}" for i in range(len(gens))] if named else None
     s = from_partial_bijections(gens, labels=labels)
@@ -47,6 +68,7 @@ def test_closure_matches_all_pairs_oracle(gens, named):
     assert s.zero == zero
     assert s.labels == oracle_labels
     assert s.pmaps == pmaps
+    assert s.generators == tuple(_generating_set(mul))
 
 
 @settings(max_examples=60, deadline=None)
