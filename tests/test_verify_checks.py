@@ -167,7 +167,7 @@ def test_zero_restricted_rigidity_names_a_proper_zero_restricted_congruence(
 
 def _every_filter_ultra(lattice):
     mins = tuple(sorted(lattice.nonzero()))
-    return ifl.FilterSpace(lattice, mins, frozenset(mins), frozenset(mins))
+    return ifl.FilterSpace(lattice, mins, frozenset(mins))
 
 
 @pytest.mark.parametrize("module, wrong", [
