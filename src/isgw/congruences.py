@@ -9,7 +9,7 @@ import itertools
 from .core import InverseSemigroup, cayley_graphs, per_semigroup
 from .errors import NotCongruence, NotIdeal
 from .relations import EquivalenceRelation, SemigroupHomomorphism, h_and_mu
-from .semilattice import Semilattice, is_0_disjunctive
+from .semilattice import Semilattice, is_0_disjunctive, order_masks, positions
 from .util import Decision, Record, UnionFind, set_field
 
 
@@ -25,16 +25,21 @@ class Congruence(EquivalenceRelation):
 
 
 def make_congruence(s: InverseSemigroup, rep_of) -> Congruence:
-    """Package a class map into a Congruence, computing the standard flags.
-    Compatibility is not tested here; see ``check_compatible``."""
+    """Package a class map into a Congruence, computing the standard flags
+    from the class index: Rees when every class but that of 0 is a
+    singleton, so that there are n - |class(0)| + 1 classes; 0-restricted
+    when the class of 0 is {0}; idempotent-separating when the idempotents
+    lie in distinct classes.  Compatibility is not tested here; see
+    ``check_compatible``."""
     rel = EquivalenceRelation.from_class_map(s.n, rep_of)
-    classes = rel.classes
+    index = rel.class_index
+    zero_class = len(rel.class_of(s.zero))
     return Congruence(
-        rel.n, classes, rel.class_index,
-        is_rees=all(len(c) == 1 for c in classes if s.zero not in c),
-        is_zero_restricted=(rel.class_of(s.zero) == frozenset({s.zero})),
-        is_idempotent_separating=all(sum(1 for x in c if s.is_idempotent(x)) <= 1
-                                     for c in classes),
+        rel.n, rel.classes, index,
+        is_rees=(len(rel.classes) == s.n - zero_class + 1),
+        is_zero_restricted=(zero_class == 1),
+        is_idempotent_separating=(len({index[e] for e in s.idempotents})
+                                  == len(s.idempotents)),
     )
 
 
@@ -90,45 +95,65 @@ def congruence_closure(s: InverseSemigroup, pairs) -> Congruence:
 def enumerate_congruences(s: InverseSemigroup) -> tuple:
     """Every congruence of S, computed once per semigroup, sorted by
     decreasing class count and then by class index: all joins of the
-    principal congruences of the kernel-trace pairs, each pair of idempotents
-    (e, f) and (x, xx*) for each x that is not idempotent.  They suffice
-    because a rho b iff a*a rho b*b and ab* lies in the kernel of rho, which
-    holds x iff x rho xx* (Howie, *Fundamentals of Semigroup Theory*, 1995,
-    section 5.3).  A congruence is held as the tuple of its union-find roots,
-    each class rooted at its least member; one pair is kept per distinct
-    principal congruence, and rho v Cg(a, b) closes the single pair (a, b) by
-    pair orbits on a copy of rho's roots (Torpey, *Semigroup congruences*,
-    PhD thesis, St Andrews, 2019)."""
+    principal congruences of the kernel-trace pairs.  They suffice because
+    a rho b iff a*a rho b*b and ab* lies in the kernel of rho, which holds x
+    iff x rho xx* (Howie, *Fundamentals of Semigroup Theory*, 1995, section
+    5.3).  Fewer pairs generate the same joins:
+
+    - the covering pairs (e, f) of E, f < e with nothing in between, read
+      off the bitset view of E: for incomparable e and f,
+      Cg(e, f) = Cg(e, ef) v Cg(f, ef), and for g < f < e, e rho g gives
+      f = fe rho fg = g, so Cg(e, g) is the join along a chain of covers;
+    - (x, xx*) for the x that are not idempotent and have x <= x* as
+      indices: x rho xx* gives x* rho xx* and so x*x rho xx*x = x, hence
+      Cg(x, xx*) = Cg(x*, x*x); a self-inverse x stays.
+
+    Each principal congruence is closed by pair orbits; one pair is kept
+    per distinct principal, with the pairs (y, root) that rebuild it.  A
+    congruence is held as the tuple of its union-find roots, each class
+    rooted at its least member.  Con S is a sublattice of the partition
+    lattice (Burris & Sankappanavar, *A Course in Universal Algebra*, 1981,
+    section II.5), so rho v Cg(a, b) is rho's partition with the classes of
+    Cg(a, b) merged in: at most n unions and no orbit pushes.  It is rho
+    itself when a rho b."""
     right, left = cayley_graphs(s)
     n = s.n
 
-    def join(roots: tuple, a: int, b: int) -> tuple:
+    def merge(roots: tuple, pairs) -> tuple:
         dsu = UnionFind(n)
         dsu.parent[:] = roots  # each element points at its root
-        _merge_pair_orbits(dsu, right, left, [(a, b)])
-        return tuple(map(dsu.find, range(n)))
+        for a, b in pairs:
+            dsu.union(a, b)
+        return dsu.roots()
 
+    view = order_masks(Semilattice.from_semigroup(s))
+    idempotent = view.elements
+    covers = ((idempotent[i], idempotent[j])  # [f, e] holds just f and e
+              for i, down in enumerate(view.down)
+              for j in positions(down & ~(1 << i))
+              if (down & view.up[j]).bit_count() == 2)
     candidates = itertools.chain(
-        itertools.combinations(s.idempotents, 2),
-        ((x, s.product(x, s.star(x))) for x in range(n) if not s.is_idempotent(x)))
+        covers,
+        ((x, s.product(x, s.star(x))) for x in range(n)
+         if not s.is_idempotent(x) and x <= s.star(x)))
     equality = tuple(range(n))
-    generating_pairs = []
-    principals = set()
+    generators = {}  # principal roots -> (a, b, its pairs (y, root))
     for a, b in candidates:
-        p = join(equality, a, b)
-        if p not in principals:
-            principals.add(p)
-            generating_pairs.append((a, b))
+        dsu = UnionFind(n)
+        _merge_pair_orbits(dsu, right, left, [(a, b)])
+        p = dsu.roots()
+        if p not in generators:
+            generators[p] = (a, b, [(y, r) for y, r in enumerate(p) if y != r])
 
     found = {equality}
     frontier = [equality]
     while frontier:
         fresh = []
         for rho in frontier:
-            for a, b in generating_pairs:
+            for a, b, pairs in generators.values():
                 if rho[a] == rho[b]:
                     continue
-                j = join(rho, a, b)
+                j = merge(rho, pairs)
                 if j not in found:
                     found.add(j)
                     fresh.append(j)
@@ -267,7 +292,14 @@ def rees_congruence(s: InverseSemigroup, ideal) -> Congruence:
 
 
 def rees_quotient(s: InverseSemigroup, ideal) -> QuotientSemigroup:
-    return quotient(s, rees_congruence(s, ideal))
+    """S/I, built once per semigroup and ideal: a set and a frozenset of the
+    same members share one quotient."""
+    return _rees_quotient(s, frozenset(ideal))
+
+
+@per_semigroup
+def _rees_quotient(s: InverseSemigroup, members: frozenset) -> QuotientSemigroup:
+    return quotient(s, rees_congruence(s, members))
 
 
 def all_congruences_rees(s: InverseSemigroup) -> Decision:

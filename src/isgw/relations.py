@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from .core import InverseSemigroup, _picker, per_semigroup
 from .errors import NotHomomorphism
-from .util import Record, group_by, set_field
+from .util import Record, set_field
 
 
 class EquivalenceRelation(Record):
@@ -21,12 +21,15 @@ class EquivalenceRelation(Record):
 
     @classmethod
     def from_class_map(cls, n: int, rep_of) -> "EquivalenceRelation":
-        classes = tuple(group_by(range(n), rep_of))
-        index = [0] * n
-        for i, c in enumerate(classes):
-            for a in c:
-                index[a] = i
-        return cls(n, classes, tuple(index))
+        """Elements with equal keys ``rep_of(a)`` share a class.  Classes are
+        numbered by the first occurrence of their key while scanning 0..n-1,
+        which is the order of their least members."""
+        number = {}
+        index = tuple(number.setdefault(rep_of(a), len(number)) for a in range(n))
+        members = [[] for _ in number]
+        for a, i in enumerate(index):
+            members[i].append(a)
+        return cls(n, tuple(map(frozenset, members)), index)
 
     def same(self, a: int, b: int) -> bool:
         return self.class_index[a] == self.class_index[b]

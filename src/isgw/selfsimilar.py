@@ -118,6 +118,10 @@ class SelfSimilarAction(Record):
     def _faithfulness(self) -> "FaithfulnessReport":
         return _faithfulness_report(self)
 
+    @functools.cached_property
+    def _strongly_fixed(self) -> dict:
+        return _strongly_fixed_decisions(self)
+
     def edge_index(self, eid: str) -> int:
         try:
             return self._edge_positions[eid]
@@ -612,7 +616,14 @@ def _faithfulness_report(action: SelfSimilarAction) -> FaithfulnessReport:
 
 def strongly_fixed_finite(action: SelfSimilarAction, g: int) -> Decision:
     """Is the set of paths strongly fixed by g (fixed pointwise with trivial
-    restriction) finite?
+    restriction) finite?  Decided once per action for every g and kept on
+    it (``_strongly_fixed_decisions``)."""
+    return action._strongly_fixed[g]
+
+
+def _strongly_fixed_decisions(action: SelfSimilarAction) -> dict:
+    """``strongly_fixed_finite`` for each group element, over one successor
+    map of the states and one set of the states that reach acceptance.
 
     States are (group element, next range vertex); an edge is enabled when
     the current element fixes it; a walk accepts when the element has been
@@ -620,42 +631,40 @@ def strongly_fixed_finite(action: SelfSimilarAction, g: int) -> Decision:
     some state on an enabled cycle lies on an accepting walk.
     """
     grp, graph = action.group, action.graph
-    one = grp.identity
     nodes = [(h, v) for h in range(grp.size) for v in graph.vertices]
     succ = {node: [] for node in nodes}
+    pred = {node: [] for node in nodes}
     for h, v in nodes:
         for i in graph.edges_into(v):
             e = graph.edges[i]
             if action.act_edge(h, e.eid) == e.eid:
-                succ[(h, v)].append(((action.restrict(h, e.eid), e.src), i))
+                nxt = (action.restrict(h, e.eid), e.src)
+                succ[(h, v)].append((nxt, i))
+                pred[nxt].append((h, v))
+    targets = {node: [nxt for nxt, _ in out] for node, out in succ.items()}
+    backward = _reached(pred, [(h, v) for h, v in nodes if h == grp.identity])
+    return {g: _strongly_fixed_finite(action, g, succ, targets, backward)
+            for g in range(grp.size)}
 
-    initial = [(g, v) for v in graph.vertices]
 
-    forward = set()
-    stack = list(initial)
+def _reached(edges: dict, start: list) -> set:
+    """The states reachable from ``start`` along ``edges``."""
+    seen = set()
+    stack = list(start)
     while stack:
         node = stack.pop()
-        if node in forward:
+        if node in seen:
             continue
-        forward.add(node)
-        for nxt, _ in succ[node]:
-            stack.append(nxt)
+        seen.add(node)
+        stack.extend(edges[node])
+    return seen
 
-    accepting = {(h, v) for h, v in nodes if h == one}
-    pred = {node: [] for node in nodes}
-    for node in nodes:
-        for nxt, _ in succ[node]:
-            pred[nxt].append(node)
-    backward = set()
-    stack = [n for n in accepting]
-    while stack:
-        node = stack.pop()
-        if node in backward:
-            continue
-        backward.add(node)
-        for p in pred[node]:
-            stack.append(p)
 
+def _strongly_fixed_finite(action: SelfSimilarAction, g: int, succ: dict, targets: dict,
+                           backward: set) -> Decision:
+    graph = action.graph
+    one = action.group.identity
+    forward = _reached(targets, [(g, v) for v in graph.vertices])
     core = forward & backward
     color = {}
 

@@ -115,13 +115,28 @@ class UnionFind:
         return a
 
     def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
+        """Merge the classes of a and b; False if they were one already.
+        Both finds are inlined: this is the inner loop of every congruence
+        closure."""
+        parent = self.parent
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
             return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
+        if b < a:
+            a, b = b, a
+        parent[b] = a
         return True
+
+    def roots(self) -> tuple:
+        """The root of every element, in one pass: a parent is never larger
+        than its child, so each parent's root is known when its child is read."""
+        parent = self.parent
+        for a, p in enumerate(parent):
+            parent[a] = parent[p]
+        return tuple(parent)
 
 
 def group_by(items, key) -> list:

@@ -44,9 +44,9 @@ from .semilattice import (
 
 # The congruence lattice is exact at every size, but the checks below scan
 # it only up to these sizes.  Without the caps, a verify run on the
-# verify-mid documents of perfbench takes 0.8-1.0 s instead of 0.06 s
-# (2-CPU machine, Python 3.11), 0.56 s of it for the 64 congruences of the
-# 92-element model of a 5-edge chain; and the statements skipped above them
+# verify-mid documents of perfbench takes 0.23-0.28 s instead of 0.09-0.10 s
+# (2-CPU machine, Python 3.11), 0.04-0.05 s of it for the 64 congruences of
+# the 92-element model of a 5-edge chain; the statements skipped above them
 # are pinned "skipped" in perfbench/pins.json.  An entry that passes above a
 # cap names the cap in its detail.
 ENUM_BOUND = 8
@@ -433,11 +433,10 @@ def check_all_rees(s: InverseSemigroup) -> list:
 def _generated_homomorphisms(s: InverseSemigroup):
     yield rel.SemigroupHomomorphism(s, s, tuple(range(s.n)))
     if s.n <= ENUM_BOUND:
-        rhos = cg.enumerate_congruences(s)
+        quotients = (cg.quotient(s, rho) for rho in cg.enumerate_congruences(s))
     else:
-        rhos = [cg.rees_congruence(s, i.elements) for i in ifl.enumerate_ideals(s)]
-    for rho in rhos:
-        q = cg.quotient(s, rho)
+        quotients = (cg.rees_quotient(s, i.elements) for i in ifl.enumerate_ideals(s))
+    for q in quotients:
         yield q.as_homomorphism()
     for e in s.idempotents:
         closed = {s.zero, e}

@@ -15,9 +15,10 @@ kernel, basic sets, ultrafilters and tight filters by ``leq`` loops instead
 of bitsets (``isgw.ideals_filters``, ``isgw.verify``); mu by the conjugation of every idempotent and
 the homomorphism test over all pairs of elements (``isgw.relations``); the double arrow by down-set intersections, the
 compatibility test over all products and the congruence closure saturated
-by all elements, and the congruence lattice by joins of whole congruences
-(``isgw.congruences``); the closure of a groupoid's arrows over all pairs
-and strong effectiveness by one reduction per union of unit orbits
+by all elements, the congruence lattice by joins of whole congruences, and
+the flags of a congruence read off its classes (``isgw.congruences``); the
+classes of a class map by grouping and sorting (``isgw.relations``); the
+closure of a groupoid's arrows over all pairs and strong effectiveness by one reduction per union of unit orbits
 (``isgw.groupoid``); every downset of a poset by recursion and every
 subset of a collection by masks, where the library takes unions of a
 generating family (``isgw.util``); covers, the 0-disjunctive property,
@@ -604,6 +605,27 @@ def _join(s, rho, sigma):
         for b in c:
             dsu.union(first, b)
     return make_congruence(s, dsu.find)
+
+
+def classes_by_grouping(n, rep_of):
+    """(classes, class_index) of a class map by grouping 0..n-1 on the key
+    and sorting the classes by least member."""
+    classes = tuple(group_by(range(n), rep_of))
+    index = [0] * n
+    for i, c in enumerate(classes):
+        for a in c:
+            index[a] = i
+    return classes, tuple(index)
+
+
+def congruence_flags_by_definition(s, classes):
+    """(Rees, 0-restricted, idempotent-separating) read off the classes:
+    every class without 0 is a singleton; the class of 0 is {0}; no class
+    holds two idempotents."""
+    zero_class = next(c for c in classes if s.zero in c)
+    return (all(len(c) == 1 for c in classes if c is not zero_class),
+            zero_class == {s.zero},
+            all(sum(map(s.is_idempotent, c)) <= 1 for c in classes))
 
 
 def congruence_lattice_by_joins(s):

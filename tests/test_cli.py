@@ -230,6 +230,12 @@ GOLDEN_SHA256 = {
         "2fa543e8cee138e89be7061addec940b90902c6839413a65f8be20c4006342e8",
     "analyze congruences i2.json --json":
         "bdc12948e0df28bdebc1a3c27781f056a8b2d92a502263d2923a261569f7213e",
+    "analyze congruences e4.json --json":
+        "f3ecd0198eb94cd2e736deae79af920da9ce21a6739ce660a638674e2601a148",
+    "analyze congruences mid/BRANDT-Z2-5.json --json":
+        "0a6e4b99073731f80baa999c327c664f03a17054a64c0aea99495aadbab23620",
+    "analyze congruences mid/RND4-A.json --json":
+        "075c71550544fd2ec3c396c2be51098d8a04ea428c6e1f89918a85ac39d5f3dc",
     "analyze ideals i2.json --json":
         "3c9460b6292cae6cda8eddfd95c9d9bcfa5623aa6a73fc03ad2b31519f5f2769",
     "analyze semilattice i2.json --json":

@@ -1,7 +1,8 @@
 """The congruence layer over the generators against its brute-force oracles
 (tests/oracles.py): the double arrow by down-set bitsets, the compatibility
 test, the congruence closure by pair orbits, the congruence lattice from
-kernel-trace pairs by incremental joins, and the composition closure of a
+covering pairs of E and kernel pairs by partition joins, the flags of each
+congruence, the classes of a class map, and the composition closure of a
 groupoid checked on composable pairs only."""
 
 import itertools
@@ -26,13 +27,16 @@ from isgw.relations import EquivalenceRelation, h_and_mu
 from isgw.util import group_by
 
 from oracles import (
+    classes_by_grouping,
     congruence_closure_by_saturation,
+    congruence_flags_by_definition,
     congruence_lattice_by_joins,
     double_arrow_by_intersections,
     is_closed_by_all_pairs,
     is_compatible_by_products,
 )
 from test_core_oracles import generator_sets
+from test_semilattice import closed_family, family_to_semigroup
 
 
 def _accepts(s, index):
@@ -91,8 +95,14 @@ def assert_compatibility_matches(s):
 
 def assert_lattice_matches(s):
     """Same members in the same order; Congruence equality compares the
-    partition and the Rees, 0-restricted and idempotent-separating flags."""
-    assert list(enumerate_congruences(s)) == congruence_lattice_by_joins(s)
+    partition and the Rees, 0-restricted and idempotent-separating flags.
+    Both sides set the flags through ``make_congruence``, so each member's
+    flags are also read off its classes."""
+    lattice = enumerate_congruences(s)
+    assert list(lattice) == congruence_lattice_by_joins(s)
+    for rho in lattice:
+        flags = (rho.is_rees, rho.is_zero_restricted, rho.is_idempotent_separating)
+        assert flags == congruence_flags_by_definition(s, rho.classes), rho.classes
 
 
 def _closed(g):
@@ -169,6 +179,20 @@ def test_congruence_lattice_matches_oracle_on_random_closures(gens):
         s = None
     assume(s is not None)
     assert_lattice_matches(s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(closed_family())
+def test_congruence_lattice_matches_oracle_on_random_semilattices(family):
+    """On a semilattice every candidate pair is a covering pair of E."""
+    assert_lattice_matches(family_to_semigroup(family))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-3, 5), min_size=1, max_size=30))
+def test_class_map_matches_grouping_on_random_keys(keys):
+    rel = EquivalenceRelation.from_class_map(len(keys), keys.__getitem__)
+    assert (rel.classes, rel.class_index) == classes_by_grouping(len(keys), keys.__getitem__)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 """Structures derived from S alone are computed once per semigroup."""
 
+import itertools
 import json
 import random
 
@@ -18,10 +19,12 @@ from isgw.core import (
     from_tables,
     per_semigroup,
 )
+from isgw.corpus import CorpusInstance
 from isgw.groupoid import FiniteGroupoid, build_groupoids, condition_K
 from isgw.relations import centralizer, h_and_mu
 from isgw.semilattice import Semilattice, order_masks
 from test_cli import I2_DOC, SWAP_LADDER_DOC
+from test_ideals_filters import symmetric_inverse_monoid
 
 # I3 from the transposition (0 1), the 3-cycle and the partial identity
 # that misses point 2
@@ -37,6 +40,11 @@ def rees_quotient_by_an_ideal(s):
     return cg.rees_quotient(s, ifl.principal_ideal(s, 2))
 
 
+def rees_quotient_by_a_set_then_a_frozenset(s, kinds=itertools.cycle([set, frozenset])):
+    """The first call passes the ideal as a set, the next as a frozenset."""
+    return cg.rees_quotient(s, next(kinds)(ifl.principal_ideal(s, 2)))
+
+
 def order_masks_of_the_idempotents(s):
     """Each call builds its own Semilattice view, equal to the last one."""
     return order_masks(Semilattice.from_semigroup(s))
@@ -45,7 +53,7 @@ def order_masks_of_the_idempotents(s):
 CACHED = [InverseSemigroup.order, h_and_mu, centralizer, double_arrow, condition_L,
           enumerate_congruences, ifl.enumerate_ideals, ifl.d_class_idempotents,
           build_groupoids, condition_K, quotient_by_an_ideal, rees_quotient_by_an_ideal,
-          order_masks_of_the_idempotents]
+          rees_quotient_by_a_set_then_a_frozenset, order_masks_of_the_idempotents]
 
 
 @pytest.mark.parametrize("fn", CACHED)
@@ -260,6 +268,31 @@ def test_congruence_lattice_is_closed_once(monkeypatch):
     assert calls == []
 
 
+def test_lattice_joins_close_no_pair_orbits(monkeypatch):
+    """On I4 pair orbits are closed once per candidate pair, for its
+    principal congruence: 32 covering pairs of E (a Boolean lattice of rank
+    4) and the non-idempotents x with x <= x*; the joins close none."""
+    s = symmetric_inverse_monoid(4)
+    calls = count_calls(monkeypatch, cg, "_merge_pair_orbits")
+    assert len(enumerate_congruences(s)) == 11
+    lattice = Semilattice.from_semigroup(s)
+    covers = [(e, f) for e in s.idempotents for f in lattice.below(e) if f != e
+              and not any(lattice.leq(f, g) for g in lattice.below(e) if g not in (e, f))]
+    kernel = [x for x in s.elements() if not s.is_idempotent(x) and x <= s.star(x)]
+    assert len(covers) == 32
+    assert len(calls) == len(covers) + len(kernel)
+
+
+def test_verify_forms_each_rees_congruence_once(monkeypatch):
+    """One verify run of I4 forms the Rees congruence of each of its five
+    ideals once, however many checks read the Rees quotient."""
+    s = symmetric_inverse_monoid(4)
+    calls = count_calls(monkeypatch, cg, "rees_congruence")
+    verify.verify_instance(CorpusInstance("I4", "semigroup", s))
+    ideals = [frozenset(members) for _, members in calls]
+    assert len(ideals) == len(set(ideals)) == len(ifl.enumerate_ideals(s)) == 5
+
+
 def _chain_table(n):
     return [[min(a, b) for b in range(n)] for a in range(n)]
 
@@ -350,6 +383,20 @@ def test_faithfulness_is_kept_on_the_action(monkeypatch, tmp_path, capsys):
     assert cli.main(["analyze", "selfsimilar", str(path), "--json"]) == 0
     capsys.readouterr()
     assert len(reports) == 1
+
+
+def test_strongly_fixed_paths_are_decided_once_per_element(monkeypatch, tmp_path, capsys):
+    """``analyze selfsimilar`` on SWAP-LADDER2 decides the strongly fixed
+    paths of each group element once, over one build of the state maps;
+    ``hausdorff_certificate`` reads the decisions kept on the action."""
+    maps = count_calls(monkeypatch, ss, "_strongly_fixed_decisions")
+    decisions = count_calls(monkeypatch, ss, "_strongly_fixed_finite")
+    path = tmp_path / "SWAP-LADDER2.json"
+    path.write_text(json.dumps(SWAP_LADDER_DOC))
+    assert cli.main(["analyze", "selfsimilar", str(path), "--json"]) == 0
+    capsys.readouterr()
+    assert len(maps) == 1
+    assert sorted(g for _, g, *_ in decisions) == [0, 1]
 
 
 def test_verify_reuses_the_model_for_the_empty_vertex_set(tmp_path, monkeypatch, capsys):
