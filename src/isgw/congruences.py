@@ -9,7 +9,7 @@ import itertools
 from .core import InverseSemigroup, cayley_graphs, per_semigroup
 from .errors import NotCongruence, NotIdeal
 from .relations import EquivalenceRelation, SemigroupHomomorphism, h_and_mu
-from .semilattice import Semilattice, is_0_disjunctive, order_masks, positions
+from .semilattice import Semilattice, is_0_disjunctive, positions
 from .util import Decision, Record, UnionFind, set_field
 
 
@@ -126,12 +126,11 @@ def enumerate_congruences(s: InverseSemigroup) -> tuple:
             dsu.union(a, b)
         return dsu.roots()
 
-    view = order_masks(Semilattice.from_semigroup(s))
-    idempotent = view.elements
-    covers = ((idempotent[i], idempotent[j])  # [f, e] holds just f and e
-              for i, down in enumerate(view.down)
-              for j in positions(down & ~(1 << i))
-              if (down & view.up[j]).bit_count() == 2)
+    lattice = Semilattice.from_semigroup(s)
+    covers = ((e, f)  # [f, e] holds just f and e
+              for e in lattice.elements
+              for f in positions(lattice.down[e] & ~(1 << e))
+              if (lattice.down[e] & lattice.up[f]).bit_count() == 2)
     candidates = itertools.chain(
         covers,
         ((x, s.product(x, s.star(x))) for x in range(n)
@@ -194,12 +193,9 @@ def double_arrow_rows(s: InverseSemigroup) -> list:
         arrow.append(m)
     related = [0] * n  # related[a]: the b with a -> b and b -> a
     for a in range(n):
-        rest = arrow[a]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if arrow[low.bit_length() - 1] >> a & 1:
-                related[a] |= low
+        for b in positions(arrow[a]):
+            if arrow[b] >> a & 1:
+                related[a] |= 1 << b
     return related
 
 
@@ -211,10 +207,8 @@ def double_arrow(s: InverseSemigroup) -> Congruence:
     tests that it is transitive, compatible and 0-restricted."""
     dsu = UnionFind(s.n)
     for a, row in enumerate(double_arrow_rows(s)):
-        while row:
-            low = row & -row
-            row ^= low
-            dsu.union(a, low.bit_length() - 1)
+        for b in positions(row):
+            dsu.union(a, b)
     return make_congruence(s, dsu.find)
 
 

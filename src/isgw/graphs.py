@@ -46,37 +46,36 @@ class DirectedGraph(Record):
     def in_degree(self, v: int) -> int:
         return len(self.edges_into(v))
 
+    def edges_sinks_first(self) -> list | None:
+        """The edges in an order that puts each one after every edge out of
+        its range, or None when the graph has a cycle: one topological pass
+        from the sinks (Kahn's algorithm), without recursion."""
+        out = {v: [] for v in self.vertices}
+        into = {v: [] for v in self.vertices}
+        for e in self.edges:
+            out[e.src].append(e)
+            into[e.rng].append(e)
+        pending = {v: len(es) for v, es in out.items()}  # edges out not yet placed
+        done = [v for v in self.vertices if not pending[v]]
+        order = []
+        for v in done:  # done grows while it is read
+            order += out[v]
+            for e in into[v]:
+                pending[e.src] -= 1
+                if not pending[e.src]:
+                    done.append(e.src)
+        return order if len(done) == len(self.vertices) else None
+
     def is_acyclic(self) -> bool:
-        color = {v: 0 for v in self.vertices}
-
-        def dfs(v):
-            color[v] = 1
-            for i in self.edges_out(v):
-                w = self.edges[i].rng
-                if color[w] == 1:
-                    return False
-                if color[w] == 0 and not dfs(w):
-                    return False
-            color[v] = 2
-            return True
-
-        for v in self.vertices:
-            if color[v] == 0 and not dfs(v):
-                return False
-        return True
+        return self.edges_sinks_first() is not None
 
     def longest_path_length(self) -> int:
-        """Edge count of the longest directed path; only valid when acyclic."""
-        memo = {}
-
-        def best(v):
-            if v not in memo:
-                memo[v] = 0
-                memo[v] = max((1 + best(self.edges[i].rng) for i in self.edges_out(v)),
-                              default=0)
-            return memo[v]
-
-        return max((best(v) for v in self.vertices), default=0)
+        """Edge count of the longest directed path; only valid when acyclic
+        (0 on a graph with a cycle)."""
+        best = dict.fromkeys(self.vertices, 0)
+        for e in self.edges_sinks_first() or ():
+            best[e.src] = max(best[e.src], best[e.rng] + 1)
+        return max(best.values(), default=0)
 
 
 def parse_graph(obj: dict) -> DirectedGraph:

@@ -4,22 +4,14 @@ the conjugation action on filters, and the hull/kernel correspondence.
 For a finite semilattice every filter is the up-set of its minimum, so
 filters are carried around as their minimum element; all the set-level
 operations reduce to mask tests on the bitset view of E
-(``semilattice.order_masks``).
+(``semilattice.Semilattice``), in which bit e stands for element e.
 """
 
 from __future__ import annotations
 
-from types import MappingProxyType
-
 from .core import InverseSemigroup, cayley_graphs, per_semigroup
 from .errors import DomainViolation, InternalContract
-from .semilattice import (
-    OrderMasks,
-    Semilattice,
-    atoms,
-    order_masks,
-    positions,
-)
+from .semilattice import Semilattice, atoms, positions
 from .util import Record, UnionFind, group_by, set_field, unions
 
 
@@ -37,49 +29,48 @@ class IdealOfS(Record):
 
 
 def order_ideals(lattice: Semilattice) -> tuple:
-    """All nonempty downward-closed subsets of the carrier (each contains
-    0), smallest first; enumerated once per semigroup and carrier."""
-    return _order_ideals(lattice.parent, lattice.elements, lattice.zero)
+    """All nonempty downward-closed subsets of E (each contains 0), smallest
+    first; enumerated once per semigroup."""
+    return _order_ideals(lattice.parent)
 
 
 @per_semigroup
-def _order_ideals(s: InverseSemigroup, elements: tuple, zero: int) -> tuple:
-    view = order_masks(Semilattice(s, elements, zero))
+def _order_ideals(s: InverseSemigroup) -> tuple:
+    lattice = Semilattice.from_semigroup(s)
     # every order ideal is the union of the down-sets of its members
-    ideals = unions(view.down, view.zero)
-    ordered = sorted((view.members(m) for m in ideals), key=lambda x: (len(x), x))
+    ideals = unions(map(lattice.down.__getitem__, lattice.elements), 1 << lattice.zero)
+    ordered = sorted((lattice.members(m) for m in ideals), key=lambda x: (len(x), x))
     return tuple(frozenset(x) for x in ordered)
 
 
 def is_invariant_order_ideal(s: InverseSemigroup, x: frozenset) -> bool:
     """X is invariant when a*a lies in X whenever aa* does: for each e in X,
     the mask of the a*a with aa* = e lies inside X, |X| mask tests."""
-    members = order_masks(Semilattice.from_semigroup(s)).mask(x)
+    members = Semilattice.from_semigroup(s).mask(x)
     domains = _domains_over_ranges(s)
     return all(not domains[e] & ~members for e in x)
 
 
 @per_semigroup
-def _domains_over_ranges(s: InverseSemigroup) -> MappingProxyType:
-    """Each idempotent e mapped to the mask of the a*a with aa* = e, over
-    the bitset view of E(S): O(n) lookups."""
-    position = order_masks(Semilattice.from_semigroup(s)).position
-    out = dict.fromkeys(s.idempotents, 0)
+def _domains_over_ranges(s: InverseSemigroup) -> tuple:
+    """Each element e mapped to the mask of the a*a with aa* = e (0 off E):
+    O(n) lookups."""
+    out = [0] * s.n
     for a, b in enumerate(s.inv):
-        out[s.mul[a][b]] |= 1 << position[s.mul[b][a]]
-    return MappingProxyType(out)
+        out[s.mul[a][b]] |= 1 << s.mul[b][a]
+    return tuple(out)
 
 
-def _saturated_mask(view: OrderMasks, current: int) -> int:
+def _saturated_mask(lattice: Semilattice, current: int) -> int:
     """Least saturated order ideal over a mask: keep adding every element
     whose down-set is covered from inside the mask."""
-    current |= view.zero
+    current |= 1 << lattice.zero
     changed = True
     while changed:
         changed = False
-        for i, down in enumerate(view.down):
-            b = 1 << i
-            if not current & b and view.covers(i, current & down):
+        for e in lattice.elements:
+            b = 1 << e
+            if not current & b and lattice.covers(e, current & lattice.down[e]):
                 current |= b
                 changed = True
     return current
@@ -87,14 +78,12 @@ def _saturated_mask(view: OrderMasks, current: int) -> int:
 
 def saturate(lattice: Semilattice, x) -> frozenset:
     """Least saturated order ideal containing x."""
-    view = order_masks(lattice)
-    return frozenset(view.members(_saturated_mask(view, view.mask(x))))
+    return frozenset(lattice.members(_saturated_mask(lattice, lattice.mask(x))))
 
 
 def is_saturated_order_ideal(lattice: Semilattice, x: frozenset) -> bool:
-    view = order_masks(lattice)
-    members = view.mask(x) | view.zero
-    return _saturated_mask(view, members) == members
+    members = lattice.mask(x) | 1 << lattice.zero
+    return _saturated_mask(lattice, members) == members
 
 
 # -- ideals of S --------------------------------------------------------------
@@ -187,25 +176,25 @@ def finite_cover_witnesses(s: InverseSemigroup) -> dict:
     the ideals of S.
 
     Finiteness is automatic here; the witness returned for each ideal is its
-    atom set, which meets every nonzero member from below."""
+    atom set, which meets every nonzero member from below.  An order ideal
+    holds everything below its members, so its minimal nonzero members are
+    the atoms of E inside it."""
     lattice = Semilattice.from_semigroup(s)
+    atom_mask = lattice.mask(atoms(lattice))
     out = {}
     for x in (i.trace for i in enumerate_ideals(s)):
-        sub = Semilattice(lattice.parent, tuple(sorted(x)), lattice.zero)
-        witness = atoms(sub)
-        for f in x:
-            if f != lattice.zero and not any(
-                    lattice.meet(c, f) != lattice.zero for c in witness):
-                raise InternalContract("atom set failed to cover an ideal")
-        out[x] = witness
+        witness = atom_mask & lattice.mask(x)
+        if any(not lattice.meets[f] & witness for f in x if f != lattice.zero):
+            raise InternalContract("atom set failed to cover an ideal")
+        out[x] = lattice.members(witness)
     return out
 
 
 # -- filters ------------------------------------------------------------------
 
 class FilterSpace(Record):
-    """The filters of a carrier by their minima, and the minima of the tight
-    ones, which on a finite carrier are exactly the ultrafilters."""
+    """The filters of E by their minima, and the minima of the tight ones,
+    which on a finite E are exactly the ultrafilters."""
 
     __slots__ = ("lattice", "mins", "tight")
 
@@ -216,20 +205,21 @@ class FilterSpace(Record):
 
     def basic_set(self, e: int, excluded=()) -> tuple:
         """Filter minima for: e in F while none of the excluded elements is."""
-        view = order_masks(self.lattice)
-        allowed = view.down[view.index(e)] & ~view.zero
+        lattice = self.lattice
+        allowed = lattice.down[lattice.index(e)] & ~(1 << lattice.zero)
         for x in excluded:
-            allowed &= ~view.down[view.index(x)]
-        return view.members(allowed)
+            allowed &= ~lattice.down[lattice.index(x)]
+        return lattice.members(allowed)
 
     def tight_basic_set(self, e: int, excluded=()) -> tuple:
         return tuple(m for m in self.basic_set(e, excluded) if m in self.tight)
 
 
-def _is_ultra(view: OrderMasks, i: int) -> bool:
-    """No nonzero f outside the filter up[i] meets every member of it."""
-    members = view.up[i]
-    return all(members & ~view.meets[f] for f in positions(view.full & ~members & ~view.zero))
+def _is_ultra(lattice: Semilattice, m: int) -> bool:
+    """No nonzero f outside the filter up[m] meets every member of it."""
+    members = lattice.up[m]
+    return all(members & ~lattice.meets[f]
+               for f in positions(lattice.full & ~members & ~(1 << lattice.zero)))
 
 
 def filter_space(lattice: Semilattice) -> FilterSpace:
@@ -238,19 +228,17 @@ def filter_space(lattice: Semilattice) -> FilterSpace:
     and a finite space is discrete, so they are the ultrafilters.  The
     verify check ``tight_equals_ultra_equals_atoms`` compares them with the
     filters that no cover avoids and with the atom filters."""
-    view = order_masks(lattice)
-    mins = tuple(sorted(lattice.nonzero()))
-    tight = frozenset(m for m in mins if _is_ultra(view, view.position[m]))
+    mins = lattice.nonzero()
+    tight = frozenset(m for m in mins if _is_ultra(lattice, m))
     return FilterSpace(lattice, mins, tight)
 
 
 def hull(lattice: Semilattice, x) -> tuple:
     """Minima of the filters disjoint from x: the nonzero m with
     up[m] & X == 0, ascending."""
-    view = order_masks(lattice)
-    members = view.mask(x)
-    return tuple(m for m, up in zip(view.elements, view.up)
-                 if not up & members and m != lattice.zero)
+    members = lattice.mask(x)
+    up = lattice.up
+    return tuple(m for m in lattice.nonzero() if not up[m] & members)
 
 
 def hull_tight(space: FilterSpace, x) -> tuple:
@@ -258,20 +246,19 @@ def hull_tight(space: FilterSpace, x) -> tuple:
 
 
 def kernel(lattice: Semilattice, filter_mins) -> frozenset:
-    """Idempotents missed by every filter in the family: the carrier minus
-    the OR of up[m] over the family; always an order ideal."""
-    view = order_masks(lattice)
+    """Idempotents missed by every filter in the family: E minus the OR of
+    up[m] over the family; always an order ideal."""
     hit = 0
     for m in filter_mins:
-        hit |= view.up[view.index(m)]
-    return frozenset(view.members(kernel_mask(view, hit)))
+        hit |= lattice.up[lattice.index(m)]
+    return frozenset(lattice.members(kernel_mask(lattice, hit)))
 
 
-def kernel_mask(view: OrderMasks, hit: int) -> int:
-    """The kernel as a mask: the carrier minus ``hit``, the OR of the up-sets
-    of a family of filters; checked to be an order ideal."""
-    ker = view.full & ~hit
-    if any(view.down[e] & ~ker for e in positions(ker)):
+def kernel_mask(lattice: Semilattice, hit: int) -> int:
+    """The kernel as a mask: E minus ``hit``, the OR of the up-sets of a
+    family of filters; checked to be an order ideal."""
+    ker = lattice.full & ~hit
+    if any(lattice.down[e] & ~ker for e in positions(ker)):
         raise InternalContract("kernel failed to be downward closed")
     return ker
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import functools
 
-from .core import InverseSemigroup
+from .core import DEFAULT_CLOSURE_CAP, InverseSemigroup
 from .errors import (
     AxiomViolation,
+    CapExceeded,
     InternalContract,
     NotInvariant,
     Overflow,
@@ -473,10 +474,25 @@ def ss_semigroup(action: SelfSimilarAction, depth: int) -> TruncatedActionSemigr
 def exact_model(action: SelfSimilarAction) -> TruncatedActionSemigroup | None:
     """The triple semigroup of an acyclic action at depth max(1, longest
     path), which holds every triple; None when the graph has a cycle.  The
-    model of a graph is that of its trivial action."""
+    model of a graph is that of its trivial action.
+
+    A model of more than ``core.DEFAULT_CLOSURE_CAP`` elements raises
+    CapExceeded before any triple is built.  With P(v) the number of paths
+    starting at v, counted sinks first, the model has one element per
+    (alpha, g, beta) with beta starting at v and alpha at g.v, and a zero:
+    the sum over g and v of P(g.v) P(v), plus 1."""
     graph = action.graph
-    if not graph.is_acyclic():
+    order = graph.edges_sinks_first()
+    if order is None:
         return None
+    paths = dict.fromkeys(graph.vertices, 1)
+    for e in order:
+        paths[e.src] += paths[e.rng]
+    size = 1 + sum(paths[action.act_vertex(g, v)] * paths[v]
+                   for g in range(action.group.size) for v in graph.vertices)
+    if size > DEFAULT_CLOSURE_CAP:
+        raise CapExceeded(f"the exact model has {size} elements, "
+                          f"more than {DEFAULT_CLOSURE_CAP}")
     return ss_semigroup(action, max(1, graph.longest_path_length()))
 
 

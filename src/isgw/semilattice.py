@@ -1,8 +1,8 @@
 """Analysis of the idempotent meet semilattice of an inverse semigroup.
 
-E is read through one bitset view of its carrier (``order_masks``), built
-once per semigroup and carrier: covers, atoms, orthogonality and the
-0-disjunctive property are mask tests on it.  A cover of e (written
+E is read through one bitset view per semigroup (``Semilattice``), in which
+bit e stands for element e of the semigroup: covers, atoms, orthogonality
+and the 0-disjunctive property are mask tests on it.  A cover of e (written
 e -> C) is a set C of elements below e such that every nonzero x below e
 meets some member of C; an outer cover drops the containment requirement.
 Witnesses are the least ones, in ascending element order.
@@ -10,30 +10,52 @@ Witnesses are the least ones, in ascending element order.
 
 from __future__ import annotations
 
-from types import MappingProxyType
-
 from .core import InverseSemigroup, per_semigroup
 from .errors import DomainViolation
 from .util import Decision, Record, set_field
 
 
-class Semilattice(Record):
-    """View of E(S) with meet given by the ambient product.
+class Semilattice(Record, compare=("parent",)):
+    """E(S) with meet given by the ambient product, as int bitsets over the
+    elements of S: bit e stands for element e.  For each element e,
+    ``up[e]`` is the mask of the f >= e in E, ``down[e]`` of the f <= e and
+    ``meets[e]`` of the c in E with e * c != 0; all three are 0 off E.
 
     Elements are indices into the parent semigroup, so results can be passed
-    straight back to the other modules.
+    straight back to the other modules.  Built only by ``from_semigroup``.
     """
 
-    __slots__ = ("parent", "elements", "zero")
+    __slots__ = ("parent", "elements", "zero", "full", "up", "down", "meets")
 
-    def __init__(self, parent: InverseSemigroup, elements: tuple, zero: int):
+    def __init__(self, parent: InverseSemigroup, up: tuple, down: tuple, meets: tuple):
         set_field(self, "parent", parent)
-        set_field(self, "elements", elements)
-        set_field(self, "zero", zero)
+        set_field(self, "elements", parent.idempotents)  # ascending
+        set_field(self, "zero", parent.zero)
+        set_field(self, "full", sum(1 << e for e in parent.idempotents))  # the mask of E
+        set_field(self, "up", up)
+        set_field(self, "down", down)
+        set_field(self, "meets", meets)
 
-    @classmethod
-    def from_semigroup(cls, s: InverseSemigroup) -> "Semilattice":
-        return cls(s, s.idempotents, s.zero)
+    @staticmethod
+    @per_semigroup
+    def from_semigroup(s: InverseSemigroup) -> "Semilattice":
+        """The view of E(S), built once per semigroup from the table rows:
+        O(|E|^2) lookups."""
+        n, zero = s.n, s.zero
+        up, down, meets = [0] * n, [0] * n, [0] * n
+        for e in s.idempotents:
+            row = s.mul[e]
+            u = d = m = 0
+            for f in s.idempotents:
+                ef = row[f]
+                if ef == e:
+                    u |= 1 << f
+                if ef == f:
+                    d |= 1 << f
+                if ef != zero:
+                    m |= 1 << f
+            up[e], down[e], meets[e] = u, d, m
+        return Semilattice(s, tuple(up), tuple(down), tuple(meets))
 
     def meet(self, e: int, f: int) -> int:
         return self.parent.mul[e][f]
@@ -45,70 +67,45 @@ class Semilattice(Record):
         return tuple(e for e in self.elements if e != self.zero)
 
     def below(self, e: int) -> tuple:
-        """Elements of the carrier that are <= e (zero included): f <= e
-        iff e*f = f, read from the row of e."""
+        """The f <= e in E (zero included), ascending: f <= e iff e*f = f,
+        read from the row of e."""
         row = self.parent.mul[e]
         return tuple(f for f in self.elements if row[f] == f)
 
     def label(self, e: int) -> str:
         return self.parent.labels[e]
 
-
-class OrderMasks(Record):
-    """The order of a carrier as int bitsets: bit i stands for
-    ``elements[i]``, ascending.  For each i, ``up[i]`` is the mask of the
-    f >= elements[i], ``down[i]`` of the f <= elements[i], and ``meets[i]``
-    of the c with elements[i] * c != 0."""
-
-    __slots__ = ("elements", "position", "up", "down", "meets", "zero")
-
-    def __init__(self, elements: tuple, position: MappingProxyType, up: tuple,
-                 down: tuple, meets: tuple, zero: int):
-        set_field(self, "elements", elements)
-        set_field(self, "position", position)  # element -> its bit position
-        set_field(self, "up", up)
-        set_field(self, "down", down)
-        set_field(self, "meets", meets)
-        set_field(self, "zero", zero)  # the bit of the zero
-
-    @property
-    def full(self) -> int:
-        return (1 << len(self.elements)) - 1
-
     def index(self, e: int) -> int:
-        try:
-            return self.position[e]
-        except KeyError:
-            raise DomainViolation(f"{e} is not in the carrier") from None
+        """e itself, once checked to be an idempotent."""
+        if not self.parent.is_idempotent(e):
+            raise DomainViolation(f"{e} is not an idempotent")
+        return e
 
     def mask(self, xs) -> int:
-        position = self.position
+        """The mask of some idempotents; anything else raises DomainViolation."""
         out = 0
-        try:
-            for x in xs:
-                out |= 1 << position[x]
-        except KeyError as exc:
-            raise DomainViolation(f"{exc.args[0]} is not in the carrier") from None
+        for x in xs:
+            out |= 1 << self.index(x)
         return out
 
     def members(self, mask: int) -> tuple:
         """The elements of a mask, ascending."""
-        return tuple(map(self.elements.__getitem__, positions(mask)))
+        return tuple(positions(mask))
 
-    def under(self, i: int) -> int:
-        """The mask of the nonzero x < elements[i]."""
-        return self.down[i] & ~self.zero & ~(1 << i)
+    def under(self, e: int) -> int:
+        """The mask of the nonzero x < e."""
+        return self.down[e] & ~(1 << self.zero) & ~(1 << e)
 
-    def uncovered(self, i: int, members: int) -> int | None:
-        """The least nonzero x <= elements[i] that meets no member, as a bit
-        position, or None when the members cover elements[i]."""
+    def uncovered(self, e: int, members: int) -> int | None:
+        """The least nonzero x <= e that meets no member, or None when the
+        members cover e."""
         meets = self.meets
-        return next((x for x in positions(self.down[i] & ~self.zero) if not meets[x] & members),
-                    None)
+        return next((x for x in positions(self.down[e] & ~(1 << self.zero))
+                     if not meets[x] & members), None)
 
-    def covers(self, i: int, members: int) -> bool:
-        """Every nonzero x <= elements[i] meets some member."""
-        return self.uncovered(i, members) is None
+    def covers(self, e: int, members: int) -> bool:
+        """Every nonzero x <= e meets some member."""
+        return self.uncovered(e, members) is None
 
 
 def positions(mask: int):
@@ -119,41 +116,6 @@ def positions(mask: int):
         mask ^= low
 
 
-def order_masks(lattice: Semilattice) -> OrderMasks:
-    """The bitset view of a carrier, built once per semigroup and carrier
-    (``per_semigroup`` on the parent) from the table rows: O(|E|^2)
-    lookups.  A carrier that lacks its zero or holds anything but
-    idempotents of the parent raises DomainViolation."""
-    return _order_masks(lattice.parent, lattice.elements, lattice.zero)
-
-
-@per_semigroup
-def _order_masks(s: InverseSemigroup, elements: tuple, zero: int) -> OrderMasks:
-    if zero not in elements:
-        raise DomainViolation(f"the carrier lacks its zero {zero}")
-    if not all(map(s.is_idempotent, elements)):
-        raise DomainViolation("the carrier holds an element that is no idempotent")
-    elements = tuple(sorted(elements))
-    up, down, meets = [], [], []
-    for e in elements:
-        row = s.mul[e]
-        u = d = m = 0
-        for j, f in enumerate(elements):
-            ef = row[f]
-            if ef == e:
-                u |= 1 << j
-            if ef == f:
-                d |= 1 << j
-            if ef != zero:
-                m |= 1 << j
-        up.append(u)
-        down.append(d)
-        meets.append(m)
-    position = {e: i for i, e in enumerate(elements)}
-    return OrderMasks(elements, MappingProxyType(position), tuple(up), tuple(down),
-                      tuple(meets), 1 << position[zero])
-
-
 def is_cover(lattice: Semilattice, e: int, members, *, require_below: bool = False) -> Decision:
     """Decide e -> C: every nonzero x <= e meets some member of C.
 
@@ -162,38 +124,33 @@ def is_cover(lattice: Semilattice, e: int, members, *, require_below: bool = Fal
     witness: ("member_not_below", c) for a member c not below e, or else an
     x with x <= e, x != 0 and xC = {0}.
     """
-    view = order_masks(lattice)
-    i = view.index(e)
-    members = view.mask(members) & ~view.zero
-    outside = members & ~view.down[i]
+    e = lattice.index(e)
+    members = lattice.mask(members) & ~(1 << lattice.zero)
+    outside = members & ~lattice.down[e]
     if require_below and outside:
-        return Decision(False, ("member_not_below", view.elements[next(positions(outside))]))
-    x = view.uncovered(i, members)
-    return Decision(True) if x is None else Decision(False, view.elements[x])
+        return Decision(False, ("member_not_below", next(positions(outside))))
+    x = lattice.uncovered(e, members)
+    return Decision(True) if x is None else Decision(False, x)
 
 
 def is_0_disjunctive(lattice: Semilattice) -> Decision:
     """Between any 0 < e < f there must sit a nonzero e' < f orthogonal to e;
     the witness of a failure is the least such pair (e, f), f first."""
-    view = order_masks(lattice)
-    for f in positions(view.full & ~view.zero):
-        under = view.under(f)
+    for f in lattice.nonzero():
+        under = lattice.under(f)
         for e in positions(under):
-            if not under & ~view.meets[e]:
-                return Decision(False, (view.elements[e], view.elements[f]))
+            if not under & ~lattice.meets[e]:
+                return Decision(False, (e, f))
     return Decision(True)
 
 
 def atoms(lattice: Semilattice) -> tuple:
     """The minimal nonzero elements, ascending."""
-    view = order_masks(lattice)
-    return tuple(view.elements[i] for i in positions(view.full & ~view.zero)
-                 if not view.under(i))
+    return tuple(e for e in lattice.nonzero() if not lattice.under(e))
 
 
 def atoms_and_orthogonals(lattice: Semilattice) -> tuple:
     """The minimal nonzero elements, and the full orthogonality map f -> f-perp."""
-    view = order_masks(lattice)
-    perp = {f: frozenset(view.members(view.full & ~view.meets[i]))
-            for i, f in enumerate(view.elements)}
+    perp = {f: frozenset(lattice.members(lattice.full & ~lattice.meets[f]))
+            for f in lattice.elements}
     return atoms(lattice), perp

@@ -38,7 +38,6 @@ from .semilattice import (
     atoms,
     is_0_disjunctive,
     is_cover,
-    order_masks,
     positions,
 )
 
@@ -143,11 +142,10 @@ def check_mu_properties(s: InverseSemigroup) -> list:
 def _tight_by_covers(lattice: Semilattice, m: int) -> bool:
     """The filter with minimum m is tight: no cover of a member of the filter
     avoids it."""
-    view = order_masks(lattice)
-    members = view.up[view.index(m)]
+    members = lattice.up[lattice.index(m)]
     for e in positions(members):
-        outside = view.down[e] & ~view.zero & ~members
-        if outside and view.covers(e, outside):
+        outside = lattice.under(e) & ~members  # e is a member
+        if outside and lattice.covers(e, outside):
             return False
     return True
 
@@ -214,9 +212,8 @@ def check_hull_kernel(s: InverseSemigroup, rng: random.Random) -> list:
             correspondence = ("kernel_of_hull", x)
     out.append(_entry("kernel_hull_identity", identity_ok))
 
-    view = order_masks(lattice)
     mins = space.mins
-    up = [view.up[view.position[m]] for m in mins]
+    up = [lattice.up[m] for m in mins]
     pool = _family_pool(up, rng)
 
     def family(a: int) -> frozenset:
@@ -229,7 +226,7 @@ def check_hull_kernel(s: InverseSemigroup, rng: random.Random) -> list:
     witness = None
     for a, hit in pool.items():
         if hit not in hull_of:
-            ker = ifl.kernel_mask(view, hit)
+            ker = ifl.kernel_mask(lattice, hit)
             hull_of[hit] = sum(1 << i for i, u in enumerate(up) if not u & ker)
         if a & ~hull_of[hit]:
             witness = family(a)
@@ -251,36 +248,22 @@ def check_hull_kernel(s: InverseSemigroup, rng: random.Random) -> list:
             break
     out.append(_entry("kernel_of_tight_family_is_saturated", witness is None, witness))
 
+    # only emptiness is tested: a tight filter m of a basic set is an atom
+    # below e and above no excluded c, so m itself is the separating element
+    # (orthogonal to every c), see tests/oracles.py
     samples = 0
-    lemma_ok = True
     witness = None
     nonzero = list(lattice.nonzero())
     while samples < SAMPLES_PER_INSTANCE and nonzero:
         e = rng.choice(nonzero)
         below = [x for x in lattice.below(e) if x != lattice.zero]
         c = [x for x in below if rng.random() < 0.5]
-        members = space.tight_basic_set(e, c)
         covers = is_cover(lattice, e, c, require_below=True).value
-        if (len(members) == 0) != covers:
-            lemma_ok = False
+        if (not space.tight_basic_set(e, c)) != covers:
             witness = (e, tuple(c))
             break
-        # finite semilattices always trap, so every filter in the set holds
-        # an element below e orthogonal to all the excluded ones
-        for m in members:
-            found = any(
-                lattice.leq(m, x) and lattice.leq(x, e)
-                and all(lattice.meet(x, ei) == lattice.zero for ei in c)
-                for x in lattice.elements
-            )
-            if not found:
-                lemma_ok = False
-                witness = ("separating_element", e, tuple(c), m)
-                break
-        if not lemma_ok:
-            break
         samples += 1
-    out.append(_entry("empty_tight_basic_set_iff_cover", lemma_ok, witness,
+    out.append(_entry("empty_tight_basic_set_iff_cover", witness is None, witness,
                       detail=f"samples={samples}"))
 
     out.append(_entry("hull_invariance_transfer", transfer is None, transfer))
@@ -337,8 +320,8 @@ def check_beta_action(s: InverseSemigroup) -> list:
     """Conjugation by a carries the filter F with minimum m onto the up-set
     of the image minimum (the up-closure of a F a*), and conjugation by a*
     carries it back."""
-    view = order_masks(Semilattice.from_semigroup(s))
-    up, position = view.up, view.position
+    lattice = Semilattice.from_semigroup(s)
+    up = lattice.up
     mins = [e for e in s.idempotents if e != s.zero]
     for a in s.elements():
         a_star = s.star(a)
@@ -348,9 +331,9 @@ def check_beta_action(s: InverseSemigroup) -> list:
                 continue
             image = ifl.beta_act(s, a, m)
             closure = 0
-            for f in view.members(up[position[m]]):
-                closure |= up[position[s.product(s.product(a, f), a_star)]]
-            if closure != up[position[image]] or ifl.beta_act(s, a_star, image) != m:
+            for f in lattice.members(up[m]):
+                closure |= up[s.product(s.product(a, f), a_star)]
+            if closure != up[image] or ifl.beta_act(s, a_star, image) != m:
                 return [_entry("conjugation_action_is_invertible", False, (a, m))]
     return [_entry("conjugation_action_is_invertible", True)]
 

@@ -253,6 +253,35 @@ def _condition_m_scan(graph, edge_ids, starts_of):
     return True, None
 
 
+def is_acyclic_by_recursion(g):
+    """Depth-first search with three colours, one recursive call per vertex."""
+    color = {v: 0 for v in g.vertices}
+
+    def dfs(v):
+        color[v] = 1
+        for i in g.edges_out(v):
+            w = g.edges[i].rng
+            if color[w] == 1 or (color[w] == 0 and not dfs(w)):
+                return False
+        color[v] = 2
+        return True
+
+    return all(color[v] or dfs(v) for v in g.vertices)
+
+
+def longest_path_length_by_recursion(g):
+    """Edge count of the longest path of an acyclic graph, memoised per
+    vertex, one recursive call per vertex."""
+    memo = {}
+
+    def best(v):
+        if v not in memo:
+            memo[v] = max((1 + best(g.edges[i].rng) for i in g.edges_out(v)), default=0)
+        return memo[v]
+
+    return max((best(v) for v in g.vertices), default=0)
+
+
 def condition_m_graph_scan(g):
     """(value, witness) of condition (M) on a bare graph, edge by edge."""
     return _condition_m_scan(g, [e.eid for e in g.edges], lambda v: (v,))
@@ -323,6 +352,17 @@ def ideals_by_unions(s):
                     fresh.append(u)
         frontier = fresh
     return found
+
+
+def finite_cover_witnesses_by_leq(s):
+    """Each ideal's set of idempotents mapped to its minimal nonzero
+    members, ascending, by ``leq`` loops."""
+    out = {}
+    for ideal in ideals_by_unions(s):
+        x = [e for e in s.idempotents if e in ideal and e != s.zero]
+        out[frozenset(x) | {s.zero}] = tuple(
+            e for e in x if not any(f != e and s.leq(f, e) for f in x))
+    return out
 
 
 def saturated_ideal_generated(s, seed):
@@ -399,6 +439,26 @@ def trapping_by_leq(lattice):
                  if x != lattice.zero and lattice.meet(x, f) == lattice.zero]
             if not is_cover_by_leq(lattice, e, d + [f]).value:
                 return Decision(False, (f, e))
+    return Decision(True)
+
+
+def tight_filters_separate_by_leq(lattice):
+    """The separating element: each tight filter (an ultrafilter) of the
+    basic set of e and C, the filters holding e and no member of C, holds
+    an x <= e orthogonal to every member of C.  The filter of m is in that
+    basic set iff m <= e and m <= c for no c in C, and x only gets harder to
+    find as C grows, so C may be taken to be every c above which m does not
+    lie.  The witness is the first failing pair (m, e) in the order of E."""
+    tight = [m for m in lattice.nonzero() if is_ultra_by_leq(lattice, m)]
+    for e in lattice.nonzero():
+        for m in tight:
+            if not lattice.leq(m, e):
+                continue
+            excluded = [c for c in lattice.elements if not lattice.leq(m, c)]
+            if not any(lattice.leq(m, x) and lattice.leq(x, e)
+                       and all(lattice.meet(x, c) == lattice.zero for c in excluded)
+                       for x in lattice.elements):
+                return Decision(False, (m, e))
     return Decision(True)
 
 

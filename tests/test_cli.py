@@ -316,6 +316,21 @@ def test_analyze_ideals_over_the_union_cap_exits_3(tmp_path, monkeypatch, capsys
     assert "more than 2 unions" in err
 
 
+@pytest.mark.parametrize("length", [150, 400])
+def test_verify_directory_with_a_long_chain_exits_3(tmp_path, length):
+    """A chain of k edges has an exact model of 1 + (1^2 + ... + (k+1)^2)
+    elements, over the closure cap from k = 30 on: it is refused before any
+    triple is built, and the acyclicity test does not recurse per vertex."""
+    edges = [{"id": f"e{i}", "src": i, "rng": i + 1} for i in range(length)]
+    _write(tmp_path, "chain.json", {"kind": "graph", "vertices": length + 1, "edges": edges})
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-m", "isgw.cli", "verify", str(tmp_path)],
+                         capture_output=True, text=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert run.returncode == 3
+    assert run.stderr.startswith("cap exceeded: ") and "Traceback" not in run.stderr
+
+
 def test_verify_directory_with_array_document_exit_code(tmp_path, capsys):
     _write(tmp_path, "a.json", [1, 2])
     code, _, err = run_cli(capsys, "verify", str(tmp_path))

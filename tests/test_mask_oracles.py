@@ -1,9 +1,10 @@
 """The bitset view of E against the leq loops of tests/oracles.py: order
 ideals, invariance, saturation, hull, kernel, basic sets, ultrafilters,
-tight filters, covers, the 0-disjunctive property, atoms and orthogonality,
-on random closures, on random semilattices and on the builtin corpus.  The
-trapping condition holds on every finite carrier, so the library does not
-decide it; its oracle asserts it on every carrier visited."""
+tight filters, covers, the 0-disjunctive property, atoms and orthogonality
+and the finite cover witnesses, on random closures, on random semilattices
+and on the builtin corpus.  The trapping condition holds on every finite E,
+and so does the separating element of each tight filter of a basic set, so
+the library decides neither; their oracles assert them on every E visited."""
 
 import itertools
 import random
@@ -16,6 +17,7 @@ from isgw.corpus import builtin_corpus
 from isgw.errors import DomainViolation
 from isgw.ideals_filters import (
     filter_space,
+    finite_cover_witnesses,
     hull,
     is_invariant_order_ideal,
     is_saturated_order_ideal,
@@ -29,13 +31,13 @@ from isgw.semilattice import (
     atoms_and_orthogonals,
     is_0_disjunctive,
     is_cover,
-    order_masks,
 )
 from isgw.verify import _tight_by_covers
 
 from oracles import (
     atoms_by_leq,
     basic_set_by_leq,
+    finite_cover_witnesses_by_leq,
     hull_by_leq,
     is_0_disjunctive_by_leq,
     is_cover_by_leq,
@@ -46,6 +48,7 @@ from oracles import (
     orthogonals_by_leq,
     saturate_by_leq,
     tight_by_is_cover,
+    tight_filters_separate_by_leq,
     trapping_by_leq,
 )
 from test_core_oracles import generator_sets
@@ -61,23 +64,23 @@ def _families(items, rng, limit=64):
 
 
 def assert_semilattice_matches(lattice):
-    """Values and witnesses.  The leq loops scan in carrier order and the
-    masks give the least witness, so the loops run on the sorted carrier."""
-    ref = Semilattice(lattice.parent, tuple(sorted(lattice.elements)), lattice.zero)
-    assert is_0_disjunctive(lattice) == is_0_disjunctive_by_leq(ref)
-    assert trapping_by_leq(ref).value
+    """Values and witnesses.  The leq loops scan E in ascending order and
+    the masks give the least witness."""
+    assert is_0_disjunctive(lattice) == is_0_disjunctive_by_leq(lattice)
+    assert trapping_by_leq(lattice).value
+    assert tight_filters_separate_by_leq(lattice).value
     ats, perp = atoms_and_orthogonals(lattice)
-    assert ats == atoms(lattice) == atoms_by_leq(ref)
-    assert perp == orthogonals_by_leq(ref)
+    assert ats == atoms(lattice) == atoms_by_leq(lattice)
+    assert perp == orthogonals_by_leq(lattice)
     rng = random.Random(len(lattice.elements))
-    for e in ref.elements:
-        for c in _families(sorted(ref.nonzero()), rng, limit=16):
+    for e in lattice.elements:
+        for c in _families(list(lattice.nonzero()), rng, limit=16):
             for below in (False, True):
                 assert (is_cover(lattice, e, sorted(c), require_below=below)
-                        == is_cover_by_leq(ref, e, sorted(c), require_below=below)), (e, c)
+                        == is_cover_by_leq(lattice, e, sorted(c), require_below=below)), (e, c)
 
 
-def assert_carrier_matches(s, lattice):
+def assert_carrier_matches(lattice):
     assert_semilattice_matches(lattice)
     rng = random.Random(len(lattice.elements))
     ideals = order_ideals(lattice)
@@ -102,18 +105,14 @@ def assert_carrier_matches(s, lattice):
 
 def assert_masks_match(s):
     lattice = Semilattice.from_semigroup(s)
-    ideals = assert_carrier_matches(s, lattice)
+    ideals = assert_carrier_matches(lattice)
     for x in ideals:
         assert is_invariant_order_ideal(s, x) == is_invariant_order_ideal_by_products(s, x)
     space = filter_space(lattice)
     for m in space.mins:
         assert (m in space.tight) == is_ultra_by_leq(lattice, m), m
         assert _tight_by_covers(lattice, m) == tight_by_is_cover(lattice, m), m
-    # a carrier other than E(S): the largest proper order ideal
-    proper = [x for x in ideals if len(x) < len(lattice.elements)]
-    if proper:
-        sub = Semilattice(s, tuple(sorted(proper[-1], reverse=True)), s.zero)
-        assert_carrier_matches(s, sub)
+    assert finite_cover_witnesses(s) == finite_cover_witnesses_by_leq(s)
 
 
 @settings(max_examples=100, deadline=None)
@@ -135,18 +134,18 @@ def test_masks_match_leq_oracles_on_builtin_corpus(corpus_semigroups):
 @settings(max_examples=60, deadline=None)
 @given(closed_family())
 def test_semilattice_masks_match_leq_oracles_on_random_semilattices(family):
-    assert_semilattice_matches(Semilattice.from_semigroup(family_to_semigroup(family)))
+    assert_carrier_matches(Semilattice.from_semigroup(family_to_semigroup(family)))
 
 
 def test_order_ideals_and_masks_are_cached_per_carrier(i2):
     lattice = Semilattice.from_semigroup(i2)
     assert order_ideals(lattice) is order_ideals(Semilattice.from_semigroup(i2))
-    assert order_masks(lattice) is order_masks(Semilattice.from_semigroup(i2))
+    assert lattice is Semilattice.from_semigroup(i2)
     assert isinstance(order_ideals(lattice), tuple)
 
 
 def test_masks_read_the_order(e4, e4n):
-    view = order_masks(Semilattice.from_semigroup(e4))
+    view = Semilattice.from_semigroup(e4)
     bit = {name: 1 << view.index(e) for name, e in e4n.items()}
     g = view.index(e4n["g"])
     assert view.up[g] == bit["g"]
@@ -162,13 +161,10 @@ def test_elements_outside_the_carrier_are_refused(i2, i2n):
         hull(lattice, {i2n["X"]})  # X is not an idempotent
     with pytest.raises(DomainViolation):
         kernel(lattice, {i2n["E21"]})
-
-
-def test_bad_carriers_are_refused(i2, i2n):
-    """A carrier holds its zero and idempotents of the parent, nothing else."""
-    nonzero = tuple(e for e in i2.idempotents if e != i2.zero)
-    for elements in (nonzero, i2.idempotents + (i2n["X"],), i2.idempotents + (i2.n,)):
-        lattice = Semilattice(i2, elements, i2.zero)
-        for call in (order_masks, lambda x: hull(x, ())):
-            with pytest.raises(DomainViolation):
-                call(lattice)
+    with pytest.raises(DomainViolation):
+        is_cover(lattice, i2n["X"], ())
+    with pytest.raises(DomainViolation):
+        hull(lattice, {i2.n})  # not an element at all
+    # off E every mask is empty
+    x = i2n["X"]
+    assert lattice.up[x] == lattice.down[x] == lattice.meets[x] == 0

@@ -22,7 +22,7 @@ from isgw.core import (
 from isgw.corpus import CorpusInstance
 from isgw.groupoid import FiniteGroupoid, build_groupoids, condition_K
 from isgw.relations import centralizer, h_and_mu
-from isgw.semilattice import Semilattice, order_masks
+from isgw.semilattice import Semilattice
 from test_cli import I2_DOC, SWAP_LADDER_DOC
 from test_ideals_filters import symmetric_inverse_monoid
 
@@ -46,8 +46,8 @@ def rees_quotient_by_a_set_then_a_frozenset(s, kinds=itertools.cycle([set, froze
 
 
 def order_masks_of_the_idempotents(s):
-    """Each call builds its own Semilattice view, equal to the last one."""
-    return order_masks(Semilattice.from_semigroup(s))
+    """The bitset view of E(S)."""
+    return Semilattice.from_semigroup(s)
 
 
 CACHED = [InverseSemigroup.order, h_and_mu, centralizer, double_arrow, condition_L,
@@ -67,14 +67,6 @@ def test_equal_congruences_share_one_quotient(i2, i2n):
     rho = cg.rees_congruence(i2, set(ideal))
     assert rho is not cg.rees_congruence(i2, ideal)
     assert cg.rees_quotient(i2, ideal) is cg.quotient(i2, rho)
-
-
-def test_a_sub_carrier_gets_its_own_view():
-    s = make_i2()
-    view = order_masks_of_the_idempotents(s)
-    sub = Semilattice(s, s.idempotents[:2] + (s.zero,), s.zero)
-    assert order_masks(sub) is order_masks(Semilattice(s, sub.elements, s.zero))
-    assert order_masks(sub) is not view
 
 
 def record_derived(monkeypatch, cls) -> list:

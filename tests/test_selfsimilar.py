@@ -1,8 +1,11 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from isgw.corpus import fixture_actions, fixture_graphs
-from isgw.errors import AxiomViolation, NotInvariant, Overflow
+from isgw import selfsimilar as ss
+from isgw.errors import AxiomViolation, CapExceeded, NotInvariant, Overflow
 from isgw.graphs import (
     DirectedGraph,
     Edge,
@@ -24,6 +27,7 @@ from isgw.selfsimilar import (
     all_rees_ss,
     condition_M_ss,
     edge_swap_action,
+    exact_model,
     faithfulness,
     g_independent_edges,
     hausdorff_certificate,
@@ -44,6 +48,8 @@ from oracles import (
     graph_pair_semigroup,
     hereditary_invariant_masks,
     hereditary_sets_by_masks,
+    is_acyclic_by_recursion,
+    longest_path_length_by_recursion,
 )
 
 
@@ -197,6 +203,42 @@ def test_ss_semigroup_trivial_matches_graph():
 @given(graphs(max_vertices=4, max_edges=5, acyclic=True))
 def test_graph_semigroup_matches_pair_oracle_on_random_graphs(g):
     _assert_matches_pair_oracle(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_vertices=6, max_edges=9), graphs(max_vertices=6, max_edges=9, acyclic=True))
+def test_topological_pass_matches_recursive_oracles_on_random_graphs(g, dag):
+    for h in (g, dag):
+        acyclic = is_acyclic_by_recursion(h)
+        assert h.is_acyclic() == acyclic
+        if acyclic:
+            assert h.longest_path_length() == longest_path_length_by_recursion(h)
+    assert dag.is_acyclic()
+
+
+def _assert_cap_counts_the_model(action):
+    """The count checked against the cap is the size of the model: with the
+    cap lowered to 0 the refusal names it."""
+    model = exact_model(action)
+    if model is None:
+        return
+    with mock.patch.object(ss, "DEFAULT_CLOSURE_CAP", 0):
+        with pytest.raises(CapExceeded, match=f"has {len(model.elements)} elements,"):
+            exact_model(action)
+
+
+def test_exact_model_cap_counts_the_fixture_models():
+    for _, g in fixture_graphs():
+        _assert_cap_counts_the_model(trivial_action(g))
+    for _, a in fixture_actions():
+        _assert_cap_counts_the_model(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_vertices=4, max_edges=5, acyclic=True), doubled_actions())
+def test_exact_model_cap_counts_random_models(g, a):
+    _assert_cap_counts_the_model(trivial_action(g))
+    _assert_cap_counts_the_model(a)
 
 
 def test_condition_m_and_hereditary_sets_match_oracles_on_fixtures():
