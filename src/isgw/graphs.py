@@ -9,10 +9,17 @@ from right to left.
 
 from __future__ import annotations
 
-from .errors import DanglingEndpoint, NotHereditary, ParseError, CapExceeded
-from .util import Decision, Record, json_int, set_field, unions
-
-MAX_CONDITION_VERTICES = 12
+from .errors import DanglingEndpoint, NotHereditary, ParseError
+from .util import (
+    Decision,
+    Record,
+    is_cyclic,
+    json_int,
+    reachable,
+    set_field,
+    strongly_connected_components,
+    unions,
+)
 
 
 class Edge(Record):
@@ -46,35 +53,28 @@ class DirectedGraph(Record):
     def in_degree(self, v: int) -> int:
         return len(self.edges_into(v))
 
-    def edges_sinks_first(self) -> list | None:
-        """The edges in an order that puts each one after every edge out of
-        its range, or None when the graph has a cycle: one topological pass
-        from the sinks (Kahn's algorithm), without recursion."""
-        out = {v: [] for v in self.vertices}
-        into = {v: [] for v in self.vertices}
+    def successors(self) -> dict:
+        """Each vertex mapped to the ranges of its out-edges, one per edge."""
+        succ = {v: [] for v in self.vertices}
         for e in self.edges:
-            out[e.src].append(e)
-            into[e.rng].append(e)
-        pending = {v: len(es) for v, es in out.items()}  # edges out not yet placed
-        done = [v for v in self.vertices if not pending[v]]
-        order = []
-        for v in done:  # done grows while it is read
-            order += out[v]
-            for e in into[v]:
-                pending[e.src] -= 1
-                if not pending[e.src]:
-                    done.append(e.src)
-        return order if len(done) == len(self.vertices) else None
+            succ[e.src].append(e.rng)
+        return succ
 
     def is_acyclic(self) -> bool:
-        return self.edges_sinks_first() is not None
+        succ = self.successors()
+        return not any(is_cyclic(c, succ) for c in strongly_connected_components(succ))
 
     def longest_path_length(self) -> int:
         """Edge count of the longest directed path; only valid when acyclic
-        (0 on a graph with a cycle)."""
-        best = dict.fromkeys(self.vertices, 0)
-        for e in self.edges_sinks_first() or ():
-            best[e.src] = max(best[e.src], best[e.rng] + 1)
+        (0 on a graph with a cycle).  Read off the components sinks first,
+        each a single vertex when the graph is acyclic."""
+        succ = self.successors()
+        best = {}
+        for component in strongly_connected_components(succ):
+            if is_cyclic(component, succ):
+                return 0
+            v = component[0]
+            best[v] = max((best[w] + 1 for w in succ[v]), default=0)
         return max(best.values(), default=0)
 
 
@@ -175,80 +175,27 @@ def paths_up_to(g: DirectedGraph, depth: int) -> list:
     return sorted(out, key=GraphPath.sort_key)
 
 
-# -- reachability -------------------------------------------------------------
-
-def _reachable_from(g: DirectedGraph, start: int, *, forbidden=frozenset()) -> frozenset:
-    """Vertices reachable from start by directed walks avoiding a vertex set
-    (the start itself is always reachable by the empty walk)."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for i in g.edges_out(v):
-            w = g.edges[i].rng
-            if w not in seen and w not in forbidden:
-                seen.add(w)
-                stack.append(w)
-    return frozenset(seen)
-
-
-def _on_cycle_avoiding(g: DirectedGraph, w: int, avoid: int) -> bool:
-    """Does w lie on a directed cycle that never visits the vertex avoid?"""
-    for i in g.edges_out(w):
-        e = g.edges[i]
-        if e.rng == avoid:
-            continue
-        if e.rng == w:
-            return True
-        if w in _reachable_from(g, e.rng, forbidden=frozenset({avoid})):
-            return True
-    return False
-
-
 # -- the three conditions -----------------------------------------------------
 
-def _simple_cycles(g: DirectedGraph, cap: int = 100_000) -> list:
-    """Vertex-simple directed cycles as edge-index tuples in walk order,
-    enumerated from the least vertex of each cycle."""
-    out = []
-    for base in sorted(g.vertices):
-        stack = [(base, ())]
-        while stack:
-            v, walk = stack.pop()
-            for i in g.edges_out(v):
-                e = g.edges[i]
-                if e.rng == base:
-                    out.append(walk + (i,))
-                    if len(out) > cap:
-                        raise CapExceeded("too many simple cycles")
-                elif e.rng > base and all(g.edges[j].rng != e.rng for j in walk):
-                    stack.append((e.rng, walk + (i,)))
-    return out
-
-
-def _first_return_count(g: DirectedGraph, v: int) -> int:
-    """Number of return paths at v that avoid v in between; 2 stands for
-    'two or more' (pumping an inner cycle yields infinitely many)."""
-    simple = []
-    stack = [(v, ())]
-    while stack:
-        u, walk = stack.pop()
-        for i in g.edges_out(u):
-            e = g.edges[i]
-            if e.rng == v:
-                simple.append(walk + (i,))
-                if len(simple) >= 2:
-                    return 2
-            elif all(g.edges[j].rng != e.rng for j in walk):
-                stack.append((e.rng, walk + (i,)))
-    if not simple:
-        return 0
-    walk = simple[0]
-    interior = {g.edges[i].rng for i in walk[:-1]} | {g.edges[i].src for i in walk}
-    interior.discard(v)
-    if any(_on_cycle_avoiding(g, w, v) for w in interior):
-        return 2
-    return 1
+def _bare_cycles(g: DirectedGraph) -> list:
+    """The strongly connected components of g with as many edges inside as
+    vertices (bare cycles), each as (vertex set, entered), entered when an
+    edge from outside ends in it.  A vertex bases exactly one first-return
+    path iff its component is a bare cycle: every closed walk at it stays in
+    the component and is a product of first returns, so if p is the only
+    one, p is simple (pumping a repeated vertex would give another) and
+    every vertex and edge inside the component lies on p."""
+    components = strongly_connected_components(g.successors())
+    where = {v: k for k, component in enumerate(components) for v in component}
+    inside, entered = [0] * len(components), [False] * len(components)
+    for e in g.edges:
+        k = where[e.rng]
+        if where[e.src] == k:
+            inside[k] += 1
+        else:
+            entered[k] = True
+    return [(frozenset(component), entered[k]) for k, component in enumerate(components)
+            if inside[k] == len(component)]
 
 
 class GraphConditions(Record):
@@ -261,18 +208,29 @@ class GraphConditions(Record):
 
 
 def condition_l_graph(g: DirectedGraph) -> Decision:
-    """Every vertex-simple cycle passes a vertex of in-degree at least two."""
-    for cycle in _simple_cycles(g):
-        on_cycle = {g.edges[i].rng for i in cycle}
-        if all(g.in_degree(w) < 2 for w in on_cycle):
-            return Decision(False, tuple(g.edges[i].eid for i in cycle))
-    return Decision(True)
+    """Every vertex-simple cycle passes a vertex of in-degree at least two.
+    A cycle whose vertices all have in-degree one is a whole bare-cycle
+    component that no edge enters; the witness is the one with the least
+    vertex, its edges walked from that vertex."""
+    closed = [cycle for cycle, entered in _bare_cycles(g) if not entered]
+    if not closed:
+        return Decision(True)
+    cycle = min(closed, key=min)
+    out = {e.src: e for e in g.edges if e.src in cycle and e.rng in cycle}
+    v, walk = min(cycle), []
+    for _ in cycle:  # one edge per vertex of a bare cycle
+        walk.append(out[v].eid)
+        v = out[v].rng
+    return Decision(False, tuple(walk))
 
 
 def condition_k_graph(g: DirectedGraph) -> Decision:
-    """No vertex is the base of exactly one first-return path."""
+    """No vertex is the base of exactly one first-return path, that is, no
+    vertex lies in a bare-cycle component; the witness is the first such
+    vertex of ``g.vertices``."""
+    on_bare = frozenset().union(*(cycle for cycle, _ in _bare_cycles(g)))
     for v in g.vertices:
-        if _first_return_count(g, v) == 1:
+        if v in on_bare:
             return Decision(False, v)
     return Decision(True)
 
@@ -284,9 +242,9 @@ def condition_m_graph(g: DirectedGraph, orbits: dict | None = None) -> Decision:
     orbits maps each vertex to its orbit under a group acting on g; without
     it every orbit is a single vertex.  An edge with a competitor from its
     own source orbit passes at once, so the scan needs no orbit filter."""
+    succ = g.successors()
     for idx, e in enumerate(g.edges):
-        starts = orbits[e.src] if orbits is not None else (e.src,)
-        reach = frozenset().union(*(_reachable_from(g, w) for w in starts))
+        reach = reachable(succ, orbits[e.src] if orbits is not None else (e.src,))
         ok = any(f.src in reach for j, f in enumerate(g.edges)
                  if j != idx and f.rng == e.rng)
         if not ok:
@@ -295,8 +253,8 @@ def condition_m_graph(g: DirectedGraph, orbits: dict | None = None) -> Decision:
 
 
 def graph_conditions(g: DirectedGraph) -> GraphConditions:
-    if len(g.vertices) > MAX_CONDITION_VERTICES:
-        raise CapExceeded(f"graph has more than {MAX_CONDITION_VERTICES} vertices")
+    """(L) and (K) from the strongly connected components, (M) by
+    reachability over one adjacency map; no size limit."""
     return GraphConditions(
         condition_l=condition_l_graph(g),
         condition_k=condition_k_graph(g),
@@ -334,7 +292,8 @@ def hereditary_sets(g: DirectedGraph) -> list:
     first.  A set is hereditary when it holds every vertex with a path into
     one of its members, so the hereditary sets are the unions of the
     vertices' predecessor sets."""
-    reach = {w: _reachable_from(g, w) for w in g.vertices}
+    succ = g.successors()
+    reach = {w: reachable(succ, (w,)) for w in g.vertices}
     preds = [frozenset(w for w in g.vertices if v in reach[w]) for v in g.vertices]
     found = sorted(unions(preds, frozenset()), key=lambda h: (len(h), tuple(sorted(h))))
     return [HereditarySet(h, _is_saturated_vertex_set(g, h)) for h in found]

@@ -34,7 +34,15 @@ from .graphs import (
     two_loops,
     vertex_path,
 )
-from .util import Decision, Record, json_int, set_field
+from .util import (
+    Decision,
+    Record,
+    is_cyclic,
+    json_int,
+    reachable,
+    set_field,
+    strongly_connected_components,
+)
 
 VALIDATION_DEPTH = 4
 MAX_FIXED_PATH_WITNESSES = 200
@@ -457,9 +465,27 @@ class TruncatedActionSemigroup(Record):
 
 
 def ss_semigroup(action: SelfSimilarAction, depth: int) -> TruncatedActionSemigroup:
+    """The triples whose paths have at most ``depth`` edges, plus zero.  One
+    over ``core.DEFAULT_CLOSURE_CAP`` raises CapExceeded before any triple is
+    built.  With P_k(v) the paths of at most k edges starting at v, P_0 = 1
+    and P_{k+1}(v) = 1 + the sum of P_k(r(e)) over the edges e out of v; the
+    model has the sum over g and v of P_depth(g.v) P_depth(v) triples."""
     if depth < 0:
         raise ParseError("depth must be nonnegative")
-    paths = paths_up_to(action.graph, depth)
+    graph = action.graph
+    succ = graph.successors()
+    count = dict.fromkeys(graph.vertices, 1)
+    for _ in range(depth):
+        longer = {v: 1 + sum(count[w] for w in succ[v]) for v in graph.vertices}
+        if longer == count:  # no path is longer: a depth past it adds nothing
+            break
+        count = longer
+    size = 1 + sum(count[action.act_vertex(g, v)] * count[v]
+                   for g in range(action.group.size) for v in graph.vertices)
+    if size > DEFAULT_CLOSURE_CAP:
+        raise CapExceeded(f"the depth-{depth} model has {size} elements, "
+                          f"more than {DEFAULT_CLOSURE_CAP}")
+    paths = paths_up_to(graph, depth)
     triples = []
     for alpha in paths:
         for g in range(action.group.size):
@@ -467,33 +493,18 @@ def ss_semigroup(action: SelfSimilarAction, depth: int) -> TruncatedActionSemigr
                 if alpha.src == action.act_vertex(g, beta.src):
                     triples.append(SSTriple(alpha, g, beta))
     triples.sort(key=SSTriple.sort_key)
-    exact = action.graph.is_acyclic() and action.graph.longest_path_length() <= depth
+    exact = graph.is_acyclic() and graph.longest_path_length() <= depth
     return TruncatedActionSemigroup(action, depth, (ZERO,) + tuple(triples), exact)
 
 
 def exact_model(action: SelfSimilarAction) -> TruncatedActionSemigroup | None:
     """The triple semigroup of an acyclic action at depth max(1, longest
     path), which holds every triple; None when the graph has a cycle.  The
-    model of a graph is that of its trivial action.
-
-    A model of more than ``core.DEFAULT_CLOSURE_CAP`` elements raises
-    CapExceeded before any triple is built.  With P(v) the number of paths
-    starting at v, counted sinks first, the model has one element per
-    (alpha, g, beta) with beta starting at v and alpha at g.v, and a zero:
-    the sum over g and v of P(g.v) P(v), plus 1."""
-    graph = action.graph
-    order = graph.edges_sinks_first()
-    if order is None:
-        return None
-    paths = dict.fromkeys(graph.vertices, 1)
-    for e in order:
-        paths[e.src] += paths[e.rng]
-    size = 1 + sum(paths[action.act_vertex(g, v)] * paths[v]
-                   for g in range(action.group.size) for v in graph.vertices)
-    if size > DEFAULT_CLOSURE_CAP:
-        raise CapExceeded(f"the exact model has {size} elements, "
-                          f"more than {DEFAULT_CLOSURE_CAP}")
-    return ss_semigroup(action, max(1, graph.longest_path_length()))
+    model of a graph is that of its trivial action.  ``ss_semigroup``
+    refuses a model over the closure cap before building it."""
+    if action.graph.is_acyclic():
+        return ss_semigroup(action, max(1, action.graph.longest_path_length()))
+    return None
 
 
 # -- conditions on the action ----------------------------------------------------
@@ -650,62 +661,39 @@ def _strongly_fixed_decisions(action: SelfSimilarAction) -> dict:
     nodes = [(h, v) for h in range(grp.size) for v in graph.vertices]
     succ = {node: [] for node in nodes}
     pred = {node: [] for node in nodes}
-    for h, v in nodes:
-        for i in graph.edges_into(v):
-            e = graph.edges[i]
+    for h in range(grp.size):
+        for i, e in enumerate(graph.edges):
             if action.act_edge(h, e.eid) == e.eid:
                 nxt = (action.restrict(h, e.eid), e.src)
-                succ[(h, v)].append((nxt, i))
-                pred[nxt].append((h, v))
+                succ[(h, e.rng)].append((nxt, i))
+                pred[nxt].append((h, e.rng))
     targets = {node: [nxt for nxt, _ in out] for node, out in succ.items()}
-    backward = _reached(pred, [(h, v) for h, v in nodes if h == grp.identity])
+    backward = reachable(pred, [(h, v) for h, v in nodes if h == grp.identity])
     return {g: _strongly_fixed_finite(action, g, succ, targets, backward)
             for g in range(grp.size)}
 
 
-def _reached(edges: dict, start: list) -> set:
-    """The states reachable from ``start`` along ``edges``."""
-    seen = set()
-    stack = list(start)
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.extend(edges[node])
-    return seen
-
-
 def _strongly_fixed_finite(action: SelfSimilarAction, g: int, succ: dict, targets: dict,
                            backward: set) -> Decision:
+    """Infinite, witnessed by the least state of the core (reached from g,
+    reaching acceptance) that reaches a cyclic component of it; else finite."""
     graph = action.graph
-    one = action.group.identity
-    forward = _reached(targets, [(g, v) for v in graph.vertices])
-    core = forward & backward
-    color = {}
-
-    def has_cycle(node):
-        color[node] = 1
-        for nxt, _ in succ[node]:
-            if nxt not in core:
-                continue
-            if color.get(nxt) == 1:
-                return True
-            if color.get(nxt) is None and has_cycle(nxt):
-                return True
-        color[node] = 2
-        return False
-
-    for node in sorted(core):
-        if color.get(node) is None and has_cycle(node):
-            return Decision(False, node)
+    core = reachable(targets, [(g, v) for v in graph.vertices]) & backward
+    inner = {node: [nxt for nxt in targets[node] if nxt in core] for node in core}
+    to_cycle = set()
+    for component in strongly_connected_components(inner):
+        if is_cyclic(component, inner) or any(
+                nxt in to_cycle for node in component for nxt in inner[node]):
+            to_cycle.update(component)
+    if to_cycle:
+        return Decision(False, min(to_cycle))
 
     # finite: the witnesses are the first strongly fixed paths, up to the cap
     witnesses = []
     stack = [((g, v), ()) for v in sorted(graph.vertices, reverse=True) if (g, v) in core]
     while stack and len(witnesses) < MAX_FIXED_PATH_WITNESSES:
         node, walk = stack.pop()
-        if node[0] == one:
+        if node[0] == action.group.identity:
             path = GraphPath(graph, walk, graph.edges[walk[-1]].src if walk else node[1])
             witnesses.append(path.describe())
         for nxt, i in succ[node]:

@@ -1,6 +1,7 @@
 """Small shared helpers: the record base class, boolean decisions with
 witnesses, union-find, grouping into classes, the unions of a family of
-sets, and the integer reader of the JSON documents."""
+sets, reachability and strongly connected components over an adjacency
+map, and the integer reader of the JSON documents."""
 
 from __future__ import annotations
 
@@ -157,6 +158,56 @@ def unions(family, base) -> list:
         if len(found) > MAX_UNIONS:
             raise CapExceeded(f"more than {MAX_UNIONS} unions")
     return list(found)
+
+
+def reachable(adj: dict, starts) -> set:
+    """The nodes reached from ``starts`` along ``adj`` (node -> successors), starts included."""
+    seen, stack = set(starts), list(starts)
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def strongly_connected_components(adj: dict) -> list:
+    """The strongly connected components of ``adj`` (each node mapped to its
+    successors, every successor a key) as lists of nodes, sinks first: a
+    component comes after every component it reaches.  Tarjan's algorithm
+    (SIAM J. Comput. 1, 1972) with an explicit stack, so a long path costs
+    no recursion."""
+    index, low, stack, out = {}, {}, [], []
+    for root in adj:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        work = [(root, iter(adj[root]), len(stack))]  # node, successors left, stack place
+        stack.append(root)
+        while work:
+            v, succ, place = work[-1]
+            for w in succ:
+                if w not in index:  # a tree edge: descend into w
+                    index[w] = low[w] = len(index)
+                    work.append((w, iter(adj[w]), len(stack)))
+                    stack.append(w)
+                    break
+                low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:  # v roots a component: pop it
+                    out.append(stack[place:])
+                    del stack[place:]
+                    index.update(dict.fromkeys(out[-1], len(adj)))  # done: lowers no low-link
+    return out
+
+
+def is_cyclic(component: list, adj: dict) -> bool:
+    """Does a strongly connected component of ``adj`` hold a cycle: two or
+    more nodes, or one node that is its own successor?"""
+    return len(component) > 1 or component[0] in adj[component[0]]
 
 
 def json_int(value, what: str) -> int:

@@ -4,8 +4,12 @@ loop, the any()-scan natural order, the down-set of an element by a scan of
 S, and table validation with the direct scan for a second inverse
 (``isgw.core``); the path-pair product of the
 graph inverse semigroup, the condition (M) scans for graphs and for
-actions, and the mask loops over hereditary vertex sets and hereditary
-invariant vertex sets (``isgw.graphs``, ``isgw.selfsimilar``); the
+actions with reachability by passes over the edges, conditions (L) and (K)
+by listing simple cycles and counting first-return paths, acyclicity and
+the longest path by recursion, the cycle of the strongly fixed path
+automaton by a recursive search, and the mask loops over hereditary vertex
+sets and hereditary invariant vertex sets (``isgw.graphs``,
+``isgw.selfsimilar``); the
 product table of a triple model by ``triple_multiply`` on path objects (``isgw.selfsimilar``);
 principal ideals of every element,
 SXS and the ideal test of the Rees congruence over all products, and the
@@ -44,7 +48,6 @@ from isgw.graphs import (
     GraphPath,
     HereditarySet,
     _is_saturated_vertex_set,
-    _reachable_from,
     is_hereditary,
     paths_up_to,
 )
@@ -242,11 +245,31 @@ def triple_table_by_objects(truncated):
     return tuple(rows)
 
 
+def _closure_by_passes(starts, arrows) -> set:
+    """The nodes reached from starts along the (tail, head) pairs, by
+    passes over every pair until one adds nothing."""
+    seen = set(starts)
+    grown = True
+    while grown:
+        grown = False
+        for tail, head in arrows:
+            if tail in seen and head not in seen:
+                seen.add(head)
+                grown = True
+    return seen
+
+
+def _reachable_by_passes(g, starts, forbidden=frozenset()) -> set:
+    """Vertices reached from starts by walks that enter no forbidden vertex."""
+    return _closure_by_passes(starts, [(e.src, e.rng) for e in g.edges
+                                       if e.rng not in forbidden])
+
+
 def _condition_m_scan(graph, edge_ids, starts_of):
     for eid in edge_ids:
         i = next(k for k, e in enumerate(graph.edges) if e.eid == eid)
         e = graph.edges[i]
-        reach = frozenset().union(*(_reachable_from(graph, w) for w in starts_of(e.src)))
+        reach = _reachable_by_passes(graph, starts_of(e.src))
         if not any(f.src in reach for j, f in enumerate(graph.edges)
                    if j != i and f.rng == e.rng):
             return False, eid
@@ -280,6 +303,106 @@ def longest_path_length_by_recursion(g):
         return memo[v]
 
     return max((best(v) for v in g.vertices), default=0)
+
+
+def _simple_cycles(g) -> list:
+    """Vertex-simple directed cycles as edge-index tuples in walk order,
+    enumerated from the least vertex of each cycle."""
+    out = []
+    for base in sorted(g.vertices):
+        stack = [(base, ())]
+        while stack:
+            v, walk = stack.pop()
+            for i in g.edges_out(v):
+                e = g.edges[i]
+                if e.rng == base:
+                    out.append(walk + (i,))
+                elif e.rng > base and all(g.edges[j].rng != e.rng for j in walk):
+                    stack.append((e.rng, walk + (i,)))
+    return out
+
+
+def condition_l_by_simple_cycles(g):
+    """(value, witness) of graph condition (L) by listing every simple
+    cycle: the first one whose vertices all have in-degree below two fails."""
+    for cycle in _simple_cycles(g):
+        if all(g.in_degree(g.edges[i].rng) < 2 for i in cycle):
+            return False, tuple(g.edges[i].eid for i in cycle)
+    return True, None
+
+
+def _on_cycle_avoiding(g, w, avoid) -> bool:
+    """Does w lie on a directed cycle that never visits the vertex avoid?"""
+    for i in g.edges_out(w):
+        e = g.edges[i]
+        if e.rng == avoid:
+            continue
+        if e.rng == w or w in _reachable_by_passes(g, {e.rng}, forbidden={avoid}):
+            return True
+    return False
+
+
+def _first_return_count(g, v) -> int:
+    """Number of return paths at v that avoid v in between; 2 stands for
+    'two or more' (pumping an inner cycle yields infinitely many)."""
+    simple = []
+    stack = [(v, ())]
+    while stack:
+        u, walk = stack.pop()
+        for i in g.edges_out(u):
+            e = g.edges[i]
+            if e.rng == v:
+                simple.append(walk + (i,))
+                if len(simple) >= 2:
+                    return 2
+            elif all(g.edges[j].rng != e.rng for j in walk):
+                stack.append((e.rng, walk + (i,)))
+    if not simple:
+        return 0
+    walk = simple[0]
+    interior = {g.edges[i].rng for i in walk[:-1]} | {g.edges[i].src for i in walk}
+    interior.discard(v)
+    return 2 if any(_on_cycle_avoiding(g, w, v) for w in interior) else 1
+
+
+def condition_k_by_first_returns(g):
+    """(value, witness) of graph condition (K) by counting the first-return
+    paths at each vertex, in the order of ``g.vertices``."""
+    for v in g.vertices:
+        if _first_return_count(g, v) == 1:
+            return False, v
+    return True, None
+
+
+def strongly_fixed_by_recursion(action, g):
+    """(value, witness) of ``strongly_fixed_finite`` when the path set is
+    infinite, and (True, None) when it is finite: the core of the state
+    automaton by passes over its arrows, and its cycles by a recursive
+    three-colour search from each state of the core in sorted order."""
+    grp, graph = action.group, action.graph
+    arrows = [((h, e.rng), (action.restrict(h, e.eid), e.src))
+              for h in range(grp.size) for e in graph.edges
+              if action.act_edge(h, e.eid) == e.eid]
+    forward = _closure_by_passes({(g, v) for v in graph.vertices}, arrows)
+    backward = _closure_by_passes({(grp.identity, v) for v in graph.vertices},
+                                  [(head, tail) for tail, head in arrows])
+    core = forward & backward
+    color = {}
+
+    def has_cycle(node):
+        color[node] = 1
+        for tail, head in arrows:
+            if tail != node or head not in core:
+                continue
+            if color.get(head) == 1 or (color.get(head) is None and has_cycle(head)):
+                return True
+        color[node] = 2
+        return False
+
+    for node in sorted(core):
+        if color.get(node) is None and has_cycle(node):
+            return False, node
+    return True, None
 
 
 def condition_m_graph_scan(g):

@@ -331,6 +331,42 @@ def test_verify_directory_with_a_long_chain_exits_3(tmp_path, length):
     assert run.stderr.startswith("cap exceeded: ") and "Traceback" not in run.stderr
 
 
+def test_analyze_graph_decides_l_and_k_on_the_complete_digraph(tmp_path, capsys):
+    """(L) and (K) are read off the strongly connected components, so the
+    125,664 simple cycles of the complete digraph on 9 vertices are never
+    listed.  At depth 1 its model has 730 elements, under the closure cap."""
+    edges = [{"id": f"e{a}{b}", "src": a, "rng": b}
+             for a in range(9) for b in range(9) if a != b]
+    doc = _write(tmp_path, "k9.json", {"vertices": 9, "edges": edges})
+    code, out, _ = run_cli(capsys, "analyze", "graph", doc, "--json", "--depth", "1")
+    assert code == 0
+    props = json.loads(out)["properties"]
+    assert props["condition_l"]["value"] is True and props["condition_k"]["value"] is True
+    assert props["path_semigroup"]["value"]["elements"] == 730
+
+
+def test_verify_directory_decides_a_graph_of_thirteen_vertices(tmp_path, capsys):
+    """The graph conditions have no vertex cap: 13 vertices and one edge,
+    a 17-element exact model, pass all five graph statements."""
+    _write(tmp_path, "g.json", {"kind": "graph", "vertices": 13,
+                                "edges": [{"id": "x", "src": 0, "rng": 1}]})
+    code, out, _ = run_cli(capsys, "verify", str(tmp_path), "--json")
+    assert code == 0
+    theorems = json.loads(out)["summary"]["theorems"]
+    assert len(theorems) == 5
+    assert all(t == {"fail": 0, "pass": 1, "skipped": 0} for t in theorems.values())
+
+
+def test_analyze_graph_over_the_cap_at_a_depth_exits_3(tmp_path, capsys):
+    """``--depth`` counts its truncated model before building it: the rose
+    with two petals has 16,130 triples at depth 6, over the closure cap."""
+    loops = [{"id": x, "src": 0, "rng": 0} for x in "ab"]
+    doc = _write(tmp_path, "r2.json", {"vertices": 1, "edges": loops})
+    code, _, err = run_cli(capsys, "analyze", "graph", doc, "--depth", "6")
+    assert code == 3
+    assert "has 16130 elements, more than 10000" in err
+
+
 def test_verify_directory_with_array_document_exit_code(tmp_path, capsys):
     _write(tmp_path, "a.json", [1, 2])
     code, _, err = run_cli(capsys, "verify", str(tmp_path))

@@ -10,9 +10,13 @@ from isgw.graphs import (
     DirectedGraph,
     Edge,
     GraphPath,
+    condition_k_graph,
+    condition_l_graph,
     condition_m_graph,
+    graph_conditions,
     graph_semigroup,
     hereditary_sets,
+    quotient_graph,
     single_arrow,
     single_loop,
     two_loops,
@@ -43,6 +47,8 @@ from isgw.selfsimilar import (
 )
 
 from oracles import (
+    condition_k_by_first_returns,
+    condition_l_by_simple_cycles,
     condition_m_action_scan,
     condition_m_graph_scan,
     graph_pair_semigroup,
@@ -50,6 +56,7 @@ from oracles import (
     hereditary_sets_by_masks,
     is_acyclic_by_recursion,
     longest_path_length_by_recursion,
+    strongly_fixed_by_recursion,
 )
 
 
@@ -216,15 +223,19 @@ def test_topological_pass_matches_recursive_oracles_on_random_graphs(g, dag):
     assert dag.is_acyclic()
 
 
-def _assert_cap_counts_the_model(action):
-    """The count checked against the cap is the size of the model: with the
-    cap lowered to 0 the refusal names it."""
-    model = exact_model(action)
+def _assert_cap_counts_the_model(action, depth=None):
+    """The count checked against the cap is the size of the model (the
+    exact one, or the one at the given depth): with the cap lowered to 0
+    the refusal names it."""
+    def build():
+        return exact_model(action) if depth is None else ss_semigroup(action, depth)
+
+    model = build()
     if model is None:
         return
     with mock.patch.object(ss, "DEFAULT_CLOSURE_CAP", 0):
         with pytest.raises(CapExceeded, match=f"has {len(model.elements)} elements,"):
-            exact_model(action)
+            build()
 
 
 def test_exact_model_cap_counts_the_fixture_models():
@@ -239,6 +250,73 @@ def test_exact_model_cap_counts_the_fixture_models():
 def test_exact_model_cap_counts_random_models(g, a):
     _assert_cap_counts_the_model(trivial_action(g))
     _assert_cap_counts_the_model(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_vertices=4, max_edges=4), doubled_actions(), st.integers(1, 3))
+def test_truncated_model_cap_counts_random_cyclic_models(g, a, depth):
+    """Every drawn model is under the cap, so it is built: four edges at
+    depth 3 give at most 1 + 85^2 triples (all loops at one vertex), and a
+    doubled action at depth 2 at most 1 + 4 * 21^2."""
+    _assert_cap_counts_the_model(trivial_action(g), depth)
+    _assert_cap_counts_the_model(a, min(depth, 2))
+
+
+def _assert_cycle_conditions_match(g):
+    l, k = condition_l_graph(g), condition_k_graph(g)
+    assert (l.value, l.witness) == condition_l_by_simple_cycles(g)
+    assert (k.value, k.witness) == condition_k_by_first_returns(g)
+
+
+def _assert_strongly_fixed_matches(action):
+    for g in range(action.group.size):
+        d = strongly_fixed_finite(action, g)
+        assert (d.value, None if d.value else d.witness) == strongly_fixed_by_recursion(action, g)
+
+
+def test_cycle_questions_match_oracles_on_fixtures():
+    for _, g in fixture_graphs():
+        _assert_cycle_conditions_match(g)
+        _assert_strongly_fixed_matches(trivial_action(g))
+    for _, a in fixture_actions():
+        _assert_strongly_fixed_matches(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_vertices=7, max_edges=10))
+def test_cycle_conditions_match_enumeration_oracles_on_random_graphs(g):
+    """(L) and (K) with their witnesses, on g and on its quotient graphs,
+    whose vertex ids are not dense."""
+    _assert_cycle_conditions_match(g)
+    for h in hereditary_sets(g):
+        _assert_cycle_conditions_match(quotient_graph(g, h.vertices))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_vertices=6, max_edges=9), doubled_actions())
+def test_strongly_fixed_matches_recursive_oracle_on_random_actions(g, a):
+    _assert_strongly_fixed_matches(trivial_action(g))
+    _assert_strongly_fixed_matches(a)
+
+
+def test_long_chains_and_cycles_need_no_recursion():
+    """Every cycle question is answered without recursion: a chain of 1,500
+    edges and a cycle of 1,500 vertices are past the interpreter's default
+    recursion limit of 1,000 frames."""
+    n = 1500
+    chain = _graph(n + 1, [(i, i + 1) for i in range(n)])
+    cycle = _graph(n, [(i, (i + 1) % n) for i in range(n)])
+    c = graph_conditions(chain)
+    assert (c.condition_l.value, c.condition_k.value, c.condition_m.witness) == (True, True, "e0")
+    assert chain.is_acyclic() and chain.longest_path_length() == n
+    d = strongly_fixed_finite(trivial_action(chain), 0)
+    assert d.value and len(d.witness) == MAX_FIXED_PATH_WITNESSES
+    c = graph_conditions(cycle)
+    assert c.condition_l.witness == tuple(f"e{i}" for i in range(n))
+    assert (c.condition_k.value, c.condition_k.witness) == (False, 0)
+    assert not cycle.is_acyclic() and cycle.longest_path_length() == 0
+    d = strongly_fixed_finite(trivial_action(cycle), 0)
+    assert (d.value, d.witness) == (False, (0, 0))
 
 
 def test_condition_m_and_hereditary_sets_match_oracles_on_fixtures():
