@@ -18,7 +18,7 @@ from . import congruences as cg
 from . import ideals_filters as ifl
 from . import relations as rel
 from . import selfsimilar as ssim
-from .core import semigroup_from_json
+from .core import DEFAULT_CLOSURE_CAP, semigroup_from_json
 from .corpus import CorpusInstance, builtin_corpus, corpus_ids
 from .errors import (
     AxiomViolation,
@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("kind", choices=ANALYZE_KINDS)
     p_analyze.add_argument("input", help="path to the instance JSON")
     p_analyze.add_argument("--json", action="store_true")
-    p_analyze.add_argument("--max-elements", type=int, default=10_000)
+    p_analyze.add_argument("--max-elements", type=int, default=DEFAULT_CLOSURE_CAP)
     p_analyze.add_argument("--depth", type=int, default=3)
     p_analyze.set_defaults(func=cmd_analyze)
 

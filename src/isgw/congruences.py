@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 
-from .core import InverseSemigroup, cayley_graphs, per_semigroup
+from .core import InverseSemigroup, cayley_graphs, nonzero_down, per_semigroup
 from .errors import NotCongruence, NotIdeal
 from .relations import EquivalenceRelation, SemigroupHomomorphism, h_and_mu
 from .semilattice import Semilattice, is_0_disjunctive, positions
@@ -62,33 +62,23 @@ def check_compatible(s: InverseSemigroup, index) -> None:
                 raise NotCongruence(f"right product by {g} separates {r} ~ {a}")
 
 
-def equality_congruence(s: InverseSemigroup) -> Congruence:
-    return make_congruence(s, lambda a: a)
-
-
-def universal_congruence(s: InverseSemigroup) -> Congruence:
-    return make_congruence(s, lambda a: 0)
-
-
-def _merge_pair_orbits(dsu: UnionFind, right, left, stack: list) -> None:
-    """Merge each pair of the stack in ``dsu`` and, for each union that
-    succeeds, push the pair's translates by every generator on either side."""
+def congruence_closure(s: InverseSemigroup, pairs) -> tuple:
+    """Least congruence containing the given pairs, as the union-find root
+    of every element, each class rooted at its least member (wrap it with
+    ``make_congruence(s, roots.__getitem__)`` for a Congruence).  Closed by
+    pair orbits (Freese, "Computing congruences efficiently", Algebra
+    Universalis 59, 2008): each union that merges two classes pushes the
+    pair's translates by every generator on either side, so at most n - 1
+    unions push 2|G| pairs each."""
+    right, left = cayley_graphs(s)
+    dsu = UnionFind(s.n)
+    stack = list(pairs)
     while stack:
         a, b = stack.pop()
         if dsu.union(a, b):
             stack.extend(zip(right[a], right[b]))
             stack.extend(zip(left[a], left[b]))
-
-
-def congruence_closure(s: InverseSemigroup, pairs) -> Congruence:
-    """Least congruence containing the given pairs, by pair orbits (Freese,
-    "Computing congruences efficiently", Algebra Universalis 59, 2008): each
-    union that merges two classes pushes the pair's translates by every
-    generator on either side, so at most n - 1 unions push 2|G| pairs each."""
-    right, left = cayley_graphs(s)
-    dsu = UnionFind(s.n)
-    _merge_pair_orbits(dsu, right, left, list(pairs))
-    return make_congruence(s, dsu.find)
+    return dsu.roots()
 
 
 @per_semigroup
@@ -108,15 +98,14 @@ def enumerate_congruences(s: InverseSemigroup) -> tuple:
       indices: x rho xx* gives x* rho xx* and so x*x rho xx*x = x, hence
       Cg(x, xx*) = Cg(x*, x*x); a self-inverse x stays.
 
-    Each principal congruence is closed by pair orbits; one pair is kept
-    per distinct principal, with the pairs (y, root) that rebuild it.  A
-    congruence is held as the tuple of its union-find roots, each class
-    rooted at its least member.  Con S is a sublattice of the partition
+    Each principal congruence is closed by ``congruence_closure``; one pair
+    is kept per distinct principal, with the pairs (y, root) that rebuild
+    it.  A congruence is held as the tuple of its union-find roots, each
+    class rooted at its least member.  Con S is a sublattice of the partition
     lattice (Burris & Sankappanavar, *A Course in Universal Algebra*, 1981,
     section II.5), so rho v Cg(a, b) is rho's partition with the classes of
     Cg(a, b) merged in: at most n unions and no orbit pushes.  It is rho
     itself when a rho b."""
-    right, left = cayley_graphs(s)
     n = s.n
 
     def merge(roots: tuple, pairs) -> tuple:
@@ -138,9 +127,7 @@ def enumerate_congruences(s: InverseSemigroup) -> tuple:
     equality = tuple(range(n))
     generators = {}  # principal roots -> (a, b, its pairs (y, root))
     for a, b in candidates:
-        dsu = UnionFind(n)
-        _merge_pair_orbits(dsu, right, left, [(a, b)])
-        p = dsu.roots()
+        p = congruence_closure(s, [(a, b)])
         if p not in generators:
             generators[p] = (a, b, [(y, r) for y, r in enumerate(p) if y != r])
 
@@ -161,18 +148,18 @@ def enumerate_congruences(s: InverseSemigroup) -> tuple:
     return tuple(sorted(lattice, key=lambda r: (-len(r.classes), r.class_index)))
 
 
-def double_arrow_rows(s: InverseSemigroup) -> list:
-    """The double-arrow relation as int bitsets: bit b of row a is set when
-    each nonzero element below a has a nonzero common lower bound with b,
-    and each nonzero element below b one with a.
+@per_semigroup
+def double_arrow_rows(s: InverseSemigroup) -> tuple:
+    """The double-arrow relation as int bitsets, computed once per
+    semigroup: bit b of row a is set when each nonzero element below a has
+    a nonzero common lower bound with b, and each nonzero element below b
+    one with a.
 
-    With D(a) the nonzero elements below a, ``meets[x]`` is the set of y
-    whose D(y) meets D(x), and a -> b holds iff b lies in ``meets[x]`` for
-    every x in D(a)."""
-    order = s.order()
-    z = s.zero
+    With D(a) the nonzero elements below a (``nonzero_down``), ``meets[x]``
+    is the set of y whose D(y) meets D(x), and a -> b holds iff b lies in
+    ``meets[x]`` for every x in D(a)."""
     n = s.n
-    down = [[x for x in order.down(a) if x != z] for a in range(n)]
+    down = nonzero_down(s)
     up_bits = [0] * n  # up_bits[x]: the a with x in D(a)
     for a, below in enumerate(down):
         bit = 1 << a
@@ -196,7 +183,7 @@ def double_arrow_rows(s: InverseSemigroup) -> list:
         for b in positions(arrow[a]):
             if arrow[b] >> a & 1:
                 related[a] |= 1 << b
-    return related
+    return tuple(related)
 
 
 @per_semigroup
@@ -249,8 +236,8 @@ def quotient(s: InverseSemigroup, rho: Congruence) -> QuotientSemigroup:
 
     The quotient by the equality is S itself, with the identity projection:
     the classes are the singletons in element order, so the table built from
-    them would be S's own.  S then shares its caches, and its ``pmaps``, with
-    every caller of that quotient, such as the Rees quotient by {0}."""
+    them would be S's own.  S then shares its caches with every caller of
+    that quotient, such as the Rees quotient by {0}."""
     index = rho.class_index
     check_compatible(s, index)
     if rho.is_equality():

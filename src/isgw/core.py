@@ -63,32 +63,12 @@ class PartialBijection(Record):
     def empty(cls, degree: int) -> "PartialBijection":
         return cls(degree, (None,) * degree)
 
-    def __mul__(self, other: "PartialBijection") -> "PartialBijection":
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        out = []
-        for x in range(self.degree):
-            y = other.image[x]
-            out.append(self.image[y] if y is not None else None)
-        return PartialBijection(self.degree, tuple(out))
-
     def inverse(self) -> "PartialBijection":
         out = [None] * self.degree
         for x, y in enumerate(self.image):
             if y is not None:
                 out[y] = x
         return PartialBijection(self.degree, tuple(out))
-
-    def domain(self) -> tuple:
-        return tuple(x for x, y in enumerate(self.image) if y is not None)
-
-    def is_empty(self) -> bool:
-        return all(y is None for y in self.image)
-
-    def describe(self) -> str:
-        if self.is_empty():
-            return "0"
-        return "[" + ",".join(f"{x}>{y}" for x, y in enumerate(self.image) if y is not None) + "]"
 
 
 class NaturalOrder(Record):
@@ -114,10 +94,6 @@ class NaturalOrder(Record):
         and distinct e give distinct t (dom(s*e) = e).  O(|E|) lookups."""
         row, dom_row = self.mul[s], self.mul[self.dom[s]]
         return tuple(sorted([row[e] for e in self.idempotents if dom_row[e] == e]))
-
-    def up(self, s: int) -> tuple:
-        d = self.dom[s]
-        return tuple(t for t, row in enumerate(self.mul) if row[d] == s)
 
 
 def per_semigroup(fn):
@@ -153,13 +129,13 @@ class InverseSemigroup:
     first use and cached, see ``per_semigroup``.
     """
 
-    def __init__(self, mul, inv, zero, labels=None, pmaps=None):
-        self._store(mul, inv, zero, labels, pmaps)
+    def __init__(self, mul, inv, zero, labels=None):
+        self._store(mul, inv, zero, labels)
         self._validate()
         self._index()
 
     @classmethod
-    def _derived(cls, mul, inv, zero, labels, pmaps=None) -> "InverseSemigroup":
+    def _derived(cls, mul, inv, zero, labels) -> "InverseSemigroup":
         """A semigroup whose tables are a subsemigroup or a homomorphic image
         of a validated inverse semigroup, and so associative and inverse by
         construction (Howie, *Fundamentals of Semigroup Theory*, 1995, 5.1):
@@ -167,12 +143,12 @@ class InverseSemigroup:
         generators are the ones Light's test would return.  That every table
         built here passes full validation is a tier-1 test property."""
         s = cls.__new__(cls)
-        s._store(mul, inv, zero, labels, pmaps)
+        s._store(mul, inv, zero, labels)
         s.generators = tuple(_generating_set(s.mul))
         s._index()
         return s
 
-    def _store(self, mul, inv, zero, labels, pmaps) -> None:
+    def _store(self, mul, inv, zero, labels) -> None:
         self.mul = tuple(tuple(row) for row in mul)
         self.inv = tuple(inv)
         self.zero = zero
@@ -180,7 +156,6 @@ class InverseSemigroup:
         if labels is None:
             labels = tuple(str(i) for i in range(self.n))
         self.labels = tuple(labels)
-        self.pmaps = tuple(pmaps) if pmaps is not None else None
 
     def _index(self) -> None:
         self.idempotents = tuple(sorted(e for e in range(self.n) if self.mul[e][e] == e))
@@ -245,9 +220,6 @@ class InverseSemigroup:
     def is_semilattice(self) -> bool:
         return len(self.idempotents) == self.n
 
-    def label(self, a: int) -> str:
-        return self.labels[a]
-
     def elements(self) -> range:
         return range(self.n)
 
@@ -288,9 +260,8 @@ class InverseSemigroup:
         if bad is not None:
             raise ValueError("subset not closed under inversion" if inv[bad] < 0
                              else "subset not closed under products")
-        pmaps = tuple(self.pmaps[a] for a in elems) if self.pmaps is not None else None
         sub = InverseSemigroup._derived(mul, inv, to_sub[self.zero],
-                                        [self.labels[a] for a in elems], pmaps)
+                                        [self.labels[a] for a in elems])
         return sub, to_sub
 
 
@@ -302,6 +273,15 @@ def cayley_graphs(s: InverseSemigroup) -> tuple:
     right = tuple(map(pick, s.mul))
     left = tuple(zip(*pick(s.mul)))
     return right, left
+
+
+@per_semigroup
+def nonzero_down(s: InverseSemigroup) -> tuple:
+    """For each element a, the frozenset of the nonzero t <= a
+    (``NaturalOrder.down``): built once per semigroup for the double-arrow
+    rows and the S-level saturation test."""
+    order, z = s.order(), s.zero
+    return tuple(frozenset(t for t in order.down(a) if t != z) for a in range(s.n))
 
 
 def _picker(indices):
@@ -375,8 +355,11 @@ def _raw(p: PartialBijection) -> tuple:
     return tuple(-1 if y is None else y for y in p.image) + (-1,)
 
 
-def _cooked(raw: tuple) -> PartialBijection:
-    return PartialBijection(len(raw) - 1, tuple(None if y < 0 else y for y in raw[:-1]))
+def _describe(raw: tuple) -> str:
+    """The label of an unnamed element: "0" for the empty map, else
+    "[x>y,...]" over the points where it is defined."""
+    pairs = [f"{x}>{y}" for x, y in enumerate(raw[:-1]) if y >= 0]
+    return "[" + ",".join(pairs) + "]" if pairs else "0"
 
 
 def _right_cayley_closure(seeds: list, max_elements: int) -> tuple:
@@ -489,7 +472,7 @@ def from_partial_bijections(generators, labels=None, max_elements: int = DEFAULT
         if len(labels) != len(gens):
             raise ParseError("one label per generator expected")
         for g, name in zip(gens, labels):
-            name_of.setdefault(g, name)
+            name_of.setdefault(_raw(g), name)
 
     seeds = []
     for g in gens:
@@ -528,20 +511,14 @@ def from_partial_bijections(generators, labels=None, max_elements: int = DEFAULT
     relabel = _picker(order)
     left = [_picker(relabel(row))(pos) for row in left]
     mul = relabel(_trace_rows(left, source, n, pos[zero]))
-    pmaps = [_cooked(elems[x]) for x in order]
-    elem_labels = [name_of.get(p, p.describe()) for p in pmaps]
-    return InverseSemigroup(mul, _picker(relabel(inv))(pos), pos[zero],
-                            labels=elem_labels, pmaps=pmaps)
+    elem_labels = [name_of[p] if p in name_of else _describe(p) for p in relabel(elems)]
+    return InverseSemigroup(mul, _picker(relabel(inv))(pos), pos[zero], labels=elem_labels)
 
 
 def from_tables(mul, inv, zero, labels=None) -> InverseSemigroup:
     """Inverse semigroup from explicit tables; all invariants are validated,
     associativity included, at every size."""
     return InverseSemigroup(mul, inv, zero, labels=labels)
-
-
-def idempotents(s: InverseSemigroup) -> tuple:
-    return s.idempotents
 
 
 def natural_order(s: InverseSemigroup) -> NaturalOrder:

@@ -134,18 +134,6 @@ class GraphPath(Record, compare=("edges", "src")):
             raise ParseError("edge does not extend the path at its source")
         return GraphPath(self.graph, self.edges + (edge_index,), e.src)
 
-    def has_prefix(self, other: "GraphPath") -> bool:
-        """True when self = other * tail (other sits at the range end)."""
-        k = len(other.edges)
-        if k == 0:
-            return self.rng == other.src
-        return self.edges[:k] == other.edges
-
-    def strip_prefix(self, other: "GraphPath") -> "GraphPath":
-        if not self.has_prefix(other):
-            raise ParseError("not a prefix")
-        return GraphPath(self.graph, self.edges[other.length:], self.src)
-
     def describe(self) -> str:
         if not self.edges:
             return f"v{self.src}"

@@ -11,7 +11,7 @@ of the structure theorems collapses to bijectivity of the explicit maps.
 from __future__ import annotations
 
 from .congruences import QuotientSemigroup, condition_L, double_arrow, quotient, rees_quotient
-from .core import InverseSemigroup, _picker, per_semigroup
+from .core import InverseSemigroup, per_semigroup
 from .errors import DomainViolation, InternalContract, NotInvariant
 from .ideals_filters import enumerate_ideals
 from .report import TheoremEntry
@@ -46,29 +46,17 @@ class FiniteGroupoid:
     """Discrete groupoid whose arrows are semigroup elements in canonical
     germ form; composition is the restricted product.
 
-    The public constructor validates the units and arrows.  The universal
-    and tight groupoids of S and their reductions to invariant unit sets are
-    groupoids by construction and are built by ``_derived``, unvalidated;
-    a tier-1 test property (``tests/test_per_semigroup.py``) validates every
-    one that a verify run builds."""
+    The units and arrows are not validated: the universal and tight
+    groupoids of S and their reductions to invariant unit sets are
+    groupoids by construction.  In an inverse semigroup v*v = uu* gives
+    (vu)*(vu) = u*u, so composites of nonzero arrows are nonzero; e -> ueu*
+    maps the idempotents below u*u onto those below uu* in order, so uu* is
+    an atom when u*u is one; and a reduction to an invariant set of units
+    keeps closure under products and inverses.  A tier-1 test property
+    (``tests/test_per_semigroup.py``) checks every groupoid that a verify
+    run builds against the definition."""
 
     def __init__(self, s: InverseSemigroup, units, arrows):
-        self._store(s, units, arrows)
-        self._validate()
-
-    @classmethod
-    def _derived(cls, s: InverseSemigroup, units, arrows) -> "FiniteGroupoid":
-        """The groupoid on units and arrows that form one by construction.
-        In an inverse semigroup v*v = uu* gives (vu)*(vu) = u*u, so
-        composites of nonzero arrows are nonzero; e -> ueu* maps the
-        idempotents below u*u onto those below uu* in order, so uu* is an
-        atom when u*u is one; and a reduction to an invariant set of units
-        keeps closure under products and inverses."""
-        g = cls.__new__(cls)
-        g._store(s, units, arrows)
-        return g
-
-    def _store(self, s: InverseSemigroup, units, arrows) -> None:
         self.s = s
         # d and r in the groupoid sense, as filter minima: source(u) = u*u
         # and range(u) = uu*, read from tables built once per semigroup
@@ -79,30 +67,6 @@ class FiniteGroupoid:
         self._unit_set = frozenset(self.units)
         self._arrow_set = frozenset(self.arrows)
 
-    def _validate(self) -> None:
-        s = self.s
-        units, arrows = self._unit_set, self._arrow_set
-        for m in self.units:
-            if not s.is_idempotent(m) or m == s.zero:
-                raise InternalContract("units must be nonzero idempotents")
-            if m not in arrows:
-                raise InternalContract("identity arrow missing")
-        by_range = {}  # unit -> the arrows with that range, in arrow order
-        for u in self.arrows:
-            if u == s.zero:
-                raise InternalContract("zero cannot be an arrow")
-            if self.source(u) not in units or self.range(u) not in units:
-                raise InternalContract("arrow endpoints escape the unit set")
-            if s.inv[u] not in arrows:
-                raise InternalContract("arrows not closed under inversion")
-            by_range.setdefault(self.range(u), []).append(u)
-        # v*u for every composable pair: row v of the table read at the
-        # arrows u with range the source of v
-        for v in self.arrows:
-            us = by_range.get(self.source(v))
-            if us and not arrows.issuperset(_picker(us)(s.mul[v])):
-                raise InternalContract("arrows not closed under composition")
-
     def composable_pairs(self):
         """Every composable pair (v, u): u in arrow order and, for each u,
         the arrows v whose source is the range of u, in arrow order."""
@@ -112,15 +76,6 @@ class FiniteGroupoid:
         for u in self.arrows:
             for v in by_source.get(self.range(u), ()):
                 yield v, u
-
-    def composable(self, v: int, u: int) -> bool:
-        """(v, u) composable when the source of v is the range of u."""
-        return self.source(v) == self.range(u)
-
-    def compose(self, v: int, u: int) -> int:
-        if not self.composable(v, u):
-            raise DomainViolation("arrows are not composable")
-        return self.s.product(v, u)
 
     def inverse(self, u: int) -> int:
         return self.s.star(u)
@@ -133,12 +88,6 @@ class FiniteGroupoid:
 
     def n_arrows(self) -> int:
         return len(self.arrows)
-
-    def germ(self, a: int, filter_min: int) -> Germ:
-        g = germ_of(self.s, a, filter_min)
-        if g.rep not in self._arrow_set:
-            raise DomainViolation("germ lies outside this groupoid")
-        return g
 
     def unit_orbits(self) -> tuple:
         dsu = UnionFind(self.s.n)
@@ -169,10 +118,10 @@ def build_groupoids(s: InverseSemigroup) -> GroupoidPair:
     lattice = Semilattice.from_semigroup(s)
     units = [e for e in s.idempotents if e != s.zero]
     arrows = [u for u in s.elements() if u != s.zero]
-    universal = FiniteGroupoid._derived(s, units, arrows)
+    universal = FiniteGroupoid(s, units, arrows)
     atom_units = set(atoms(lattice))
     tight_arrows = [u for u in arrows if universal.source(u) in atom_units]
-    tight = FiniteGroupoid._derived(s, sorted(atom_units), tight_arrows)
+    tight = FiniteGroupoid(s, sorted(atom_units), tight_arrows)
     return GroupoidPair(universal, tight)
 
 
@@ -184,7 +133,7 @@ def reduction(g: FiniteGroupoid, unit_subset) -> FiniteGroupoid:
     for u in g.arrows:
         if (g.source(u) in a) != (g.range(u) in a):
             raise NotInvariant(f"arrow {u} crosses the boundary")
-    return FiniteGroupoid._derived(g.s, sorted(a), [u for u in g.arrows if g.source(u) in a])
+    return FiniteGroupoid(g.s, sorted(a), [u for u in g.arrows if g.source(u) in a])
 
 
 class EffectivenessReport(Record):

@@ -9,7 +9,7 @@ operations reduce to mask tests on the bitset view of E
 
 from __future__ import annotations
 
-from .core import InverseSemigroup, cayley_graphs, per_semigroup
+from .core import InverseSemigroup, cayley_graphs, nonzero_down, per_semigroup
 from .errors import DomainViolation, InternalContract
 from .semilattice import Semilattice, atoms, positions
 from .util import Record, UnionFind, group_by, set_field, unions
@@ -76,11 +76,6 @@ def _saturated_mask(lattice: Semilattice, current: int) -> int:
     return current
 
 
-def saturate(lattice: Semilattice, x) -> frozenset:
-    """Least saturated order ideal containing x."""
-    return frozenset(lattice.members(_saturated_mask(lattice, lattice.mask(x))))
-
-
 def is_saturated_order_ideal(lattice: Semilattice, x: frozenset) -> bool:
     members = lattice.mask(x) | 1 << lattice.zero
     return _saturated_mask(lattice, members) == members
@@ -117,9 +112,8 @@ def ideal_trace(s: InverseSemigroup, members: frozenset) -> frozenset:
 def s_level_saturated(s: InverseSemigroup, members: frozenset) -> bool:
     """Saturation tested with down-sets in all of S rather than in E: no
     element outside the set is covered from inside it."""
-    order = s.order()
     z = s.zero
-    down = [set(order.down(a)) - {z} for a in s.elements()]
+    down = nonzero_down(s)
     for a in s.elements():
         if a in members or a == z:
             continue

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 
-from .core import DEFAULT_CLOSURE_CAP, InverseSemigroup
+from .core import DEFAULT_CLOSURE_CAP, InverseSemigroup, _labels
 from .errors import (
     AxiomViolation,
     CapExceeded,
@@ -276,39 +276,6 @@ class SSTriple(Record):
         return f"({self.alpha.describe()},{action.group.labels[self.g]},{self.beta.describe()})"
 
 
-def triple_inverse(action: SelfSimilarAction, t: SSTriple) -> SSTriple:
-    return SSTriple(t.beta, action.group.inverse(t.g), t.alpha)
-
-
-def triple_multiply(action: SelfSimilarAction, t1: SSTriple, t2: SSTriple,
-                    depth: int | None = None) -> SSTriple | None:
-    """Product of two triples; None encodes zero.  With a depth bound, a
-    product needing a longer path raises Overflow instead of truncating."""
-    grp = action.group
-    alpha, g, beta = t1.alpha, t1.g, t1.beta
-    gamma, h, nu = t2.alpha, t2.g, t2.beta
-    if gamma.has_prefix(beta):
-        tail = gamma.strip_prefix(beta)
-        g_tail, coc = act_on_path(action, g, tail)
-        new_alpha = alpha.concat(g_tail)
-        if depth is not None and new_alpha.length > depth:
-            raise Overflow(f"product path length {new_alpha.length} > depth {depth}")
-        out = SSTriple(new_alpha, grp.product(coc, h), nu)
-    elif beta.has_prefix(gamma):
-        tail = beta.strip_prefix(gamma)
-        h_inv = grp.inverse(h)
-        h_tail, coc = act_on_path(action, h_inv, tail)
-        new_beta = nu.concat(h_tail)
-        if depth is not None and new_beta.length > depth:
-            raise Overflow(f"product path length {new_beta.length} > depth {depth}")
-        out = SSTriple(alpha, grp.product(g, grp.inverse(coc)), new_beta)
-    else:
-        return None
-    if out.alpha.src != action.act_vertex(out.g, out.beta.src):
-        raise InternalContract("triple product broke the membership condition")
-    return out
-
-
 ZERO = "0"
 
 
@@ -401,8 +368,8 @@ class TruncatedActionSemigroup(Record):
         return out
 
     def product(self, i: int, j: int) -> int:
-        """The product of elements i and j by table lookups; the same
-        product as ``triple_multiply``."""
+        """The product of elements i and j by table lookups; the oracle
+        ``triple_multiply`` of tests/oracles.py computes it on triples."""
         if i == 0 or j == 0:
             return 0
         tab = self._tables
@@ -801,12 +768,13 @@ def action_from_json(obj: dict) -> SelfSimilarAction:
     if not isinstance(obj, dict):
         raise ParseError("action document must be an object")
     try:
-        grp = FiniteGroup(
-            tuple(tuple(json_int(x, "a group table entry") for x in row)
-                  for row in obj["group"]["mul"]),
-            json_int(obj["group"]["identity"], "the group identity"),
-            tuple(obj["group"].get("labels", [str(i) for i in range(len(obj["group"]["mul"]))])),
-        )
+        group = obj["group"]
+        mul = tuple(tuple(json_int(x, "a group table entry") for x in row)
+                    for row in group["mul"])
+        identity = json_int(group["identity"], "the group identity")
+        labels = _labels(group)
+        grp = FiniteGroup(mul, identity, tuple(map(str, range(len(mul)))) if labels is None
+                          else tuple(labels))
         graph = parse_graph(obj["graph"])
         n_vertices, n_edges = len(graph.vertices), len(graph.edges)
 

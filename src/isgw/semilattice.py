@@ -57,12 +57,6 @@ class Semilattice(Record, compare=("parent",)):
             up[e], down[e], meets[e] = u, d, m
         return Semilattice(s, tuple(up), tuple(down), tuple(meets))
 
-    def meet(self, e: int, f: int) -> int:
-        return self.parent.mul[e][f]
-
-    def leq(self, e: int, f: int) -> bool:
-        return self.meet(e, f) == e
-
     def nonzero(self) -> tuple:
         return tuple(e for e in self.elements if e != self.zero)
 

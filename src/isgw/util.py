@@ -99,9 +99,6 @@ class Decision(Record):
         set_field(self, "value", value)
         set_field(self, "witness", witness)
 
-    def __bool__(self) -> bool:
-        return self.value
-
 
 class UnionFind:
     """Disjoint sets over 0..n-1; every class is rooted at its least member."""

@@ -1,12 +1,14 @@
 import pytest
 
+from isgw.congruences import congruence_closure, make_congruence
 from isgw.core import PartialBijection, from_partial_bijections, from_tables
 from isgw.groupoid import germ_of
 
 
-def element_by_pmap(s, pmap):
-    """Index of a partial bijection in a semigroup built from partial bijections."""
-    return s.pmaps.index(pmap)
+def closure_congruence(s, pairs):
+    """The least congruence containing the pairs, as a Congruence built on
+    the union-find roots that ``congruence_closure`` returns."""
+    return make_congruence(s, congruence_closure(s, pairs).__getitem__)
 
 
 def slice_arrows(g, a, unit_subset):
@@ -31,17 +33,12 @@ def make_i2():
 
 
 def i2_named(s):
-    """Indices of the classically named elements of I2."""
-    by_map = {
-        "I": PartialBijection.identity(2),
-        "X": PartialBijection(2, (1, 0)),
-        "E11": PartialBijection(2, (0, None)),
-        "E22": PartialBijection(2, (None, 1)),
-        "E21": PartialBijection(2, (1, None)),
-        "E12": PartialBijection(2, (None, 0)),
-        "0": PartialBijection.empty(2),
-    }
-    return {name: element_by_pmap(s, p) for name, p in by_map.items()}
+    """Indices of the classically named elements of I2, by their labels in
+    ``make_i2``: the generators keep their names and every other partial
+    bijection is labelled by its points, E21 = [0>1] sending 0 to 1."""
+    labels = {"I": "I", "X": "X", "E11": "E11", "E22": "[1>1]", "E21": "[0>1]",
+              "E12": "[1>0]", "0": "0"}
+    return {name: s.labels.index(label) for name, label in labels.items()}
 
 
 def make_e4():
@@ -53,13 +50,7 @@ def make_e4():
 
 
 def e4_named(s):
-    named = {
-        "e": PartialBijection(3, (0, None, None)),
-        "f": PartialBijection(3, (None, 1, None)),
-        "g": PartialBijection(3, (None, 1, 2)),
-        "0": PartialBijection.empty(3),
-    }
-    return {name: element_by_pmap(s, p) for name, p in named.items()}
+    return {name: s.labels.index(name) for name in ("e", "f", "g", "0")}
 
 
 def make_z2z():

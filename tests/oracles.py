@@ -34,6 +34,17 @@ hull-kernel statements over every family of filters as frozensets, the
 mu-path criterion over all ordered pairs of triples, and the quotient-action
 match with a rebuilt model for every vertex set and its product test over
 all pairs (``isgw.verify``).
+
+The first section holds operations that only the tests use, kept here so
+that ``src/isgw`` holds only what the command line reaches
+(``tests/test_reach.py``): the product, emptiness and label of partial
+bijections (``compose``, ``is_empty``, ``describe``), the prefix test and
+tail of graph paths (``has_prefix``, ``strip_prefix``), the product and
+inverse of triples on path objects (``triple_multiply``,
+``triple_inverse``), and the least saturated order ideal over a set
+(``saturate``).  ``is_groupoid_by_definition`` checks the groupoid axioms,
+which ``FiniteGroupoid`` leaves unchecked because its groupoids are ones by
+construction.
 """
 
 import itertools
@@ -41,9 +52,16 @@ import itertools
 from isgw import congruences as cg
 from isgw import ideals_filters as ifl
 from isgw import selfsimilar as ss
-from isgw.congruences import congruence_closure, equality_congruence, make_congruence
+from isgw.congruences import congruence_closure, make_congruence
 from isgw.core import PartialBijection, from_tables
-from isgw.errors import CapExceeded, NotAssociative, NotInverse, Overflow
+from isgw.errors import (
+    CapExceeded,
+    InternalContract,
+    NotAssociative,
+    NotInverse,
+    Overflow,
+    ParseError,
+)
 from isgw.graphs import (
     GraphPath,
     HereditarySet,
@@ -53,9 +71,80 @@ from isgw.graphs import (
 )
 from isgw.groupoid import reduction
 from isgw.ideals_filters import ideal_generated, ideal_trace
-from isgw.selfsimilar import g_independent_edges, triple_multiply, vertex_orbits
+from isgw.selfsimilar import SSTriple, act_on_path, g_independent_edges, vertex_orbits
 from isgw.semilattice import Semilattice
 from isgw.util import Decision, UnionFind, group_by
+
+
+# -- operations that only the tests use ----------------------------------------
+
+def compose(f, g):
+    """The product f*g of two partial bijections: (f*g)(x) = f(g(x))."""
+    if f.degree != g.degree:
+        raise ValueError("degree mismatch")
+    return PartialBijection(f.degree, tuple(None if y is None else f.image[y] for y in g.image))
+
+
+def is_empty(p) -> bool:
+    return all(y is None for y in p.image)
+
+
+def describe(p) -> str:
+    """The label the closure gives an unnamed partial bijection: "0" for the
+    empty map, else "[x>y,...]" over the points where it is defined."""
+    if is_empty(p):
+        return "0"
+    return "[" + ",".join(f"{x}>{y}" for x, y in enumerate(p.image) if y is not None) + "]"
+
+
+def has_prefix(path, other) -> bool:
+    """True when path = other * tail (other sits at the range end)."""
+    k = len(other.edges)
+    if k == 0:
+        return path.rng == other.src
+    return path.edges[:k] == other.edges
+
+
+def strip_prefix(path, other):
+    """The tail t of path = other * t."""
+    if not has_prefix(path, other):
+        raise ParseError("not a prefix")
+    return GraphPath(path.graph, path.edges[other.length:], path.src)
+
+
+def triple_inverse(action, t):
+    return SSTriple(t.beta, action.group.inverse(t.g), t.alpha)
+
+
+def triple_multiply(action, t1, t2, depth=None):
+    """Product of two triples on the path objects; None encodes zero.  With
+    a depth bound, a product needing a longer path raises Overflow instead
+    of truncating."""
+    grp = action.group
+    alpha, g, beta = t1.alpha, t1.g, t1.beta
+    gamma, h, nu = t2.alpha, t2.g, t2.beta
+    if has_prefix(gamma, beta):
+        g_tail, coc = act_on_path(action, g, strip_prefix(gamma, beta))
+        new_alpha = alpha.concat(g_tail)
+        if depth is not None and new_alpha.length > depth:
+            raise Overflow(f"product path length {new_alpha.length} > depth {depth}")
+        out = SSTriple(new_alpha, grp.product(coc, h), nu)
+    elif has_prefix(beta, gamma):
+        h_tail, coc = act_on_path(action, grp.inverse(h), strip_prefix(beta, gamma))
+        new_beta = nu.concat(h_tail)
+        if depth is not None and new_beta.length > depth:
+            raise Overflow(f"product path length {new_beta.length} > depth {depth}")
+        out = SSTriple(alpha, grp.product(g, grp.inverse(coc)), new_beta)
+    else:
+        return None
+    if out.alpha.src != action.act_vertex(out.g, out.beta.src):
+        raise InternalContract("triple product broke the membership condition")
+    return out
+
+
+def saturate(lattice, x) -> frozenset:
+    """Least saturated order ideal containing x, on the library's masks."""
+    return frozenset(lattice.members(ifl._saturated_mask(lattice, lattice.mask(x))))
 
 
 def downsets(elements: list, leq, cap: int = 1_000_000):
@@ -96,8 +185,8 @@ def subsets(items: list):
 
 
 def all_pairs_closure(generators, labels=None):
-    """(mul, inv, zero, labels, pmaps) of the closure, as the semigroup core
-    built it with validated PartialBijection products: each round multiplies
+    """(mul, inv, zero, labels) of the closure, as the semigroup core built
+    it with validated PartialBijection products: each round multiplies
     every known element a by every element b found in the previous round,
     a*b before b*a."""
     gens = list(generators)
@@ -122,16 +211,16 @@ def all_pairs_closure(generators, labels=None):
         fresh = []
         for a in order[:]:
             for b in frontier:
-                for p in (a * b, b * a):
+                for p in (compose(a, b), compose(b, a)):
                     if add(p):
                         fresh.append(p)
         frontier = fresh
     empty = PartialBijection.empty(gens[0].degree)
     add(empty)
     n = len(order)
-    mul = tuple(tuple(index[order[a] * order[b]] for b in range(n)) for a in range(n))
+    mul = tuple(tuple(index[compose(order[a], order[b])] for b in range(n)) for a in range(n))
     inv = tuple(index[p.inverse()] for p in order)
-    return mul, inv, index[empty], tuple(name_of.get(p, p.describe()) for p in order), tuple(order)
+    return mul, inv, index[empty], tuple(name_of.get(p, describe(p)) for p in order)
 
 
 def cubic_associativity_failure(mul):
@@ -203,13 +292,13 @@ def graph_pair_semigroup(g, depth):
         if i == 0 or j == 0:
             return 0
         (alpha, beta), (gamma, nu) = elements[i], elements[j]
-        if gamma.has_prefix(beta):
-            new_alpha = alpha.concat(gamma.strip_prefix(beta))
+        if has_prefix(gamma, beta):
+            new_alpha = alpha.concat(strip_prefix(gamma, beta))
             if new_alpha.length > depth:
                 raise Overflow(f"product needs a path of length {new_alpha.length}")
             return index[(new_alpha, nu)]
-        if beta.has_prefix(gamma):
-            new_beta = nu.concat(beta.strip_prefix(gamma))
+        if has_prefix(beta, gamma):
+            new_beta = nu.concat(strip_prefix(beta, gamma))
             if new_beta.length > depth:
                 raise Overflow(f"product needs a path of length {new_beta.length}")
             return index[(alpha, new_beta)]
@@ -510,13 +599,13 @@ def is_cover_by_leq(lattice, e, members, *, require_below=False):
     member; with require_below, every member is <= e as well.  The witness
     is the first failure in the order of the carrier and of the members."""
     members = [c for c in members if c != lattice.zero]
-    if require_below and any(not lattice.leq(c, e) for c in members):
-        bad = next(c for c in members if not lattice.leq(c, e))
+    if require_below and any(not lattice.parent.leq(c, e) for c in members):
+        bad = next(c for c in members if not lattice.parent.leq(c, e))
         return Decision(False, ("member_not_below", bad))
     for x in lattice.below(e):
         if x == lattice.zero:
             continue
-        if all(lattice.meet(x, c) == lattice.zero for c in members):
+        if all(lattice.parent.product(x, c) == lattice.zero for c in members):
             return Decision(False, x)
     return Decision(True)
 
@@ -531,7 +620,7 @@ def is_0_disjunctive_by_leq(lattice):
     for f in lattice.nonzero():
         for e in _under(lattice, f):
             found = any(
-                ep != lattice.zero and ep != f and lattice.meet(ep, e) == lattice.zero
+                ep != lattice.zero and ep != f and lattice.parent.product(ep, e) == lattice.zero
                 for ep in lattice.below(f)
             )
             if not found:
@@ -546,7 +635,7 @@ def atoms_by_leq(lattice):
 
 def orthogonals_by_leq(lattice):
     """f -> the elements of the carrier whose meet with f is the zero."""
-    return {f: frozenset(e for e in lattice.elements if lattice.meet(e, f) == lattice.zero)
+    return {f: frozenset(e for e in lattice.elements if lattice.parent.product(e, f) == lattice.zero)
             for f in lattice.elements}
 
 
@@ -559,7 +648,7 @@ def trapping_by_leq(lattice):
     for e in lattice.nonzero():
         for f in _under(lattice, e):
             d = [x for x in lattice.below(e)
-                 if x != lattice.zero and lattice.meet(x, f) == lattice.zero]
+                 if x != lattice.zero and lattice.parent.product(x, f) == lattice.zero]
             if not is_cover_by_leq(lattice, e, d + [f]).value:
                 return Decision(False, (f, e))
     return Decision(True)
@@ -575,11 +664,11 @@ def tight_filters_separate_by_leq(lattice):
     tight = [m for m in lattice.nonzero() if is_ultra_by_leq(lattice, m)]
     for e in lattice.nonzero():
         for m in tight:
-            if not lattice.leq(m, e):
+            if not lattice.parent.leq(m, e):
                 continue
-            excluded = [c for c in lattice.elements if not lattice.leq(m, c)]
-            if not any(lattice.leq(m, x) and lattice.leq(x, e)
-                       and all(lattice.meet(x, c) == lattice.zero for c in excluded)
+            excluded = [c for c in lattice.elements if not lattice.parent.leq(m, c)]
+            if not any(lattice.parent.leq(m, x) and lattice.parent.leq(x, e)
+                       and all(lattice.parent.product(x, c) == lattice.zero for c in excluded)
                        for x in lattice.elements):
                 return Decision(False, (m, e))
     return Decision(True)
@@ -588,7 +677,7 @@ def tight_filters_separate_by_leq(lattice):
 def order_ideals_by_leq(lattice):
     """All nonempty downward-closed subsets of the carrier (each contains
     0), smallest first, by the downset recursion over ``leq``."""
-    out = [x | {lattice.zero} for x in downsets(list(lattice.nonzero()), lattice.leq)]
+    out = [x | {lattice.zero} for x in downsets(list(lattice.nonzero()), lattice.parent.leq)]
     return sorted({frozenset(x) for x in out}, key=lambda x: (len(x), tuple(sorted(x))))
 
 
@@ -620,28 +709,28 @@ def saturate_by_leq(lattice, x):
 def hull_by_leq(lattice, x):
     """Minima of the filters disjoint from x, ascending."""
     return tuple(m for m in sorted(lattice.nonzero())
-                 if not any(lattice.leq(m, e) for e in x))
+                 if not any(lattice.parent.leq(m, e) for e in x))
 
 
 def kernel_by_leq(lattice, filter_mins):
     """Idempotents missed by every filter in the family."""
     return frozenset(e for e in lattice.elements
-                     if not any(lattice.leq(m, e) for m in filter_mins))
+                     if not any(lattice.parent.leq(m, e) for m in filter_mins))
 
 
 def basic_set_by_leq(lattice, e, excluded=()):
     """Filter minima m with m <= e and m <= x for no excluded x."""
     return tuple(m for m in sorted(lattice.nonzero())
-                 if lattice.leq(m, e) and not any(lattice.leq(m, x) for x in excluded))
+                 if lattice.parent.leq(m, e) and not any(lattice.parent.leq(m, x) for x in excluded))
 
 
 def is_ultra_by_leq(lattice, m):
     """No nonzero f outside the filter of m meets every member of it."""
-    members = [e for e in lattice.elements if lattice.leq(m, e)]
+    members = [e for e in lattice.elements if lattice.parent.leq(m, e)]
     for f in lattice.nonzero():
-        if lattice.leq(m, f):
+        if lattice.parent.leq(m, f):
             continue
-        if all(lattice.meet(f, e) != lattice.zero for e in members):
+        if all(lattice.parent.product(f, e) != lattice.zero for e in members):
             return False
     return True
 
@@ -649,10 +738,10 @@ def is_ultra_by_leq(lattice, m):
 def tight_by_is_cover(lattice, m):
     """No cover of a member of the filter of m avoids the filter."""
     for e in lattice.elements:
-        if not lattice.leq(m, e):
+        if not lattice.parent.leq(m, e):
             continue
         outside = [x for x in lattice.below(e)
-                   if x != lattice.zero and not lattice.leq(m, x)]
+                   if x != lattice.zero and not lattice.parent.leq(m, x)]
         if outside and is_cover_by_leq(lattice, e, outside, require_below=True).value:
             return False
     return True
@@ -776,7 +865,25 @@ def is_closed_by_all_pairs(g):
     the source of v equal to the range of u."""
     arrows = set(g.arrows)
     return all(g.s.product(v, u) in arrows
-               for u in g.arrows for v in g.arrows if g.composable(v, u))
+               for u in g.arrows for v in g.arrows if g.source(v) == g.range(u))
+
+
+def is_groupoid_by_definition(g) -> bool:
+    """Whether the units and arrows of g form a groupoid inside its
+    semigroup: the units are nonzero idempotents, each its own identity
+    arrow; no arrow is zero, each has source u*u and range uu* among the
+    units, and its inverse is an arrow; and the arrows are closed under
+    composition over all pairs."""
+    s = g.s
+    units, arrows = set(g.units), set(g.arrows)
+
+    def is_arrow(u) -> bool:
+        source, range_ = s.product(s.star(u), u), s.product(u, s.star(u))
+        return (u != s.zero and g.source(u) == source and g.range(u) == range_
+                and source in units and range_ in units and s.star(u) in arrows)
+
+    return (all(s.is_idempotent(m) and m != s.zero and m in arrows for m in units)
+            and all(map(is_arrow, arrows)) and is_closed_by_all_pairs(g))
 
 
 def _join(s, rho, sigma):
@@ -818,12 +925,13 @@ def congruence_lattice_by_joins(s):
     principals = []
     seen_p = set()
     for a, b in itertools.combinations(range(s.n), 2):
-        p = congruence_closure(s, [(a, b)])
+        p = make_congruence(s, congruence_closure(s, [(a, b)]).__getitem__)
         if p.class_index not in seen_p:
             seen_p.add(p.class_index)
             principals.append(p)
 
-    found = {equality_congruence(s).class_index: equality_congruence(s)}
+    equality = make_congruence(s, lambda a: a)
+    found = {equality.class_index: equality}
     frontier = list(found.values())
     while frontier:
         fresh = []

@@ -2,8 +2,8 @@
 (tests/oracles.py): the double arrow by down-set bitsets, the compatibility
 test, the congruence closure by pair orbits, the congruence lattice from
 covering pairs of E and kernel pairs by partition joins, the flags of each
-congruence, the classes of a class map, and the composition closure of a
-groupoid checked on composable pairs only."""
+congruence, the classes of a class map, and the groupoids built by
+construction against the definition of a groupoid."""
 
 import itertools
 
@@ -12,7 +12,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from isgw.congruences import (
     check_compatible,
-    congruence_closure,
     double_arrow,
     enumerate_congruences,
     rees_congruence,
@@ -20,20 +19,21 @@ from isgw.congruences import (
 )
 from isgw.core import PartialBijection, from_partial_bijections
 from isgw.corpus import builtin_corpus
-from isgw.errors import CapExceeded, InternalContract, NotCongruence
-from isgw.groupoid import FiniteGroupoid, build_groupoids
+from isgw.errors import CapExceeded, NotCongruence
+from isgw.groupoid import FiniteGroupoid, build_groupoids, reduction
 from isgw.ideals_filters import enumerate_ideals
 from isgw.relations import EquivalenceRelation, h_and_mu
 from isgw.util import group_by
 
+from conftest import closure_congruence
 from oracles import (
     classes_by_grouping,
     congruence_closure_by_saturation,
     congruence_flags_by_definition,
     congruence_lattice_by_joins,
     double_arrow_by_intersections,
-    is_closed_by_all_pairs,
     is_compatible_by_products,
+    is_groupoid_by_definition,
 )
 from test_core_oracles import generator_sets
 from test_semilattice import closed_family, family_to_semigroup
@@ -74,7 +74,7 @@ def compatibility_candidates(s):
     bases += [group_by(s.elements(), lambda a: s.product(s.star(a), a)),
               group_by(s.elements(), lambda a: s.product(a, s.star(a)))]
     bases += [rees_congruence(s, i.elements).classes for i in enumerate_ideals(s)]
-    bases += [congruence_closure(s, [p]).classes
+    bases += [closure_congruence(s, [p]).classes
               for p in itertools.combinations(range(s.n), 2)]
     indices = {}
     for classes in bases:
@@ -105,30 +105,20 @@ def assert_lattice_matches(s):
         assert flags == congruence_flags_by_definition(s, rho.classes), rho.classes
 
 
-def _closed(g):
-    try:
-        FiniteGroupoid(g.s, g.units, g.arrows)
-    except InternalContract as exc:
-        assert str(exc) == "arrows not closed under composition"
-        return False
-    return True
-
-
 def assert_groupoid_closure_matches(s):
-    """On the universal and tight groupoids, and on each with one non-unit
-    arrow and its inverse removed."""
+    """The universal and tight groupoids and their reductions to each unit
+    orbit satisfy the definition.  Returns the decisions of the definition
+    on each of the two with one non-unit arrow and its inverse removed, so
+    that a caller can see it fail on some of them."""
     decisions = set()
     pair = build_groupoids(s)
     for g in (pair.universal, pair.tight):
-        candidates = [g]
+        for h in [g] + [reduction(g, orbit) for orbit in g.unit_orbits()]:
+            assert is_groupoid_by_definition(h), h.arrows
         for u in g.arrows:
             if u not in g.units:
                 kept = [v for v in g.arrows if v not in (u, s.star(u))]
-                candidates.append(FiniteGroupoid._derived(s, g.units, kept))
-        for h in candidates:
-            closed = _closed(h)
-            assert closed == is_closed_by_all_pairs(h), h.arrows
-            decisions.add(closed)
+                decisions.add(is_groupoid_by_definition(FiniteGroupoid(s, g.units, kept)))
     return decisions
 
 
@@ -150,7 +140,7 @@ def test_congruence_closure_matches_oracle_on_random_pairs(gens, data):
     s = from_partial_bijections(gens)
     element = st.integers(0, s.n - 1)
     pairs = data.draw(st.lists(st.tuples(element, element), max_size=4))
-    assert congruence_closure(s, pairs).partition() == congruence_closure_by_saturation(s, pairs)
+    assert closure_congruence(s, pairs).partition() == congruence_closure_by_saturation(s, pairs)
 
 
 @st.composite
@@ -222,7 +212,7 @@ def test_congruence_closure_matches_oracle_on_builtin_corpus(corpus_semigroups):
     for s in corpus_semigroups:
         for p in itertools.combinations(range(s.n), 2):
             oracle = congruence_closure_by_saturation(s, [p])
-            assert congruence_closure(s, [p]).partition() == oracle, p
+            assert closure_congruence(s, [p]).partition() == oracle, p
 
 
 def test_congruence_lattice_matches_oracle_on_builtin_corpus(corpus_semigroups):

@@ -7,19 +7,18 @@ from isgw.congruences import (
     congruence_closure,
     double_arrow,
     enumerate_congruences,
-    equality_congruence,
     is_congruence_free,
+    make_congruence,
     quotient,
     rees_congruence,
     rees_quotient,
-    universal_congruence,
 )
 from isgw.core import InverseSemigroup, from_tables, semigroup_from_json
 from isgw.errors import NotCongruence, NotIdeal
 from isgw.ideals_filters import principal_ideal
 from isgw.semilattice import Semilattice, is_0_disjunctive
 
-from conftest import i2_named, make_i2
+from conftest import closure_congruence, i2_named, make_i2
 from test_cli import brandt_doc
 from test_ideals_filters import symmetric_inverse_monoid
 
@@ -29,7 +28,7 @@ def partition_by_labels(s, rho):
 
 
 def test_closure_identifying_units_collapses_ideal(i2, i2n):
-    rho = congruence_closure(i2, [(i2n["I"], i2n["X"])])
+    rho = closure_congruence(i2, [(i2n["I"], i2n["X"])])
     assert partition_by_labels(i2, rho) == {
         frozenset({"I", "X"}),
         frozenset({"0", "E11", "[0>1]", "[1>0]", "[1>1]"}),
@@ -39,11 +38,12 @@ def test_closure_identifying_units_collapses_ideal(i2, i2n):
 
 
 def test_closure_empty_pairs_is_equality(i2):
-    assert congruence_closure(i2, []).is_equality()
+    assert congruence_closure(i2, []) == tuple(range(i2.n))
+    assert closure_congruence(i2, []).is_equality()
 
 
 def test_closure_idempotent_to_zero_gives_rees(i2, i2n):
-    rho = congruence_closure(i2, [(i2n["E11"], i2n["0"])])
+    rho = closure_congruence(i2, [(i2n["E11"], i2n["0"])])
     ideal = {i2n[k] for k in ("0", "E11", "E12", "E21", "E22")}
     assert rho.is_rees
     assert rho.class_of(i2n["0"]) == frozenset(ideal)
@@ -117,7 +117,7 @@ def test_quotient_collapse_e4(e4):
 
 
 def test_quotient_by_equality_is_isomorphic(i2):
-    q = quotient(i2, equality_congruence(i2))
+    q = quotient(i2, make_congruence(i2, lambda a: a))
     assert q.quotient.n == i2.n
     for a in i2.elements():
         for b in i2.elements():
@@ -127,7 +127,7 @@ def test_quotient_by_equality_is_isomorphic(i2):
 
 def test_quotient_by_equality_is_the_semigroup_itself(i2, e4, z2z):
     for s in (i2, e4, z2z):
-        q = quotient(s, equality_congruence(s))
+        q = quotient(s, make_congruence(s, lambda a: a))
         assert q.quotient is s
         assert q.projection == tuple(range(s.n))
         assert rees_quotient(s, {s.zero}).quotient is s
@@ -276,8 +276,8 @@ def test_double_arrow_always_zero_restricted_congruence(i2, e4, z2z):
 
 
 def test_universal_and_equality_flags(i2):
-    assert equality_congruence(i2).is_idempotent_separating
-    assert universal_congruence(i2).is_rees
+    assert make_congruence(i2, lambda a: a).is_idempotent_separating
+    assert make_congruence(i2, lambda a: 0).is_rees
 
 
 def all_partitions(items):

@@ -89,28 +89,29 @@ def test_group_with_zero_has_isotropy(z2z):
 
 
 def test_composition_matches_formula(i2):
+    """Arrows v, u compose when the source of v is the range of u, and the
+    composite is the product: [v, beta_u(F)][u, F] = [vu, F]."""
     s = i2
-    pair = build_groupoids(s)
-    g = pair.universal
+    g = build_groupoids(s).universal
     for u in g.arrows:
         for v in g.arrows:
-            if g.composable(v, u):
-                w = g.compose(v, u)
-                # germ composition law: [v, beta_u(F)][u, F] = [vu, F]
-                assert w == s.product(v, u)
+            if g.source(v) == g.range(u):
+                w = s.product(v, u)
+                assert w in g.arrows
                 assert g.source(w) == g.source(u)
                 assert g.range(w) == g.range(v)
     for u in g.arrows:
-        assert g.compose(u, g.source(u)) == u
-        assert g.compose(g.range(u), u) == u
-        assert g.compose(g.inverse(u), u) == g.source(u)
+        assert s.product(u, g.source(u)) == u
+        assert s.product(g.range(u), u) == u
+        assert s.product(g.inverse(u), u) == g.source(u)
 
 
 def test_composition_associative(i2):
-    g = build_groupoids(i2).universal
+    s = i2
+    g = build_groupoids(s).universal
     for a, b, c in itertools.product(g.arrows, repeat=3):
-        if g.composable(a, b) and g.composable(b, c):
-            assert g.compose(g.compose(a, b), c) == g.compose(a, g.compose(b, c))
+        if g.source(a) == g.range(b) and g.source(b) == g.range(c):
+            assert s.product(s.product(a, b), c) == s.product(a, s.product(b, c))
 
 
 def test_germ_domain_violation(i2, i2n):

@@ -19,13 +19,12 @@ from isgw.ideals_filters import (
     order_ideals,
     principal_ideal,
     s_level_saturated,
-    saturate,
 )
 from isgw.semilattice import Semilattice
 from isgw.verify import check_hull_kernel
 
 from conftest import make_chain
-from oracles import saturated_ideal_generated, subsets
+from oracles import saturate, saturated_ideal_generated, subsets
 
 
 @pytest.fixture(scope="module")

@@ -82,6 +82,27 @@ def _action(**changes):
     return dict(ACTION_DOC, **changes)
 
 
+# Z/2 acting trivially on the two-petal rose (the builtin LAZY-Z2), its
+# group labels a list with an integer and a bare string
+LAZY_Z2_DOC = {
+    "group": {"mul": [[0, 1], [1, 0]], "identity": 0, "labels": ["1", "t"]},
+    "graph": {"vertices": 1, "edges": [{"id": "a", "src": 0, "rng": 0},
+                                       {"id": "b", "src": 0, "rng": 0}]},
+    "vertex_action": [[0], [0]],
+    "edge_action": [[0, 1], [0, 1]],
+    "cocycle": [[0, 0], [0, 0]],
+}
+GROUP_LABELS = {"int-in-list": [0, "t"], "string": "1t"}
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_LABELS))
+def test_group_labels_that_are_no_list_of_strings_are_a_parse_error(name):
+    doc = dict(LAZY_Z2_DOC, group=dict(LAZY_Z2_DOC["group"], labels=GROUP_LABELS[name]))
+    results = run_both(doc, "action", ["selfsimilar"])
+    assert [code for code, _ in results] == [2, 2]
+    assert all(err == "error: labels must be a list of strings\n" for _, err in results)
+
+
 NOT_INTEGERS = {
     "degree-float": ("semigroup", {"degree": 2.7, "generators": [[1, 0]]}),
     "degree-bool": ("semigroup", {"degree": True, "generators": [[0]]}),

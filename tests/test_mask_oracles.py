@@ -23,7 +23,6 @@ from isgw.ideals_filters import (
     is_saturated_order_ideal,
     kernel,
     order_ideals,
-    saturate,
 )
 from isgw.semilattice import (
     Semilattice,
@@ -46,6 +45,7 @@ from oracles import (
     kernel_by_leq,
     order_ideals_by_leq,
     orthogonals_by_leq,
+    saturate,
     saturate_by_leq,
     tight_by_is_cover,
     tight_filters_separate_by_leq,

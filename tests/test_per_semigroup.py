@@ -23,6 +23,7 @@ from isgw.corpus import CorpusInstance
 from isgw.groupoid import FiniteGroupoid, build_groupoids, condition_K
 from isgw.relations import centralizer, h_and_mu
 from isgw.semilattice import Semilattice
+from oracles import is_groupoid_by_definition
 from test_cli import I2_DOC, SWAP_LADDER_DOC
 from test_ideals_filters import symmetric_inverse_monoid
 
@@ -50,10 +51,11 @@ def order_masks_of_the_idempotents(s):
     return Semilattice.from_semigroup(s)
 
 
-CACHED = [InverseSemigroup.order, h_and_mu, centralizer, double_arrow, condition_L,
-          enumerate_congruences, ifl.enumerate_ideals, ifl.d_class_idempotents,
-          build_groupoids, condition_K, quotient_by_an_ideal, rees_quotient_by_an_ideal,
-          rees_quotient_by_a_set_then_a_frozenset, order_masks_of_the_idempotents]
+CACHED = [InverseSemigroup.order, h_and_mu, centralizer, double_arrow, cg.double_arrow_rows,
+          core.nonzero_down, condition_L, enumerate_congruences, ifl.enumerate_ideals,
+          ifl.d_class_idempotents, build_groupoids, condition_K, quotient_by_an_ideal,
+          rees_quotient_by_an_ideal, rees_quotient_by_a_set_then_a_frozenset,
+          order_masks_of_the_idempotents]
 
 
 @pytest.mark.parametrize("fn", CACHED)
@@ -69,17 +71,31 @@ def test_equal_congruences_share_one_quotient(i2, i2n):
     assert cg.rees_quotient(i2, ideal) is cg.quotient(i2, rho)
 
 
-def record_derived(monkeypatch, cls) -> list:
-    """Every object that ``cls._derived`` builds from now on, in order."""
+def record_derived(monkeypatch) -> list:
+    """Every semigroup that ``InverseSemigroup._derived`` builds from now
+    on, in order."""
     built = []
-    original = cls._derived
+    original = InverseSemigroup._derived
 
     def recording(*args):
         made = original(*args)
         built.append(made)
         return made
 
-    monkeypatch.setattr(cls, "_derived", staticmethod(recording))
+    monkeypatch.setattr(InverseSemigroup, "_derived", staticmethod(recording))
+    return built
+
+
+def record_groupoids(monkeypatch) -> list:
+    """Every FiniteGroupoid built from now on, in order."""
+    built = []
+    original = FiniteGroupoid.__init__
+
+    def recording(self, *args):
+        original(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(FiniteGroupoid, "__init__", recording)
     return built
 
 
@@ -105,7 +121,7 @@ def test_analyze_builds_no_table_twice(tmp_path, monkeypatch, capsys):
         return original(self)
 
     monkeypatch.setattr(InverseSemigroup, "_validate", recording)
-    derived = record_derived(monkeypatch, InverseSemigroup)
+    derived = record_derived(monkeypatch)
     light = count_calls(monkeypatch, core, "_check_associative")
     path = tmp_path / "i2.json"
     path.write_text(json.dumps(I2_DOC))
@@ -117,37 +133,25 @@ def test_analyze_builds_no_table_twice(tmp_path, monkeypatch, capsys):
     assert len(set(tables)) == len(tables)
 
 
-def test_verify_validates_no_groupoid(tmp_path, monkeypatch, capsys):
-    """The groupoids of S and their reductions are groupoids by
-    construction: a verify of I2 builds them all without validation."""
-    built = record_derived(monkeypatch, FiniteGroupoid)
-    validated = count_calls(monkeypatch, FiniteGroupoid, "_validate")
-    (tmp_path / "i2.json").write_text(json.dumps({**I2_DOC, "kind": "semigroup"}))
-    assert cli.main(["verify", str(tmp_path), "--json"]) == 0
-    capsys.readouterr()
-    assert built and validated == []
-
-
 def test_structures_built_by_construction_pass_full_validation(tmp_path, monkeypatch, capsys):
-    """Every subsemigroup, quotient and groupoid that a verify run and
-    ``analyze semigroup`` on I3 build without validation passes it in
-    full, and a semigroup keeps the generators of Light's test."""
-    semigroups = record_derived(monkeypatch, InverseSemigroup)
-    groupoids = record_derived(monkeypatch, FiniteGroupoid)
+    """Every subsemigroup and quotient that a verify run and ``analyze
+    semigroup`` on I3 build without validation passes it in full, and keeps
+    the generators of Light's test; every groupoid they build satisfies the
+    definition (``oracles.is_groupoid_by_definition``)."""
+    semigroups = record_derived(monkeypatch)
+    groupoids = record_groupoids(monkeypatch)
     path = tmp_path / "i3.json"
     path.write_text(json.dumps(I3_DOC))
     assert cli.main(["verify", "builtin", "--json", "--seed", "0"]) == 0
     assert cli.main(["analyze", "semigroup", str(path), "--json"]) == 0
     capsys.readouterr()
-    assert any(q.pmaps is not None for q in semigroups)  # restrictions
-    assert any(q.pmaps is None for q in semigroups)  # quotients
+    assert semigroups
     for q in semigroups:
-        full = InverseSemigroup(q.mul, q.inv, q.zero, labels=q.labels, pmaps=q.pmaps)
+        full = InverseSemigroup(q.mul, q.inv, q.zero, labels=q.labels)
         assert full.generators == q.generators
         assert full.idempotents == q.idempotents
     assert groupoids
-    for g in groupoids:
-        g._validate()
+    assert all(map(is_groupoid_by_definition, groupoids))
 
 
 def test_a_call_that_raises_stores_nothing():
@@ -205,6 +209,29 @@ def test_verify_builds_each_quotient_once(monkeypatch, capsys):
     assert keys and len(set(keys)) == len(keys)
 
 
+def test_verify_computes_the_double_arrow_rows_once_per_semigroup(monkeypatch, capsys):
+    """``verify builtin`` reads the double-arrow rows of a semigroup for its
+    classes and again for the transitivity test of
+    ``double_arrow_is_zero_restricted_congruence``: one computation per
+    semigroup, each reading the down-sets once."""
+    rows = count_calls(monkeypatch, cg, "nonzero_down")
+    assert cli.main(["verify", "builtin", "--json", "--seed", "3"]) == 0
+    capsys.readouterr()
+    semigroups = [s for s, in rows]
+    assert len(semigroups) == len(set(map(id, semigroups))) == 135
+
+
+def test_verify_forms_each_down_set_once(monkeypatch, capsys):
+    """The double-arrow rows and the S-level saturation test share one set
+    of nonzero down-sets per semigroup, so ``verify builtin`` forms the
+    down-set of each element of each semigroup once."""
+    calls = count_calls(monkeypatch, core.NaturalOrder, "down")
+    assert cli.main(["verify", "builtin", "--json", "--seed", "3"]) == 0
+    capsys.readouterr()
+    keys = [(id(order), a) for order, a in calls]  # the calls keep each order alive
+    assert keys and len(set(keys)) == len(keys)
+
+
 def test_enumerate_ideals_returns_a_tuple(i2):
     assert isinstance(ifl.enumerate_ideals(i2), tuple)
 
@@ -244,14 +271,7 @@ def test_analyze_ideals_tests_no_order_ideal_for_invariance(tmp_path, monkeypatc
 
 
 def test_congruence_lattice_is_closed_once(monkeypatch):
-    calls = []
-    original = cg._merge_pair_orbits
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(cg, "_merge_pair_orbits", counting)
+    calls = count_calls(monkeypatch, cg, "congruence_closure")
     s = make_i2()
     first = enumerate_congruences(s)
     assert calls
@@ -265,11 +285,11 @@ def test_lattice_joins_close_no_pair_orbits(monkeypatch):
     principal congruence: 32 covering pairs of E (a Boolean lattice of rank
     4) and the non-idempotents x with x <= x*; the joins close none."""
     s = symmetric_inverse_monoid(4)
-    calls = count_calls(monkeypatch, cg, "_merge_pair_orbits")
+    calls = count_calls(monkeypatch, cg, "congruence_closure")
     assert len(enumerate_congruences(s)) == 11
     lattice = Semilattice.from_semigroup(s)
     covers = [(e, f) for e in s.idempotents for f in lattice.below(e) if f != e
-              and not any(lattice.leq(f, g) for g in lattice.below(e) if g not in (e, f))]
+              and not any(lattice.parent.leq(f, g) for g in lattice.below(e) if g not in (e, f))]
     kernel = [x for x in s.elements() if not s.is_idempotent(x) and x <= s.star(x)]
     assert len(covers) == 32
     assert len(calls) == len(covers) + len(kernel)

@@ -46,7 +46,6 @@ def test_frozen_records_reject_assignment_and_deletion():
         del d.witness
     with pytest.raises(AttributeError):
         d.extra = 1
-    assert not d and Decision(True)
 
 
 def test_mutable_records_take_defaults_and_assignment_and_are_unhashable():

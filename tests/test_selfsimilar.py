@@ -41,7 +41,6 @@ from isgw.selfsimilar import (
     quotient_action,
     ss_semigroup,
     strongly_fixed_finite,
-    triple_multiply,
     trivial_action,
     validate_action,
 )
@@ -57,6 +56,8 @@ from oracles import (
     is_acyclic_by_recursion,
     longest_path_length_by_recursion,
     strongly_fixed_by_recursion,
+    triple_inverse,
+    triple_multiply,
 )
 
 
@@ -131,7 +132,6 @@ def test_triple_multiply_second_branch(mirror):
     out = triple_multiply(mirror, t1, t2)
     assert out == t1
     # and the involution identity (xy)* = y*x* holds on this product
-    from isgw.selfsimilar import triple_inverse
 
     lhs = triple_inverse(mirror, out)
     rhs = triple_multiply(mirror, triple_inverse(mirror, t2),

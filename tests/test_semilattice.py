@@ -28,9 +28,9 @@ def li2(i2):
 def cover_oracle(lattice, e, members):
     """Exhaustive scan straight from the definition."""
     for x in lattice.elements:
-        if x == lattice.zero or not lattice.leq(x, e):
+        if x == lattice.zero or not lattice.parent.leq(x, e):
             continue
-        if all(lattice.meet(x, c) == lattice.zero for c in members):
+        if all(lattice.parent.product(x, c) == lattice.zero for c in members):
             return False
     return True
 
@@ -42,8 +42,8 @@ def test_cover_e4(le4, e4n):
     # {e} does not cover g-down, witness f (or g); the witness must be valid
     d = is_cover(le4, e4n["g"], [e4n["e"]])
     assert not d.value
-    assert le4.leq(d.witness, e4n["g"]) and d.witness != le4.zero
-    assert le4.meet(d.witness, e4n["e"]) == le4.zero
+    assert le4.parent.leq(d.witness, e4n["g"]) and d.witness != le4.zero
+    assert le4.parent.product(d.witness, e4n["e"]) == le4.zero
 
 
 def test_cover_reflexive(le4, li2):

@@ -17,12 +17,10 @@ from isgw.selfsimilar import (
     mirror_action,
     quotient_action,
     ss_semigroup,
-    triple_inverse,
-    triple_multiply,
     vertex_path,
 )
 
-from oracles import triple_table_by_objects
+from oracles import triple_inverse, triple_multiply, triple_table_by_objects
 from test_cli import SWAP_LADDER_DOC
 
 
