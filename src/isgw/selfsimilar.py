@@ -416,19 +416,24 @@ class TruncatedActionSemigroup(Record):
         for j in range(1, n):
             by_alpha.setdefault(tab.triples[j][0], []).append(j)
         partners = {}
-        mul = [[0] * n for _ in range(n)]
+        mul = [(0,) * n]  # each row becomes a tuple at once: one table is alive
         for i in range(1, n):
             beta = tab.triples[i][2]
             if beta not in partners:
                 partners[beta] = [j for gamma, js in by_alpha.items()
                                   if (beta, gamma) in tab.strip or (gamma, beta) in tab.strip
                                   for j in js]
-            row = mul[i]
+            row = [0] * n
             for j in partners[beta]:
                 row[j] = self.product(i, j)
+            mul.append(tuple(row))
         inv = [self.involution(i) for i in range(n)]
         labels = [ZERO] + [t.describe(self.action) for t in self.elements[1:]]
-        return InverseSemigroup(mul, inv, 0, labels=labels)
+        # The triples with |alpha| + |beta| <= 1, vertices before edges, generate
+        # the model; Light's test scans them first.
+        size = [0] + [tab.length[alpha] + tab.length[beta] for alpha, _, beta in tab.triples[1:]]
+        hint = [i for short in (0, 1) for i in range(1, n) if size[i] == short]
+        return InverseSemigroup(mul, inv, 0, labels=labels, hint=hint)
 
 
 def ss_semigroup(action: SelfSimilarAction, depth: int) -> TruncatedActionSemigroup:

@@ -1,11 +1,15 @@
+import random
+import sys
+import tracemalloc
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isgw.core import InverseSemigroup, _check_associative
 from isgw.corpus import fixture_actions, fixture_graphs
 from isgw import selfsimilar as ss
-from isgw.errors import AxiomViolation, CapExceeded, NotInvariant, Overflow
+from isgw.errors import AxiomViolation, CapExceeded, NotAssociative, NotInvariant, Overflow
 from isgw.graphs import (
     DirectedGraph,
     Edge,
@@ -28,6 +32,7 @@ from isgw.selfsimilar import (
     SSTriple,
     SelfSimilarAction,
     act_on_path,
+    action_from_json,
     all_rees_ss,
     condition_M_ss,
     edge_swap_action,
@@ -54,11 +59,13 @@ from oracles import (
     hereditary_invariant_masks,
     hereditary_sets_by_masks,
     is_acyclic_by_recursion,
+    light_test_by_tuple_rows,
     longest_path_length_by_recursion,
     strongly_fixed_by_recursion,
     triple_inverse,
     triple_multiply,
 )
+from test_cli import SWAP_LADDER_DOC
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +304,99 @@ def test_cycle_conditions_match_enumeration_oracles_on_random_graphs(g):
 def test_strongly_fixed_matches_recursive_oracle_on_random_actions(g, a):
     _assert_strongly_fixed_matches(trivial_action(g))
     _assert_strongly_fixed_matches(a)
+
+
+def _chain_model(k):
+    return exact_model(trivial_action(_graph(k + 1, [(i, i + 1) for i in range(k)])))
+
+
+def _short_triples(model):
+    """The triples with |alpha| + |beta| <= 1, vertices before edges, each
+    part in index order: the hint a model gives Light's test."""
+    size = {i: t.alpha.length + t.beta.length for i, t in enumerate(model.elements) if i}
+    return [i for short in (0, 1) for i in size if size[i] == short]
+
+
+def _generated(mul, gens):
+    """Every product g1*g2*...*gk of the generators, by a search of the
+    right Cayley graph."""
+    seen = set(gens)
+    frontier = list(seen)
+    while frontier:
+        frontier = [y for x in frontier for y in (mul[x][g] for g in gens) if y not in seen]
+        seen.update(frontier)
+    return seen
+
+
+def _ladder_model():
+    return exact_model(action_from_json(SWAP_LADDER_DOC))
+
+
+@pytest.mark.parametrize("build, count", [
+    (lambda: _chain_model(5), 16), (lambda: _chain_model(10), 31), (_ladder_model, 10)],
+    ids=["chain5", "chain10", "swap-ladder"])
+def test_model_generators_are_short_triples(build, count):
+    """Light's test runs over the vertices and edges of an exact model: the
+    3k + 1 of them for a k-edge chain, where a scan in index order keeps 27
+    and 77 elements at k = 5 and 10, and 10 of them for the edge-swap ladder
+    (17 by index)."""
+    model = build()
+    s = model.to_inverse_semigroup()
+    hint = _short_triples(model)
+    assert len(s.generators) == count
+    assert list(s.generators) == [i for i in hint if i in s.generators]
+    if model.action.group.size == 1:
+        assert list(s.generators) == hint
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda model, hint: [i for i in hint if model.elements[i].alpha.length
+                         + model.elements[i].beta.length == 1],
+    lambda model, hint: hint[::-1],
+    lambda model, hint: [next(i for i in range(1, len(model.elements)) if i not in hint)] + hint,
+], ids=["edges-only", "reversed", "non-hint-first"])
+def test_any_hint_keeps_light_test_sound(mutate):
+    """Whatever indices the hint holds, the scan still visits every element:
+    the table validates, the generators generate it, and a table with one
+    entry changed gets the verdict of the unhinted test."""
+    rng = random.Random(0)
+    for model in (_chain_model(5), _ladder_model()):
+        s = model.to_inverse_semigroup()
+        hint = mutate(model, _short_triples(model))
+        t = InverseSemigroup(s.mul, s.inv, s.zero, labels=s.labels, hint=hint)
+        assert t.generators[0] == hint[0]
+        assert _generated(t.mul, t.generators) == set(range(s.n))
+        for _ in range(20):
+            rows = [list(row) for row in s.mul]
+            a, b, c = (rng.randrange(s.n) for _ in range(3))
+            rows[a][b] = c
+            mul = tuple(map(tuple, rows))
+            assert _associative(_check_associative, mul, hint) == \
+                _associative(light_test_by_tuple_rows, mul)
+
+
+def _associative(check, *args):
+    try:
+        check(*args)
+    except NotAssociative:
+        return False
+    return True
+
+
+def test_model_keeps_one_table_alive_at_a_time():
+    """Building the 286-element model of an 8-edge chain allocates little
+    beyond what it keeps: each row becomes a tuple as it is filled, so no
+    second n x n table is alive at once."""
+    _chain_model(8).to_inverse_semigroup()  # first call outside the trace
+    tracemalloc.start()
+    try:
+        s = _chain_model(8).to_inverse_semigroup()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table = sys.getsizeof(s.mul) + sum(map(sys.getsizeof, s.mul))
+    assert s.n == 286
+    assert peak - retained <= 0.25 * table
 
 
 def test_long_chains_and_cycles_need_no_recursion():
