@@ -14,8 +14,7 @@ words, (w*g)*b = w*(g*b): the row of w*g is the row of w read through the
 fixed map b -> g*b of the seed g, one getter per seed and one C call per row
 (Froidure & Pin, "Algorithms for computing finite semigroups", 1997).
 Associativity is checked at every size by Light's test against a generating
-set of the table (Clifford & Preston, vol. 1, section 1.2), whose rows are
-compared as ``bytes`` up to 256 elements and as tuples above; a caller that
+set of the table (Clifford & Preston, vol. 1, section 1.2); a caller that
 knows a small generating set, such as the vertices and edges of a triple
 model, has it scanned first.
 """
@@ -126,9 +125,9 @@ class InverseSemigroup:
     semigroup is immutable afterwards.  ``generators`` is the generating set
     of Light's associativity test (``_generating_set`` of the table), which
     scans the indices of ``hint`` first: a caller that knows a small
-    generating set passes it there.  A
-    subsemigroup (``restrict``) or a quotient by a congruence is built by
-    ``_derived``, which skips the checks its validated source guarantees.
+    generating set passes it there.  A subsemigroup (``restrict``) or a
+    quotient by a congruence is built by ``_derived``, which skips the checks
+    its validated source guarantees.
     Structures derived from S alone (natural order, Cayley graphs, H/mu,
     ideals, double arrow, congruence lattice, groupoids) are computed on
     first use and cached, see ``per_semigroup``.
@@ -136,8 +135,7 @@ class InverseSemigroup:
 
     def __init__(self, mul, inv, zero, labels=None, hint=()):
         self._store(mul, inv, zero, labels)
-        self.generators = tuple(hint)  # Light's test scans these first
-        self._validate()
+        self._validate(hint)
         self._index()
 
     @classmethod
@@ -170,7 +168,7 @@ class InverseSemigroup:
 
     # -- validation ---------------------------------------------------------
 
-    def _validate(self) -> None:
+    def _validate(self, hint=()) -> None:
         n = self.n
         if n == 0:
             raise NotInverse("empty carrier")
@@ -190,7 +188,7 @@ class InverseSemigroup:
             if self.mul[z][s] != z or self.mul[s][z] != z:
                 raise NotInverse(f"designated zero is not absorbing at {s}")
 
-        self.generators = _check_associative(self.mul, self.generators)
+        self.generators = _check_associative(self.mul, hint)
 
         for s in range(n):
             t = self.inv[s]
@@ -341,28 +339,15 @@ def _check_associative(mul, hint=()) -> tuple:
     generating set passes (Clifford & Preston, vol. 1, section 1.2).  G is
     ``_generating_set(mul, hint)``: for a closure a subset of the seeds, plus
     the zero when it is adjoined; for a triple model its vertices and edges;
-    for a semilattice it can be all of S.  Each (g, x) pair reads row g
-    through row x and compares the result with row x*g at C speed, O(n^2*|G|)
-    in all.  Up to 256 elements a row is a ``bytes`` padded to 256 with the
-    byte n, which every padded row maps to itself, so ``bytes.translate``
-    gives the padded row of x*(g*y) and a pair costs one translate and one
-    memcmp; larger rows are tuples read by an itemgetter.  The pairs are
-    scanned g-major and x-ascending, and the first failing (x, g, y) is
-    named from the tuple rows.  Returns G.
+    for a semilattice it can be all of S.  Each (g, x) pair compares a whole
+    row at C speed: O(n^2*|G|).  Returns G.
     """
     gens = tuple(_generating_set(mul, hint))
-    n = len(mul)
-    if n <= 256:
-        pad = bytes((n,) * (256 - n))
-        rows = [bytes(row) + pad for row in mul]
-        readers = (rows[g].translate for g in gens)
-    else:
-        rows = mul
-        readers = (_picker(mul[g]) for g in gens)
-    for g, times_g in zip(gens, readers):  # times_g: row x -> x*(g*y) for every y
-        for x, row in enumerate(rows):
-            if times_g(row) != rows[row[g]]:
-                row, row_g = mul[x], mul[g]
+    for g in gens:
+        row_g = mul[g]
+        times_g = _picker(row_g)  # row x -> x*(g*y) for every y
+        for x, row in enumerate(mul):
+            if times_g(row) != mul[row[g]]:
                 y = next(y for y, xgy in enumerate(mul[row[g]]) if xgy != row[row_g[y]])
                 raise NotAssociative(f"({x}*{g})*{y} != {x}*({g}*{y})")
     return gens
@@ -535,11 +520,7 @@ def from_partial_bijections(generators, labels=None, max_elements: int = DEFAULT
     left = [_picker(relabel(row))(pos) for row in left]
     mul = relabel(_trace_rows(left, source, n, pos[zero]))
     elem_labels = [name_of[p] if p in name_of else _describe(p) for p in relabel(elems)]
-    inv, zero = _picker(relabel(inv))(pos), pos[zero]
-    # validation makes a byte copy of a table of up to 256 elements; the
-    # scaffolding of the closure is freed first
-    del elems, index, right, source, left, order, pos
-    return InverseSemigroup(mul, inv, zero, labels=elem_labels)
+    return InverseSemigroup(mul, _picker(relabel(inv))(pos), pos[zero], labels=elem_labels)
 
 
 def from_tables(mul, inv, zero, labels=None) -> InverseSemigroup:

@@ -1,6 +1,6 @@
 """Brute-force or superseded versions of library routines, kept as test
 oracles: the all-pairs closure of partial bijections, the n^3 associativity
-loop, Light's test on tuple rows at every size, the any()-scan natural order, the down-set of an element by a scan of
+loop, the any()-scan natural order, the down-set of an element by a scan of
 S, and table validation with the direct scan for a second inverse
 (``isgw.core``); the path-pair product of the
 graph inverse semigroup, the condition (M) scans for graphs and for
@@ -53,7 +53,7 @@ from isgw import congruences as cg
 from isgw import ideals_filters as ifl
 from isgw import selfsimilar as ss
 from isgw.congruences import congruence_closure, make_congruence
-from isgw.core import PartialBijection, _generating_set, _picker, from_tables
+from isgw.core import PartialBijection, from_tables
 from isgw.errors import (
     CapExceeded,
     InternalContract,
@@ -230,21 +230,6 @@ def cubic_associativity_failure(mul):
         if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
             return a, b, c
     return None
-
-
-def light_test_by_tuple_rows(mul) -> tuple:
-    """Light's test over tuple rows alone, at every size (the core reads a
-    table of up to 256 elements as bytes): returns the generators, or raises
-    ``NotAssociative`` naming the first failing (x, g, y)."""
-    gens = tuple(_generating_set(mul))
-    for g in gens:
-        row_g = mul[g]
-        times_g = _picker(row_g)  # row x -> x*(g*y) for every y
-        for x, row in enumerate(mul):
-            if times_g(row) != mul[row[g]]:
-                y = next(y for y, xgy in enumerate(mul[row[g]]) if xgy != row[row_g[y]])
-                raise NotAssociative(f"({x}*{g})*{y} != {x}*({g}*{y})")
-    return gens
 
 
 def any_scan_order(mul, idempotents):

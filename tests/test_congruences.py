@@ -141,9 +141,9 @@ def test_quotient_by_a_proper_congruence_is_built_by_construction(monkeypatch):
     validated = []
     original = InverseSemigroup._validate
 
-    def recording(self):
+    def recording(self, *args):
         validated.append(self)
-        return original(self)
+        return original(self, *args)
 
     monkeypatch.setattr(InverseSemigroup, "_validate", recording)
     q = rees_quotient(s, principal_ideal(s, i2_named(s)["E11"])).quotient

@@ -116,9 +116,9 @@ def test_analyze_builds_no_table_twice(tmp_path, monkeypatch, capsys):
     tables = []
     original = InverseSemigroup._validate
 
-    def recording(self):
+    def recording(self, *args):
         tables.append(self.mul)
-        return original(self)
+        return original(self, *args)
 
     monkeypatch.setattr(InverseSemigroup, "_validate", recording)
     derived = record_derived(monkeypatch)
