@@ -81,11 +81,12 @@ class NaturalOrder(Record):
     each comparison is one table lookup and no n x n table is kept.
     """
 
-    __slots__ = ("mul", "dom", "idempotents")
+    __slots__ = ("mul", "dom", "ran", "idempotents")
 
-    def __init__(self, mul: tuple, dom: tuple, idempotents: tuple):
+    def __init__(self, mul: tuple, dom: tuple, ran: tuple, idempotents: tuple):
         set_field(self, "mul", mul)
         set_field(self, "dom", dom)  # dom[s] = star(s)*s
+        set_field(self, "ran", ran)  # ran[s] = s*star(s) = dom[star(s)]
         set_field(self, "idempotents", idempotents)
 
     def holds(self, s: int, t: int) -> bool:
@@ -232,13 +233,8 @@ class InverseSemigroup:
 
     @per_semigroup
     def order(self) -> NaturalOrder:
-        return NaturalOrder(self.mul, tuple(self.mul[t][s] for s, t in enumerate(self.inv)),
-                            self.idempotents)
-
-    def leq(self, s: int, t: int) -> bool:
-        """s <= t iff s = t*(s*s), read from the table (``NaturalOrder``)."""
-        mul = self.mul
-        return mul[t][mul[self.inv[s]][s]] == s
+        dom = tuple(self.mul[t][s] for s, t in enumerate(self.inv))
+        return NaturalOrder(self.mul, dom, _picker(self.inv)(dom), self.idempotents)
 
     def restrict(self, subset) -> tuple:
         """Sub-semigroup on a product/inverse-closed subset containing zero.

@@ -13,10 +13,10 @@ from __future__ import annotations
 from .congruences import QuotientSemigroup, condition_L, double_arrow, quotient, rees_quotient
 from .core import InverseSemigroup, per_semigroup
 from .errors import DomainViolation, InternalContract, NotInvariant
-from .ideals_filters import enumerate_ideals
+from .ideals_filters import d_classes, enumerate_ideals
 from .report import TheoremEntry
 from .semilattice import Semilattice, atoms, is_cover
-from .util import Decision, Record, UnionFind, group_by, set_field
+from .util import Decision, Record, set_field
 
 
 class Germ(Record):
@@ -34,7 +34,8 @@ def germ_of(s: InverseSemigroup, a: int, filter_min: int) -> Germ:
     """Canonicalize the germ of (a, F) where F is the filter with the given
     minimum; requires a*a in F."""
     m = filter_min
-    if not s.leq(m, s.product(s.star(a), a)):
+    order = s.order()
+    if not order.holds(m, order.dom[a]):
         raise DomainViolation("element is not defined on that filter")
     rep = s.product(a, m)
     if rep == s.zero:
@@ -52,7 +53,8 @@ class FiniteGroupoid:
     (vu)*(vu) = u*u, so composites of nonzero arrows are nonzero; e -> ueu*
     maps the idempotents below u*u onto those below uu* in order, so uu* is
     an atom when u*u is one; and a reduction to an invariant set of units
-    keeps closure under products and inverses.  A tier-1 test property
+    keeps closure under products and inverses.  The unit set of each is a
+    union of D-classes, and its arrows are all the u with u*u in it.  A tier-1 test property
     (``tests/test_per_semigroup.py``) checks every groupoid that a verify
     run builds against the definition."""
 
@@ -60,8 +62,9 @@ class FiniteGroupoid:
         self.s = s
         # d and r in the groupoid sense, as filter minima: source(u) = u*u
         # and range(u) = uu*, read from tables built once per semigroup
-        self.source = s.order().dom.__getitem__
-        self.range = _ranges(s).__getitem__
+        order = s.order()
+        self.source = order.dom.__getitem__
+        self.range = order.ran.__getitem__
         self.units = tuple(sorted(units))
         self.arrows = tuple(sorted(arrows))
         self._unit_set = frozenset(self.units)
@@ -90,17 +93,9 @@ class FiniteGroupoid:
         return len(self.arrows)
 
     def unit_orbits(self) -> tuple:
-        dsu = UnionFind(self.s.n)
-        for u in self.arrows:
-            dsu.union(self.source(u), self.range(u))
-        return tuple(group_by(self.units, dsu.find))
-
-
-@per_semigroup
-def _ranges(s: InverseSemigroup) -> tuple:
-    """uu* for every element u, read as the domain of u*."""
-    dom = s.order().dom
-    return tuple(dom[b] for b in s.inv)
+        """The D-classes inside the units: every arrow u of S with source
+        u*u among them is an arrow here, so the orbits are whole classes."""
+        return tuple(c for c in d_classes(self.s) if c <= self._unit_set)
 
 
 class GroupoidPair(Record):
@@ -329,10 +324,11 @@ def verify_structure_theorems(s: InverseSemigroup) -> list:
                                   "tight_groupoid_collapse_isomorphism"))
     # the collapse map formula holds on non-canonical germ presentations too
     bad = None
+    order = s.order()
     for a in s.nonzero():
-        dom = s.product(s.star(a), a)
+        dom = order.dom[a]
         for m in tight.units:
-            if s.leq(m, dom):
+            if order.holds(m, dom):
                 lhs = germ_of(tq, q.projection[a], q.projection[m])
                 rhs = germ_of(tq, q.projection[s.product(a, m)], q.projection[m])
                 if lhs != rhs:
@@ -399,19 +395,21 @@ def weakly_fixed_criterion(s: InverseSemigroup) -> WeaklyFixedReport:
     fixed idempotents.  The implication chain linking effectiveness, this
     criterion and the fundamental quotient is evaluated alongside."""
     lattice = Semilattice.from_semigroup(s)
+    order = s.order()
     criterion = Decision(True)
     for a in s.nonzero():
-        dom = s.product(s.star(a), a)
+        dom = order.dom[a]
         for e in lattice.nonzero():
-            if not s.leq(e, dom):
+            if not order.holds(e, dom):
                 continue
+            below = lattice.members(lattice.down[e])
             weakly_fixed = all(
                 s.product(s.product(s.product(a, f), s.star(a)), f) != s.zero
-                for f in lattice.below(e) if f != s.zero
+                for f in below if f != s.zero
             )
             if not weakly_fixed:
                 continue
-            fixed = [f for f in lattice.below(e)
+            fixed = [f for f in below
                      if f != s.zero and s.product(a, f) == f]
             if not (fixed and is_cover(lattice, e, fixed, require_below=True).value):
                 criterion = Decision(False, (a, e))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .core import InverseSemigroup, cayley_graphs, nonzero_down, per_semigroup
 from .errors import DomainViolation, InternalContract
 from .semilattice import Semilattice, atoms, positions
-from .util import Record, UnionFind, group_by, set_field, unions
+from .util import Record, set_field, unions
 
 
 # -- order ideals of E --------------------------------------------------------
@@ -44,21 +44,36 @@ def _order_ideals(s: InverseSemigroup) -> tuple:
 
 
 def is_invariant_order_ideal(s: InverseSemigroup, x: frozenset) -> bool:
-    """X is invariant when a*a lies in X whenever aa* does: for each e in X,
-    the mask of the a*a with aa* = e lies inside X, |X| mask tests."""
+    """X is invariant when a*a lies in X whenever aa* does, that is, when X
+    is a union of D-classes: |X| mask tests."""
     members = Semilattice.from_semigroup(s).mask(x)
-    domains = _domains_over_ranges(s)
-    return all(not domains[e] & ~members for e in x)
+    classes = d_class_masks(s)
+    return all(not classes[e] & ~members for e in x)
+
+
+# -- D-classes of E -------------------------------------------------------------
+
+@per_semigroup
+def d_class_masks(s: InverseSemigroup) -> tuple:
+    """Each idempotent e mapped to the mask of its D-class (0 off E).  In an
+    inverse semigroup e D f iff e = aa* and f = a*a for some a (Lawson,
+    *Inverse Semigroups*, 1998, chapter 3), so one pass over the domain and
+    range tables sets bit a*a in the mask of aa*: O(n) lookups."""
+    order = s.order()
+    out = [0] * s.n
+    for d, r in zip(order.dom, order.ran):
+        out[r] |= 1 << d
+    return tuple(out)
 
 
 @per_semigroup
-def _domains_over_ranges(s: InverseSemigroup) -> tuple:
-    """Each element e mapped to the mask of the a*a with aa* = e (0 off E):
-    O(n) lookups."""
-    out = [0] * s.n
-    for a, b in enumerate(s.inv):
-        out[s.mul[a][b]] |= 1 << s.mul[b][a]
-    return tuple(out)
+def d_classes(s: InverseSemigroup) -> tuple:
+    """The D-classes of E, {0} included, as frozensets ordered by least
+    member.  They are the ideals' principal generators, the orbits of the
+    conjugation action on filters and the unit orbits of every groupoid."""
+    masks = d_class_masks(s)
+    return tuple(frozenset(positions(masks[e])) for e in s.idempotents
+                 if masks[e] & -masks[e] == 1 << e)
 
 
 def _saturated_mask(lattice: Semilattice, current: int) -> int:
@@ -126,17 +141,6 @@ def s_level_saturated(s: InverseSemigroup, members: frozenset) -> bool:
 
 
 @per_semigroup
-def d_class_idempotents(s: InverseSemigroup) -> tuple:
-    """The least idempotent of each D-class, ascending.  In an inverse
-    semigroup a*a D a D aa*, so one union-find pass over the elements, joining
-    a*a with aa*, groups the idempotents by D-class: O(n) lookups."""
-    dsu = UnionFind(s.n)
-    for a, b in enumerate(s.inv):
-        dsu.union(s.mul[b][a], s.mul[a][b])
-    return tuple(min(c) for c in group_by(s.idempotents, dsu.find))
-
-
-@per_semigroup
 def enumerate_ideals(s: InverseSemigroup) -> tuple:
     """All ideals of S, smallest first.
 
@@ -144,13 +148,13 @@ def enumerate_ideals(s: InverseSemigroup) -> tuple:
     the zero ideal every union of principal ideals is an ideal.  In a
     finite inverse semigroup J = D and SaS = S(a*a)S, so one principal
     ideal is formed per D-class, from its least idempotent
-    (``d_class_idempotents``; Howie, *Fundamentals of Semigroup Theory*,
+    (``d_classes``; Howie, *Fundamentals of Semigroup Theory*,
     1995, section 5.1).  The verify check ``ideal_correspondence`` compares
     the result with the bijection with invariant order ideals of E (X maps
     to SXS, an ideal to its idempotents)."""
     lattice = Semilattice.from_semigroup(s)
 
-    principals = [principal_ideal(s, e) for e in d_class_idempotents(s)]
+    principals = [principal_ideal(s, min(c)) for c in d_classes(s)]
     ideal_sets = unions(principals, frozenset({s.zero}))
 
     out = []
@@ -263,8 +267,8 @@ def beta_act(s: InverseSemigroup, a: int, filter_min: int) -> int:
     ``conjugation_action_is_invertible`` compares the up-closure of a F a*
     with the up-set of the image."""
     m = filter_min
-    dom = s.product(s.star(a), a)
-    if not s.leq(m, dom):
+    order = s.order()
+    if not order.holds(m, order.dom[a]):
         raise DomainViolation("filter does not contain a*a")
     return s.product(s.product(a, m), s.star(a))
 
@@ -279,23 +283,17 @@ class InvariantSubsetsReport(Record):
         set_field(self, "invariant_tight_subsets", invariant_tight_subsets)
 
 
-def _filter_orbits(s: InverseSemigroup, mins) -> list:
-    dsu = UnionFind(s.n)
-    for a in s.elements():
-        dom = s.product(s.star(a), a)
-        for m in mins:
-            if s.leq(m, dom):
-                dsu.union(m, s.product(s.product(a, m), s.star(a)))
-    return group_by(mins, dsu.find)
-
-
 def invariant_subsets(s: InverseSemigroup) -> InvariantSubsetsReport:
     """The orbits of the conjugation action on the filter space, and the
     invariant subsets of its tight part.  The verify checks
     ``hull_invariance_transfer`` and ``tight_ideal_correspondence`` compare
-    them with the invariant order ideals of E through hull and kernel."""
+    them with the invariant order ideals of E through hull and kernel.
+
+    The filter with minimum m <= a*a goes to the one with minimum a m a*,
+    and m D a m a* by way of am, so the orbits are the D-classes of the
+    nonzero idempotents."""
     space = filter_space(Semilattice.from_semigroup(s))
-    orbits = _filter_orbits(s, space.mins)
+    orbits = [c for c in d_classes(s) if s.zero not in c]
     for orbit in orbits:
         kinds = {m in space.tight for m in orbit}
         if len(kinds) > 1:

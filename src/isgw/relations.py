@@ -69,8 +69,8 @@ def h_and_mu(s: InverseSemigroup) -> RelationsReport:
     a's row over the idempotents: two lookups per (a, e) pair, at C speed
     through ``itemgetter``."""
     n = s.n
-    dom = s.order().dom
-    ranges = tuple(map(s.product, range(n), s.inv))
+    order = s.order()
+    dom, ranges = order.dom, order.ran
     h_rel = EquivalenceRelation.from_class_map(n, lambda a: (dom[a], ranges[a]))
 
     pick_e = _picker(s.idempotents)

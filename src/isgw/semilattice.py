@@ -60,12 +60,6 @@ class Semilattice(Record, compare=("parent",)):
     def nonzero(self) -> tuple:
         return tuple(e for e in self.elements if e != self.zero)
 
-    def below(self, e: int) -> tuple:
-        """The f <= e in E (zero included), ascending: f <= e iff e*f = f,
-        read from the row of e."""
-        row = self.parent.mul[e]
-        return tuple(f for f in self.elements if row[f] == f)
-
     def label(self, e: int) -> str:
         return self.parent.labels[e]
 

@@ -1,7 +1,7 @@
 """Small shared helpers: the record base class, boolean decisions with
-witnesses, union-find, grouping into classes, the unions of a family of
-sets, reachability and strongly connected components over an adjacency
-map, and the integer reader of the JSON documents."""
+witnesses, union-find, the unions of a family of sets, reachability and
+strongly connected components over an adjacency map, and the integer
+reader of the JSON documents."""
 
 from __future__ import annotations
 
@@ -135,14 +135,6 @@ class UnionFind:
         for a, p in enumerate(parent):
             parent[a] = parent[p]
         return tuple(parent)
-
-
-def group_by(items, key) -> list:
-    """Classes of items with equal key, as frozensets sorted by least member."""
-    buckets = {}
-    for a in items:
-        buckets.setdefault(key(a), set()).add(a)
-    return sorted((frozenset(c) for c in buckets.values()), key=min)
 
 
 def unions(family, base) -> list:

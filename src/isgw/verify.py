@@ -256,7 +256,7 @@ def check_hull_kernel(s: InverseSemigroup, rng: random.Random) -> list:
     nonzero = list(lattice.nonzero())
     while samples < SAMPLES_PER_INSTANCE and nonzero:
         e = rng.choice(nonzero)
-        below = [x for x in lattice.below(e) if x != lattice.zero]
+        below = [x for x in lattice.members(lattice.down[e]) if x != lattice.zero]
         c = [x for x in below if rng.random() < 0.5]
         covers = is_cover(lattice, e, c, require_below=True).value
         if (not space.tight_basic_set(e, c)) != covers:
@@ -323,11 +323,12 @@ def check_beta_action(s: InverseSemigroup) -> list:
     lattice = Semilattice.from_semigroup(s)
     up = lattice.up
     mins = [e for e in s.idempotents if e != s.zero]
+    order = s.order()
     for a in s.elements():
         a_star = s.star(a)
-        dom = s.product(a_star, a)
+        dom = order.dom[a]
         for m in mins:
-            if not s.leq(m, dom):
+            if not order.holds(m, dom):
                 continue
             image = ifl.beta_act(s, a, m)
             closure = 0
@@ -505,7 +506,7 @@ def check_graph_instance(inst: CorpusInstance) -> list:
     atoms_count = build_groupoids(s).tight.n_units()
     sources = [v for v in g.vertices if g.in_degree(v) == 0]
     maximal_paths = sum(
-        1 for p in _all_paths(exact) if p.src in sources
+        1 for p in paths_up_to(exact.action.graph, exact.depth) if p.src in sources
     )
     out.append(_entry("tight_units_are_maximal_path_filters",
                       atoms_count == maximal_paths,
@@ -514,10 +515,6 @@ def check_graph_instance(inst: CorpusInstance) -> list:
     out.append(_entry("graph_condition_l_matches_collapse",
                       cg.condition_L(s) == conditions.condition_l.value))
     return out
-
-
-def _all_paths(truncated):
-    return paths_up_to(truncated.action.graph, truncated.depth)
 
 
 # -- action-level checks -----------------------------------------------------------

@@ -17,7 +17,7 @@ def slice_arrows(g, a, unit_subset):
     s = g.s
     out = []
     for m in unit_subset:
-        if s.leq(m, s.product(s.star(a), a)):
+        if s.order().holds(m, s.order().dom[a]):
             germ = germ_of(s, a, m)
             if germ.rep in g.arrows:
                 out.append(germ)

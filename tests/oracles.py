@@ -17,7 +17,10 @@ least saturated ideal over given idempotents (``isgw.ideals_filters``,
 ``isgw.congruences``); the order ideals of E, invariance, saturation, hull,
 kernel, basic sets, ultrafilters and tight filters by ``leq`` loops instead
 of bitsets (``isgw.ideals_filters``, ``isgw.verify``); mu by the conjugation of every idempotent and
-the homomorphism test over all pairs of elements (``isgw.relations``); the double arrow by down-set intersections, the
+the homomorphism test over all pairs of elements (``isgw.relations``); the
+D-classes of E by a union-find of a*a with aa*, the filter orbits by the
+conjugation of every filter, and the unit orbits of a groupoid by a
+union-find over its arrows (``isgw.ideals_filters``, ``isgw.groupoid``); the double arrow by down-set intersections, the
 compatibility test over all products and the congruence closure saturated
 by all elements, the congruence lattice by joins of whole congruences, and
 the flags of a congruence read off its classes (``isgw.congruences``); the
@@ -37,7 +40,8 @@ all pairs (``isgw.verify``).
 
 The first section holds operations that only the tests use, kept here so
 that ``src/isgw`` holds only what the command line reaches
-(``tests/test_reach.py``): the product, emptiness and label of partial
+(``tests/test_reach.py``): the natural order by its definition (``leq``),
+grouping into classes (``group_by``), the product, emptiness and label of partial
 bijections (``compose``, ``is_empty``, ``describe``), the prefix test and
 tail of graph paths (``has_prefix``, ``strip_prefix``), the product and
 inverse of triples on path objects (``triple_multiply``,
@@ -73,10 +77,23 @@ from isgw.groupoid import reduction
 from isgw.ideals_filters import ideal_generated, ideal_trace
 from isgw.selfsimilar import SSTriple, act_on_path, g_independent_edges, vertex_orbits
 from isgw.semilattice import Semilattice
-from isgw.util import Decision, UnionFind, group_by
+from isgw.util import Decision, UnionFind
 
 
 # -- operations that only the tests use ----------------------------------------
+
+def leq(s, x, y) -> bool:
+    """The natural order by its definition: x = y*e for some idempotent e."""
+    return any(s.product(y, e) == x for e in s.idempotents)
+
+
+def group_by(items, key) -> list:
+    """Classes of items with equal key, as frozensets sorted by least member."""
+    buckets = {}
+    for a in items:
+        buckets.setdefault(key(a), set()).add(a)
+    return sorted((frozenset(c) for c in buckets.values()), key=min)
+
 
 def compose(f, g):
     """The product f*g of two partial bijections: (f*g)(x) = f(g(x))."""
@@ -573,7 +590,7 @@ def finite_cover_witnesses_by_leq(s):
     for ideal in ideals_by_unions(s):
         x = [e for e in s.idempotents if e in ideal and e != s.zero]
         out[frozenset(x) | {s.zero}] = tuple(
-            e for e in x if not any(f != e and s.leq(f, e) for f in x))
+            e for e in x if not any(f != e and leq(s, f, e) for f in x))
     return out
 
 
@@ -594,15 +611,20 @@ def saturated_ideal_generated(s, seed):
 
 # -- the idempotent semilattice by leq loops ----------------------------------
 
+def below(lattice, e):
+    """The f <= e in the carrier (zero included), ascending, by ``leq``."""
+    return [f for f in lattice.elements if leq(lattice.parent, f, e)]
+
+
 def is_cover_by_leq(lattice, e, members, *, require_below=False):
     """e -> C by a scan of the carrier: every nonzero x <= e meets some
     member; with require_below, every member is <= e as well.  The witness
     is the first failure in the order of the carrier and of the members."""
     members = [c for c in members if c != lattice.zero]
-    if require_below and any(not lattice.parent.leq(c, e) for c in members):
-        bad = next(c for c in members if not lattice.parent.leq(c, e))
+    if require_below and any(not leq(lattice.parent, c, e) for c in members):
+        bad = next(c for c in members if not leq(lattice.parent, c, e))
         return Decision(False, ("member_not_below", bad))
-    for x in lattice.below(e):
+    for x in below(lattice, e):
         if x == lattice.zero:
             continue
         if all(lattice.parent.product(x, c) == lattice.zero for c in members):
@@ -611,7 +633,7 @@ def is_cover_by_leq(lattice, e, members, *, require_below=False):
 
 
 def _under(lattice, e):
-    return [f for f in lattice.below(e) if f != e and f != lattice.zero]
+    return [f for f in below(lattice, e) if f != e and f != lattice.zero]
 
 
 def is_0_disjunctive_by_leq(lattice):
@@ -621,7 +643,7 @@ def is_0_disjunctive_by_leq(lattice):
         for e in _under(lattice, f):
             found = any(
                 ep != lattice.zero and ep != f and lattice.parent.product(ep, e) == lattice.zero
-                for ep in lattice.below(f)
+                for ep in below(lattice, f)
             )
             if not found:
                 return Decision(False, (e, f))
@@ -647,7 +669,7 @@ def trapping_by_leq(lattice):
     carrier."""
     for e in lattice.nonzero():
         for f in _under(lattice, e):
-            d = [x for x in lattice.below(e)
+            d = [x for x in below(lattice, e)
                  if x != lattice.zero and lattice.parent.product(x, f) == lattice.zero]
             if not is_cover_by_leq(lattice, e, d + [f]).value:
                 return Decision(False, (f, e))
@@ -664,10 +686,10 @@ def tight_filters_separate_by_leq(lattice):
     tight = [m for m in lattice.nonzero() if is_ultra_by_leq(lattice, m)]
     for e in lattice.nonzero():
         for m in tight:
-            if not lattice.parent.leq(m, e):
+            if not leq(lattice.parent, m, e):
                 continue
-            excluded = [c for c in lattice.elements if not lattice.parent.leq(m, c)]
-            if not any(lattice.parent.leq(m, x) and lattice.parent.leq(x, e)
+            excluded = [c for c in lattice.elements if not leq(lattice.parent, m, c)]
+            if not any(leq(lattice.parent, m, x) and leq(lattice.parent, x, e)
                        and all(lattice.parent.product(x, c) == lattice.zero for c in excluded)
                        for x in lattice.elements):
                 return Decision(False, (m, e))
@@ -677,7 +699,8 @@ def tight_filters_separate_by_leq(lattice):
 def order_ideals_by_leq(lattice):
     """All nonempty downward-closed subsets of the carrier (each contains
     0), smallest first, by the downset recursion over ``leq``."""
-    out = [x | {lattice.zero} for x in downsets(list(lattice.nonzero()), lattice.parent.leq)]
+    out = [x | {lattice.zero} for x in downsets(list(lattice.nonzero()),
+                                                        lambda x, y: leq(lattice.parent, x, y))]
     return sorted({frozenset(x) for x in out}, key=lambda x: (len(x), tuple(sorted(x))))
 
 
@@ -699,7 +722,7 @@ def saturate_by_leq(lattice, x):
         for e in lattice.nonzero():
             if e in current:
                 continue
-            members = [c for c in lattice.below(e) if c in current and c != lattice.zero]
+            members = [c for c in below(lattice, e) if c in current and c != lattice.zero]
             if members and is_cover_by_leq(lattice, e, members, require_below=True).value:
                 current.add(e)
                 changed = True
@@ -709,26 +732,26 @@ def saturate_by_leq(lattice, x):
 def hull_by_leq(lattice, x):
     """Minima of the filters disjoint from x, ascending."""
     return tuple(m for m in sorted(lattice.nonzero())
-                 if not any(lattice.parent.leq(m, e) for e in x))
+                 if not any(leq(lattice.parent, m, e) for e in x))
 
 
 def kernel_by_leq(lattice, filter_mins):
     """Idempotents missed by every filter in the family."""
     return frozenset(e for e in lattice.elements
-                     if not any(lattice.parent.leq(m, e) for m in filter_mins))
+                     if not any(leq(lattice.parent, m, e) for m in filter_mins))
 
 
 def basic_set_by_leq(lattice, e, excluded=()):
     """Filter minima m with m <= e and m <= x for no excluded x."""
     return tuple(m for m in sorted(lattice.nonzero())
-                 if lattice.parent.leq(m, e) and not any(lattice.parent.leq(m, x) for x in excluded))
+                 if leq(lattice.parent, m, e) and not any(leq(lattice.parent, m, x) for x in excluded))
 
 
 def is_ultra_by_leq(lattice, m):
     """No nonzero f outside the filter of m meets every member of it."""
-    members = [e for e in lattice.elements if lattice.parent.leq(m, e)]
+    members = [e for e in lattice.elements if leq(lattice.parent, m, e)]
     for f in lattice.nonzero():
-        if lattice.parent.leq(m, f):
+        if leq(lattice.parent, m, f):
             continue
         if all(lattice.parent.product(f, e) != lattice.zero for e in members):
             return False
@@ -738,10 +761,10 @@ def is_ultra_by_leq(lattice, m):
 def tight_by_is_cover(lattice, m):
     """No cover of a member of the filter of m avoids the filter."""
     for e in lattice.elements:
-        if not lattice.parent.leq(m, e):
+        if not leq(lattice.parent, m, e):
             continue
-        outside = [x for x in lattice.below(e)
-                   if x != lattice.zero and not lattice.parent.leq(m, x)]
+        outside = [x for x in below(lattice, e)
+                   if x != lattice.zero and not leq(lattice.parent, m, x)]
         if outside and is_cover_by_leq(lattice, e, outside, require_below=True).value:
             return False
     return True
@@ -848,7 +871,7 @@ def strong_effectiveness_by_all_unions(g):
     orbits, in order of size and then of orbits: the first union whose
     reduction has a unit with nontrivial isotropy, with that unit and
     arrow, fails it."""
-    orbits = g.unit_orbits()
+    orbits = unit_orbits_by_arrows(g)
     for k in range(len(orbits) + 1):
         for combo in itertools.combinations(orbits, k):
             subset = frozenset().union(*combo) if combo else frozenset()
@@ -858,6 +881,39 @@ def strong_effectiveness_by_all_unions(g):
                     if u != m:
                         return Decision(False, (subset, (m, u)))
     return Decision(True)
+
+
+def unit_orbits_by_arrows(g):
+    """The unit orbits of a groupoid by one union-find over every arrow u,
+    joining its source u*u with its range uu*, both formed by products."""
+    s = g.s
+    dsu = UnionFind(s.n)
+    for u in g.arrows:
+        dsu.union(s.product(s.star(u), u), s.product(u, s.star(u)))
+    return tuple(group_by(g.units, dsu.find))
+
+
+def d_class_minima_by_union_find(s):
+    """The least idempotent of each D-class, ascending: a*a D a D aa*, so
+    one union-find pass joining a*a with aa* for every element a."""
+    dsu = UnionFind(s.n)
+    for a in s.elements():
+        dsu.union(s.product(s.star(a), a), s.product(a, s.star(a)))
+    return tuple(min(c) for c in group_by(s.idempotents, dsu.find))
+
+
+def filter_orbits_by_conjugation(s):
+    """The orbits of the conjugation action on the filters, by their minima:
+    m joined with a m a* for every element a and every nonzero idempotent
+    m <= a*a, O(n*|E|) products."""
+    mins = [e for e in s.idempotents if e != s.zero]
+    dsu = UnionFind(s.n)
+    for a in s.elements():
+        dom = s.product(s.star(a), a)
+        for m in mins:
+            if s.product(dom, m) == m:
+                dsu.union(m, s.product(s.product(a, m), s.star(a)))
+    return group_by(mins, dsu.find)
 
 
 def is_closed_by_all_pairs(g):

@@ -238,6 +238,14 @@ GOLDEN_SHA256 = {
         "075c71550544fd2ec3c396c2be51098d8a04ea428c6e1f89918a85ac39d5f3dc",
     "analyze ideals i2.json --json":
         "3c9460b6292cae6cda8eddfd95c9d9bcfa5623aa6a73fc03ad2b31519f5f2769",
+    "analyze ideals mid/BRANDT-Z2-5.json --json":
+        "4343401c60849b08ab4b5ba04db7d1068166f588fa7e4760bb9bdbf5f5a1bc8c",
+    "analyze ideals mid/RND4-A.json --json":
+        "e491b5be9073b93d07f4fd0ac6841b78b35f4cd8af6154c6c70479efa2782ab9",
+    "analyze groupoid i2.json --json":
+        "e56abdb68acbf589d9efa4a3c578985edca714f666ecac4aab39a69e189a93f0",
+    "analyze groupoid mid/BRANDT-Z2-5.json --json":
+        "304719227a27e237ed603e1dbffeead014b0f524833c4fc294a3324d28324e82",
     "analyze semilattice i2.json --json":
         "9b75d0c2e36bc8cd4fb1f081157f8b69c272e0693b633c3f370b77ddaf4b968b",
     "analyze semilattice e4.json --json":

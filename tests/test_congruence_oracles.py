@@ -23,7 +23,6 @@ from isgw.errors import CapExceeded, NotCongruence
 from isgw.groupoid import FiniteGroupoid, build_groupoids, reduction
 from isgw.ideals_filters import enumerate_ideals
 from isgw.relations import EquivalenceRelation, h_and_mu
-from isgw.util import group_by
 
 from conftest import closure_congruence
 from oracles import (
@@ -32,6 +31,7 @@ from oracles import (
     congruence_flags_by_definition,
     congruence_lattice_by_joins,
     double_arrow_by_intersections,
+    group_by,
     is_compatible_by_products,
     is_groupoid_by_definition,
 )

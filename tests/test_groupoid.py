@@ -31,7 +31,7 @@ def brute_force_germs(s):
     of the filter', computed without the canonical-form shortcut."""
     mins = [e for e in s.idempotents if e != s.zero]
     pairs = [(a, m) for a in s.elements() if a != s.zero
-             for m in mins if s.leq(m, s.product(s.star(a), a))]
+             for m in mins if s.order().holds(m, s.order().dom[a])]
 
     def same(p, q):
         (a, m), (b, mm) = p, q
@@ -39,7 +39,7 @@ def brute_force_germs(s):
             return False
         return any(
             s.product(a, e) == s.product(b, e)
-            for e in s.idempotents if s.leq(m, e)
+            for e in s.idempotents if s.order().holds(m, e)
         )
 
     classes = []

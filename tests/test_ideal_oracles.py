@@ -1,7 +1,8 @@
 """Ideals by generator search against their all-products oracles
 (tests/oracles.py): principal ideals, one per D-class, the ideal
-enumeration, and the ideal test of the Rees congruence; and the SXS round
-trip of the verify check ``ideal_correspondence`` on the same semigroups."""
+enumeration, and the ideal test of the Rees congruence; the SXS round
+trip of the verify check ``ideal_correspondence`` on the same semigroups;
+and the D-classes of E against the three computations they replaced."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,22 +12,27 @@ from isgw.core import from_partial_bijections
 from isgw.corpus import builtin_corpus
 from isgw.errors import NotIdeal
 from isgw.ideals_filters import (
-    d_class_idempotents,
+    d_classes,
     enumerate_ideals,
     ideal_generated,
+    invariant_subsets,
     is_invariant_order_ideal,
     order_ideals,
     principal_ideal,
 )
+from isgw.groupoid import build_groupoids, reduction
 from isgw.semilattice import Semilattice
 from isgw.verify import _ideal_round_trip_failure
 
 from oracles import (
+    d_class_minima_by_union_find,
+    filter_orbits_by_conjugation,
     ideals_by_unions,
     is_ideal_by_products,
     principal_ideal_by_products,
     principal_ideals_by_products,
     sxs_by_products,
+    unit_orbits_by_arrows,
 )
 from test_core_oracles import generator_sets
 
@@ -47,7 +53,7 @@ def assert_ideals_match(s):
         if is_invariant_order_ideal(s, x):
             assert ideal_generated(s, x) == sxs_by_products(s, x), sorted(x)
     # J = D: one distinct principal ideal per D-class, from its least idempotent
-    reps = d_class_idempotents(s)
+    reps = [min(c) for c in d_classes(s)]
     by_class = [principal_ideal(s, e) for e in reps]
     assert len(set(by_class)) == len(reps)
     assert set(by_class) == principal_ideals_by_products(s)
@@ -62,6 +68,26 @@ def assert_traces_are_the_invariant_order_ideals(s):
     scan = [x for x in order_ideals(Semilattice.from_semigroup(s))
             if is_invariant_order_ideal(s, x)]
     assert {i.trace for i in enumerate_ideals(s)} == set(scan)
+
+
+def assert_d_classes_match(s):
+    """``d_classes`` against (a) the union-find of a*a with aa*, by class
+    minima, (b) {0} and the conjugation orbits of the filters, and (c) the
+    arrow union-find orbits of the universal and tight groupoids and of
+    each reduction of them to one orbit."""
+    classes = d_classes(s)
+    assert tuple(min(c) for c in classes) == d_class_minima_by_union_find(s)
+    zero = frozenset({s.zero})
+    assert classes == tuple(sorted([zero] + filter_orbits_by_conjugation(s), key=min))
+    assert invariant_subsets(s).orbits == tuple(c for c in classes if c != zero)
+    pair = build_groupoids(s)
+    for g in (pair.universal, pair.tight):
+        units = frozenset(g.units)
+        inside = tuple(c for c in classes if c <= units)
+        assert g.unit_orbits() == unit_orbits_by_arrows(g) == inside
+        for orbit in inside:
+            h = reduction(g, orbit)
+            assert h.unit_orbits() == unit_orbits_by_arrows(h) == (orbit,)
 
 
 def assert_rees_test_matches(s):
@@ -90,6 +116,12 @@ def test_ideal_traces_match_invariance_scan_on_random_closures(gens):
 
 @settings(max_examples=200, deadline=None)
 @given(generator_sets())
+def test_d_classes_match_oracles_on_random_closures(gens):
+    assert_d_classes_match(from_partial_bijections(gens))
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_sets())
 def test_rees_test_matches_oracle_on_random_closures(gens):
     assert_rees_test_matches(from_partial_bijections(gens))
 
@@ -102,6 +134,11 @@ def corpus_semigroups():
 def test_ideals_match_oracles_on_builtin_corpus(corpus_semigroups):
     for s in corpus_semigroups:
         assert_ideals_match(s)
+
+
+def test_d_classes_match_oracles_on_builtin_corpus(corpus_semigroups):
+    for s in corpus_semigroups:
+        assert_d_classes_match(s)
 
 
 def test_rees_test_matches_oracle_on_builtin_corpus(corpus_semigroups):

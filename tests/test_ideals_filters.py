@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from isgw.core import PartialBijection, from_partial_bijections, from_tables
+from isgw.core import PartialBijection, from_partial_bijections, from_tables, semigroup_from_json
 from isgw.corpus import builtin_corpus
 from isgw.errors import DomainViolation
 from isgw.ideals_filters import (
     beta_act,
-    d_class_idempotents,
+    d_classes,
     enumerate_ideals,
     filter_space,
     hull,
@@ -24,6 +24,7 @@ from isgw.semilattice import Semilattice
 from isgw.verify import check_hull_kernel
 
 from conftest import make_chain
+from test_cli import brandt_doc
 from oracles import saturate, saturated_ideal_generated, subsets
 
 
@@ -48,7 +49,7 @@ def brute_force_filters(s):
                 continue
             meet_closed = all(s.product(a, b) in f for a in f for b in f)
             up_closed = all(e in f
-                            for x in f for e in idems if s.leq(x, e))
+                            for x in f for e in idems if s.order().holds(x, e))
             if meet_closed and up_closed:
                 found.append(frozenset(f))
     return found
@@ -246,7 +247,7 @@ def test_ideals_of_symmetric_inverse_monoids_are_the_rank_ideals(n, sizes):
     ideals, a chain; the one of rank <= k has sum_{j<=k} C(n,j)^2 j!
     elements (Lawson, *Inverse Semigroups*, 1998)."""
     s = symmetric_inverse_monoid(n)
-    assert len(d_class_idempotents(s)) == n + 1
+    assert len(d_classes(s)) == n + 1
     ideals = [i.elements for i in enumerate_ideals(s)]
     assert [len(i) for i in ideals] == sizes
     assert all(a < b for a, b in zip(ideals, ideals[1:]))
@@ -262,6 +263,17 @@ def test_brandt_b3_is_0_simple():
         units.append(PartialBijection(3, tuple(image)))
     s = from_partial_bijections(units)
     assert s.n == 10
-    assert len(d_class_idempotents(s)) == 2
+    assert len(d_classes(s)) == 2
     assert [i.elements for i in enumerate_ideals(s)] == [frozenset({s.zero}),
                                                         frozenset(s.elements())]
+
+
+@pytest.mark.parametrize("k, n", [(2, 3), (3, 2), (2, 5)])
+def test_brandt_semigroups_have_two_d_classes(k, n):
+    """B(Z/k, n) is 0-simple: its D-classes are {0} and the n idempotents
+    (i, 0, i) (Howie, *Fundamentals of Semigroup Theory*, 1995, section
+    5.1)."""
+    s = semigroup_from_json(brandt_doc(k, n))
+    assert d_classes(s) == (frozenset({s.zero}),
+                            frozenset(e for e in s.idempotents if e != s.zero))
+    assert len(d_classes(s)[1]) == n

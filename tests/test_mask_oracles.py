@@ -98,7 +98,7 @@ def assert_carrier_matches(lattice):
         assert saturate(lattice, a) == saturate_by_leq(lattice, a), sorted(a)
     space = filter_space(lattice)
     for e in lattice.elements:
-        for excluded in _families(list(lattice.below(e)), rng, limit=8):
+        for excluded in _families(list(lattice.members(lattice.down[e])), rng, limit=8):
             assert space.basic_set(e, excluded) == basic_set_by_leq(lattice, e, excluded)
     return ideals
 

@@ -53,7 +53,7 @@ def order_masks_of_the_idempotents(s):
 
 CACHED = [InverseSemigroup.order, h_and_mu, centralizer, double_arrow, cg.double_arrow_rows,
           core.nonzero_down, condition_L, enumerate_congruences, ifl.enumerate_ideals,
-          ifl.d_class_idempotents, build_groupoids, condition_K, quotient_by_an_ideal,
+          ifl.d_classes, build_groupoids, condition_K, quotient_by_an_ideal,
           rees_quotient_by_an_ideal, rees_quotient_by_a_set_then_a_frozenset,
           order_masks_of_the_idempotents]
 
@@ -232,6 +232,24 @@ def test_verify_forms_each_down_set_once(monkeypatch, capsys):
     assert keys and len(set(keys)) == len(keys)
 
 
+def test_verify_runs_the_d_class_pass_once_per_semigroup(monkeypatch, capsys):
+    """The ideals, the filter orbits, the groupoid unit orbits and the
+    invariance test share one D-class pass over the domain and range
+    tables, so ``verify builtin`` runs it once for each semigroup."""
+    seen = []
+    original = ifl.d_class_masks.__wrapped__
+
+    def counted(s):
+        seen.append(s)
+        return original(s)
+
+    monkeypatch.setattr(ifl, "d_class_masks", per_semigroup(counted))
+    assert cli.main(["verify", "builtin", "--json", "--seed", "3"]) == 0
+    capsys.readouterr()
+    keys = [id(s) for s in seen]  # seen keeps each semigroup alive
+    assert keys and len(set(keys)) == len(keys)
+
+
 def test_enumerate_ideals_returns_a_tuple(i2):
     assert isinstance(ifl.enumerate_ideals(i2), tuple)
 
@@ -288,8 +306,10 @@ def test_lattice_joins_close_no_pair_orbits(monkeypatch):
     calls = count_calls(monkeypatch, cg, "congruence_closure")
     assert len(enumerate_congruences(s)) == 11
     lattice = Semilattice.from_semigroup(s)
-    covers = [(e, f) for e in s.idempotents for f in lattice.below(e) if f != e
-              and not any(lattice.parent.leq(f, g) for g in lattice.below(e) if g not in (e, f))]
+    order = s.order()
+    covers = [(e, f) for e in s.idempotents for f in lattice.members(lattice.down[e]) if f != e
+              and not any(order.holds(f, g) for g in lattice.members(lattice.down[e])
+                          if g not in (e, f))]
     kernel = [x for x in s.elements() if not s.is_idempotent(x) and x <= s.star(x)]
     assert len(covers) == 32
     assert len(calls) == len(covers) + len(kernel)

@@ -28,7 +28,7 @@ def li2(i2):
 def cover_oracle(lattice, e, members):
     """Exhaustive scan straight from the definition."""
     for x in lattice.elements:
-        if x == lattice.zero or not lattice.parent.leq(x, e):
+        if x == lattice.zero or not lattice.parent.order().holds(x, e):
             continue
         if all(lattice.parent.product(x, c) == lattice.zero for c in members):
             return False
@@ -42,7 +42,7 @@ def test_cover_e4(le4, e4n):
     # {e} does not cover g-down, witness f (or g); the witness must be valid
     d = is_cover(le4, e4n["g"], [e4n["e"]])
     assert not d.value
-    assert le4.parent.leq(d.witness, e4n["g"]) and d.witness != le4.zero
+    assert le4.parent.order().holds(d.witness, e4n["g"]) and d.witness != le4.zero
     assert le4.parent.product(d.witness, e4n["e"]) == le4.zero
 
 
@@ -59,7 +59,7 @@ def test_cover_i2_atoms(li2, i2n):
 def test_cover_monotone(li2, le4):
     for lattice in (li2, le4):
         for e in lattice.nonzero():
-            below = [x for x in lattice.below(e) if x != lattice.zero]
+            below = [x for x in lattice.members(lattice.down[e]) if x != lattice.zero]
             for k in range(1, len(below) + 1):
                 for c in itertools.combinations(below, k):
                     if is_cover(lattice, e, c).value:
@@ -133,7 +133,7 @@ def closed_family(draw):
 def test_random_semilattice_cover_monotonicity(family):
     lattice = Semilattice.from_semigroup(family_to_semigroup(family))
     for e in lattice.nonzero():
-        below = [x for x in lattice.below(e) if x != lattice.zero]
+        below = [x for x in lattice.members(lattice.down[e]) if x != lattice.zero]
         # find some cover, then any superset within e-down still covers
         for k in range(1, min(3, len(below)) + 1):
             for c in itertools.combinations(below, k):

@@ -217,7 +217,7 @@ def test_beta_action_check_names_the_pair_whose_image_is_not_the_up_closure(
     got = assert_caught(verify.check_beta_action, (i2,), "conjugation_action_is_invertible",
                         monkeypatch, ifl, beta_act=lambda s, a, m: m)
     a, m = got.counterexample
-    assert i2.leq(m, i2.product(i2.star(a), a))
+    assert i2.order().holds(m, i2.order().dom[a])
     assert i2.product(i2.product(a, m), i2.star(a)) != m
 
 
@@ -379,7 +379,7 @@ def test_tight_units_check_names_both_counts(monkeypatch):
     inst = _exact_instance("graph")
     got = assert_fails(verify.check_graph_instance, (inst,),
                        "tight_units_are_maximal_path_filters", monkeypatch, verify,
-                       _all_paths=lambda truncated: ())
+                       paths_up_to=lambda graph, depth: ())
     assert got.detail.endswith(" maximal_paths=0")
     assert not got.detail.startswith("atoms=0 ")
 
