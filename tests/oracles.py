@@ -699,8 +699,9 @@ def tight_filters_separate_by_leq(lattice):
 def order_ideals_by_leq(lattice):
     """All nonempty downward-closed subsets of the carrier (each contains
     0), smallest first, by the downset recursion over ``leq``."""
-    out = [x | {lattice.zero} for x in downsets(list(lattice.nonzero()),
-                                                        lambda x, y: leq(lattice.parent, x, y))]
+    s = lattice.parent
+    out = [x | {lattice.zero}
+           for x in downsets(list(lattice.nonzero()), lambda x, y: leq(s, x, y))]
     return sorted({frozenset(x) for x in out}, key=lambda x: (len(x), tuple(sorted(x))))
 
 

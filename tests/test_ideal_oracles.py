@@ -11,6 +11,7 @@ from isgw.congruences import rees_congruence
 from isgw.core import from_partial_bijections
 from isgw.corpus import builtin_corpus
 from isgw.errors import NotIdeal
+from isgw.groupoid import build_groupoids, reduction
 from isgw.ideals_filters import (
     d_classes,
     enumerate_ideals,
@@ -20,7 +21,6 @@ from isgw.ideals_filters import (
     order_ideals,
     principal_ideal,
 )
-from isgw.groupoid import build_groupoids, reduction
 from isgw.semilattice import Semilattice
 from isgw.verify import _ideal_round_trip_failure
 
