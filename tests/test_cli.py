@@ -256,6 +256,13 @@ GOLDEN_SHA256 = {
         "e2ffaed9819596736e284bf09d3c9c663f4c1b68260863208b272850a5723842",
     "verify mid --json":
         "2d3c2f5b9c12a10b07f2f25e4e74ab1c49df7be0606e2082e2ec99f2c3ce965a",
+    "analyze graph ladder/CHAIN5.json --json":
+        "f173bee79809a6de958737e324f58db659f04b7cf151f8f69c22ac8afab8bd38",
+    "analyze selfsimilar ladder/SWAP-LADDER2.json --json":
+        "d8ccc5ec47bfa0b56bcc64ea2ec8132b85eb20c13e2917c0083b7533a041cae8",
+    # the depth-2 model of the mirror action: cyclic, not exact, 99 elements
+    "analyze selfsimilar mirror.json --json --depth 2":
+        "5bb505c7948b14030b556c47fafea4c861ae5bdb0a0205b3dd3d3b732f4eab64",
 }
 
 
@@ -264,6 +271,7 @@ def test_golden_output(command, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "i2.json").write_text(json.dumps(I2_DOC))
     (tmp_path / "e4.json").write_text(json.dumps(E4_DOC))
+    (tmp_path / "mirror.json").write_text(json.dumps(MIRROR_DOC))
     (tmp_path / "ladder").mkdir()
     (tmp_path / "ladder" / "SWAP-LADDER2.json").write_text(json.dumps(SWAP_LADDER_DOC))
     (tmp_path / "ladder" / "CHAIN5.json").write_text(json.dumps(CHAIN5_DOC))
