@@ -397,20 +397,20 @@ def weakly_fixed_criterion(s: InverseSemigroup) -> WeaklyFixedReport:
     lattice = Semilattice.from_semigroup(s)
     order = s.order()
     criterion = Decision(True)
+    below = {e: [f for f in lattice.members(lattice.down[e]) if f != s.zero]
+             for e in lattice.nonzero()}
     for a in s.nonzero():
         dom = order.dom[a]
-        for e in lattice.nonzero():
+        for e in below:
             if not order.holds(e, dom):
                 continue
-            below = lattice.members(lattice.down[e])
             weakly_fixed = all(
                 s.product(s.product(s.product(a, f), s.star(a)), f) != s.zero
-                for f in below if f != s.zero
+                for f in below[e]
             )
             if not weakly_fixed:
                 continue
-            fixed = [f for f in below
-                     if f != s.zero and s.product(a, f) == f]
+            fixed = [f for f in below[e] if s.product(a, f) == f]
             if not (fixed and is_cover(lattice, e, fixed, require_below=True).value):
                 criterion = Decision(False, (a, e))
                 break

@@ -256,73 +256,71 @@ def validate_action(action: SelfSimilarAction, depth: int = VALIDATION_DEPTH) ->
 
 # -- the triple semigroup -------------------------------------------------------
 
-class SSTriple(Record):
-    """(alpha, g, beta) with source(alpha) = g * source(beta)."""
-
-    __slots__ = ("alpha", "g", "beta")
-
-    def __init__(self, alpha: GraphPath, g: int, beta: GraphPath):
-        set_field(self, "alpha", alpha)
-        set_field(self, "g", g)
-        set_field(self, "beta", beta)
-
-    def sort_key(self):
-        return (self.alpha.sort_key(), self.g, self.beta.sort_key())
-
-    def describe(self, action: SelfSimilarAction) -> str:
-        """(alpha,g,beta); over the trivial group, the graph label (alpha,beta)."""
-        if action.group.size == 1:
-            return f"({self.alpha.describe()},{self.beta.describe()})"
-        return f"({self.alpha.describe()},{action.group.labels[self.g]},{self.beta.describe()})"
-
-
 ZERO = "0"
 
 
 class PathTables(Record):
-    """The paths of a model as integer ids, with every table a triple
-    product reads: ``strip[(p, q)]`` is the tail t of q = p t and
-    ``concat[(p, t)]`` is q, for every split of a path q of the model (so a
-    composable pair missing from ``concat`` is longer than the depth);
-    ``act[g][p]`` is the image id and cocycle of g on p; ``triples[i]`` is
-    the (alpha, g, beta) id triple of element i, and ``index`` its inverse."""
+    """Every table a triple product reads, over the path ids of a model:
+    ``strip[(p, q)]`` is the tail t of q = p t and ``concat[(p, t)]`` is q,
+    for every split of a path q of the model (so a composable pair missing
+    from ``concat`` is longer than the depth); ``act[g][p]`` is the image id
+    and cocycle of g on p."""
 
-    __slots__ = ("src", "rng", "length", "strip", "concat", "act", "triples", "index")
+    __slots__ = ("src", "rng", "length", "strip", "concat", "act")
 
     def __init__(self, src: tuple, rng: tuple, length: tuple, strip: dict, concat: dict,
-                 act: tuple, triples: tuple, index: dict):
+                 act: tuple):
         set_field(self, "src", src)  # path id -> source vertex
         set_field(self, "rng", rng)  # path id -> range vertex
         set_field(self, "length", length)
         set_field(self, "strip", strip)
         set_field(self, "concat", concat)
         set_field(self, "act", act)
-        set_field(self, "triples", triples)
-        set_field(self, "index", index)
 
 
 class TruncatedActionSemigroup(Record):
     """Triples with both path lengths bounded by the depth, plus zero; exact
-    when the graph is acyclic and shallow enough."""
+    when the graph is acyclic and shallow enough.  ``paths`` is
+    ``paths_up_to(graph, depth)`` and a path's id is its position there;
+    ``elements`` is ZERO and then the id triples (alpha, g, beta) with
+    source(alpha) = g * source(beta), in the order of their ids."""
 
-    __slots__ = ("action", "depth", "elements", "exact", "__dict__")
+    __slots__ = ("action", "depth", "paths", "elements", "exact", "__dict__")
 
-    def __init__(self, action: SelfSimilarAction, depth: int, elements: tuple, exact: bool):
+    def __init__(self, action: SelfSimilarAction, depth: int, paths: tuple, elements: tuple,
+                 exact: bool):
         set_field(self, "action", action)
         set_field(self, "depth", depth)
+        set_field(self, "paths", paths)
         set_field(self, "elements", elements)
         set_field(self, "exact", exact)
 
     @functools.cached_property
-    def _index(self) -> dict:
+    def index(self) -> dict:
+        """Each element, zero and the id triples, mapped to its position."""
         return {x: i for i, x in enumerate(self.elements)}
+
+    @property
+    def act(self) -> tuple:
+        """``act[g][p]``: the image id and cocycle of g on path p."""
+        return self._tables.act
+
+    def describe(self, i: int) -> str:
+        """ZERO, or (alpha,g,beta); over the trivial group, the graph label
+        (alpha,beta)."""
+        if i == 0:
+            return ZERO
+        alpha, g, beta = self.elements[i]
+        alpha, beta = self.paths[alpha].describe(), self.paths[beta].describe()
+        if self.action.group.size == 1:
+            return f"({alpha},{beta})"
+        return f"({alpha},{self.action.group.labels[g]},{beta})"
 
     @functools.cached_property
     def _tables(self) -> PathTables:
         """The tables of the model, built once: O(|paths| * depth) splits
         and |G| * |paths| calls of ``act_on_path``."""
-        action, graph = self.action, self.action.graph
-        paths = paths_up_to(graph, self.depth)
+        action, graph, paths = self.action, self.action.graph, self.paths
         ids = {(p.edges, p.src): k for k, p in enumerate(paths)}
         strip, concat = {}, {}
         for k, p in enumerate(paths):
@@ -342,8 +340,6 @@ class TruncatedActionSemigroup(Record):
                     raise InternalContract("the path action left the paths of the model")
                 row.append((image_id, cocycle))
             act.append(tuple(row))
-        triples = [None] + [(ids[(t.alpha.edges, t.alpha.src)], t.g,
-                             ids[(t.beta.edges, t.beta.src)]) for t in self.elements[1:]]
         return PathTables(
             src=tuple(p.src for p in paths),
             rng=tuple(p.rng for p in paths),
@@ -351,8 +347,6 @@ class TruncatedActionSemigroup(Record):
             strip=strip,
             concat=concat,
             act=tuple(act),
-            triples=tuple(triples),
-            index={x: i for i, x in enumerate(triples) if i},
         )
 
     def _join(self, p: int, q: int) -> int:
@@ -374,8 +368,8 @@ class TruncatedActionSemigroup(Record):
             return 0
         tab = self._tables
         grp = self.action.group
-        alpha, g, beta = tab.triples[i]
-        gamma, h, nu = tab.triples[j]
+        alpha, g, beta = self.elements[i]
+        gamma, h, nu = self.elements[j]
         tail = tab.strip.get((beta, gamma))
         if tail is not None:  # gamma = beta tail
             image, cocycle = tab.act[g][tail]
@@ -389,14 +383,13 @@ class TruncatedActionSemigroup(Record):
             beta, g = self._join(nu, image), grp.mul[g][grp.inv[cocycle]]
         if tab.src[alpha] != self.action.act_vertex(g, tab.src[beta]):
             raise InternalContract("triple product broke the membership condition")
-        return tab.index[(alpha, g, beta)]
+        return self.index[(alpha, g, beta)]
 
     def involution(self, i: int) -> int:
         if i == 0:
             return 0
-        tab = self._tables
-        alpha, g, beta = tab.triples[i]
-        return tab.index[(beta, self.action.group.inverse(g), alpha)]
+        alpha, g, beta = self.elements[i]
+        return self.index[(beta, self.action.group.inverse(g), alpha)]
 
     def to_inverse_semigroup(self) -> InverseSemigroup:
         """The exact model as a semigroup, built once per model."""
@@ -411,14 +404,15 @@ class TruncatedActionSemigroup(Record):
         # (alpha, g, beta)(gamma, h, nu) is zero unless one of beta and gamma
         # is a prefix of the other, so only those pairs are multiplied
         tab = self._tables
-        n = len(self.elements)
+        elements = self.elements
+        n = len(elements)
         by_alpha = {}
         for j in range(1, n):
-            by_alpha.setdefault(tab.triples[j][0], []).append(j)
+            by_alpha.setdefault(elements[j][0], []).append(j)
         partners = {}
         mul = [(0,) * n]  # each row becomes a tuple at once: one table is alive
         for i in range(1, n):
-            beta = tab.triples[i][2]
+            beta = elements[i][2]
             if beta not in partners:
                 partners[beta] = [j for gamma, js in by_alpha.items()
                                   if (beta, gamma) in tab.strip or (gamma, beta) in tab.strip
@@ -428,10 +422,10 @@ class TruncatedActionSemigroup(Record):
                 row[j] = self.product(i, j)
             mul.append(tuple(row))
         inv = [self.involution(i) for i in range(n)]
-        labels = [ZERO] + [t.describe(self.action) for t in self.elements[1:]]
+        labels = [self.describe(i) for i in range(n)]
         # The triples with |alpha| + |beta| <= 1, vertices before edges, generate
         # the model; Light's test scans them first.
-        size = [0] + [tab.length[alpha] + tab.length[beta] for alpha, _, beta in tab.triples[1:]]
+        size = [0] + [tab.length[alpha] + tab.length[beta] for alpha, _, beta in elements[1:]]
         hint = [i for short in (0, 1) for i in range(1, n) if size[i] == short]
         return InverseSemigroup(mul, inv, 0, labels=labels, hint=hint)
 
@@ -441,7 +435,9 @@ def ss_semigroup(action: SelfSimilarAction, depth: int) -> TruncatedActionSemigr
     over ``core.DEFAULT_CLOSURE_CAP`` raises CapExceeded before any triple is
     built.  With P_k(v) the paths of at most k edges starting at v, P_0 = 1
     and P_{k+1}(v) = 1 + the sum of P_k(r(e)) over the edges e out of v; the
-    model has the sum over g and v of P_depth(g.v) P_depth(v) triples."""
+    model has the sum over g and v of P_depth(g.v) P_depth(v) triples.  The
+    paths come in ``GraphPath.sort_key`` order, so the loops over their ids
+    list the triples in (alpha, g, beta) key order."""
     if depth < 0:
         raise ParseError("depth must be nonnegative")
     graph = action.graph
@@ -457,16 +453,16 @@ def ss_semigroup(action: SelfSimilarAction, depth: int) -> TruncatedActionSemigr
     if size > DEFAULT_CLOSURE_CAP:
         raise CapExceeded(f"the depth-{depth} model has {size} elements, "
                           f"more than {DEFAULT_CLOSURE_CAP}")
-    paths = paths_up_to(graph, depth)
-    triples = []
-    for alpha in paths:
+    paths = tuple(paths_up_to(graph, depth))
+    src = [p.src for p in paths]
+    triples = [ZERO]
+    for alpha in range(len(paths)):
         for g in range(action.group.size):
-            for beta in paths:
-                if alpha.src == action.act_vertex(g, beta.src):
-                    triples.append(SSTriple(alpha, g, beta))
-    triples.sort(key=SSTriple.sort_key)
+            for beta in range(len(paths)):
+                if src[alpha] == action.act_vertex(g, src[beta]):
+                    triples.append((alpha, g, beta))
     exact = graph.is_acyclic() and graph.longest_path_length() <= depth
-    return TruncatedActionSemigroup(action, depth, (ZERO,) + tuple(triples), exact)
+    return TruncatedActionSemigroup(action, depth, paths, tuple(triples), exact)
 
 
 def exact_model(action: SelfSimilarAction) -> TruncatedActionSemigroup | None:

@@ -17,11 +17,9 @@ from .core import InverseSemigroup, per_semigroup
 from .corpus import CorpusInstance, builtin_corpus
 from .errors import CapExceeded, NotCongruence, NotHomomorphism
 from .graphs import (
-    GraphPath,
     graph_conditions,
     graph_semigroup,
     hereditary_sets,
-    paths_up_to,
     quotient_graph,
 )
 from .groupoid import (
@@ -323,6 +321,7 @@ def check_beta_action(s: InverseSemigroup) -> list:
     lattice = Semilattice.from_semigroup(s)
     up = lattice.up
     mins = [e for e in s.idempotents if e != s.zero]
+    above = {m: lattice.members(up[m]) for m in mins}
     order = s.order()
     for a in s.elements():
         a_star = s.star(a)
@@ -332,7 +331,7 @@ def check_beta_action(s: InverseSemigroup) -> list:
                 continue
             image = ifl.beta_act(s, a, m)
             closure = 0
-            for f in lattice.members(up[m]):
+            for f in above[m]:
                 closure |= up[s.product(s.product(a, f), a_star)]
             if closure != up[image] or ifl.beta_act(s, a_star, image) != m:
                 return [_entry("conjugation_action_is_invertible", False, (a, m))]
@@ -505,9 +504,7 @@ def check_graph_instance(inst: CorpusInstance) -> list:
 
     atoms_count = build_groupoids(s).tight.n_units()
     sources = [v for v in g.vertices if g.in_degree(v) == 0]
-    maximal_paths = sum(
-        1 for p in paths_up_to(exact.action.graph, exact.depth) if p.src in sources
-    )
+    maximal_paths = sum(1 for p in exact.paths if p.src in sources)
     out.append(_entry("tight_units_are_maximal_path_filters",
                       atoms_count == maximal_paths,
                       detail=f"atoms={atoms_count} maximal_paths={maximal_paths}"))
@@ -579,17 +576,16 @@ def check_action_instance(inst: CorpusInstance) -> list:
 def _check_exact_action(a, truncated, s, faith, m) -> list:
     out = []
     mu = rel.h_and_mu(s).mu
-    elements = truncated.elements
-    paths_to = _paths_into(a)
+    elements, paths = truncated.elements, truncated.paths
 
-    witness = _mu_path_failure(a, truncated, mu, paths_to)
+    witness = _mu_path_failure(truncated, mu)
     out.append(_entry("mu_path_criterion", witness is None, witness))
 
     out.append(_entry("fundamental_iff_faithful",
                       rel.h_and_mu(s).fundamental == faith.faithful,
                       detail=f"faithful={faith.faithful}"))
 
-    ideals = {v_set: _vertex_ideal(a, truncated, s, v_set)
+    ideals = {v_set: _vertex_ideal(truncated, v_set)
               for v_set in ss.hereditary_invariant_sets(a)}
     all_disj = all(
         is_0_disjunctive(Semilattice.from_semigroup(cg.rees_quotient(s, ideal).quotient)).value
@@ -603,18 +599,17 @@ def _check_exact_action(a, truncated, s, faith, m) -> list:
     one = a.group.identity
     vertex_idem = {}
     for i in range(1, len(elements)):
-        t = elements[i]
-        if t.g == one and t.alpha.length == 0 and t.alpha == t.beta:
-            vertex_idem[t.alpha.src] = i
+        alpha, g, beta = elements[i]
+        if g == one and alpha == beta and paths[alpha].length == 0:
+            vertex_idem[paths[alpha].src] = i
+    vertex_ideal = {v: ifl.principal_ideal(s, vertex_idem[v]) for v in a.graph.vertices}
+    sources_into = {}  # range vertex -> the sources of the paths ending there
+    for p in paths:
+        sources_into.setdefault(p.rng, set()).add(p.src)
     for u in a.graph.vertices:
         for v in a.graph.vertices:
-            iu, iv = vertex_idem[u], vertex_idem[v]
-            in_ideal = iu in ifl.principal_ideal(s, iv)
-            has_path = any(
-                p.src == a.act_vertex(h, u)
-                for h in range(a.group.size)
-                for p in paths_to.get(v, ())
-            )
+            in_ideal = vertex_idem[u] in vertex_ideal[v]
+            has_path = any(a.act_vertex(h, u) in sources_into[v] for h in range(a.group.size))
             if in_ideal != has_path:
                 ok = False
                 witness = (u, v)
@@ -628,9 +623,7 @@ def _check_exact_action(a, truncated, s, faith, m) -> list:
     witness = None
     for v_set, ideal in ideals.items():
         generated.add(ideal)
-        back = frozenset(
-            elements[i].alpha.src for i in ideal if i != 0
-        )
+        back = frozenset(paths[elements[i][0]].src for i in ideal if i != 0)
         if back != frozenset(v_set):
             ok = False
             witness = sorted(v_set)
@@ -654,53 +647,44 @@ def _check_exact_action(a, truncated, s, faith, m) -> list:
     return out
 
 
-def _paths_into(a) -> dict:
-    """Each range vertex mapped to the paths of the graph ending there, in
-    enumeration order."""
-    paths_to = {}
-    for p in paths_up_to(a.graph, a.graph.longest_path_length()):
-        paths_to.setdefault(p.rng, []).append(p)
-    return paths_to
-
-
-def _mu_path_failure(a, truncated, mu, paths_to) -> tuple | None:
+def _mu_path_failure(truncated, mu) -> tuple | None:
     """The first pair (i, j) of nonzero elements of the exact model, in
     index order, with equal paths alpha and beta, on which mu disagrees with
     "g and h act alike on every path into the source of beta", described;
     or None.  The criterion speaks of pairs of one shape (alpha, beta), so
-    only those are visited, and the action of each group element on the
-    paths into each vertex is computed once."""
-    elements = truncated.elements
+    only those are visited, and the images of the paths into each vertex
+    under each group element are read off the model's action table once."""
+    elements, paths, act = truncated.elements, truncated.paths, truncated.act
+    paths_to = {}  # range vertex -> the ids of the paths ending there
+    for k, p in enumerate(paths):
+        paths_to.setdefault(p.rng, []).append(k)
     shapes = {}  # (alpha, beta) -> the elements of that shape, ascending
     shape_of = [None] * len(elements)
     actions = {}  # (g, vertex) -> the images of the paths into the vertex
     for i in range(1, len(elements)):
-        t = elements[i]
-        shape_of[i] = shapes.setdefault((t.alpha, t.beta), [])
+        alpha, g, beta = elements[i]
+        shape_of[i] = shapes.setdefault((alpha, beta), [])
         shape_of[i].append(i)
-        if (t.g, t.beta.src) not in actions:
-            actions[t.g, t.beta.src] = tuple(ss.act_on_path(a, t.g, gamma)[0]
-                                             for gamma in paths_to.get(t.beta.src, ()))
+        v = paths[beta].src
+        if (g, v) not in actions:
+            actions[g, v] = tuple(act[g][gamma][0] for gamma in paths_to.get(v, ()))
     cls = mu.class_index
     for i in range(1, len(elements)):
-        t1 = elements[i]
-        acts = actions[t1.g, t1.beta.src]
+        _, g, beta = elements[i]
+        acts = actions[g, paths[beta].src]
         for j in shape_of[i]:
-            t2 = elements[j]
-            if (cls[i] == cls[j]) != (acts == actions[t2.g, t2.beta.src]):
-                return t1.describe(a), t2.describe(a)
+            _, h, _ = elements[j]
+            if (cls[i] == cls[j]) != (acts == actions[h, paths[beta].src]):
+                return truncated.describe(i), truncated.describe(j)
     return None
 
 
-def _vertex_ideal(a, truncated, s, v_set) -> frozenset:
+def _vertex_ideal(truncated, v_set) -> frozenset:
     """Elements of the exact triple semigroup whose source vertex lies in the
     hereditary invariant set (plus zero): the ideal generated by the set."""
-    elements = truncated.elements
-    members = {0}
-    for i in range(1, len(elements)):
-        if elements[i].alpha.src in v_set:
-            members.add(i)
-    return frozenset(members)
+    paths = truncated.paths
+    return frozenset([0] + [i for i, (alpha, _, _) in enumerate(truncated.elements[1:], 1)
+                            if paths[alpha].src in v_set])
 
 
 def _quotient_action_failure(a, truncated, s, ideals) -> list | None:
@@ -709,38 +693,37 @@ def _quotient_action_failure(a, truncated, s, ideals) -> list | None:
     quotient action; or None."""
     for v_set, ideal in ideals.items():
         q = cg.rees_quotient(s, ideal)
-        if v_set:
-            sub_action = ss.quotient_action(a, v_set)
-            sub_trunc = ss.ss_semigroup(sub_action, truncated.depth)
-        else:  # removing no vertex leaves the action and its model as they are
-            sub_action, sub_trunc = a, truncated
-        sub_s = sub_trunc.to_inverse_semigroup()
-        if not _rees_quotient_matches(a, truncated, q, sub_action, sub_trunc, sub_s, v_set):
+        # removing no vertex leaves the action and its model as they are
+        sub_trunc = (ss.ss_semigroup(ss.quotient_action(a, v_set), truncated.depth)
+                     if v_set else truncated)
+        if not _rees_quotient_matches(truncated, q, sub_trunc, v_set):
             return sorted(v_set)
     return None
 
 
-def _rees_quotient_matches(a, truncated, q, sub_action, sub_trunc, sub_s, v_set) -> bool:
+def _rees_quotient_matches(truncated, q, sub_trunc, v_set) -> bool:
     """The projection that kills triples entering the vertex set implements an
     isomorphism between the Rees quotient and the quotient-action semigroup:
     a well-defined homomorphism onto a semigroup of the same size, and so
     one-to-one."""
+    sub_s = sub_trunc.to_inverse_semigroup()
     if q.quotient.n != sub_s.n:
         return False
-    elements = truncated.elements
-    index_of = {e.eid: i for i, e in enumerate(sub_action.graph.edges)}
+    elements, paths = truncated.elements, truncated.paths
 
-    def _transplant(path):
-        """The path over the quotient graph (edge ids are stable)."""
-        eids = (path.graph.edges[i].eid for i in path.edges)
-        return GraphPath(sub_action.graph, tuple(index_of[x] for x in eids), path.src)
+    def key(path):  # edge ids are stable under the quotient
+        return tuple(path.graph.edges[i].eid for i in path.edges), path.src
+
+    sub_ids = {key(p): k for k, p in enumerate(sub_trunc.paths)}
+    moved = [sub_ids.get(key(p)) for p in paths]  # parent path id -> sub-model id
 
     def project(i: int) -> int:
-        if i == 0 or elements[i].alpha.src in v_set:
+        if i == 0:
             return 0
-        t = elements[i]
-        target = ss.SSTriple(_transplant(t.alpha), t.g, _transplant(t.beta))
-        return sub_trunc._index[target]
+        alpha, g, beta = elements[i]
+        if paths[alpha].src in v_set:
+            return 0
+        return sub_trunc.index[(moved[alpha], g, moved[beta])]
 
     mapping = {}
     for i in range(len(elements)):

@@ -10,7 +10,8 @@ the longest path by recursion, the cycle of the strongly fixed path
 automaton by a recursive search, and the mask loops over hereditary vertex
 sets and hereditary invariant vertex sets (``isgw.graphs``,
 ``isgw.selfsimilar``); the
-product table of a triple model by ``triple_multiply`` on path objects (``isgw.selfsimilar``);
+elements of a triple model as ``SSTriple`` records of path objects sorted by
+their path keys, and its product table by ``triple_multiply`` on them (``isgw.selfsimilar``);
 principal ideals of every element,
 SXS and the ideal test of the Rees congruence over all products, and the
 least saturated ideal over given idempotents (``isgw.ideals_filters``,
@@ -43,8 +44,9 @@ that ``src/isgw`` holds only what the command line reaches
 (``tests/test_reach.py``): the natural order by its definition (``leq``),
 grouping into classes (``group_by``), the product, emptiness and label of partial
 bijections (``compose``, ``is_empty``, ``describe``), the prefix test and
-tail of graph paths (``has_prefix``, ``strip_prefix``), the product and
-inverse of triples on path objects (``triple_multiply``,
+tail of graph paths (``has_prefix``, ``strip_prefix``), triples of path
+objects (``SSTriple``), read off a model's id triples (``triple_at``,
+``triple_index``), with their product and inverse (``triple_multiply``,
 ``triple_inverse``), and the least saturated order ideal over a set
 (``saturate``).  ``is_groupoid_by_definition`` checks the groupoid axioms,
 which ``FiniteGroupoid`` leaves unchecked because its groupoids are ones by
@@ -75,9 +77,9 @@ from isgw.graphs import (
 )
 from isgw.groupoid import reduction
 from isgw.ideals_filters import ideal_generated, ideal_trace
-from isgw.selfsimilar import SSTriple, act_on_path, g_independent_edges, vertex_orbits
+from isgw.selfsimilar import ZERO, act_on_path, g_independent_edges, vertex_orbits
 from isgw.semilattice import Semilattice
-from isgw.util import Decision, UnionFind
+from isgw.util import Decision, Record, UnionFind, set_field
 
 
 # -- operations that only the tests use ----------------------------------------
@@ -127,6 +129,51 @@ def strip_prefix(path, other):
     if not has_prefix(path, other):
         raise ParseError("not a prefix")
     return GraphPath(path.graph, path.edges[other.length:], path.src)
+
+
+class SSTriple(Record):
+    """(alpha, g, beta) with source(alpha) = g * source(beta), on path
+    objects."""
+
+    __slots__ = ("alpha", "g", "beta")
+
+    def __init__(self, alpha: GraphPath, g: int, beta: GraphPath):
+        set_field(self, "alpha", alpha)
+        set_field(self, "g", g)
+        set_field(self, "beta", beta)
+
+    def sort_key(self):
+        return (self.alpha.sort_key(), self.g, self.beta.sort_key())
+
+    def describe(self, action) -> str:
+        """(alpha,g,beta); over the trivial group, the graph label (alpha,beta)."""
+        if action.group.size == 1:
+            return f"({self.alpha.describe()},{self.beta.describe()})"
+        return f"({self.alpha.describe()},{action.group.labels[self.g]},{self.beta.describe()})"
+
+
+def triples_by_sorting(action, depth) -> list:
+    """The nonzero elements of the depth-``depth`` triple model: every
+    ``SSTriple`` over ``paths_up_to`` that meets the source condition,
+    sorted by its path keys."""
+    paths = paths_up_to(action.graph, depth)
+    triples = [SSTriple(alpha, g, beta) for alpha in paths for g in range(action.group.size)
+               for beta in paths if alpha.src == action.act_vertex(g, beta.src)]
+    return sorted(triples, key=SSTriple.sort_key)
+
+
+def triple_at(model, i):
+    """Element i of a triple model on path objects: ZERO, or the SSTriple
+    of its id triple."""
+    if i == 0:
+        return ZERO
+    alpha, g, beta = model.elements[i]
+    return SSTriple(model.paths[alpha], g, model.paths[beta])
+
+
+def triple_index(model, t) -> int:
+    """The position in a triple model of the SSTriple t."""
+    return model.index[(model.paths.index(t.alpha), t.g, model.paths.index(t.beta))]
 
 
 def triple_inverse(action, t):
@@ -332,7 +379,7 @@ def triple_table_by_objects(truncated):
     """Rows of the product table of a triple model, every entry by
     ``triple_multiply`` on the triple objects: an element index, 0 for
     zero, or None where the product needs a path longer than the depth."""
-    elements = truncated.elements
+    elements = [triple_at(truncated, i) for i in range(len(truncated.elements))]
     index = {x: i for i, x in enumerate(elements)}
     rows = []
     for i, t1 in enumerate(elements):
@@ -1072,7 +1119,7 @@ def mu_path_failure_by_all_pairs(action, truncated, mu):
     paths_to = {}
     for p in paths_up_to(action.graph, action.graph.longest_path_length()):
         paths_to.setdefault(p.rng, []).append(p)
-    elements = truncated.elements
+    elements = [triple_at(truncated, i) for i in range(len(truncated.elements))]
     for i in range(1, len(elements)):
         for j in range(1, len(elements)):
             t1, t2 = elements[i], elements[j]
@@ -1103,7 +1150,7 @@ def quotient_action_failure_by_all_pairs(action, truncated, s, ideals):
 def _rees_quotient_matches_by_all_pairs(truncated, q, sub_action, sub_trunc, sub_s, v_set):
     if q.quotient.n != sub_s.n:
         return False
-    elements = truncated.elements
+    elements = [triple_at(truncated, i) for i in range(len(truncated.elements))]
     index_of = {e.eid: i for i, e in enumerate(sub_action.graph.edges)}
 
     def transplant(path):
@@ -1114,7 +1161,7 @@ def _rees_quotient_matches_by_all_pairs(truncated, q, sub_action, sub_trunc, sub
         if i == 0 or elements[i].alpha.src in v_set:
             return 0
         t = elements[i]
-        return sub_trunc._index[ss.SSTriple(transplant(t.alpha), t.g, transplant(t.beta))]
+        return triple_index(sub_trunc, SSTriple(transplant(t.alpha), t.g, transplant(t.beta)))
 
     mapping = {}
     for i in range(len(elements)):

@@ -374,11 +374,10 @@ def test_verify_scans_the_order_ideals_for_invariance_once(monkeypatch):
 
 
 def test_mu_path_criterion_acts_once_per_element_and_path(monkeypatch):
-    """On SWAP-LADDER2 each group element acts on each path into a vertex at
-    most once, so no (element, path) pair is acted on twice."""
+    """On SWAP-LADDER2 ``act_on_path`` runs only while the model's tables
+    are built, once per group element and path (outermost calls), and the
+    mu-path check never calls it: it reads the model's ``act`` table."""
     action = ss.action_from_json(SWAP_LADDER_DOC)
-    model = ss.ss_semigroup(action, action.graph.longest_path_length())
-    s = model.to_inverse_semigroup()
     calls, depth = [], [0]
     original = ss.act_on_path
 
@@ -392,10 +391,13 @@ def test_mu_path_criterion_acts_once_per_element_and_path(monkeypatch):
             depth[0] -= 1
 
     monkeypatch.setattr(ss, "act_on_path", counting)
-    paths_to = verify._paths_into(action)
-    assert verify._mu_path_failure(action, model, h_and_mu(s).mu, paths_to) is None
-    pairs = sum(len(paths_to.get(t.beta.src, ())) for t in model.elements[1:])
-    assert calls and len(set(calls)) == len(calls) <= pairs
+    model = ss.ss_semigroup(action, action.graph.longest_path_length())
+    s = model.to_inverse_semigroup()
+    built = len(calls)
+    assert built == action.group.size * len(model.paths)
+    assert set(calls) == {(g, p) for g in range(action.group.size) for p in model.paths}
+    assert verify._mu_path_failure(model, h_and_mu(s).mu) is None
+    assert len(calls) == built
 
 
 def test_faithfulness_is_kept_on_the_action(monkeypatch, tmp_path, capsys):

@@ -97,5 +97,5 @@ def test_records_copy_and_pickle(copier):
 def test_cached_properties_work_on_records():
     action = trivial_action(LOOP)
     truncated = ss_semigroup(action, 2)
-    assert truncated._index is truncated._index
+    assert truncated.index is truncated.index
     assert action.edge_index("e") == 0

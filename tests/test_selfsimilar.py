@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isgw.core import InverseSemigroup, _check_associative
-from isgw.corpus import fixture_actions, fixture_graphs
+from isgw.corpus import builtin_corpus, fixture_actions, fixture_graphs
 from isgw import selfsimilar as ss
 from isgw.errors import AxiomViolation, CapExceeded, NotAssociative, NotInvariant, Overflow
 from isgw.graphs import (
@@ -29,7 +29,6 @@ from isgw.graphs import (
 from isgw.selfsimilar import (
     MAX_FIXED_PATH_WITNESSES,
     FiniteGroup,
-    SSTriple,
     SelfSimilarAction,
     act_on_path,
     action_from_json,
@@ -51,6 +50,7 @@ from isgw.selfsimilar import (
 )
 
 from oracles import (
+    SSTriple,
     condition_k_by_first_returns,
     condition_l_by_simple_cycles,
     condition_m_action_scan,
@@ -61,8 +61,11 @@ from oracles import (
     is_acyclic_by_recursion,
     longest_path_length_by_recursion,
     strongly_fixed_by_recursion,
+    triple_at,
+    triple_index,
     triple_inverse,
     triple_multiply,
+    triples_by_sorting,
 )
 from test_cli import SWAP_LADDER_DOC
 
@@ -305,14 +308,51 @@ def test_strongly_fixed_matches_recursive_oracle_on_random_actions(g, a):
     _assert_strongly_fixed_matches(a)
 
 
+def _assert_model_matches_sorted_triples(action, depth):
+    """The id triples of the depth-``depth`` model, read as path objects,
+    are the old construction's sorted ``SSTriple`` list; ``describe`` gives
+    its labels and ``index`` inverts ``elements``."""
+    model = ss_semigroup(action, depth)
+    triples = triples_by_sorting(action, depth)
+    n = len(model.elements)
+    assert [triple_at(model, i) for i in range(1, n)] == triples
+    assert [model.describe(i) for i in range(n)] == ["0"] + [t.describe(action) for t in triples]
+    assert len(model.index) == n and all(model.index[x] == i for i, x in enumerate(model.elements))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(), doubled_actions())
+def test_model_elements_match_sorted_triples_on_random_actions(g, a):
+    for action in (trivial_action(g), a):
+        for depth in range(4):
+            try:
+                _assert_model_matches_sorted_triples(action, depth)
+            except CapExceeded:  # a deeper model is no smaller
+                break
+
+
+def test_model_elements_match_sorted_triples_on_exact_builtin_models():
+    models = [inst.meta["exact"] for inst in builtin_corpus()
+              if inst.kind in ("graph", "action") and inst.meta.get("exact") is not None]
+    assert len(models) >= 6
+    for model in models:
+        _assert_model_matches_sorted_triples(model.action, model.depth)
+
+
 def _chain_model(k):
     return exact_model(trivial_action(_graph(k + 1, [(i, i + 1) for i in range(k)])))
+
+
+def _size(model, i):
+    """|alpha| + |beta| for element i of a triple model."""
+    alpha, _, beta = model.elements[i]
+    return model.paths[alpha].length + model.paths[beta].length
 
 
 def _short_triples(model):
     """The triples with |alpha| + |beta| <= 1, vertices before edges, each
     part in index order: the hint a model gives Light's test."""
-    size = {i: t.alpha.length + t.beta.length for i, t in enumerate(model.elements) if i}
+    size = {i: _size(model, i) for i in range(1, len(model.elements))}
     return [i for short in (0, 1) for i in size if size[i] == short]
 
 
@@ -349,8 +389,7 @@ def test_model_generators_are_short_triples(build, count):
 
 
 @pytest.mark.parametrize("mutate", [
-    lambda model, hint: [i for i in hint if model.elements[i].alpha.length
-                         + model.elements[i].beta.length == 1],
+    lambda model, hint: [i for i in hint if _size(model, i) == 1],
     lambda model, hint: hint[::-1],
     lambda model, hint: [next(i for i in range(1, len(model.elements)) if i not in hint)] + hint,
 ], ids=["edges-only", "reversed", "non-hint-first"])
@@ -460,7 +499,7 @@ def test_ss_semigroup_overflow(mirror):
     g = mirror.graph
     a = GraphPath(g, (0,), 0)
     v = vertex_path(g, 0)
-    i = trunc.elements.index(SSTriple(a, 0, v))
+    i = triple_index(trunc, SSTriple(a, 0, v))
     with pytest.raises(Overflow):
         trunc.product(i, i)
     with pytest.raises(Overflow):

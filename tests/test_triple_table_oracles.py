@@ -1,7 +1,8 @@
 """Triple semigroups over integer path tables against ``triple_multiply``
-on the triple objects (tests/oracles.py): every exact builtin graph and
-action, the Z/2 edge-swap ladder and each of its quotient actions, and
-truncated models, where a product may overflow the depth."""
+on the triple objects (tests/oracles.py, through ``triple_at``): every
+exact builtin graph and action, the Z/2 edge-swap ladder and each of its
+quotient actions, and truncated models, where a product may overflow the
+depth."""
 
 import pytest
 
@@ -11,7 +12,6 @@ from isgw.graphs import DirectedGraph, graph_semigroup, single_loop
 from isgw.selfsimilar import (
     FiniteGroup,
     SelfSimilarAction,
-    SSTriple,
     action_from_json,
     hereditary_invariant_sets,
     mirror_action,
@@ -20,7 +20,14 @@ from isgw.selfsimilar import (
     vertex_path,
 )
 
-from oracles import triple_inverse, triple_multiply, triple_table_by_objects
+from oracles import (
+    SSTriple,
+    triple_at,
+    triple_index,
+    triple_inverse,
+    triple_multiply,
+    triple_table_by_objects,
+)
 from test_cli import SWAP_LADDER_DOC
 
 
@@ -44,9 +51,9 @@ def test_exact_tables_match_triple_multiply(exact_models):
     for uid, model in exact_models:
         s = model.to_inverse_semigroup()
         assert s.mul == triple_table_by_objects(model), uid
-        index = {x: i for i, x in enumerate(model.elements)}
-        assert s.inv == (0,) + tuple(index[triple_inverse(model.action, t)]
-                                     for t in model.elements[1:]), uid
+        assert s.inv == (0,) + tuple(
+            triple_index(model, triple_inverse(model.action, triple_at(model, i)))
+            for i in range(1, len(model.elements))), uid
 
 
 def test_exact_models_cover_the_ladder_quotients(exact_models):
@@ -87,8 +94,8 @@ def test_broken_membership_is_refused():
     with pytest.raises(InternalContract):
         triple_multiply(broken, SSTriple(v0, 1, v1), SSTriple(v1, 1, v0))
     model = ss_semigroup(broken, 0)
-    index = {x: i for i, x in enumerate(model.elements)}
     with pytest.raises(InternalContract):
-        model.product(index[SSTriple(v0, 1, v1)], index[SSTriple(v1, 1, v0)])
+        model.product(triple_index(model, SSTriple(v0, 1, v1)),
+                      triple_index(model, SSTriple(v1, 1, v0)))
     with pytest.raises(InternalContract):
         model.to_inverse_semigroup()

@@ -318,7 +318,7 @@ def test_quotient_action_isomorphism_names_a_map_that_is_not_one_to_one(monkeypa
     but not one-to-one: the first nonempty vertex set is caught."""
     inst = _exact_group_action()
     got = assert_caught(verify.check_action_instance, (inst,), "quotient_action_isomorphism",
-                        monkeypatch, verify, _vertex_ideal=lambda a, truncated, s, v_set:
+                        monkeypatch, verify, _vertex_ideal=lambda truncated, v_set:
                             frozenset({0}))
     assert got.counterexample == [0]
 
@@ -376,10 +376,18 @@ def test_graph_condition_l_check_fails_on_a_flipped_condition_l(monkeypatch):
 
 
 def test_tight_units_check_names_both_counts(monkeypatch):
+    """The exact model swapped for one with the same semigroup and no
+    paths: the check counts no maximal path but still counts the units."""
     inst = _exact_instance("graph")
-    got = assert_fails(verify.check_graph_instance, (inst,),
-                       "tight_units_are_maximal_path_filters", monkeypatch, verify,
-                       paths_up_to=lambda graph, depth: ())
+    name = "tight_units_are_maximal_path_filters"
+    assert entry(verify.check_graph_instance(inst), name).status == "pass"
+    model = inst.meta["exact"]
+    pathless = ss.TruncatedActionSemigroup(model.action, model.depth, (), model.elements,
+                                           model.exact)
+    pathless.__dict__["_semigroup"] = model.to_inverse_semigroup()
+    monkeypatch.setitem(inst.meta, "exact", pathless)
+    got = entry(verify.check_graph_instance(inst), name)
+    assert got.status == "fail", got
     assert got.detail.endswith(" maximal_paths=0")
     assert not got.detail.startswith("atoms=0 ")
 

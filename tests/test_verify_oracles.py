@@ -92,10 +92,9 @@ def test_mu_path_matches_oracle_on_exact_models(case):
     mu = rel.h_and_mu(s).mu
     equality = rel.EquivalenceRelation.from_class_map(s.n, lambda a: a)
     universal = rel.EquivalenceRelation.from_class_map(s.n, lambda a: 0)
-    paths_to = verify._paths_into(action)
-    assert verify._mu_path_failure(action, model, mu, paths_to) is None
+    assert verify._mu_path_failure(model, mu) is None
     for wrong in (equality, universal):
-        assert (verify._mu_path_failure(action, model, wrong, paths_to)
+        assert (verify._mu_path_failure(model, wrong)
                 == mu_path_failure_by_all_pairs(action, model, wrong))
 
 
@@ -105,12 +104,12 @@ def test_mu_path_matches_oracle_on_random_relations(data):
     action, model, s = data.draw(st.sampled_from(EXACT_MODELS))
     labels = data.draw(st.lists(st.integers(0, 3), min_size=s.n, max_size=s.n))
     relation = rel.EquivalenceRelation.from_class_map(s.n, labels.__getitem__)
-    assert (verify._mu_path_failure(action, model, relation, verify._paths_into(action))
+    assert (verify._mu_path_failure(model, relation)
             == mu_path_failure_by_all_pairs(action, model, relation))
 
 
 def _vertex_ideals(action, model, s):
-    return {v_set: verify._vertex_ideal(action, model, s, v_set)
+    return {v_set: verify._vertex_ideal(model, v_set)
             for v_set in ss.hereditary_invariant_sets(action)}
 
 
