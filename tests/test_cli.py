@@ -284,6 +284,41 @@ def test_golden_output(command, tmp_path, monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[command]
 
 
+def one_entry_mutations():
+    """The 32 action documents with one entry of ``vertex_action``,
+    ``edge_action`` or ``cocycle`` of SWAP-LADDER2 and of the mirror moved to
+    (entry + 1) mod its range (the vertex count, the edge count or the group
+    order), in that order of documents, tables, group elements and entries."""
+    for base in (SWAP_LADDER_DOC, MIRROR_DOC):
+        ranges = {"vertex_action": base["graph"]["vertices"],
+                  "edge_action": len(base["graph"]["edges"]),
+                  "cocycle": len(base["group"]["mul"])}
+        for table, bound in ranges.items():
+            for g, row in enumerate(base[table]):
+                for i, x in enumerate(row):
+                    doc = json.loads(json.dumps(base))
+                    doc[table][g][i] = (x + 1) % bound
+                    yield doc
+
+
+# SHA-256 of the exit code and stderr of ``analyze selfsimilar <doc> --json``
+# over the mutated documents: most fail a single-edge axiom, six fail E2 on a
+# path, and the two mirror vertex mutations are no change (one vertex).
+MUTATED_ACTIONS_SHA256 = "b73f145ae83482b6535fcdd88838cfab7415d33bbc4339bacce613730ee35d81"
+
+
+def test_mutated_actions_keep_their_exit_codes_and_witnesses(tmp_path, capsys):
+    docs = list(one_entry_mutations())
+    assert len(docs) == 32
+    lines = []
+    for doc in docs:
+        code, _, err = run_cli(capsys, "analyze", "selfsimilar",
+                               _write(tmp_path, "a.json", doc), "--json")
+        lines.append(f"{code}\t{err}")
+    assert sum("axiom E2 violated" in line for line in lines) == 6
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == MUTATED_ACTIONS_SHA256
+
+
 # -- malformed documents exit 2 -------------------------------------------------
 
 def _write(tmp_path, name, doc):
