@@ -68,8 +68,7 @@ def _semigroup_properties(report: Report, s) -> None:
     report.add_property("hausdorff", True,
                         witness="finite: meets are finitely generated")
     report.add_property("condition_l", cg.condition_L(s))
-    k = condition_K(s)
-    report.add_property("condition_k", k.value)
+    report.add_property("condition_k", condition_K(s))
     ideals = ifl.enumerate_ideals(s)
     report.add_property("ideals", len(ideals))
     report.add_property("saturated_ideals",
@@ -202,7 +201,7 @@ def _action_properties(report: Report, a, depth: int) -> None:
                         hypothesis=faith.hypothesis)
     report.add_property("trivial_pairs",
                         sorted((a.group.labels[g], v)
-                               for g, v in faith.trivial_pairs.pairs))
+                               for g, v in faith.trivial_pairs))
     m = ssim.condition_M_ss(a)
     report.add_property("condition_m", m.value, witness=m.witness)
     report.add_property("g_independent_edges", list(ssim.g_independent_edges(a)))

@@ -123,11 +123,6 @@ class GraphPath(Record, compare=("edges", "src")):
     def length(self) -> int:
         return len(self.edges)
 
-    def concat(self, other: "GraphPath") -> "GraphPath":
-        if self.src != other.rng:
-            raise ParseError("paths do not compose")
-        return GraphPath(self.graph, self.edges + other.edges, other.src)
-
     def extend(self, edge_index: int) -> "GraphPath":
         e = self.graph.edges[edge_index]
         if e.rng != self.src:
@@ -146,10 +141,6 @@ class GraphPath(Record, compare=("edges", "src")):
 
 def vertex_path(g: DirectedGraph, v: int) -> GraphPath:
     return GraphPath(g, (), v)
-
-
-def edge_path(g: DirectedGraph, i: int) -> GraphPath:
-    return GraphPath(g, (i,), g.edges[i].src)
 
 
 def paths_up_to(g: DirectedGraph, depth: int) -> list:

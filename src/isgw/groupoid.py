@@ -351,52 +351,27 @@ def verify_structure_theorems(s: InverseSemigroup) -> list:
 
 # -- conditions ----------------------------------------------------------------
 
-class ConditionKReport(Record):
-    __slots__ = ("value", "per_ideal")
-
-    def __init__(self, value: bool, per_ideal: tuple):
-        set_field(self, "value", value)
-        # (sorted idempotent trace, condition_L of the quotient) per saturated ideal
-        set_field(self, "per_ideal", per_ideal)
-
-
 @per_semigroup
-def condition_K(s: InverseSemigroup) -> ConditionKReport:
+def condition_K(s: InverseSemigroup) -> bool:
     """Every Rees quotient by a saturated ideal satisfies condition (L).  The
     verify check ``strong_effectiveness_iff_condition_k`` compares the value
     with strong effectiveness of the tight groupoid.  The paper's trapping
     hypothesis on E holds on every finite E."""
-    per_ideal = []
     value = True
     for ideal in enumerate_ideals(s):
-        if not ideal.saturated:
-            continue
-        q = rees_quotient(s, ideal.elements).quotient
-        ok = condition_L(q)
-        per_ideal.append((tuple(sorted(ideal.trace)), ok))
-        value = value and ok
-    return ConditionKReport(value=value, per_ideal=tuple(per_ideal))
+        if ideal.saturated:
+            value = condition_L(rees_quotient(s, ideal.elements).quotient) and value
+    return value
 
 
-class WeaklyFixedReport(Record):
-    __slots__ = ("criterion", "effective", "quotient_fundamental", "chain_holds")
-
-    def __init__(self, criterion: Decision, effective: bool, quotient_fundamental: bool,
-                 chain_holds: bool):
-        set_field(self, "criterion", criterion)
-        set_field(self, "effective", effective)
-        set_field(self, "quotient_fundamental", quotient_fundamental)
-        set_field(self, "chain_holds", chain_holds)
-
-
-def weakly_fixed_criterion(s: InverseSemigroup) -> WeaklyFixedReport:
+def weakly_fixed_criterion(s: InverseSemigroup) -> Decision:
     """For every element a and every idempotent e <= a*a weakly fixed under a
     (a f a* f is nonzero for all nonzero f <= e), search a cover of e by
-    fixed idempotents.  The implication chain linking effectiveness, this
-    criterion and the fundamental quotient is evaluated alongside."""
+    fixed idempotents; the witness of a failure is (a, e).  The verify check
+    ``effectiveness_chain`` links it with effectiveness and the fundamental
+    quotient."""
     lattice = Semilattice.from_semigroup(s)
     order = s.order()
-    criterion = Decision(True)
     below = {e: [f for f in lattice.members(lattice.down[e]) if f != s.zero]
              for e in lattice.nonzero()}
     for a in s.nonzero():
@@ -412,15 +387,5 @@ def weakly_fixed_criterion(s: InverseSemigroup) -> WeaklyFixedReport:
                 continue
             fixed = [f for f in below[e] if s.product(a, f) == f]
             if not (fixed and is_cover(lattice, e, fixed, require_below=True).value):
-                criterion = Decision(False, (a, e))
-                break
-        if not criterion.value:
-            break
-
-    eff = effectiveness(build_groupoids(s).tight).effective.value
-    fund = condition_L(s)
-    chain = ((not eff or criterion.value)
-             and (not criterion.value or fund)
-             and (not fund or eff))
-    return WeaklyFixedReport(criterion=criterion, effective=eff,
-                             quotient_fundamental=fund, chain_holds=chain)
+                return Decision(False, (a, e))
+    return Decision(True)

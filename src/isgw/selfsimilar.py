@@ -4,7 +4,8 @@ graph together with a restriction cocycle.
 The cocycle tells how a group element keeps acting after passing through an
 edge: g sends the path e*beta to (g e) * (phi(g, e) beta).  All structural
 notions (faithfulness, condition (M), the triple semigroup) are computed
-exactly from the tables; path recursion follows that one defining rule.
+exactly from the tables; the action on paths is one table over path ids,
+built by that one defining rule (``_path_tables``).
 """
 
 from __future__ import annotations
@@ -25,14 +26,12 @@ from .graphs import (
     Edge,
     GraphPath,
     condition_m_graph,
-    edge_path,
     hereditary_sets,
     is_hereditary,
     parse_graph,
     paths_up_to,
     quotient_graph,
     two_loops,
-    vertex_path,
 )
 from .util import (
     Decision,
@@ -138,34 +137,14 @@ class SelfSimilarAction(Record):
             raise ParseError(f"no edge {eid}") from None
 
 
-def act_on_path(action: SelfSimilarAction, g: int, path: GraphPath) -> tuple:
-    """Image path and restriction cocycle of g along the whole path.
-
-    A vertex goes to its image vertex with cocycle g itself; a path e*beta
-    goes to (g e) * (phi(g, e) beta) with the cocycle restricted through e
-    first and then along beta.  The identity fixes every path with cocycle
-    itself (validate_action checks this on vertices, edges and the cocycle
-    before it acts on any path).
-    """
-    if g == action.group.identity:
-        return path, g
-    if path.length == 0:
-        return vertex_path(action.graph, action.act_vertex(g, path.src)), g
-    top = action.graph.edges[path.edges[0]]
-    ge = action.act_edge(g, top.eid)
-    h = action.restrict(g, top.eid)
-    rest = GraphPath(action.graph, path.edges[1:], path.src)
-    image_rest, final = act_on_path(action, h, rest)
-    image = edge_path(action.graph, action.edge_index(ge)).concat(image_rest)
-    return image, final
-
-
 def validate_action(action: SelfSimilarAction, depth: int = VALIDATION_DEPTH) -> dict:
     """Exhaustively check the defining axioms on paths up to the given depth.
 
     The identities beyond single edges are forced by the recursive definition
     of the path action, so checking them on short paths certifies the tables;
-    any violation raises AxiomViolation with the witnessing tuple.
+    any violation raises AxiomViolation with the witnessing tuple.  The path
+    checks read the action table of ``_path_tables``, which is built once the
+    single-edge checks have passed.
     """
     grp, graph = action.group, action.graph
     gs = range(grp.size)
@@ -213,43 +192,42 @@ def validate_action(action: SelfSimilarAction, depth: int = VALIDATION_DEPTH) ->
         if len({action.act_edge(g, e.eid) for e in graph.edges}) != len(graph.edges):
             raise AxiomViolation("E1", ("edge bijection", g))
 
-    paths = paths_up_to(graph, depth)
+    paths = tuple(paths_up_to(graph, depth))
+    tab = _path_tables(action, paths)
+    act = tab.act
     checked = 0
     for g in gs:
         for h in gs:
             gh = grp.product(g, h)
-            for p in paths:
-                hp, hc = act_on_path(action, h, p)
-                ghp_direct, ghc_direct = act_on_path(action, gh, p)
-                g_hp, g_hc = act_on_path(action, g, hp)
+            for p in range(len(paths)):
+                hp, hc = act[h][p]
+                ghp_direct, ghc_direct = act[gh][p]
+                g_hp, g_hc = act[g][hp]
                 if ghp_direct != g_hp:
-                    raise AxiomViolation("E1", (g, h, p.describe()))
+                    raise AxiomViolation("E1", (g, h, paths[p].describe()))
                 if ghc_direct != grp.product(g_hc, hc):
-                    raise AxiomViolation("E2", (g, h, p.describe()))
+                    raise AxiomViolation("E2", (g, h, paths[p].describe()))
                 checked += 1
     for g in gs:
-        for p in paths:
-            img, coc = act_on_path(action, g, p)
-            if img.length != p.length:
-                raise AxiomViolation("E7", ("length", g, p.describe()))
-            if img.rng != action.act_vertex(g, p.rng):
-                raise AxiomViolation("E4", (g, p.describe()))
-            if img.src != action.act_vertex(g, p.src):
-                raise AxiomViolation("E5", (g, p.describe()))
+        for p in range(len(paths)):
+            img, coc = act[g][p]
+            if tab.length[img] != tab.length[p]:
+                raise AxiomViolation("E7", ("length", g, paths[p].describe()))
+            if tab.rng[img] != action.act_vertex(g, tab.rng[p]):
+                raise AxiomViolation("E4", (g, paths[p].describe()))
+            if tab.src[img] != action.act_vertex(g, tab.src[p]):
+                raise AxiomViolation("E5", (g, paths[p].describe()))
             for x in graph.vertices:
                 if action.act_vertex(coc, x) != action.act_vertex(g, x):
-                    raise AxiomViolation("E6", (g, p.describe(), x))
+                    raise AxiomViolation("E6", (g, paths[p].describe(), x))
             # every split alpha*beta must satisfy the extension identities
-            for k in range(p.length + 1):
-                alpha = GraphPath(graph, p.edges[:k],
-                                  graph.edges[p.edges[k - 1]].src if k else p.rng)
-                beta = GraphPath(graph, p.edges[k:], p.src)
-                ga, ca = act_on_path(action, g, alpha)
-                gb, cb = act_on_path(action, ca, beta)
-                if ga.concat(gb) != img:
-                    raise AxiomViolation("E7", (g, p.describe(), k))
+            for cut, (alpha, beta) in enumerate(tab.splits[p]):
+                ga, ca = act[g][alpha]
+                gb, cb = act[ca][beta]
+                if tab.concat.get((ga, gb)) != img:
+                    raise AxiomViolation("E7", (g, paths[p].describe(), cut))
                 if cb != coc:
-                    raise AxiomViolation("E8", (g, p.describe(), k))
+                    raise AxiomViolation("E8", (g, paths[p].describe(), cut))
                 checked += 1
     return {"paths": len(paths), "checks": checked, "depth": depth}
 
@@ -260,22 +238,71 @@ ZERO = "0"
 
 
 class PathTables(Record):
-    """Every table a triple product reads, over the path ids of a model:
-    ``strip[(p, q)]`` is the tail t of q = p t and ``concat[(p, t)]`` is q,
-    for every split of a path q of the model (so a composable pair missing
-    from ``concat`` is longer than the depth); ``act[g][p]`` is the image id
-    and cocycle of g on p."""
+    """Every table a triple product and ``validate_action`` read, over the
+    ids of a tuple of paths: ``splits[q]`` lists the pairs (p, t) with
+    q = p t by the edge count of p, ``strip[(p, q)]`` is that t and
+    ``concat[(p, t)]`` is q (so a composable pair missing from ``concat`` is
+    longer than the paths); ``act[g][p]`` is the image id and cocycle of g
+    on p."""
 
-    __slots__ = ("src", "rng", "length", "strip", "concat", "act")
+    __slots__ = ("src", "rng", "length", "splits", "strip", "concat", "act")
 
-    def __init__(self, src: tuple, rng: tuple, length: tuple, strip: dict, concat: dict,
-                 act: tuple):
+    def __init__(self, src: tuple, rng: tuple, length: tuple, splits: tuple, strip: dict,
+                 concat: dict, act: tuple):
         set_field(self, "src", src)  # path id -> source vertex
         set_field(self, "rng", rng)  # path id -> range vertex
         set_field(self, "length", length)
+        set_field(self, "splits", splits)
         set_field(self, "strip", strip)
         set_field(self, "concat", concat)
         set_field(self, "act", act)
+
+
+def _path_tables(action: SelfSimilarAction, paths: tuple) -> PathTables:
+    """The tables over ``paths``, a ``paths_up_to`` tuple, in O(|paths| *
+    depth + |G| * |paths|) steps.  The action follows its defining rule: g
+    sends a vertex to its image with cocycle g, and e*beta to (g e) *
+    (phi(g, e) beta), whose tail is read in the row of phi(g, e) at beta,
+    which is shorter and so earlier in the path order.  The identities
+    hold when the single-edge axioms do; an image missing from the paths
+    (an action not validated) raises InternalContract."""
+    graph = action.graph
+    ids = {(p.edges, p.src): k for k, p in enumerate(paths)}
+    splits, strip, concat = [], {}, {}
+    for k, p in enumerate(paths):
+        cuts = []
+        for cut in range(p.length + 1):
+            head_src = graph.edges[p.edges[cut - 1]].src if cut else p.rng
+            head = ids[(p.edges[:cut], head_src)]
+            tail = ids[(p.edges[cut:], p.src)]
+            strip[(head, k)] = tail
+            concat[(head, tail)] = k
+            cuts.append((head, tail))
+        splits.append(tuple(cuts))
+    gs = range(action.group.size)
+    act = [[None] * len(paths) for _ in gs]
+    for k, p in enumerate(paths):
+        for g in gs:
+            if p.edges:  # p = e beta, cut after its first edge
+                e = graph.edges[p.edges[0]]
+                _, beta = splits[k][1]
+                tail, cocycle = act[action.restrict(g, e.eid)][beta]
+                j = action.edge_index(action.act_edge(g, e.eid))
+                image = concat.get((ids[((j,), graph.edges[j].src)], tail))
+            else:
+                image, cocycle = ids.get(((), action.act_vertex(g, p.src))), g
+            if image is None:
+                raise InternalContract("the path action left the paths of the model")
+            act[g][k] = (image, cocycle)
+    return PathTables(
+        src=tuple(p.src for p in paths),
+        rng=tuple(p.rng for p in paths),
+        length=tuple(p.length for p in paths),
+        splits=tuple(splits),
+        strip=strip,
+        concat=concat,
+        act=tuple(map(tuple, act)),
+    )
 
 
 class TruncatedActionSemigroup(Record):
@@ -318,36 +345,8 @@ class TruncatedActionSemigroup(Record):
 
     @functools.cached_property
     def _tables(self) -> PathTables:
-        """The tables of the model, built once: O(|paths| * depth) splits
-        and |G| * |paths| calls of ``act_on_path``."""
-        action, graph, paths = self.action, self.action.graph, self.paths
-        ids = {(p.edges, p.src): k for k, p in enumerate(paths)}
-        strip, concat = {}, {}
-        for k, p in enumerate(paths):
-            for cut in range(p.length + 1):
-                head_src = graph.edges[p.edges[cut - 1]].src if cut else p.rng
-                head = ids[(p.edges[:cut], head_src)]
-                tail = ids[(p.edges[cut:], p.src)]
-                strip[(head, k)] = tail
-                concat[(head, tail)] = k
-        act = []
-        for g in range(action.group.size):
-            row = []
-            for p in paths:
-                image, cocycle = act_on_path(action, g, p)
-                image_id = ids.get((image.edges, image.src))
-                if image_id is None:
-                    raise InternalContract("the path action left the paths of the model")
-                row.append((image_id, cocycle))
-            act.append(tuple(row))
-        return PathTables(
-            src=tuple(p.src for p in paths),
-            rng=tuple(p.rng for p in paths),
-            length=tuple(p.length for p in paths),
-            strip=strip,
-            concat=concat,
-            act=tuple(act),
-        )
+        """The tables of the model, built once."""
+        return _path_tables(self.action, self.paths)
 
     def _join(self, p: int, q: int) -> int:
         """Id of the path p q; raises Overflow when it is longer than the
@@ -535,23 +534,15 @@ def quotient_action(action: SelfSimilarAction, v_set) -> SelfSimilarAction:
     return sub
 
 
-class TrivialPairSet(Record):
-    """Pairs (g, v) where g acts trivially on every path into v; the greatest
-    fixed point of the one-step closure."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs: frozenset):
-        set_field(self, "pairs", pairs)
-
-
 class FaithfulnessReport(Record):
     __slots__ = ("faithful", "strongly_faithful", "trivial_pairs", "hypothesis")
 
-    def __init__(self, faithful: bool, strongly_faithful: bool, trivial_pairs: TrivialPairSet,
+    def __init__(self, faithful: bool, strongly_faithful: bool, trivial_pairs: frozenset,
                  hypothesis: str):
         set_field(self, "faithful", faithful)
         set_field(self, "strongly_faithful", strongly_faithful)
+        # the pairs (g, v) where g acts trivially on every path into v: the
+        # greatest fixed point of the one-step closure
         set_field(self, "trivial_pairs", trivial_pairs)
         # "met" unless some vertex has no incoming or outgoing edge
         set_field(self, "hypothesis", hypothesis)
@@ -604,7 +595,7 @@ def _faithfulness_report(action: SelfSimilarAction) -> FaithfulnessReport:
     return FaithfulnessReport(
         faithful=faithful,
         strongly_faithful=strongly,
-        trivial_pairs=TrivialPairSet(pairs),
+        trivial_pairs=pairs,
         hypothesis="met" if no_source_or_sink else "unmet-recorded",
     )
 

@@ -7,7 +7,8 @@ graph inverse semigroup, the condition (M) scans for graphs and for
 actions with reachability by passes over the edges, conditions (L) and (K)
 by listing simple cycles and counting first-return paths, acyclicity and
 the longest path by recursion, the cycle of the strongly fixed path
-automaton by a recursive search, and the mask loops over hereditary vertex
+automaton by a recursive search, the axioms of an action checked on path
+objects (``validate_action_by_paths``), and the mask loops over hereditary vertex
 sets and hereditary invariant vertex sets (``isgw.graphs``,
 ``isgw.selfsimilar``); the
 elements of a triple model as ``SSTriple`` records of path objects sorted by
@@ -43,8 +44,11 @@ The first section holds operations that only the tests use, kept here so
 that ``src/isgw`` holds only what the command line reaches
 (``tests/test_reach.py``): the natural order by its definition (``leq``),
 grouping into classes (``group_by``), the product, emptiness and label of partial
-bijections (``compose``, ``is_empty``, ``describe``), the prefix test and
-tail of graph paths (``has_prefix``, ``strip_prefix``), triples of path
+bijections (``compose``, ``is_empty``, ``describe``), the prefix test,
+tail, one-edge path and concatenation of graph paths (``has_prefix``,
+``strip_prefix``, ``edge_path``, ``concat``), the action of a group element
+on path objects by recursion on its defining rule (``act_on_path``, the
+oracle of the action table ``_path_tables``), triples of path
 objects (``SSTriple``), read off a model's id triples (``triple_at``,
 ``triple_index``), with their product and inverse (``triple_multiply``,
 ``triple_inverse``), and the least saturated order ideal over a set
@@ -61,6 +65,7 @@ from isgw import selfsimilar as ss
 from isgw.congruences import congruence_closure, make_congruence
 from isgw.core import PartialBijection, from_tables
 from isgw.errors import (
+    AxiomViolation,
     CapExceeded,
     InternalContract,
     NotAssociative,
@@ -74,10 +79,11 @@ from isgw.graphs import (
     _is_saturated_vertex_set,
     is_hereditary,
     paths_up_to,
+    vertex_path,
 )
 from isgw.groupoid import reduction
 from isgw.ideals_filters import ideal_generated, ideal_trace
-from isgw.selfsimilar import ZERO, act_on_path, g_independent_edges, vertex_orbits
+from isgw.selfsimilar import ZERO, g_independent_edges, vertex_orbits
 from isgw.semilattice import Semilattice
 from isgw.util import Decision, Record, UnionFind, set_field
 
@@ -129,6 +135,39 @@ def strip_prefix(path, other):
     if not has_prefix(path, other):
         raise ParseError("not a prefix")
     return GraphPath(path.graph, path.edges[other.length:], path.src)
+
+
+def edge_path(graph, i):
+    """The path of edge i alone."""
+    return GraphPath(graph, (i,), graph.edges[i].src)
+
+
+def concat(path, other):
+    """The path path * other (other on the source side)."""
+    if path.src != other.rng:
+        raise ParseError("paths do not compose")
+    return GraphPath(path.graph, path.edges + other.edges, other.src)
+
+
+def act_on_path(action, g, path) -> tuple:
+    """Image path and restriction cocycle of g along the whole path, by
+    recursion on path objects.
+
+    A vertex goes to its image vertex with cocycle g itself; a path e*beta
+    goes to (g e) * (phi(g, e) beta) with the cocycle restricted through e
+    first and then along beta.  The identity fixes every path with cocycle
+    itself.
+    """
+    if g == action.group.identity:
+        return path, g
+    if path.length == 0:
+        return vertex_path(action.graph, action.act_vertex(g, path.src)), g
+    top = action.graph.edges[path.edges[0]]
+    ge = action.act_edge(g, top.eid)
+    h = action.restrict(g, top.eid)
+    rest = GraphPath(action.graph, path.edges[1:], path.src)
+    image_rest, final = act_on_path(action, h, rest)
+    return concat(edge_path(action.graph, action.edge_index(ge)), image_rest), final
 
 
 class SSTriple(Record):
@@ -189,13 +228,13 @@ def triple_multiply(action, t1, t2, depth=None):
     gamma, h, nu = t2.alpha, t2.g, t2.beta
     if has_prefix(gamma, beta):
         g_tail, coc = act_on_path(action, g, strip_prefix(gamma, beta))
-        new_alpha = alpha.concat(g_tail)
+        new_alpha = concat(alpha, g_tail)
         if depth is not None and new_alpha.length > depth:
             raise Overflow(f"product path length {new_alpha.length} > depth {depth}")
         out = SSTriple(new_alpha, grp.product(coc, h), nu)
     elif has_prefix(beta, gamma):
         h_tail, coc = act_on_path(action, grp.inverse(h), strip_prefix(beta, gamma))
-        new_beta = nu.concat(h_tail)
+        new_beta = concat(nu, h_tail)
         if depth is not None and new_beta.length > depth:
             raise Overflow(f"product path length {new_beta.length} > depth {depth}")
         out = SSTriple(alpha, grp.product(g, grp.inverse(coc)), new_beta)
@@ -357,12 +396,12 @@ def graph_pair_semigroup(g, depth):
             return 0
         (alpha, beta), (gamma, nu) = elements[i], elements[j]
         if has_prefix(gamma, beta):
-            new_alpha = alpha.concat(strip_prefix(gamma, beta))
+            new_alpha = concat(alpha, strip_prefix(gamma, beta))
             if new_alpha.length > depth:
                 raise Overflow(f"product needs a path of length {new_alpha.length}")
             return index[(new_alpha, nu)]
         if has_prefix(beta, gamma):
-            new_beta = nu.concat(strip_prefix(beta, gamma))
+            new_beta = concat(nu, strip_prefix(beta, gamma))
             if new_beta.length > depth:
                 raise Overflow(f"product needs a path of length {new_beta.length}")
             return index[(alpha, new_beta)]
@@ -1111,6 +1150,92 @@ def hull_kernel_pool_by_sets(s, rng):
     return expansion, saturated
 
 
+def validate_action_by_paths(action, depth=ss.VALIDATION_DEPTH) -> dict:
+    """``validate_action`` on path objects: the same checks in the same
+    order, with every image computed anew by ``act_on_path`` and every split
+    of a path built again as two path objects."""
+    grp, graph = action.group, action.graph
+    gs = range(grp.size)
+    one = grp.identity
+
+    for g in gs:
+        for v in graph.vertices:
+            if (g, v) not in action.vertex_action:
+                raise AxiomViolation("tables", (g, v))
+        for e in graph.edges:
+            if (g, e.eid) not in action.edge_action or (g, e.eid) not in action.cocycle:
+                raise AxiomViolation("tables", (g, e.eid))
+
+    for v in graph.vertices:
+        if action.act_vertex(one, v) != v:
+            raise AxiomViolation("identity", v)
+    for e in graph.edges:
+        if action.act_edge(one, e.eid) != e.eid:
+            raise AxiomViolation("identity", e.eid)
+        if action.restrict(one, e.eid) != one:
+            raise AxiomViolation("identity", ("cocycle", e.eid))
+
+    for g in gs:
+        for e in graph.edges:
+            j = action.edge_index(action.act_edge(g, e.eid))
+            if graph.edges[j].rng != action.act_vertex(g, e.rng):
+                raise AxiomViolation("E4", (g, e.eid))
+            if graph.edges[j].src != action.act_vertex(g, e.src):
+                raise AxiomViolation("E5", (g, e.eid))
+
+    for g in gs:
+        for e in graph.edges:
+            h = action.restrict(g, e.eid)
+            for x in graph.vertices:
+                if action.act_vertex(h, x) != action.act_vertex(g, x):
+                    raise AxiomViolation("E6", (g, e.eid, x))
+
+    for g in gs:
+        if len({action.act_vertex(g, v) for v in graph.vertices}) != len(graph.vertices):
+            raise AxiomViolation("E1", ("vertex bijection", g))
+        if len({action.act_edge(g, e.eid) for e in graph.edges}) != len(graph.edges):
+            raise AxiomViolation("E1", ("edge bijection", g))
+
+    paths = paths_up_to(graph, depth)
+    checked = 0
+    for g in gs:
+        for h in gs:
+            gh = grp.product(g, h)
+            for p in paths:
+                hp, hc = act_on_path(action, h, p)
+                ghp_direct, ghc_direct = act_on_path(action, gh, p)
+                g_hp, g_hc = act_on_path(action, g, hp)
+                if ghp_direct != g_hp:
+                    raise AxiomViolation("E1", (g, h, p.describe()))
+                if ghc_direct != grp.product(g_hc, hc):
+                    raise AxiomViolation("E2", (g, h, p.describe()))
+                checked += 1
+    for g in gs:
+        for p in paths:
+            img, coc = act_on_path(action, g, p)
+            if img.length != p.length:
+                raise AxiomViolation("E7", ("length", g, p.describe()))
+            if img.rng != action.act_vertex(g, p.rng):
+                raise AxiomViolation("E4", (g, p.describe()))
+            if img.src != action.act_vertex(g, p.src):
+                raise AxiomViolation("E5", (g, p.describe()))
+            for x in graph.vertices:
+                if action.act_vertex(coc, x) != action.act_vertex(g, x):
+                    raise AxiomViolation("E6", (g, p.describe(), x))
+            for k in range(p.length + 1):
+                alpha = GraphPath(graph, p.edges[:k],
+                                  graph.edges[p.edges[k - 1]].src if k else p.rng)
+                beta = GraphPath(graph, p.edges[k:], p.src)
+                ga, ca = act_on_path(action, g, alpha)
+                gb, cb = act_on_path(action, ca, beta)
+                if concat(ga, gb) != img:
+                    raise AxiomViolation("E7", (g, p.describe(), k))
+                if cb != coc:
+                    raise AxiomViolation("E8", (g, p.describe(), k))
+                checked += 1
+    return {"paths": len(paths), "checks": checked, "depth": depth}
+
+
 def mu_path_failure_by_all_pairs(action, truncated, mu):
     """The first ordered pair of nonzero triples with equal alpha and beta
     on which mu disagrees with "g and h act alike on every path into the
@@ -1126,7 +1251,7 @@ def mu_path_failure_by_all_pairs(action, truncated, mu):
             if t1.alpha != t2.alpha or t1.beta != t2.beta:
                 continue
             agree = all(
-                ss.act_on_path(action, t1.g, gamma)[0] == ss.act_on_path(action, t2.g, gamma)[0]
+                act_on_path(action, t1.g, gamma)[0] == act_on_path(action, t2.g, gamma)[0]
                 for gamma in paths_to.get(t1.beta.src, ()))
             if mu.same(i, j) != agree:
                 return t1.describe(action), t2.describe(action)

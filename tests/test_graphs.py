@@ -6,7 +6,6 @@ from isgw.graphs import (
     DirectedGraph,
     Edge,
     GraphPath,
-    edge_path,
     graph_conditions,
     graph_semigroup,
     hereditary_sets,
@@ -18,7 +17,15 @@ from isgw.graphs import (
     two_loops,
     vertex_path,
 )
-from oracles import SSTriple, has_prefix, strip_prefix, triple_at, triple_index
+from oracles import (
+    SSTriple,
+    concat,
+    edge_path,
+    has_prefix,
+    strip_prefix,
+    triple_at,
+    triple_index,
+)
 
 
 def test_parse_graph():
@@ -41,14 +48,14 @@ def test_path_machinery():
     assert yx.rng == 2 and yx.src == 0 and yx.length == 2
     y = edge_path(g, 1)
     x = edge_path(g, 0)
-    assert y.concat(x) == yx
+    assert concat(y, x) == yx
     assert has_prefix(yx, y)
     assert strip_prefix(yx, y) == x
     assert has_prefix(yx, vertex_path(g, 2))
     assert strip_prefix(yx, vertex_path(g, 2)) == yx
     assert not has_prefix(yx, x)
     with pytest.raises(ParseError):
-        x.concat(y)  # wrong way round
+        concat(x, y)  # wrong way round
     assert yx.describe() == "yx"
 
 

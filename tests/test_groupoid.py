@@ -19,7 +19,7 @@ from isgw.groupoid import (
     verify_structure_theorems,
     weakly_fixed_criterion,
 )
-from isgw.verify import check_condition_k
+from isgw.verify import check_condition_k, check_effectiveness_chain
 
 from conftest import make_chain, slice_arrows
 from oracles import strong_effectiveness_by_all_unions
@@ -189,7 +189,7 @@ def test_condition_k(i2, z2z):
     """Condition (K) and strong effectiveness agree on I2 (both hold) and on
     Z2Z (both fail); the verify check records the pair it compared."""
     for s, holds in ((i2, True), (z2z, False)):
-        assert condition_K(s).value is holds
+        assert condition_K(s) is holds
         assert effectiveness(build_groupoids(s).tight).strongly_effective.value is holds
         [entry] = check_condition_k(s)
         assert entry.name == "strong_effectiveness_iff_condition_k"
@@ -199,16 +199,18 @@ def test_condition_k(i2, z2z):
 
 def test_condition_k_zero_semigroup():
     z = from_tables([[0]], [0], 0)
-    assert condition_K(z).value is True
+    assert condition_K(z) is True
 
 
 def test_weakly_fixed_criterion(i2, z2z, e4):
-    assert weakly_fixed_criterion(i2).criterion.value is True
+    assert weakly_fixed_criterion(i2).value is True
     repz = weakly_fixed_criterion(z2z)
-    assert repz.criterion.value is False
-    assert repz.criterion.witness == (2, 1)  # x with e = 1
-    assert repz.chain_holds
-    assert weakly_fixed_criterion(e4).criterion.value is True
+    assert repz.value is False
+    assert repz.witness == (2, 1)  # x with e = 1
+    chain, _ = check_effectiveness_chain(z2z)
+    assert (chain.name, chain.status) == ("effectiveness_chain", "pass")
+    assert " criterion=False " in chain.detail
+    assert weakly_fixed_criterion(e4).value is True
 
 
 def test_structure_theorems_all_pass(i2, e4, z2z):

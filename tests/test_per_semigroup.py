@@ -20,6 +20,7 @@ from isgw.core import (
     per_semigroup,
 )
 from isgw.corpus import CorpusInstance
+from isgw.graphs import GraphPath, paths_up_to
 from isgw.groupoid import FiniteGroupoid, build_groupoids, condition_K
 from isgw.relations import centralizer, h_and_mu
 from isgw.semilattice import Semilattice
@@ -374,30 +375,28 @@ def test_verify_scans_the_order_ideals_for_invariance_once(monkeypatch):
 
 
 def test_mu_path_criterion_acts_once_per_element_and_path(monkeypatch):
-    """On SWAP-LADDER2 ``act_on_path`` runs only while the model's tables
-    are built, once per group element and path (outermost calls), and the
-    mu-path check never calls it: it reads the model's ``act`` table."""
+    """On SWAP-LADDER2 the model builds its action table once, over its own
+    paths, and neither its semigroup nor the mu-path check builds another:
+    they read the model's ``act`` table.  ``validate_action`` on the mirror
+    at depth 4 makes one ``GraphPath`` per path it checks, 31 in all: the
+    table acts on path ids, not on path objects."""
     action = ss.action_from_json(SWAP_LADDER_DOC)
-    calls, depth = [], [0]
-    original = ss.act_on_path
-
-    def counting(a, g, path):  # records the outermost call of each recursion
-        if not depth[0]:
-            calls.append((g, path))
-        depth[0] += 1
-        try:
-            return original(a, g, path)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(ss, "act_on_path", counting)
+    tables = count_calls(monkeypatch, ss, "_path_tables")
     model = ss.ss_semigroup(action, action.graph.longest_path_length())
     s = model.to_inverse_semigroup()
-    built = len(calls)
-    assert built == action.group.size * len(model.paths)
-    assert set(calls) == {(g, p) for g in range(action.group.size) for p in model.paths}
     assert verify._mu_path_failure(model, h_and_mu(s).mu) is None
-    assert len(calls) == built
+    assert tables == [(action, model.paths)]
+    assert len(model.act) == action.group.size
+    assert all(len(row) == len(model.paths) for row in model.act)
+
+    mirror = ss.mirror_action()
+    expected = len(paths_up_to(mirror.graph, 4))
+    made = []
+    original = GraphPath.__init__
+    monkeypatch.setattr(GraphPath, "__init__",
+                        lambda path, *args: made.append(args) or original(path, *args))
+    assert ss.validate_action(mirror, depth=4)["paths"] == expected == 31
+    assert len(made) == expected
 
 
 def test_faithfulness_is_kept_on_the_action(monkeypatch, tmp_path, capsys):

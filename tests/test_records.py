@@ -13,7 +13,8 @@ from isgw.errors import DanglingEndpoint, NotHomomorphism, ParseError
 from isgw.graphs import DirectedGraph, Edge, GraphPath
 from isgw.relations import EquivalenceRelation, SemigroupHomomorphism
 from isgw.report import Report, TheoremEntry, jsonable
-from isgw.selfsimilar import FiniteGroup, TrivialPairSet, ss_semigroup, trivial_action
+from isgw.selfsimilar import FiniteGroup, ss_semigroup, trivial_action
+from isgw.semilattice import Semilattice
 from isgw.util import Decision
 
 CLASSES = (frozenset({0}), frozenset({1, 2}))
@@ -27,7 +28,8 @@ def test_equality_is_class_sensitive_and_hash_covers_the_fields():
     assert rho != Congruence(3, CLASSES, (0, 1, 1), False, True, False)
     assert rel != rho and rho != rel
     assert hash(rho) == hash((3, CLASSES, (0, 1, 1), False, True, True))
-    assert hash(TrivialPairSet(frozenset())) == hash((frozenset(),))
+    s = from_partial_bijections([PartialBijection(1, (0,))])
+    assert hash(Semilattice.from_semigroup(s)) == hash((s,))  # one compared field
     assert Decision(True, 1) == Decision(True, 1) != (True, 1)
 
 

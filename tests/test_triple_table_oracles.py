@@ -8,7 +8,7 @@ import pytest
 
 from isgw.corpus import builtin_corpus
 from isgw.errors import InternalContract, Overflow
-from isgw.graphs import DirectedGraph, graph_semigroup, single_loop
+from isgw.graphs import DirectedGraph, graph_semigroup, single_loop, vertex_path
 from isgw.selfsimilar import (
     FiniteGroup,
     SelfSimilarAction,
@@ -17,7 +17,6 @@ from isgw.selfsimilar import (
     mirror_action,
     quotient_action,
     ss_semigroup,
-    vertex_path,
 )
 
 from oracles import (

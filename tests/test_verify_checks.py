@@ -15,7 +15,7 @@ from isgw import selfsimilar as ss
 from isgw import verify
 from isgw.corpus import builtin_corpus
 from isgw.errors import ParseError
-from isgw.groupoid import ConditionKReport, Germ
+from isgw.groupoid import Germ
 from isgw.report import Report
 from isgw.semilattice import Semilattice, atoms
 from isgw.util import Decision
@@ -257,7 +257,7 @@ def test_tight_ideal_correspondence_names_a_tight_set_not_the_hull_of_its_kernel
 def test_condition_k_check_names_both_values(i2, monkeypatch):
     got = assert_caught(verify.check_condition_k, (i2,),
                         "strong_effectiveness_iff_condition_k", monkeypatch, verify,
-                        condition_K=lambda s: ConditionKReport(False, ()))
+                        condition_K=lambda s: False)
     assert got.counterexample == (False, True)
     assert got.hypothesis == "met"
 
@@ -286,6 +286,20 @@ def _exact_group_action():
     return next(inst for inst in builtin_corpus(0)
                 if inst.kind == "action" and inst.meta.get("exact") is not None
                 and inst.action.group.size > 1)
+
+
+@pytest.mark.parametrize("uid, size", [("ACT-TRIV-L1", 10), ("ACT-TRIV-R2", 50),
+                                       ("ACT-TRIV-A2", 6)])
+def test_trivial_group_model_size_is_the_path_pair_count(monkeypatch, uid, size):
+    """The model of a trivial-group action has 1 + the sum over v of P(v)^2
+    elements, P(v) the paths from v; a model one level too shallow fails."""
+    inst = next(inst for inst in builtin_corpus(0) if inst.uid == uid)
+    name = "trivial_group_semigroup_matches_graph"
+    assert entry(verify.check_action_instance(inst), name).detail == f"{size} elements"
+    real = ss.ss_semigroup
+    got = assert_fails(verify.check_action_instance, (inst,), name, monkeypatch, ss,
+                       ss_semigroup=lambda a, depth: real(a, depth - 1))
+    assert got.detail != f"{size} elements"
 
 
 def test_mu_path_criterion_names_the_first_pair_that_acts_alike(monkeypatch):
@@ -356,7 +370,7 @@ def test_all_rees_implies_condition_k_fails_when_condition_k_does(monkeypatch):
     s = _instance("SL02-n3").semigroup
     assert cg.all_congruences_rees(s).value
     got = assert_fails(verify.check_all_rees, (s,), "all_rees_implies_condition_k",
-                       monkeypatch, verify, condition_K=lambda s: ConditionKReport(False, ()))
+                       monkeypatch, verify, condition_K=lambda s: False)
     assert got.counterexample is None
 
 
