@@ -263,9 +263,9 @@ def _path_tables(action: SelfSimilarAction, paths: tuple) -> PathTables:
     depth + |G| * |paths|) steps.  The action follows its defining rule: g
     sends a vertex to its image with cocycle g, and e*beta to (g e) *
     (phi(g, e) beta), whose tail is read in the row of phi(g, e) at beta,
-    which is shorter and so earlier in the path order.  The identities
-    hold when the single-edge axioms do; an image missing from the paths
-    (an action not validated) raises InternalContract."""
+    which is shorter and so earlier in the path order.  Every lookup
+    succeeds when the single-edge axioms hold; an image missing from the
+    paths (an action not validated) raises InternalContract."""
     graph = action.graph
     ids = {(p.edges, p.src): k for k, p in enumerate(paths)}
     splits, strip, concat = [], {}, {}
