@@ -263,11 +263,32 @@ GOLDEN_SHA256 = {
     # the depth-2 model of the mirror action: cyclic, not exact, 99 elements
     "analyze selfsimilar mirror.json --json --depth 2":
         "5bb505c7948b14030b556c47fafea4c861ae5bdb0a0205b3dd3d3b732f4eab64",
+    # labels with every kind of JSON string escape (LABELS_DOC)
+    "analyze relations labels.json --json":
+        "d99d1c24349dc6baed2eca7c6f6042c9004b39dd826755fa59828d2a93a48525",
+    "analyze semigroup labels.json --json":
+        "8c24b7f67ef301b0bdbda14639ae9e2a5e113dba4a562d39a6bb66c0135277e0",
+    "verify builtin --seed 0":
+        "d56b73664007cb87084d6f4be569f2cd4fa53f0b54a27230ca9a8ea5bdd67b49",
 }
 
 
-@pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
-def test_golden_output(command, tmp_path, monkeypatch, capsys):
+def _with_identity(doc):
+    """A table document with an identity adjoined as its last element."""
+    n = len(doc["table"])
+    table = [row + [i] for i, row in enumerate(doc["table"])] + [list(range(n + 1))]
+    return dict(doc, table=table, inv=doc["inv"] + [n], labels=doc["labels"] + ["1"])
+
+
+# B(1, 2) with an identity, labelled by non-ASCII text, a quote, a
+# backslash, a control character, a lone surrogate and the empty string
+LABELS_DOC = dict(_with_identity(brandt_doc(1, 2)),
+                  labels=["z\u00e9ro \u2192 \u2205", 'say "e"', "back\\slash", "bell\x07",
+                          "\ud800", ""])
+
+
+def _golden_files(tmp_path, monkeypatch):
+    """The documents that the golden commands read, in the working directory."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "i2.json").write_text(json.dumps(I2_DOC))
     (tmp_path / "e4.json").write_text(json.dumps(E4_DOC))
@@ -279,6 +300,12 @@ def test_golden_output(command, tmp_path, monkeypatch, capsys):
     for name, doc in (("BRANDT-Z2-5", brandt_doc(2, 5)), ("RND4-A", RND4_A_DOC),
                       ("RND4-B", RND4_B_DOC)):
         (tmp_path / "mid" / f"{name}.json").write_text(json.dumps(doc))
+    (tmp_path / "labels.json").write_text(json.dumps(LABELS_DOC))
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
+def test_golden_output(command, tmp_path, monkeypatch, capsys):
+    _golden_files(tmp_path, monkeypatch)
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[command]
@@ -470,3 +497,33 @@ def test_verify_cap_inside_a_check_still_exits_3(tmp_path, monkeypatch, capsys):
     code, _, err = run_cli(capsys, "verify", str(tmp_path))
     assert code == 3
     assert "too many" in err
+
+
+# SHA-256 of the exit code, stdout and stderr of ``verify <dir> --json`` with
+# one check that raises and one that fails with a nested counterexample: the
+# ``errors`` summary key and ``jsonable`` witnesses, as written.
+FAILING_VERIFY_SHA256 = "d63c3bb0366bb5fef5b8fa4b5161fb2359ea41578b715c38b1ac5b4500822da3"
+
+
+def test_verify_json_with_a_raising_and_a_failing_check_is_unchanged(tmp_path, monkeypatch,
+                                                                     capsys):
+    from isgw import verify
+    from isgw.report import TheoremEntry
+
+    def check_that_raises(s):
+        raise RuntimeError("boom → \"quoted\"")
+
+    def check_that_fails(s):
+        witness = (frozenset({3, 1, 2}), {"b": (1, None), 2: frozenset({"x"}), "a": "é"})
+        return [TheoremEntry("forced_failure", "fail", detail="nested", counterexample=witness)]
+
+    monkeypatch.setattr(verify, "SEMIGROUP_CHECKS",
+                        [check_that_raises, check_that_fails] + verify.SEMIGROUP_CHECKS)
+    _write(tmp_path, "a.json", {"kind": "semigroup", **I2_DOC})
+    _write(tmp_path, "b.json", {"kind": "graph", **L1_DOC})
+    code, out, err = run_cli(capsys, "verify", str(tmp_path), "--json")
+    assert code == 1
+    assert json.loads(out)["summary"]["errors"]
+    assert "FALSIFIED" in err and "ERROR" in err
+    digest = hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest()
+    assert digest == FAILING_VERIFY_SHA256
