@@ -31,7 +31,7 @@ from .errors import (
 )
 from .graphs import graph_conditions, graph_semigroup, hereditary_sets, parse_graph
 from .groupoid import build_groupoids, condition_K, effectiveness
-from .report import Report, jsonable
+from .report import Report, write_json
 from .semilattice import (
     Semilattice,
     atoms_and_orthogonals,
@@ -282,12 +282,7 @@ def cmd_verify(args) -> int:
     reports = verify_corpus(instances, seed=args.seed)
     summary = summarize(reports)
     if args.json:
-        payload = {
-            "schema_version": "1",
-            "summary": jsonable(summary),
-            "reports": [r.to_dict() for r in reports],
-        }
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        write_json(sys.stdout.write, reports, summary)
     else:
         for rep in reports:
             fails = rep.failures()

@@ -8,11 +8,60 @@ included.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _string
 from typing import Any
 
 from .util import MutableRecord, Record
 
 SCHEMA_VERSION = "1"
+
+
+def dumps(value: Any, pad: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, with
+    every newline written as ``pad``, so a value nested at depth k is
+    encoded with ``pad = "\\n" + "  " * k``.  The stdlib runs its
+    pure-Python encoder whenever ``indent`` is set; here strings go through
+    its C escaper and each container is one ``str.join``.  Any other value
+    (a float, a dict with a non-``str`` key, an ``int`` subclass) goes
+    through ``json.dumps``, which is exact: JSON text holds no raw newline."""
+    kind = type(value)
+    if kind is str:
+        return _string(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = pad + "  "
+    if kind is dict and all(type(k) is str for k in value):
+        if not value:
+            return "{}"
+        return ("{" + inner + ("," + inner).join(
+            [_string(k) + ": " + dumps(value[k], inner) for k in sorted(value)])
+            + pad + "}")
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([dumps(v, inner) for v in value]) + pad + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)
+
+
+def write_json(write, reports: list, summary: dict) -> None:
+    """Write ``dumps({"reports": [r.to_dict() for r in reports],
+    "schema_version": SCHEMA_VERSION, "summary": jsonable(summary)})`` and a
+    newline through ``write``, one report at a time: each report is turned
+    into a dict and encoded just before its write, so neither the payload
+    nor its whole text is ever held."""
+    write('{\n  "reports": [')
+    sep = "\n    "
+    for rep in reports:
+        write(sep + dumps(rep.to_dict(), "\n    "))
+        sep = ",\n    "
+    write(("\n  ]" if reports else "]") + ',\n  "schema_version": ' + dumps(SCHEMA_VERSION)
+          + ',\n  "summary": ' + dumps(jsonable(summary), "\n  ") + "\n}\n")
 
 
 def jsonable(value: Any) -> Any:
@@ -99,7 +148,7 @@ class Report(MutableRecord):
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return dumps(self.to_dict())
 
     def render_text(self) -> str:
         lines = [f"instance: {self.instance}"]

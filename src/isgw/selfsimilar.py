@@ -123,6 +123,10 @@ class SelfSimilarAction(Record):
         return {e.eid: i for i, e in enumerate(self.graph.edges)}
 
     @functools.cached_property
+    def _validation(self) -> dict:
+        return _validation_stats(self, VALIDATION_DEPTH)
+
+    @functools.cached_property
     def _faithfulness(self) -> "FaithfulnessReport":
         return _faithfulness_report(self)
 
@@ -144,8 +148,16 @@ def validate_action(action: SelfSimilarAction, depth: int = VALIDATION_DEPTH) ->
     of the path action, so checking them on short paths certifies the tables;
     any violation raises AxiomViolation with the witnessing tuple.  The path
     checks read the action table of ``_path_tables``, which is built once the
-    single-edge checks have passed.
+    single-edge checks have passed.  The stats at the default depth are kept
+    on the action, so parsing, ``analyze`` and ``verify`` validate it once; a
+    call that raises keeps nothing.
     """
+    if depth == VALIDATION_DEPTH:
+        return dict(action._validation)
+    return _validation_stats(action, depth)
+
+
+def _validation_stats(action: SelfSimilarAction, depth: int) -> dict:
     grp, graph = action.group, action.graph
     gs = range(grp.size)
     one = grp.identity

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -527,3 +528,60 @@ def test_verify_json_with_a_raising_and_a_failing_check_is_unchanged(tmp_path, m
     assert "FALSIFIED" in err and "ERROR" in err
     digest = hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest()
     assert digest == FAILING_VERIFY_SHA256
+
+
+# -- the JSON report is streamed, one report at a time --------------------------------
+
+class RecordingStdout(io.StringIO):
+    """A stdout that keeps each ``write``."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def test_verify_json_is_written_one_report_at_a_time(monkeypatch):
+    stdout = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["verify", "builtin", "--json", "--seed", "0"]) == 0
+    monkeypatch.undo()
+    text = "".join(stdout.writes)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[
+        "verify builtin --json --seed 0"]
+    doc = json.loads(text)
+    reports = doc.pop("reports")
+    assert len(stdout.writes) >= len(reports) == 54
+    longest = max(len(json.dumps(r, sort_keys=True, indent=2).replace("\n", "\n    "))
+                  for r in reports)
+    framing = len(json.dumps(dict(doc, reports=[]), sort_keys=True, indent=2))
+    assert max(map(len, stdout.writes)) <= longest + framing < len(text) // 10
+
+
+def test_verify_json_without_reports(monkeypatch, capsys):
+    from isgw import cli as cli_module
+
+    monkeypatch.setattr(cli_module, "verify_corpus", lambda *a, **k: [])
+    code, out, _ = run_cli(capsys, "verify", "--json")
+    assert code == 0
+    payload = {"reports": [], "schema_version": "1",
+               "summary": {"failures": [], "instances": 0, "theorems": {}}}
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("command", ["verify mid --json", "analyze semigroup i2.json --json"])
+def test_golden_json_without_the_stdlib_encoder(command, tmp_path, monkeypatch, capsys):
+    """The reports never reach ``json``'s pure-Python encoder, which
+    ``json.dumps`` runs whenever ``indent`` is set."""
+    _golden_files(tmp_path, monkeypatch)
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the stdlib JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder.JSONEncoder, "iterencode", unused)
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[command]

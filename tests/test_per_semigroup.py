@@ -20,6 +20,7 @@ from isgw.core import (
     per_semigroup,
 )
 from isgw.corpus import CorpusInstance
+from isgw.errors import AxiomViolation
 from isgw.graphs import GraphPath, paths_up_to
 from isgw.groupoid import FiniteGroupoid, build_groupoids, condition_K
 from isgw.relations import centralizer, h_and_mu
@@ -416,6 +417,45 @@ def test_faithfulness_is_kept_on_the_action(monkeypatch, tmp_path, capsys):
     assert cli.main(["analyze", "selfsimilar", str(path), "--json"]) == 0
     capsys.readouterr()
     assert len(reports) == 1
+
+
+def test_analyze_selfsimilar_validates_the_action_once(monkeypatch, tmp_path, capsys):
+    """``action_from_json`` keeps the default-depth stats on the action, so
+    ``analyze selfsimilar`` on SWAP-LADDER2 builds the path tables of the
+    parsed action once, not again for its ``axioms`` property; the other
+    build is the depth-2 validation of the quotient by the empty set."""
+    parsed = []
+    original = ss.action_from_json
+    monkeypatch.setattr(ss, "action_from_json",
+                        lambda doc: parsed.append(original(doc)) or parsed[-1])
+    tables = count_calls(monkeypatch, ss, "_path_tables")
+    path = tmp_path / "SWAP-LADDER2.json"
+    path.write_text(json.dumps(SWAP_LADDER_DOC))
+    assert cli.main(["analyze", "selfsimilar", str(path), "--json"]) == 0
+    stats = {"paths": 11, "checks": 90, "depth": 4}
+    assert json.loads(capsys.readouterr().out)["properties"]["axioms"]["witness"] == stats
+    (action,) = parsed
+    assert sum(a is action for a, _ in tables) == 1
+    assert len(tables) == 2
+    assert ss.validate_action(action) == stats
+    assert len(tables) == 2
+
+
+def test_a_failed_validation_keeps_nothing_on_the_action():
+    """A validation that raises stores no stats: each later call, and the
+    ``action_axioms_hold`` check of ``verify``, meets the violation again."""
+    mirror = ss.mirror_action()
+    cocycle = {**mirror.cocycle, (1, "b"): 0}
+    bad = ss.SelfSimilarAction(mirror.group, mirror.graph, mirror.vertex_action,
+                               mirror.edge_action, cocycle)
+    for _ in range(2):
+        with pytest.raises(AxiomViolation):
+            ss.validate_action(bad)
+        assert "_validation" not in vars(bad)
+    inst = CorpusInstance("bad", "action", action=bad)
+    (got,) = verify.check_action_instance(inst)
+    assert got.name == "action_axioms_hold" and got.status == "fail"
+    assert got.detail.startswith("axiom E")
 
 
 def test_strongly_fixed_paths_are_decided_once_per_element(monkeypatch, tmp_path, capsys):
