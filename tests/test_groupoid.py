@@ -4,10 +4,8 @@ import pytest
 from hypothesis import given, settings
 
 from isgw import groupoid
-from isgw.core import from_partial_bijections
+from isgw.core import PartialBijection, from_partial_bijections, from_tables
 from isgw.corpus import builtin_corpus
-
-from isgw.core import from_tables
 from isgw.errors import DomainViolation, NotInvariant
 from isgw.groupoid import (
     Germ,
@@ -211,6 +209,67 @@ def test_weakly_fixed_criterion(i2, z2z, e4):
     assert (chain.name, chain.status) == ("effectiveness_chain", "pass")
     assert " criterion=False " in chain.detail
     assert weakly_fixed_criterion(e4).value is True
+
+
+def make_b3():
+    """B3, the 3 x 3 matrix units with zero, from e01, e12 and e20; an
+    element is labelled by its points, [0>1] sending 0 to 1."""
+    units = []
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        image = [None] * 3
+        image[j] = i
+        units.append(PartialBijection(3, tuple(image)))
+    return from_partial_bijections(units)
+
+
+def make_z5z():
+    """The cyclic group of order 5 with an adjoined zero: 0, then g^0..g^4."""
+    mul = [[0] * 6] + [[0] + [1 + (i + j) % 5 for j in range(5)] for i in range(5)]
+    return from_tables(mul, [0, 1, 5, 4, 3, 2], 0, labels=["0", "1", "g", "g2", "g3", "g4"])
+
+
+def functor_check(src, dst, f):
+    """(status, detail, counterexample) of the functor check of the element
+    map f, a dict over the elements of src's semigroup."""
+    gmap = groupoid.GroupoidMap({m: f[m] for m in src.units}, {u: f[u] for u in src.arrows})
+    entry = groupoid._check_functor(src, dst, gmap, "f")
+    return entry.status, entry.detail, entry.counterexample
+
+
+def test_functor_check_reports_each_failure_of_an_element_map(i2, i2n):
+    """One wrong element map for each failure the functor check can report,
+    each with the first offending unit, arrow or pair in index order.  A map
+    of the I2 or B3 groupoids that keeps every endpoint is the identity on
+    their isotropy, so the inverse and composition failures use Z/5 with a
+    zero, where g -> g2 breaks inverses and swapping g2 with g3 keeps them
+    but is no automorphism."""
+    b3, z5 = make_b3(), make_z5z()
+
+    def named(s):
+        return {label: s.labels.index(label) for label in s.labels}
+
+    def ident(s, **moved):
+        return {a: named(s).get(moved.get(s.labels[a]), a) for a in s.elements()}
+
+    b3n, z5n = named(b3), named(z5)
+    i2g, b3g, z5g = build_groupoids(i2), build_groupoids(b3), build_groupoids(z5)
+
+    rotation = reduction(i2g.universal, (i2n["I"],))
+    assert functor_check(b3g.tight, b3g.tight, ident(b3)) == ("pass", "", None)
+    assert functor_check(i2g.universal, i2g.tight, ident(i2)) == (
+        "fail", "unit map escapes target", i2n["I"])
+    assert functor_check(b3g.tight, b3g.tight, {a: b3n["[0>0]"] for a in b3.elements()}) == (
+        "fail", "unit map is not a bijection", None)
+    assert functor_check(i2g.tight, i2g.tight, {**ident(i2), i2n["E21"]: i2n["X"]}) == (
+        "fail", "arrow map escapes target", i2n["E21"])
+    assert functor_check(b3g.tight, b3g.tight, ident(b3, **{"[1>0]": "[0>1]"})) == (
+        "fail", "source/range not preserved", b3n["[1>0]"])
+    assert functor_check(rotation, rotation, {i2n["I"]: i2n["I"], i2n["X"]: i2n["I"]}) == (
+        "fail", "arrow map is not a bijection", (1, 2))
+    assert functor_check(z5g.tight, z5g.tight, ident(z5, g="g2")) == (
+        "fail", "inverse not preserved", z5n["g"])
+    assert functor_check(z5g.tight, z5g.tight, ident(z5, g2="g3", g3="g2")) == (
+        "fail", "composition not preserved", (z5n["g"], z5n["g"]))
 
 
 def test_structure_theorems_all_pass(i2, e4, z2z):
