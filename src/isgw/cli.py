@@ -83,9 +83,8 @@ def _semigroup_properties(report: Report, s) -> None:
     report.add_property("universal_groupoid",
                         {"units": pair.universal.n_units(),
                          "arrows": pair.universal.n_arrows()})
-    report.add_property("tight_effective", eff.effective.value,
-                        witness=eff.effective.witness)
-    report.add_property("tight_strongly_effective", eff.strongly_effective.value)
+    report.add_property("tight_effective", eff.value, witness=eff.witness)
+    report.add_property("tight_strongly_effective", eff.value)
     report.add_property("centralizer_size", len(rel.centralizer(s)))
 
 
@@ -165,9 +164,8 @@ def _groupoid_properties(report: Report, s) -> None:
         report.add_property(f"{name}_units", g.n_units())
         report.add_property(f"{name}_arrows", g.n_arrows())
         report.add_property(f"{name}_isotropy_orders", iso)
-        report.add_property(f"{name}_effective", eff.effective.value,
-                            witness=eff.effective.witness)
-        report.add_property(f"{name}_strongly_effective", eff.strongly_effective.value)
+        report.add_property(f"{name}_effective", eff.value, witness=eff.witness)
+        report.add_property(f"{name}_strongly_effective", eff.value)
 
 
 def _graph_properties(report: Report, g, depth: int) -> None:

@@ -6,6 +6,13 @@ groupoid are exactly the nonzero elements of S (an element u sits at the
 domain filter generated by u*u).  The tight groupoid is the reduction to the
 atom filters.  Both carry the discrete topology, so the topological content
 of the structure theorems collapses to bijectivity of the explicit maps.
+
+On a discrete groupoid strong effectiveness is effectiveness: each arrow is
+an open slice, so the groupoid is effective exactly when no unit has an
+isotropy arrow other than itself; a reduction to an invariant set of units
+keeps the isotropy of each unit it holds, so every reduction of an effective
+groupoid is effective, and the reduction to all units is the groupoid
+itself.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 from .congruences import QuotientSemigroup, condition_L, double_arrow, quotient, rees_quotient
 from .core import InverseSemigroup, per_semigroup
 from .errors import DomainViolation, InternalContract, NotInvariant
-from .ideals_filters import d_classes, enumerate_ideals
+from .ideals_filters import enumerate_ideals
 from .report import TheoremEntry
 from .semilattice import Semilattice, atoms, is_cover
 from .util import Decision, Record, set_field
@@ -45,20 +52,20 @@ def germ_of(s: InverseSemigroup, a: int, filter_min: int) -> Germ:
 
 class FiniteGroupoid:
     """Discrete groupoid whose arrows are semigroup elements in canonical
-    germ form; composition is the restricted product.
+    germ form; composition is the restricted product.  It is given by its
+    units, and its arrows are all the u of S with u*u among them.
 
-    The units and arrows are not validated: the universal and tight
-    groupoids of S and their reductions to invariant unit sets are
-    groupoids by construction.  In an inverse semigroup v*v = uu* gives
-    (vu)*(vu) = u*u, so composites of nonzero arrows are nonzero; e -> ueu*
-    maps the idempotents below u*u onto those below uu* in order, so uu* is
-    an atom when u*u is one; and a reduction to an invariant set of units
-    keeps closure under products and inverses.  The unit set of each is a
-    union of D-classes, and its arrows are all the u with u*u in it.  A tier-1 test property
-    (``tests/test_per_semigroup.py``) checks every groupoid that a verify
-    run builds against the definition."""
+    The units are not validated: the universal and tight groupoids of S and
+    their reductions to invariant unit sets are groupoids by construction.
+    In an inverse semigroup v*v = uu* gives (vu)*(vu) = u*u, so composites
+    of nonzero arrows are nonzero; e -> ueu* maps the idempotents below u*u
+    onto those below uu* in order, so uu* is an atom when u*u is one; and a
+    reduction to an invariant set of units keeps closure under products and
+    inverses.  The unit set of each is a union of D-classes.  A tier-1 test
+    property (``tests/test_per_semigroup.py``) checks every groupoid that a
+    verify run builds against the definition."""
 
-    def __init__(self, s: InverseSemigroup, units, arrows):
+    def __init__(self, s: InverseSemigroup, units):
         self.s = s
         # d and r in the groupoid sense, as filter minima: source(u) = u*u
         # and range(u) = uu*, read from tables built once per semigroup
@@ -66,9 +73,9 @@ class FiniteGroupoid:
         self.source = order.dom.__getitem__
         self.range = order.ran.__getitem__
         self.units = tuple(sorted(units))
-        self.arrows = tuple(sorted(arrows))
         self._unit_set = frozenset(self.units)
-        self._arrow_set = frozenset(self.arrows)
+        # the zero is never a unit, so it is never an arrow
+        self.arrows = tuple(u for u, m in enumerate(order.dom) if m in self._unit_set)
 
     def composable_pairs(self):
         """Every composable pair (v, u): u in arrow order and, for each u,
@@ -92,11 +99,6 @@ class FiniteGroupoid:
     def n_arrows(self) -> int:
         return len(self.arrows)
 
-    def unit_orbits(self) -> tuple:
-        """The D-classes inside the units: every arrow u of S with source
-        u*u among them is an arrow here, so the orbits are whole classes."""
-        return tuple(c for c in d_classes(self.s) if c <= self._unit_set)
-
 
 class GroupoidPair(Record):
     __slots__ = ("universal", "tight")
@@ -110,110 +112,68 @@ class GroupoidPair(Record):
 def build_groupoids(s: InverseSemigroup) -> GroupoidPair:
     """Universal groupoid over all filters and its reduction to the tight
     (atom) filters."""
-    lattice = Semilattice.from_semigroup(s)
-    units = [e for e in s.idempotents if e != s.zero]
-    arrows = [u for u in s.elements() if u != s.zero]
-    universal = FiniteGroupoid(s, units, arrows)
-    atom_units = set(atoms(lattice))
-    tight_arrows = [u for u in arrows if universal.source(u) in atom_units]
-    tight = FiniteGroupoid(s, sorted(atom_units), tight_arrows)
+    universal = FiniteGroupoid(s, [e for e in s.idempotents if e != s.zero])
+    tight = FiniteGroupoid(s, atoms(Semilattice.from_semigroup(s)))
     return GroupoidPair(universal, tight)
 
 
 def reduction(g: FiniteGroupoid, unit_subset) -> FiniteGroupoid:
     """Subgroupoid over an invariant set of units."""
     a = frozenset(unit_subset)
-    if not a <= frozenset(g.units):
+    if not a <= g._unit_set:
         raise NotInvariant("not a subset of the unit space")
     for u in g.arrows:
         if (g.source(u) in a) != (g.range(u) in a):
             raise NotInvariant(f"arrow {u} crosses the boundary")
-    return FiniteGroupoid(g.s, sorted(a), [u for u in g.arrows if g.source(u) in a])
+    return FiniteGroupoid(g.s, a)
 
 
-class EffectivenessReport(Record):
-    __slots__ = ("effective", "strongly_effective")
-
-    def __init__(self, effective: Decision, strongly_effective: Decision):
-        set_field(self, "effective", effective)
-        set_field(self, "strongly_effective", strongly_effective)
-
-
-def effectiveness(g: FiniteGroupoid) -> EffectivenessReport:
-    """A discrete groupoid is effective when no unit has nontrivial isotropy,
-    and strongly effective when the same holds after reduction to every
-    invariant unit set.  A unit's isotropy is the same in g and in any
-    reduction holding it, so a union of orbits fails iff one of its orbits
-    does: one reduction per orbit decides, and the first failing orbit is
-    the first failing union in order of size, then of orbits."""
-
-    def effective_on(h: FiniteGroupoid) -> Decision:
-        for m in h.units:
-            for u in h.isotropy(m):
-                if u != m:
-                    return Decision(False, (m, u))
-        return Decision(True)
-
-    eff = effective_on(g)
-    strong = Decision(True)
-    for orbit in g.unit_orbits():
-        sub_eff = effective_on(reduction(g, orbit))
-        if not sub_eff.value:
-            strong = Decision(False, (orbit, sub_eff.witness))
-            break
-    return EffectivenessReport(effective=eff, strongly_effective=strong)
+def effectiveness(g: FiniteGroupoid) -> Decision:
+    """Whether no unit has an isotropy arrow other than itself; the witness
+    of a failure is the first such (unit, arrow).  On this discrete
+    groupoid the value is also strong effectiveness (module docstring)."""
+    for m in g.units:
+        for u in g.isotropy(m):
+            if u != m:
+                return Decision(False, (m, u))
+    return Decision(True)
 
 
 # -- structure-theorem verification -------------------------------------------
 
-class GroupoidMap(Record):
-    """Explicit functor between finite groupoids, with its own receipts."""
-
-    __slots__ = ("unit_map", "arrow_map")
-
-    def __init__(self, unit_map: dict, arrow_map: dict):
-        set_field(self, "unit_map", unit_map)
-        set_field(self, "arrow_map", arrow_map)
-
-
-def _check_functor(src: FiniteGroupoid, dst: FiniteGroupoid, gmap: GroupoidMap,
-                   name: str) -> TheoremEntry:
-    """Verify that the given maps form a functor that is bijective on units
-    and on arrows; any failure is reported with the offending germ."""
-    unit_map, arrow_map = gmap.unit_map, gmap.arrow_map
+def _check_functor(src: FiniteGroupoid, dst: FiniteGroupoid, f, name: str) -> TheoremEntry:
+    """Verify that the element map f, restricted to the units and to the
+    arrows of src, is a functor onto dst that is bijective on units and on
+    arrows; any failure is reported with the offending germ."""
     for m in src.units:
-        if unit_map[m] not in dst._unit_set:
+        if f[m] not in dst._unit_set:
             return TheoremEntry(name, "fail", detail="unit map escapes target",
                                 counterexample=m)
-    if len(set(unit_map.values())) != len(dst.units) or len(unit_map) != len(src.units):
+    if len({f[m] for m in src.units}) != len(dst.units):
         return TheoremEntry(name, "fail", detail="unit map is not a bijection")
     for u in src.arrows:
-        v = arrow_map[u]
-        if v not in dst._arrow_set:
+        v = f[u]
+        # v is an arrow of dst exactly when its source is a unit there
+        if dst.source(v) not in dst._unit_set:
             return TheoremEntry(name, "fail", detail="arrow map escapes target",
                                 counterexample=u)
-        if dst.source(v) != unit_map[src.source(u)] or dst.range(v) != unit_map[src.range(u)]:
+        if dst.source(v) != f[src.source(u)] or dst.range(v) != f[src.range(u)]:
             return TheoremEntry(name, "fail", detail="source/range not preserved",
                                 counterexample=u)
-        if arrow_map[src.inverse(u)] != dst.inverse(v):
+        if f[src.inverse(u)] != dst.inverse(v):
             return TheoremEntry(name, "fail", detail="inverse not preserved",
                                 counterexample=u)
-    if len(set(arrow_map.values())) != len(dst.arrows) or len(arrow_map) != len(src.arrows):
+    images = len({f[u] for u in src.arrows})
+    if images != len(dst.arrows):
         return TheoremEntry(name, "fail", detail="arrow map is not a bijection",
-                            counterexample=(len(set(arrow_map.values())), len(dst.arrows)))
+                            counterexample=(images, len(dst.arrows)))
     # endpoints are preserved, so the images of a composable pair compose
     src_mul, dst_mul = src.s.mul, dst.s.mul
     for v, u in src.composable_pairs():
-        if arrow_map[src_mul[v][u]] != dst_mul[arrow_map[v]][arrow_map[u]]:
+        if f[src_mul[v][u]] != dst_mul[f[v]][f[u]]:
             return TheoremEntry(name, "fail", detail="composition not preserved",
                                 counterexample=(v, u))
     return TheoremEntry(name, "pass")
-
-
-def _collapse_map(q: QuotientSemigroup, src: FiniteGroupoid) -> GroupoidMap:
-    pi = q.projection
-    return GroupoidMap(unit_map={m: pi[m] for m in src.units},
-                       arrow_map={u: pi[u] for u in src.arrows})
 
 
 def _bijects(f, units, targets) -> bool:
@@ -271,15 +231,13 @@ def _ideal_entries(s: InverseSemigroup, level: str, ideal, sub: InverseSemigroup
                             counterexample=failed)]
 
     inner = reduction(g, inside)
-    inner_map = GroupoidMap(unit_map={m: to_sub[m] for m in inner.units},
-                            arrow_map={u: to_sub[u] for u in inner.arrows})
-    entries.append(_labelled(_check_functor(inner, sub_g, inner_map,
+    entries.append(_labelled(_check_functor(inner, sub_g, to_sub,
                                             f"{level}_reduction_to_ideal"), label))
     if level == "universal":
         entries.extend(_formula_independence(s, inner, x, sub, to_sub, label))
 
     outer = reduction(g, outside)
-    entries.append(_labelled(_check_functor(outer, rees_g, _collapse_map(q_rees, outer),
+    entries.append(_labelled(_check_functor(outer, rees_g, q_rees.projection,
                                             f"{level}_reduction_to_quotient"), label))
     if level == "tight":
         counts = (rees_g.n_arrows(), outer.n_arrows())
@@ -320,7 +278,7 @@ def verify_structure_theorems(s: InverseSemigroup) -> list:
                                     counterexample=sorted((m, q.projection[m])
                                                           for m in tight.units)))
 
-    entries.append(_check_functor(tight, tight_q, _collapse_map(q, tight),
+    entries.append(_check_functor(tight, tight_q, q.projection,
                                   "tight_groupoid_collapse_isomorphism"))
     # the collapse map formula holds on non-canonical germ presentations too
     bad = None
@@ -355,7 +313,8 @@ def verify_structure_theorems(s: InverseSemigroup) -> list:
 def condition_K(s: InverseSemigroup) -> bool:
     """Every Rees quotient by a saturated ideal satisfies condition (L).  The
     verify check ``strong_effectiveness_iff_condition_k`` compares the value
-    with strong effectiveness of the tight groupoid.  The paper's trapping
+    with strong effectiveness of the tight groupoid, which is its
+    effectiveness (module docstring).  The paper's trapping
     hypothesis on E holds on every finite E."""
     value = True
     for ideal in enumerate_ideals(s):

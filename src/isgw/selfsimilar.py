@@ -592,14 +592,14 @@ def _faithfulness_report(action: SelfSimilarAction) -> FaithfulnessReport:
     identity_pairs = {(grp.identity, v) for v in graph.vertices}
     faithful = pairs == frozenset(identity_pairs)
 
-    strongly = True
-    for h in hereditary_invariant_sets(action):
-        sub = quotient_action(action, h)
-        sub_pairs = _trivial_pairs(sub)
-        sub_identity = {(grp.identity, v) for v in sub.graph.vertices}
-        if sub_pairs != frozenset(sub_identity):
-            strongly = False
+    # the quotient by no vertex is the action itself
+    strongly = faithful
+    for h in filter(None, hereditary_invariant_sets(action)):
+        if not strongly:
             break
+        sub = quotient_action(action, h)
+        sub_identity = {(grp.identity, v) for v in sub.graph.vertices}
+        strongly = _trivial_pairs(sub) == frozenset(sub_identity)
 
     no_source_or_sink = all(
         graph.edges_into(v) and graph.edges_out(v) for v in graph.vertices

@@ -51,8 +51,9 @@ on path objects by recursion on its defining rule (``act_on_path``, the
 oracle of the action table ``_path_tables``), triples of path
 objects (``SSTriple``), read off a model's id triples (``triple_at``,
 ``triple_index``), with their product and inverse (``triple_multiply``,
-``triple_inverse``), and the least saturated order ideal over a set
-(``saturate``).  ``is_groupoid_by_definition`` checks the groupoid axioms,
+``triple_inverse``), the least saturated order ideal over a set
+(``saturate``), and the unit orbits of a groupoid as the D-classes inside
+its units (``unit_orbits``).  ``is_groupoid_by_definition`` checks the groupoid axioms,
 which ``FiniteGroupoid`` leaves unchecked because its groupoids are ones by
 construction.
 """
@@ -248,6 +249,12 @@ def triple_multiply(action, t1, t2, depth=None):
 def saturate(lattice, x) -> frozenset:
     """Least saturated order ideal containing x, on the library's masks."""
     return frozenset(lattice.members(ifl._saturated_mask(lattice, lattice.mask(x))))
+
+
+def unit_orbits(g) -> tuple:
+    """The D-classes inside the units of g: every arrow u of S with source
+    u*u among them is an arrow of g, so the orbits are whole classes."""
+    return tuple(c for c in ifl.d_classes(g.s) if c <= frozenset(g.units))
 
 
 def downsets(elements: list, leq, cap: int = 1_000_000):

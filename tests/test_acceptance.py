@@ -157,10 +157,8 @@ def test_criterion_07_effectiveness_conditions(reports):
     z2z = make_z2z()
     eff_i2 = effectiveness(build_groupoids(i2).tight)
     eff_z = effectiveness(build_groupoids(z2z).tight)
-    ok = ok and condition_L(i2) and eff_i2.effective.value
-    ok = ok and condition_K(i2) and eff_i2.strongly_effective.value
-    ok = ok and not condition_L(z2z) and not eff_z.effective.value
-    ok = ok and not condition_K(z2z) and not eff_z.strongly_effective.value
+    ok = ok and condition_L(i2) and condition_K(i2) and eff_i2.value
+    ok = ok and not condition_L(z2z) and not condition_K(z2z) and not eff_z.value
     _status(ok, 7, "condition (L)/(K) match (strong) effectiveness corpus-wide")
 
 

@@ -7,6 +7,7 @@ from isgw import groupoid
 from isgw.core import PartialBijection, from_partial_bijections, from_tables
 from isgw.corpus import builtin_corpus
 from isgw.errors import DomainViolation, NotInvariant
+from isgw.ideals_filters import d_classes
 from isgw.groupoid import (
     Germ,
     build_groupoids,
@@ -128,22 +129,25 @@ def test_reduction(i2, i2n):
 
 
 def test_effectiveness(i2, z2z, e4):
-    assert effectiveness(build_groupoids(i2).tight).effective.value
-    assert effectiveness(build_groupoids(i2).tight).strongly_effective.value
+    assert effectiveness(build_groupoids(i2).tight).value
     rep = effectiveness(build_groupoids(z2z).tight)
-    assert not rep.effective.value
-    assert rep.effective.witness == (1, 2)
-    assert not rep.strongly_effective.value
-    units_only = effectiveness(build_groupoids(e4).tight)
-    assert units_only.effective.value and units_only.strongly_effective.value
+    assert not rep.value
+    assert rep.witness == (1, 2)
+    assert effectiveness(build_groupoids(e4).tight).value
 
 
 def assert_strong_effectiveness_matches_oracle(s):
+    """Strong effectiveness by every union of unit orbits is effectiveness,
+    and its first failing union is the orbit of the first failing unit:
+    D-related units have conjugate isotropy groups, so that orbit holds the
+    least failing unit."""
     pair = build_groupoids(s)
     for g in (pair.universal, pair.tight):
-        strong = effectiveness(g).strongly_effective
+        eff = effectiveness(g)
         oracle = strong_effectiveness_by_all_unions(g)
-        assert (strong.value, strong.witness) == (oracle.value, oracle.witness)
+        witness = None if eff.value else (
+            next(c for c in d_classes(s) if eff.witness[0] in c), eff.witness)
+        assert (eff.value, witness) == (oracle.value, oracle.witness)
 
 
 def test_strong_effectiveness_matches_all_unions_oracle_on_builtin_corpus():
@@ -158,10 +162,10 @@ def test_strong_effectiveness_matches_all_unions_oracle_on_random_closures(gens)
     assert_strong_effectiveness_matches_oracle(from_partial_bijections(gens))
 
 
-def test_strong_effectiveness_reduces_each_orbit_once(monkeypatch):
-    """One reduction per unit orbit, not one per union of orbits: the chain
-    0 < 1 < ... < 4 has four singleton orbits, all effective, so every orbit
-    is reduced."""
+def test_effectiveness_makes_no_reduction(monkeypatch, z2z):
+    """Strong effectiveness is read off effectiveness, with no reduction to
+    an invariant set of units: not on the chain 0 < 1 < ... < 4, whose four
+    singleton orbits are all effective, nor on Z2Z, which fails."""
     calls = []
 
     def counted(g, units):
@@ -169,9 +173,9 @@ def test_strong_effectiveness_reduces_each_orbit_once(monkeypatch):
         return reduction(g, units)
 
     monkeypatch.setattr(groupoid, "reduction", counted)
-    g = build_groupoids(make_chain(5)).universal
-    assert effectiveness(g).strongly_effective.value
-    assert calls == list(g.unit_orbits()) and len(calls) == 4
+    assert effectiveness(build_groupoids(make_chain(5)).universal).value
+    assert not effectiveness(build_groupoids(z2z).universal).value
+    assert calls == []
 
 
 def test_slice_helper(i2, i2n):
@@ -188,7 +192,7 @@ def test_condition_k(i2, z2z):
     Z2Z (both fail); the verify check records the pair it compared."""
     for s, holds in ((i2, True), (z2z, False)):
         assert condition_K(s) is holds
-        assert effectiveness(build_groupoids(s).tight).strongly_effective.value is holds
+        assert effectiveness(build_groupoids(s).tight).value is holds
         [entry] = check_condition_k(s)
         assert entry.name == "strong_effectiveness_iff_condition_k"
         assert (entry.status, entry.hypothesis) == ("pass", "met")
@@ -231,8 +235,7 @@ def make_z5z():
 def functor_check(src, dst, f):
     """(status, detail, counterexample) of the functor check of the element
     map f, a dict over the elements of src's semigroup."""
-    gmap = groupoid.GroupoidMap({m: f[m] for m in src.units}, {u: f[u] for u in src.arrows})
-    entry = groupoid._check_functor(src, dst, gmap, "f")
+    entry = groupoid._check_functor(src, dst, f, "f")
     return entry.status, entry.detail, entry.counterexample
 
 

@@ -403,14 +403,16 @@ def test_mu_path_criterion_acts_once_per_element_and_path(monkeypatch):
 def test_faithfulness_is_kept_on_the_action(monkeypatch, tmp_path, capsys):
     """``all_rees_ss`` reads the report that ``faithfulness`` keeps on the
     action, so ``analyze selfsimilar`` validates each quotient action by a
-    hereditary invariant set once, not twice."""
-    action = ss.action_from_json(SWAP_LADDER_DOC)
+    hereditary invariant set once, not twice.  The faithful mirror has one
+    nonempty such set, {0}; the quotient by the empty set is the action
+    itself and is not formed."""
+    action = ss.mirror_action()
     quotients = count_calls(monkeypatch, ss, "quotient_action")
     report = ss.faithfulness(action)
-    once = len(quotients)
-    assert once and ss.faithfulness(action) is report
+    assert [set(h) for _, h in quotients] == [{0}]
+    assert ss.faithfulness(action) is report
     ss.all_rees_ss(action)
-    assert len(quotients) == once
+    assert len(quotients) == 1
     reports = count_calls(monkeypatch, ss, "_faithfulness_report")
     path = tmp_path / "SWAP-LADDER2.json"
     path.write_text(json.dumps(SWAP_LADDER_DOC))
@@ -422,8 +424,9 @@ def test_faithfulness_is_kept_on_the_action(monkeypatch, tmp_path, capsys):
 def test_analyze_selfsimilar_validates_the_action_once(monkeypatch, tmp_path, capsys):
     """``action_from_json`` keeps the default-depth stats on the action, so
     ``analyze selfsimilar`` on SWAP-LADDER2 builds the path tables of the
-    parsed action once, not again for its ``axioms`` property; the other
-    build is the depth-2 validation of the quotient by the empty set."""
+    parsed action once, not again for its ``axioms`` property, and builds
+    no others: the action is not faithful, so no quotient is validated, and
+    the quotient by the empty set would be the action itself."""
     parsed = []
     original = ss.action_from_json
     monkeypatch.setattr(ss, "action_from_json",
@@ -435,10 +438,9 @@ def test_analyze_selfsimilar_validates_the_action_once(monkeypatch, tmp_path, ca
     stats = {"paths": 11, "checks": 90, "depth": 4}
     assert json.loads(capsys.readouterr().out)["properties"]["axioms"]["witness"] == stats
     (action,) = parsed
-    assert sum(a is action for a, _ in tables) == 1
-    assert len(tables) == 2
+    assert [a is action for a, _ in tables] == [True]
     assert ss.validate_action(action) == stats
-    assert len(tables) == 2
+    assert len(tables) == 1
 
 
 def test_a_failed_validation_keeps_nothing_on_the_action():
