@@ -7,7 +7,6 @@ from isgw import groupoid
 from isgw.core import PartialBijection, from_partial_bijections, from_tables
 from isgw.corpus import builtin_corpus
 from isgw.errors import DomainViolation, NotInvariant
-from isgw.ideals_filters import d_classes
 from isgw.groupoid import (
     Germ,
     build_groupoids,
@@ -18,6 +17,7 @@ from isgw.groupoid import (
     verify_structure_theorems,
     weakly_fixed_criterion,
 )
+from isgw.ideals_filters import d_classes
 from isgw.verify import check_condition_k, check_effectiveness_chain
 
 from conftest import make_chain, slice_arrows
