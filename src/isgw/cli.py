@@ -18,7 +18,7 @@ from . import congruences as cg
 from . import ideals_filters as ifl
 from . import relations as rel
 from . import selfsimilar as ssim
-from .core import DEFAULT_CLOSURE_CAP, semigroup_from_json
+from .core import DEFAULT_CLOSURE_CAP, semigroup_from_json, structure_pool
 from .corpus import CorpusInstance, builtin_corpus, corpus_ids
 from .errors import (
     AxiomViolation,
@@ -92,14 +92,14 @@ def _semilattice_properties(report: Report, s) -> None:
     lattice = Semilattice.from_semigroup(s)
     ats, perp = atoms_and_orthogonals(lattice)
     report.add_property("carrier", len(lattice.elements))
-    report.add_property("atoms", [lattice.label(a) for a in ats])
+    report.add_property("atoms", [s.labels[a] for a in ats])
     zd = is_0_disjunctive(lattice)
     report.add_property("zero_disjunctive", zd.value, witness=zd.witness)
     space = ifl.filter_space(lattice)
     report.add_property("filters", len(space.mins))
     report.add_property("tight_filters", len(space.tight))
     report.add_property("orthogonality",
-                        {lattice.label(f): sorted(lattice.label(e) for e in p)
+                        {s.labels[f]: sorted(s.labels[e] for e in p)
                          for f, p in perp.items()})
 
 
@@ -351,10 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Semigroups with equal tables built by the command
+    share their derived structures (``core.structure_pool``); nothing is
+    shared between two calls."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with structure_pool():
+            return args.func(args)
     except (ParseError, DanglingEndpoint, NotInverse, NotAssociative, AxiomViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

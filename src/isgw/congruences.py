@@ -212,17 +212,6 @@ class QuotientSemigroup(Record):
         return SemigroupHomomorphism(self.source, self.quotient, self.projection)
 
 
-def _class_label(s: InverseSemigroup, cls: frozenset) -> str:
-    if s.zero in cls:
-        return "0"
-    names = sorted(s.labels[x] for x in cls)
-    if len(names) == 1:
-        return names[0]
-    if len(names) > 3:
-        return "[" + "|".join(names[:3]) + "|...]"
-    return "[" + "|".join(names) + "]"
-
-
 @per_semigroup
 def quotient(s: InverseSemigroup, rho: Congruence) -> QuotientSemigroup:
     """Quotient semigroup on the classes; the class of 0 is the new zero.
@@ -231,8 +220,10 @@ def quotient(s: InverseSemigroup, rho: Congruence) -> QuotientSemigroup:
     O(n*|G|)); the product of two classes is then read from their least
     members.  A homomorphic image of an inverse semigroup is inverse, so the
     quotient is built by ``InverseSemigroup._derived`` and not validated
-    again.  Built once per semigroup and partition: equal congruences share
-    one quotient, and with it the quotient's own cached structures.
+    again, and its elements are labelled by class index: a pooled quotient
+    serves semigroups whose labels differ.  Built once per semigroup and
+    partition: equal congruences share one quotient, and with it the
+    quotient's own cached structures.
 
     The quotient by the equality is S itself, with the identity projection:
     the classes are the singletons in element order, so the table built from
@@ -245,8 +236,7 @@ def quotient(s: InverseSemigroup, rho: Congruence) -> QuotientSemigroup:
     reps = [min(c) for c in rho.classes]
     mul = [[index[row[rb]] for rb in reps] for row in (s.mul[ra] for ra in reps)]
     inv = [index[s.star(r)] for r in reps]
-    labels = [_class_label(s, c) for c in rho.classes]
-    q = InverseSemigroup._derived(mul, inv, index[s.zero], labels)
+    q = InverseSemigroup._derived(mul, inv, index[s.zero], None)
     return QuotientSemigroup(source=s, quotient=q, projection=index)
 
 

@@ -21,6 +21,8 @@ model, has it scanned first.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import itertools
 from operator import itemgetter
@@ -99,12 +101,40 @@ class NaturalOrder(Record):
         return tuple(sorted([row[e] for e in self.idempotents if dom_row[e] == e]))
 
 
+# The pool of the running ``structure_pool`` block, or None outside one.  A
+# context variable, so that no module-level name is bound to None: the
+# perfbench tracer would take a None global for a function it wraps.
+_POOL = contextvars.ContextVar("isgw_structure_pool", default=None)
+
+
+@contextlib.contextmanager
+def structure_pool():
+    """Within the block, semigroups with equal tables share one cache:
+    a semigroup built with the key (mul, inv, zero, hint) of one built
+    earlier in the block takes that one's tables, generators, idempotents
+    and ``per_semigroup`` cache, and computes none of them again
+    (hash-consing; Filliatre & Conchon, "Type-safe modular hash-consing",
+    ML Workshop 2006).  The hint is part of the key because the generators
+    depend on it.  Each CLI command runs in its own pool; outside a pool
+    every semigroup has a cache of its own.  Twins do not share labels, so
+    no cached structure may read them, and a cached value that holds a
+    semigroup (a quotient's source, a groupoid's semigroup) may hold any
+    twin of the one it was asked for."""
+    token = _POOL.set({})
+    try:
+        yield
+    finally:
+        _POOL.reset(token)
+
+
 def per_semigroup(fn):
-    """Compute fn(s, *args) once per semigroup and arguments: the first call
-    stores the result in the semigroup's cache under (fn, *args), or under
-    fn alone when there are no arguments, and every later call with equal
-    arguments returns that same object.  The arguments must be hashable and
-    cached results immutable.  A call that raises stores nothing."""
+    """Compute fn(s, *args) once per cache and arguments: the first call
+    stores the result in the cache of s under (fn, *args), or under fn
+    alone when there are no arguments, and every later call with equal
+    arguments returns that same object.  The cache is the semigroup's own,
+    or inside a ``structure_pool`` the one it shares with every semigroup
+    of equal tables.  The arguments must be hashable and cached results
+    immutable.  A call that raises stores nothing."""
 
     @functools.wraps(fn)
     def cached(s, *args):
@@ -131,13 +161,13 @@ class InverseSemigroup:
     its validated source guarantees.
     Structures derived from S alone (natural order, Cayley graphs, H/mu,
     ideals, double arrow, congruence lattice, groupoids) are computed on
-    first use and cached, see ``per_semigroup``.
+    first use and cached, see ``per_semigroup``; inside a
+    ``structure_pool``, once per distinct table.
     """
 
     def __init__(self, mul, inv, zero, labels=None, hint=()):
         self._store(mul, inv, zero, labels)
-        self._validate(hint)
-        self._index()
+        self._index(hint, self._validate(hint))
 
     @classmethod
     def _derived(cls, mul, inv, zero, labels) -> "InverseSemigroup":
@@ -149,7 +179,6 @@ class InverseSemigroup:
         built here passes full validation is a tier-1 test property."""
         s = cls.__new__(cls)
         s._store(mul, inv, zero, labels)
-        s.generators = tuple(_generating_set(s.mul))
         s._index()
         return s
 
@@ -162,14 +191,33 @@ class InverseSemigroup:
             labels = tuple(str(i) for i in range(self.n))
         self.labels = tuple(labels)
 
-    def _index(self) -> None:
+    def _index(self, hint=(), generators=None) -> None:
+        """Set the generators, the idempotents and the cache: a twin's, when
+        the running ``structure_pool`` holds one with this key, else the
+        given generators (``_generating_set`` of the table when None),
+        the idempotents of the table and a new cache, with which the
+        semigroup enters the pool."""
+        pool = _POOL.get()
+        if pool is not None:
+            # keyed without the table, whose hash would cost a pass over it:
+            # a table is compared only with those of equal involution
+            twins = pool.setdefault((self.inv, self.zero, tuple(hint)), [])
+            twin = next((t for t in twins if t.mul == self.mul), None)
+            if twin is not None:
+                self.mul, self.inv = twin.mul, twin.inv
+                self.generators, self.idempotents = twin.generators, twin.idempotents
+                self._idempotent_set, self._cache = twin._idempotent_set, twin._cache
+                return
+            twins.append(self)
+        self.generators = tuple(_generating_set(self.mul)) if generators is None else generators
         self.idempotents = tuple(sorted(e for e in range(self.n) if self.mul[e][e] == e))
         self._idempotent_set = frozenset(self.idempotents)
         self._cache = {}
 
     # -- validation ---------------------------------------------------------
 
-    def _validate(self, hint=()) -> None:
+    def _validate(self, hint=()) -> tuple:
+        """Check every invariant; return the generators of Light's test."""
         n = self.n
         if n == 0:
             raise NotInverse("empty carrier")
@@ -189,7 +237,7 @@ class InverseSemigroup:
             if self.mul[z][s] != z or self.mul[s][z] != z:
                 raise NotInverse(f"designated zero is not absorbing at {s}")
 
-        self.generators = _check_associative(self.mul, hint)
+        generators = _check_associative(self.mul, hint)
 
         for s in range(n):
             t = self.inv[s]
@@ -210,6 +258,7 @@ class InverseSemigroup:
                     if len(candidates) != 1:
                         raise NotInverse(f"element {s} has {len(candidates)} generalized inverses")
                 raise NotInverse(f"idempotents {e} and {f} do not commute")
+        return generators
 
     # -- basic queries ------------------------------------------------------
 

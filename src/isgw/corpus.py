@@ -4,7 +4,6 @@ monoids.  Everything is deterministic for a given seed."""
 
 from __future__ import annotations
 
-import itertools
 import random
 
 from .core import InverseSemigroup, PartialBijection, from_partial_bijections, from_tables
@@ -66,52 +65,42 @@ def group_with_zero_fixture() -> InverseSemigroup:
     return from_tables(mul, [0, 1, 2], 0, labels=["0", "1", "x"])
 
 
-# -- all small semilattices, via intersection-closed families -------------------
+# -- all small semilattices, as intersection-closed families -----------------------
 
-def _meet_table_key(mul: tuple) -> tuple:
-    """Canonical form of a meet table with zero 0: the least relabelled
-    table over the permutations that fix 0, an exact isomorphism invariant."""
-    n = len(mul)
-    best = None
-    for rest in itertools.permutations(range(1, n)):
-        perm = (0,) + rest
-        inv = [0] * n
-        for a, pa in enumerate(perm):
-            inv[pa] = a
-        table = tuple(tuple(perm[mul[a][b]] for b in inv) for a in inv)
-        if best is None or table < best:
-            best = table
-    return best
+# One intersection-closed family of subsets of the points 0-3 for each meet
+# semilattice with zero of at most five elements, up to isomorphism, in the
+# order of their least relabelled meet tables; the empty set, the zero, is
+# left out.  ``tests/oracles.py::small_semilattices_by_semigroups`` finds the
+# same families by a search over all families and an isomorphism test.
+SMALL_SEMILATTICE_FAMILIES = (
+    "",
+    "{0}",
+    "{0} {1}", "{0} {01}",
+    "{0} {1} {2}", "{0} {1} {02}", "{0} {1} {01}", "{0} {01} {02}", "{0} {01} {012}",
+    "{0} {1} {2} {3}", "{0} {1} {2} {03}", "{0} {1} {2} {01}", "{0} {1} {02} {03}",
+    "{0} {1} {02} {023}", "{0} {1} {2} {012}", "{0} {1} {02} {13}", "{0} {1} {01} {02}",
+    "{0} {1} {02} {012}", "{0} {1} {01} {012}", "{0} {01} {02} {03}",
+    "{0} {01} {02} {013}", "{0} {01} {02} {012}", "{0} {01} {012} {013}",
+    "{0} {01} {012} {0123}",
+)
 
 
-def small_semilattices(max_size: int = 5) -> list:
-    """Every meet semilattice with zero of at most max_size elements, up to
-    isomorphism, realized as an intersection-closed family of subsets of
-    four points, each subset an int mask.  Each distinct meet table is
-    canonicalized once, and a semigroup is built for the first family of
-    each isomorphism class only."""
-    members = {}  # nonempty mask -> its points, in (size, members) order
-    for k in range(1, 5):
-        for points in itertools.combinations(range(4), k):
-            members[sum(1 << p for p in points)] = points
-    key_of = {}  # meet table -> canonical form
-    out = {}
-    for k in range(0, max_size):
-        for combo in itertools.combinations(members, k):
-            family = {0, *combo}
-            if all(a & b in family for a, b in itertools.combinations(combo, 2)):
-                # combinations keep the (size, members) order: the family's
-                # order, with the empty set first
-                ordered = (0, *combo)
-                idx = {m: i for i, m in enumerate(ordered)}
-                mul = tuple(tuple(idx[a & b] for b in ordered) for a in ordered)
-                key = key_of.get(mul)
-                if key is None:
-                    key = key_of[mul] = _meet_table_key(mul)
-                if key not in out:
-                    labels = ["0"] + ["{" + "".join(map(str, members[m])) + "}" for m in combo]
-                    out[key] = from_tables(mul, list(range(len(ordered))), 0, labels=labels)
-    return [out[k] for k in sorted(out)]
+def small_semilattices() -> list:
+    """Every meet semilattice with zero of at most five elements, up to
+    isomorphism: 1, 1, 2, 5 and 15 of one to five elements.  Adjoining a top
+    makes one of n elements a lattice of n + 1, so these are the counts of
+    lattices of two to six elements (OEIS A006966).  Each is built from its
+    family in ``SMALL_SEMILATTICE_FAMILIES``, the zero first and each subset
+    labelled by its points, with the meet read off the intersection of int
+    masks."""
+    out = []
+    for family in SMALL_SEMILATTICE_FAMILIES:
+        labels = family.split()
+        masks = [0] + [sum(1 << int(p) for p in label[1:-1]) for label in labels]
+        index = {m: i for i, m in enumerate(masks)}
+        mul = [[index[a & b] for b in masks] for a in masks]
+        out.append(from_tables(mul, list(range(len(masks))), 0, labels=["0", *labels]))
+    return out
 
 
 # -- random subsemigroups of symmetric inverse monoids --------------------------

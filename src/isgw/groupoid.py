@@ -144,12 +144,14 @@ def effectiveness(g: FiniteGroupoid) -> Decision:
 def _check_functor(src: FiniteGroupoid, dst: FiniteGroupoid, f, name: str) -> TheoremEntry:
     """Verify that the element map f, restricted to the units and to the
     arrows of src, is a functor onto dst that is bijective on units and on
-    arrows; any failure is reported with the offending germ."""
+    arrows; any failure is reported with the offending germ.  A map into a
+    finite set is a bijection onto it when its images cover it and the two
+    sets have one size."""
     for m in src.units:
         if f[m] not in dst._unit_set:
             return TheoremEntry(name, "fail", detail="unit map escapes target",
                                 counterexample=m)
-    if len({f[m] for m in src.units}) != len(dst.units):
+    if not len(src.units) == len({f[m] for m in src.units}) == len(dst.units):
         return TheoremEntry(name, "fail", detail="unit map is not a bijection")
     for u in src.arrows:
         v = f[u]
@@ -164,9 +166,9 @@ def _check_functor(src: FiniteGroupoid, dst: FiniteGroupoid, f, name: str) -> Th
             return TheoremEntry(name, "fail", detail="inverse not preserved",
                                 counterexample=u)
     images = len({f[u] for u in src.arrows})
-    if images != len(dst.arrows):
+    if not len(src.arrows) == images == len(dst.arrows):
         return TheoremEntry(name, "fail", detail="arrow map is not a bijection",
-                            counterexample=(images, len(dst.arrows)))
+                            counterexample=(len(src.arrows), images, len(dst.arrows)))
     # endpoints are preserved, so the images of a composable pair compose
     src_mul, dst_mul = src.s.mul, dst.s.mul
     for v, u in src.composable_pairs():

@@ -31,11 +31,7 @@ def dumps(value: Any, pad: str = "\n") -> str:
         return int.__repr__(value)
     inner = pad + "  "
     if kind is dict and all(type(k) is str for k in value):
-        if not value:
-            return "{}"
-        return ("{" + inner + ("," + inner).join(
-            [_string(k) + ": " + dumps(value[k], inner) for k in sorted(value)])
-            + pad + "}")
+        return _object([_string(k) + ": " + dumps(value[k], inner) for k in sorted(value)], pad)
     if kind is list or kind is tuple:
         if not value:
             return "[]"
@@ -49,16 +45,25 @@ def dumps(value: Any, pad: str = "\n") -> str:
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)
 
 
+def _object(members: list, pad: str) -> str:
+    """A JSON object from its encoded ``"key": value`` members, sorted,
+    as ``dumps`` writes it at ``pad``."""
+    if not members:
+        return "{}"
+    inner = pad + "  "
+    return "{" + inner + ("," + inner).join(members) + pad + "}"
+
+
 def write_json(write, reports: list, summary: dict) -> None:
-    """Write ``dumps({"reports": [r.to_dict() for r in reports],
+    """Write ``dumps({"reports": [the dict of each report],
     "schema_version": SCHEMA_VERSION, "summary": jsonable(summary)})`` and a
-    newline through ``write``, one report at a time: each report is turned
-    into a dict and encoded just before its write, so neither the payload
-    nor its whole text is ever held."""
+    newline through ``write``, one report at a time: each report is encoded
+    (``Report.to_json``) just before its write, so neither the payload nor
+    its whole text is ever held."""
     write('{\n  "reports": [')
     sep = "\n    "
     for rep in reports:
-        write(sep + dumps(rep.to_dict(), "\n    "))
+        write(sep + rep.to_json("\n    "))
         sep = ",\n    "
     write(("\n  ]" if reports else "]") + ',\n  "schema_version": ' + dumps(SCHEMA_VERSION)
           + ',\n  "summary": ' + dumps(jsonable(summary), "\n  ") + "\n}\n")
@@ -128,27 +133,34 @@ class Report(MutableRecord):
     def failures(self) -> list:
         return [t for t in self.theorems.values() if t.failed]
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "instance": self.instance,
-            "properties": {
-                k: {"value": p.value, "witness": p.witness, "hypothesis": p.hypothesis}
-                for k, p in sorted(self.properties.items())
-            },
-            "theorems": {
-                k: {
-                    "status": t.status,
-                    "hypothesis": t.hypothesis,
-                    "detail": t.detail,
-                    "counterexample": jsonable(t.counterexample),
-                }
-                for k, t in sorted(self.theorems.items())
-            },
-        }
-
-    def to_json(self) -> str:
-        return dumps(self.to_dict())
+    def to_json(self, pad: str = "\n") -> str:
+        """The report as ``dumps`` writes the dict {"instance", "properties":
+        {name: {"hypothesis", "value", "witness"}}, "schema_version",
+        "theorems": {name: {"counterexample", "detail", "hypothesis",
+        "status"}}}, byte for byte, with every newline written as ``pad``.
+        The fixed keys are written in their sorted order, from one
+        template per entry kind, and only the values go through ``dumps``;
+        no dict is built."""
+        p1 = pad + "  "
+        p2 = p1 + "  "
+        p3 = p2 + "  "
+        property_entry = ("%s: {" + p3 + '"hypothesis": %s,' + p3 + '"value": %s,' + p3
+                          + '"witness": %s' + p2 + "}")
+        properties = [
+            property_entry % (_string(k), dumps(p.hypothesis, p3), dumps(p.value, p3),
+                              dumps(p.witness, p3))
+            for k, p in sorted(self.properties.items())]
+        theorem_entry = ("%s: {" + p3 + '"counterexample": %s,' + p3 + '"detail": %s,' + p3
+                         + '"hypothesis": %s,' + p3 + '"status": %s' + p2 + "}")
+        theorems = [
+            theorem_entry % (_string(k), "null" if t.counterexample is None
+                             else dumps(jsonable(t.counterexample), p3),
+                             dumps(t.detail, p3), dumps(t.hypothesis, p3), dumps(t.status, p3))
+            for k, t in sorted(self.theorems.items())]
+        return ("{" + p1 + '"instance": ' + dumps(self.instance, p1)
+                + "," + p1 + '"properties": ' + _object(properties, p1)
+                + "," + p1 + '"schema_version": ' + dumps(SCHEMA_VERSION, p1)
+                + "," + p1 + '"theorems": ' + _object(theorems, p1) + pad + "}")
 
     def render_text(self) -> str:
         lines = [f"instance: {self.instance}"]

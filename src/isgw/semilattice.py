@@ -60,9 +60,6 @@ class Semilattice(Record, compare=("parent",)):
     def nonzero(self) -> tuple:
         return tuple(e for e in self.elements if e != self.zero)
 
-    def label(self, e: int) -> str:
-        return self.parent.labels[e]
-
     def index(self, e: int) -> int:
         """e itself, once checked to be an idempotent."""
         if not self.parent.is_idempotent(e):

@@ -52,8 +52,9 @@ oracle of the action table ``_path_tables``), triples of path
 objects (``SSTriple``), read off a model's id triples (``triple_at``,
 ``triple_index``), with their product and inverse (``triple_multiply``,
 ``triple_inverse``), the least saturated order ideal over a set
-(``saturate``), and the unit orbits of a groupoid as the D-classes inside
-its units (``unit_orbits``).  ``is_groupoid_by_definition`` checks the groupoid axioms,
+(``saturate``), the unit orbits of a groupoid as the D-classes inside
+its units (``unit_orbits``), and the dict of a report (``report_dict``),
+whose ``dumps`` is the oracle of ``Report.to_json``.  ``is_groupoid_by_definition`` checks the groupoid axioms,
 which ``FiniteGroupoid`` leaves unchecked because its groupoids are ones by
 construction.
 """
@@ -84,6 +85,7 @@ from isgw.graphs import (
 )
 from isgw.groupoid import reduction
 from isgw.ideals_filters import ideal_generated, ideal_trace
+from isgw.report import SCHEMA_VERSION, jsonable
 from isgw.selfsimilar import ZERO, g_independent_edges, vertex_orbits
 from isgw.semilattice import Semilattice
 from isgw.util import Decision, Record, UnionFind, set_field
@@ -1307,3 +1309,25 @@ def _rees_quotient_matches_by_all_pairs(truncated, q, sub_action, sub_trunc, sub
         return False
     return all(mapping[q.quotient.product(x, y)] == sub_s.product(mapping[x], mapping[y])
                for x in range(q.quotient.n) for y in range(q.quotient.n))
+
+
+def report_dict(report) -> dict:
+    """The dict of a report, field by field, that ``Report.to_json`` writes
+    through ``dumps`` without building it."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "instance": report.instance,
+        "properties": {
+            k: {"value": p.value, "witness": p.witness, "hypothesis": p.hypothesis}
+            for k, p in sorted(report.properties.items())
+        },
+        "theorems": {
+            k: {
+                "status": t.status,
+                "hypothesis": t.hypothesis,
+                "detail": t.detail,
+                "counterexample": jsonable(t.counterexample),
+            }
+            for k, t in sorted(report.theorems.items())
+        },
+    }

@@ -268,11 +268,29 @@ def test_functor_check_reports_each_failure_of_an_element_map(i2, i2n):
     assert functor_check(b3g.tight, b3g.tight, ident(b3, **{"[1>0]": "[0>1]"})) == (
         "fail", "source/range not preserved", b3n["[1>0]"])
     assert functor_check(rotation, rotation, {i2n["I"]: i2n["I"], i2n["X"]: i2n["I"]}) == (
-        "fail", "arrow map is not a bijection", (1, 2))
+        "fail", "arrow map is not a bijection", (2, 1, 2))
     assert functor_check(z5g.tight, z5g.tight, ident(z5, g="g2")) == (
         "fail", "inverse not preserved", z5n["g"])
     assert functor_check(z5g.tight, z5g.tight, ident(z5, g2="g3", g3="g2")) == (
         "fail", "composition not preserved", (z5n["g"], z5n["g"]))
+
+
+def test_functor_check_rejects_a_map_that_collapses_units(i2):
+    """The element map that sends the units [0>0], [1>1], [2>2] of the B3
+    groupoid to the atoms E11, E22, E22 of I2, and each arrow to the one
+    arrow between the images of its ends, is a functor onto the I2 tight
+    groupoid: it preserves ends, inverses and composition, and its images
+    cover the 2 units and 4 arrows.  It collapses units, so it is no
+    isomorphism."""
+    b3 = make_b3()
+    src, dst = build_groupoids(b3).tight, build_groupoids(i2).tight
+    atom = dict(zip(src.units, (dst.units[0], dst.units[1], dst.units[1])))
+    between = {(dst.source(v), dst.range(v)): v for v in dst.arrows}
+    f = {b3.zero: i2.zero}
+    f.update({u: between[atom[src.source(u)], atom[src.range(u)]] for u in src.arrows})
+    assert (len(src.units), len(src.arrows), len(dst.units), len(dst.arrows)) == (3, 9, 2, 4)
+    assert len(set(f.values()) - {i2.zero}) == len(dst.arrows)
+    assert functor_check(src, dst, f) == ("fail", "unit map is not a bijection", None)
 
 
 def test_structure_theorems_all_pass(i2, e4, z2z):

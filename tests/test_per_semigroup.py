@@ -18,12 +18,14 @@ from isgw.core import (
     from_partial_bijections,
     from_tables,
     per_semigroup,
+    structure_pool,
 )
 from isgw.corpus import CorpusInstance
 from isgw.errors import AxiomViolation
 from isgw.graphs import GraphPath, paths_up_to
 from isgw.groupoid import FiniteGroupoid, build_groupoids, condition_K
 from isgw.relations import centralizer, h_and_mu
+from isgw.report import Report
 from isgw.semilattice import Semilattice
 from oracles import is_groupoid_by_definition
 from test_cli import I2_DOC, SWAP_LADDER_DOC
@@ -64,6 +66,127 @@ CACHED = [InverseSemigroup.order, h_and_mu, centralizer, double_arrow, cg.double
 def test_second_call_returns_the_same_object(fn):
     s = make_i2()
     assert fn(s) is fn(s)
+
+
+def relabelled_i2_doc():
+    """I2 in table form, every element renamed."""
+    s = make_i2()
+    return {"kind": "semigroup", "table": [list(row) for row in s.mul], "inv": list(s.inv),
+            "zero": s.zero, "labels": [f"copy-{x}" for x in s.labels]}
+
+
+def test_equal_tables_in_one_pool_share_their_structures():
+    """Semigroups with equal tables built in one pool share one cache, and
+    the later one takes the earlier one's tables; outside a pool each has
+    its own."""
+    doc = relabelled_i2_doc()
+    with structure_pool():
+        first, second = make_i2(), from_tables(doc["table"], doc["inv"], doc["zero"],
+                                               labels=doc["labels"])
+        assert build_groupoids(first) is build_groupoids(second)
+        assert double_arrow(second) is double_arrow(first)
+        assert second.mul is first.mul and second.generators is first.generators
+        assert second.labels != first.labels
+        sub, _ = first.restrict(ifl.principal_ideal(first, 2))
+        assert sub._cache is not first._cache  # another table
+    apart = make_i2()
+    assert build_groupoids(apart) is not build_groupoids(first)
+    assert build_groupoids(make_i2()) is not build_groupoids(apart)
+
+
+def test_the_hint_is_part_of_the_key():
+    """A semigroup with the table of another but a different hint has other
+    generators, so it gets its own cache."""
+    s = make_i2()
+    hint = (s.n - 1,)
+    with structure_pool():
+        plain = InverseSemigroup(s.mul, s.inv, s.zero)
+        hinted = InverseSemigroup(s.mul, s.inv, s.zero, hint=hint)
+        again = InverseSemigroup(s.mul, s.inv, s.zero, hint=hint)
+    assert hinted.generators != plain.generators
+    assert hinted._cache is not plain._cache
+    assert again._cache is hinted._cache
+
+
+def record_semigroups(monkeypatch) -> list:
+    """Every semigroup built from now on, validated or derived, in order."""
+    built = []
+    original = InverseSemigroup._index
+
+    def recording(self, *args):
+        original(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(InverseSemigroup, "_index", recording)
+    return built
+
+
+def test_nothing_is_shared_between_two_commands(tmp_path, monkeypatch, capsys):
+    """Two runs of ``verify`` on I2 share caches within each run, between
+    equal subsemigroups and quotients, and none between the runs."""
+    (tmp_path / "i2.json").write_text(json.dumps({**I2_DOC, "kind": "semigroup"}))
+    built = record_semigroups(monkeypatch)
+    assert cli.main(["verify", str(tmp_path), "--json"]) == 0
+    first = {id(s._cache) for s in built}
+    assert len(first) < len(built)
+    count = len(built)
+    assert cli.main(["verify", str(tmp_path), "--json"]) == 0
+    capsys.readouterr()
+    assert not first & {id(s._cache) for s in built[count:]}
+
+
+ANALYZE_HANDLERS = [cli._semigroup_properties, cli._semilattice_properties,
+                    cli._relations_properties, cli._congruence_properties,
+                    cli._ideal_properties, cli._groupoid_properties]
+
+
+@pytest.mark.parametrize("handler", ANALYZE_HANDLERS)
+def test_a_relabelled_twin_reports_its_own_labels(handler):
+    """The analyze report of a relabelled copy of I2 is the same whether the
+    copy is built alone, before I2 or after it in one pool, and so is I2's:
+    no shared structure carries labels."""
+    doc = relabelled_i2_doc()
+
+    def copy():
+        return from_tables(doc["table"], doc["inv"], doc["zero"], labels=doc["labels"])
+
+    def analyzed(s):
+        report = Report("x")
+        handler(report, s)
+        return report.to_json()
+
+    with structure_pool():
+        alone = analyzed(copy())
+    with structure_pool():
+        i2_alone = analyzed(make_i2())
+    for order in ((make_i2, copy), (copy, make_i2)):
+        with structure_pool():
+            made = [build() for build in order]
+            # structures first computed on one twin serve the other
+            outputs = [analyzed(s) for s in made]
+        assert outputs == ([i2_alone, alone] if order[0] is make_i2 else [alone, i2_alone])
+    if handler is not cli._semigroup_properties:  # the others print labels
+        assert alone != i2_alone
+
+
+def test_verify_reports_a_relabelled_twin_alike_wherever_it_is_built(tmp_path, capsys):
+    """``verify <dir> --json`` reports a relabelled copy of I2, and I2, the
+    same whether the copy's document is read alone, before I2's or after."""
+    copy, i2 = relabelled_i2_doc(), {**I2_DOC, "kind": "semigroup"}
+    reports = {}
+    for name, docs in (("alone", {"copy.json": copy}), ("i2-alone", {"i2.json": i2}),
+                       ("first", {"a-copy.json": copy, "b-i2.json": i2}),
+                       ("second", {"a-i2.json": i2, "b-copy.json": copy})):
+        directory = tmp_path / name
+        directory.mkdir()
+        for file, doc in docs.items():
+            (directory / file).write_text(json.dumps(doc))
+        assert cli.main(["verify", str(directory), "--json"]) == 0
+        for rep in json.loads(capsys.readouterr().out)["reports"]:
+            rep.pop("instance")
+            reports.setdefault(name, []).append(rep)
+    assert reports["first"] == reports["alone"] + reports["i2-alone"]
+    assert reports["second"] == reports["i2-alone"] + reports["alone"]
 
 
 def test_equal_congruences_share_one_quotient(i2, i2n):
@@ -195,8 +318,9 @@ def test_a_call_with_arguments_that_raises_stores_nothing():
 
 
 def test_verify_builds_each_quotient_once(monkeypatch, capsys):
-    """Each (semigroup, partition) quotient is built once per verify run:
-    the quotient body constructs one QuotientSemigroup per run."""
+    """Each (pool key, partition) quotient is built once per verify run:
+    the quotient body constructs one QuotientSemigroup for each, however
+    many semigroups share the key."""
     built = []
     original = cg.QuotientSemigroup
 
@@ -207,20 +331,24 @@ def test_verify_builds_each_quotient_once(monkeypatch, capsys):
     monkeypatch.setattr(cg, "QuotientSemigroup", counting)
     assert cli.main(["verify", "builtin", "--json", "--seed", "3"]) == 0
     capsys.readouterr()
-    keys = [(id(s), projection) for s, projection in built]
+    keys = [(s.mul, s.inv, s.zero, s.generators, projection) for s, projection in built]
     assert keys and len(set(keys)) == len(keys)
 
 
-def test_verify_computes_the_double_arrow_rows_once_per_semigroup(monkeypatch, capsys):
+def test_verify_computes_the_double_arrow_rows_once_per_table(monkeypatch, capsys):
     """``verify builtin`` reads the double-arrow rows of a semigroup for its
     classes and again for the transitivity test of
     ``double_arrow_is_zero_restricted_congruence``: one computation per
-    semigroup, each reading the down-sets once."""
+    pool key of the 135 semigroups that read them, each reading the
+    down-sets once.  The key's hint is seen through the generators it
+    gives: one of the 38 tables is both a hinted exact model of a graph
+    and an unhinted quotient, and their generators differ."""
     rows = count_calls(monkeypatch, cg, "nonzero_down")
     assert cli.main(["verify", "builtin", "--json", "--seed", "3"]) == 0
     capsys.readouterr()
-    semigroups = [s for s, in rows]
-    assert len(semigroups) == len(set(map(id, semigroups))) == 135
+    keys = [(s.mul, s.inv, s.zero, s.generators) for s, in rows]
+    assert len(keys) == len(set(keys)) == 39
+    assert len({key[:3] for key in keys}) == 38
 
 
 def test_verify_forms_each_down_set_once(monkeypatch, capsys):

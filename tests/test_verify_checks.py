@@ -21,6 +21,7 @@ from isgw.semilattice import Semilattice, atoms
 from isgw.util import Decision
 
 from conftest import i2_named
+from oracles import report_dict
 
 
 def entry(entries, name):
@@ -204,7 +205,7 @@ def test_record_counterexample_renders_as_its_fields(i2, monkeypatch):
     report = Report("I2")
     for e in verify.check_injectivity_criteria(i2):
         report.add_theorem(e)
-    rendered = report.to_dict()["theorems"]["injectivity_criteria_equivalence"]
+    rendered = report_dict(report)["theorems"]["injectivity_criteria_equivalence"]
     assert json.dumps(rendered["counterexample"]) == (
         '[[0, 1, 2, 3, 4, 5, 6], {"idempotent_pure": true, "idempotent_separating": true, '
         '"injective": false, "injective_on_centralizer_of_e": true}]')
