@@ -3,8 +3,11 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
+from isgw import congruences as cg
 from isgw import groupoid
-from isgw.core import PartialBijection, from_partial_bijections, from_tables
+from isgw import relations as rel
+from isgw.congruences import QuotientSemigroup
+from isgw.core import InverseSemigroup, PartialBijection, from_partial_bijections, from_tables
 from isgw.corpus import builtin_corpus
 from isgw.errors import DomainViolation, NotInvariant
 from isgw.groupoid import (
@@ -18,9 +21,10 @@ from isgw.groupoid import (
     weakly_fixed_criterion,
 )
 from isgw.ideals_filters import d_classes
-from isgw.verify import check_condition_k, check_effectiveness_chain
+from isgw.report import Report
+from isgw.verify import check_condition_k, check_effectiveness_chain, check_structure_theorems
 
-from conftest import make_chain, slice_arrows
+from conftest import make_chain, make_e4, make_i2, make_z2z, slice_arrows
 from oracles import strong_effectiveness_by_all_unions
 from test_core_oracles import generator_sets
 
@@ -299,3 +303,145 @@ def test_structure_theorems_all_pass(i2, e4, z2z):
         assert entries, "no entries produced"
         bad = [e for e in entries if e.status == "fail"]
         assert not bad, bad
+
+
+def statement_failures(s):
+    """The entries of the structure statements on s that do not pass, as
+    (report key, status, detail, counterexample), and the number of
+    entries: the keys pin where each failure falls among the entries of
+    its name."""
+    report = Report(instance="s")
+    for entry in check_structure_theorems(s):
+        report.add_theorem(entry)
+    return ([(key, e.status, e.detail, e.counterexample)
+             for key, e in report.theorems.items() if e.status != "pass"],
+            len(report.theorems))
+
+
+def collapsed_to_sub(s, monkeypatch):
+    """Restriction to an ideal sends its last nonzero element to the image
+    of its first."""
+    restrict = InverseSemigroup.restrict
+
+    def wrong(self, subset):
+        sub, to_sub = restrict(self, subset)
+        inside = sorted(a for a in to_sub if a != self.zero)
+        if len(inside) > 1:
+            to_sub = {**to_sub, inside[-1]: to_sub[inside[0]]}
+        return sub, to_sub
+
+    monkeypatch.setattr(InverseSemigroup, "restrict", wrong)
+
+
+def collapsed_rees_projection(s, monkeypatch):
+    """The projection onto a Rees quotient sends the last element outside
+    the ideal to the image of the first."""
+    rees_quotient = groupoid.rees_quotient
+
+    def wrong(t, ideal):
+        q = rees_quotient(t, ideal)
+        outside = [a for a in t.elements() if a not in ideal]
+        projection = list(q.projection)
+        if len(outside) > 1:
+            projection[outside[-1]] = projection[outside[0]]
+        return QuotientSemigroup(q.source, q.quotient, tuple(projection))
+
+    monkeypatch.setattr(groupoid, "rees_quotient", wrong)
+
+
+def inverted_germs(s, monkeypatch):
+    """A germ is represented by the inverse of its representative."""
+    germ_of = groupoid.germ_of
+    monkeypatch.setattr(groupoid, "germ_of",
+                        lambda t, a, m: Germ(t.star(germ_of(t, a, m).rep), m))
+
+
+def fundamental_rees_quotient(s, monkeypatch):
+    """The Rees quotient by {0} is S/mu: on Z2Z it keeps the one unit and
+    loses the arrow x."""
+    rees_quotient = groupoid.rees_quotient
+    mu = rel.h_and_mu(s).mu
+    fundamental = cg.quotient(s, cg.make_congruence(s, lambda a: mu.class_index[a]))
+    monkeypatch.setattr(groupoid, "rees_quotient", lambda t, ideal: (
+        fundamental if len(ideal) == 1 else rees_quotient(t, ideal)))
+
+
+def merged_collapse_atoms(s, monkeypatch):
+    """The double-arrow projection of E4 sends the atom e to the image of
+    the atom f."""
+    quotient, da = groupoid.quotient, cg.double_arrow(s)
+    e, f = s.labels.index("e"), s.labels.index("f")
+
+    def wrong(t, rho):
+        q = quotient(t, rho)
+        if rho is not da:
+            return q
+        projection = list(q.projection)
+        projection[e] = projection[f]
+        return QuotientSemigroup(q.source, q.quotient, tuple(projection))
+
+    monkeypatch.setattr(groupoid, "quotient", wrong)
+
+
+def uncanonical_germs(s, monkeypatch):
+    """The germ of (a, F) is represented by a itself, not by a*min(F)."""
+    monkeypatch.setattr(groupoid, "germ_of", lambda t, a, m: Germ(a, m))
+
+
+@pytest.mark.parametrize("make, wrong, expected", [
+    # the chain 0 < a1 < a2 < a3 is (a1, a2, a3, 0) in index order
+    (lambda: make_chain(4), collapsed_to_sub, ([
+        ("filter_restriction_homeos#3", "fail", "ideal:[0, 1, 3]", "restriction"),
+        ("universal_reduction_to_ideal#3", "fail",
+         "unit map is not a bijection ideal:[0, 1, 3]", None),
+        ("filter_restriction_homeos#4", "fail", "ideal:[0, 1, 2, 3]", "restriction"),
+        ("universal_reduction_to_ideal#4", "fail",
+         "unit map is not a bijection ideal:[0, 1, 2, 3]", None),
+    ], 22)),
+    (lambda: make_chain(4), collapsed_rees_projection, ([
+        ("filter_restriction_homeos", "fail", "ideal:[3]", "quotient"),
+        ("universal_reduction_to_quotient", "fail",
+         "unit map is not a bijection ideal:[3]", None),
+        ("filter_restriction_homeos#2", "fail", "ideal:[0, 3]", "quotient"),
+        ("universal_reduction_to_quotient#2", "fail",
+         "unit map is not a bijection ideal:[0, 3]", None),
+    ], 22)),
+    # I2 is (I, X, E11, E21, E12, E22, 0): u = E21, E12 at e = E11, E22, I
+    (make_i2, inverted_germs, ([
+        ("universal_reduction_to_ideal#3", "fail",
+         "formula depends on the chosen idempotent ideal:[2, 5, 6]", (3, 2)),
+        ("universal_reduction_to_ideal#4", "fail",
+         "formula depends on the chosen idempotent ideal:[2, 5, 6]", (4, 5)),
+        ("universal_reduction_to_ideal#6", "fail",
+         "formula depends on the chosen idempotent ideal:[0, 2, 5, 6]", (3, 0)),
+        ("universal_reduction_to_ideal#7", "fail",
+         "formula depends on the chosen idempotent ideal:[0, 2, 5, 6]", (4, 0)),
+    ], 23)),
+    # Z2Z is (0, 1, x)
+    (make_z2z, fundamental_rees_quotient, ([
+        ("universal_reduction_to_quotient", "fail",
+         "arrow map is not a bijection ideal:[0]", (2, 1, 1)),
+        ("tight_reduction_to_quotient", "fail",
+         "arrow map is not a bijection ideal:[0]", (2, 1, 1)),
+        ("tight_reduction_arrow_count", "fail", "ideal:[0]", (1, 2)),
+    ], 16)),
+    # E4 is (e, f, g, 0)
+    (make_e4, merged_collapse_atoms, ([
+        ("tight_spectrum_collapse_homeo", "fail", "atom filters do not correspond",
+         [(0, 1), (1, 1)]),
+        ("tight_groupoid_collapse_isomorphism", "fail", "unit map is not a bijection", None),
+    ], 36)),
+    # the germ of (I, E11) is not that of (I E11, E11) = (E11, E11)
+    (make_i2, uncanonical_germs, ([
+        ("tight_groupoid_collapse_isomorphism#2", "fail",
+         "map not constant on a germ class", (0, 2)),
+    ], 20)),
+], ids=["restriction", "quotient", "formula", "arrow-count", "collapse-spectrum",
+        "germ-class"])
+def test_structure_statements_report_each_failure(monkeypatch, make, wrong, expected):
+    """Each structure statement fails, with its ideal label and its
+    witness, when one map it reads is wrong, and the other entries pass."""
+    s = make()
+    assert statement_failures(s)[0] == []
+    wrong(s, monkeypatch)
+    assert statement_failures(s) == expected
