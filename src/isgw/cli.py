@@ -46,12 +46,17 @@ EXIT_CAP = 3
 
 
 def _load_json(path: str) -> dict:
+    """The JSON document at path.  A file that cannot be read (a directory,
+    no permission) or decoded (not UTF-8, not JSON, nested too deeply for
+    the parser) is a ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError as exc:
         raise ParseError(f"no such file: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
 
 

@@ -4,8 +4,8 @@ For finite S every filter is principal, so the germ [s, F] at F with minimum
 m has the canonical representative s*m, and the arrows of the universal
 groupoid are exactly the nonzero elements of S (an element u sits at the
 domain filter generated by u*u).  The tight groupoid is the reduction to the
-atom filters.  Both carry the discrete topology, so the topological content
-of the structure theorems collapses to bijectivity of the explicit maps.
+atom filters.  Both carry the discrete topology, so a map between two of
+them is a homeomorphism of unit spaces exactly when it is a bijection.
 
 On a discrete groupoid strong effectiveness is effectiveness: each arrow is
 an open slice, so the groupoid is effective exactly when no unit has an
@@ -17,11 +17,10 @@ itself.
 
 from __future__ import annotations
 
-from .congruences import QuotientSemigroup, condition_L, double_arrow, quotient, rees_quotient
+from .congruences import condition_L, rees_quotient
 from .core import InverseSemigroup, per_semigroup
 from .errors import DomainViolation, InternalContract, NotInvariant
 from .ideals_filters import enumerate_ideals
-from .report import TheoremEntry
 from .semilattice import Semilattice, atoms, is_cover
 from .util import Decision, Record, set_field
 
@@ -73,9 +72,9 @@ class FiniteGroupoid:
         self.source = order.dom.__getitem__
         self.range = order.ran.__getitem__
         self.units = tuple(sorted(units))
-        self._unit_set = frozenset(self.units)
+        self.unit_set = frozenset(self.units)
         # the zero is never a unit, so it is never an arrow
-        self.arrows = tuple(u for u, m in enumerate(order.dom) if m in self._unit_set)
+        self.arrows = tuple(u for u, m in enumerate(order.dom) if m in self.unit_set)
 
     def composable_pairs(self):
         """Every composable pair (v, u): u in arrow order and, for each u,
@@ -120,7 +119,7 @@ def build_groupoids(s: InverseSemigroup) -> GroupoidPair:
 def reduction(g: FiniteGroupoid, unit_subset) -> FiniteGroupoid:
     """Subgroupoid over an invariant set of units."""
     a = frozenset(unit_subset)
-    if not a <= g._unit_set:
+    if not a <= g.unit_set:
         raise NotInvariant("not a subset of the unit space")
     for u in g.arrows:
         if (g.source(u) in a) != (g.range(u) in a):
@@ -137,176 +136,6 @@ def effectiveness(g: FiniteGroupoid) -> Decision:
             if u != m:
                 return Decision(False, (m, u))
     return Decision(True)
-
-
-# -- structure-theorem verification -------------------------------------------
-
-def _check_functor(src: FiniteGroupoid, dst: FiniteGroupoid, f, name: str) -> TheoremEntry:
-    """Verify that the element map f, restricted to the units and to the
-    arrows of src, is a functor onto dst that is bijective on units and on
-    arrows; any failure is reported with the offending germ.  A map into a
-    finite set is a bijection onto it when its images cover it and the two
-    sets have one size."""
-    for m in src.units:
-        if f[m] not in dst._unit_set:
-            return TheoremEntry(name, "fail", detail="unit map escapes target",
-                                counterexample=m)
-    if not len(src.units) == len({f[m] for m in src.units}) == len(dst.units):
-        return TheoremEntry(name, "fail", detail="unit map is not a bijection")
-    for u in src.arrows:
-        v = f[u]
-        # v is an arrow of dst exactly when its source is a unit there
-        if dst.source(v) not in dst._unit_set:
-            return TheoremEntry(name, "fail", detail="arrow map escapes target",
-                                counterexample=u)
-        if dst.source(v) != f[src.source(u)] or dst.range(v) != f[src.range(u)]:
-            return TheoremEntry(name, "fail", detail="source/range not preserved",
-                                counterexample=u)
-        if f[src.inverse(u)] != dst.inverse(v):
-            return TheoremEntry(name, "fail", detail="inverse not preserved",
-                                counterexample=u)
-    images = len({f[u] for u in src.arrows})
-    if not len(src.arrows) == images == len(dst.arrows):
-        return TheoremEntry(name, "fail", detail="arrow map is not a bijection",
-                            counterexample=(len(src.arrows), images, len(dst.arrows)))
-    # endpoints are preserved, so the images of a composable pair compose
-    src_mul, dst_mul = src.s.mul, dst.s.mul
-    for v, u in src.composable_pairs():
-        if f[src_mul[v][u]] != dst_mul[f[v]][f[u]]:
-            return TheoremEntry(name, "fail", detail="composition not preserved",
-                                counterexample=(v, u))
-    return TheoremEntry(name, "pass")
-
-
-def _bijects(f, units, targets) -> bool:
-    """f restricted to the units is a bijection onto the targets."""
-    images = {f[m] for m in units}
-    return images == set(targets) and len(images) == len(units)
-
-
-def _labelled(entry: TheoremEntry, label: str) -> TheoremEntry:
-    entry.detail = (entry.detail + " " + label).strip()
-    return entry
-
-
-def _formula_independence(s: InverseSemigroup, inner: FiniteGroupoid, x: frozenset,
-                          sub: InverseSemigroup, to_sub: dict, label: str) -> list:
-    """A failure entry for each arrow of the reduction to the ideal whose
-    stated formula depends on the choice of e in F cap I."""
-    out = []
-    mul = s.mul
-    for u in inner.arrows:
-        m = inner.source(u)
-        for e in x:
-            if e != s.zero and mul[e][m] == m:  # m <= e, both idempotent
-                g = germ_of(sub, to_sub[s.product(u, e)], to_sub[m])
-                if g.rep != to_sub[u]:
-                    out.append(TheoremEntry(
-                        "universal_reduction_to_ideal", "fail",
-                        detail=f"formula depends on the chosen idempotent {label}",
-                        counterexample=(u, e)))
-                    break
-    return out
-
-
-def _ideal_entries(s: InverseSemigroup, level: str, ideal, sub: InverseSemigroup,
-                   to_sub: dict, q_rees: QuotientSemigroup) -> list:
-    """The statements for one ideal at one groupoid level, "universal" (all
-    nonzero idempotents as units) or "tight" (the atoms): restriction to the
-    ideal and the Rees projection biject the units inside and outside it
-    onto the units of the ideal's and the quotient's groupoids, and induce
-    isomorphisms from the two reductions of S's groupoid onto them."""
-    g = getattr(build_groupoids(s), level)
-    sub_g = getattr(build_groupoids(sub), level)
-    rees_g = getattr(build_groupoids(q_rees.quotient), level)
-    x = ideal.trace
-    label = f"ideal:{sorted(x)}"
-    inside = [m for m in g.units if m in x]
-    outside = [m for m in g.units if m not in x]
-    prefix = "" if level == "universal" else "tight_"
-
-    failed = ("restriction" if not _bijects(to_sub, inside, sub_g.units)
-              else "quotient" if not _bijects(q_rees.projection, outside, rees_g.units)
-              else None)
-    entries = [TheoremEntry(prefix + "filter_restriction_homeos",
-                            "fail" if failed else "pass", detail=label,
-                            counterexample=failed)]
-
-    inner = reduction(g, inside)
-    entries.append(_labelled(_check_functor(inner, sub_g, to_sub,
-                                            f"{level}_reduction_to_ideal"), label))
-    if level == "universal":
-        entries.extend(_formula_independence(s, inner, x, sub, to_sub, label))
-
-    outer = reduction(g, outside)
-    entries.append(_labelled(_check_functor(outer, rees_g, q_rees.projection,
-                                            f"{level}_reduction_to_quotient"), label))
-    if level == "tight":
-        counts = (rees_g.n_arrows(), outer.n_arrows())
-        same = counts[0] == counts[1]
-        entries.append(TheoremEntry("tight_reduction_arrow_count",
-                                    "pass" if same else "fail", detail=label,
-                                    counterexample=None if same else counts))
-    return entries
-
-
-def verify_structure_theorems(s: InverseSemigroup) -> list:
-    """Run every groupoid-level structure statement on one semigroup:
-
-    - the double-arrow collapse induces a bijection of tight filter spaces
-      and an isomorphism of tight groupoids (built from the explicit maps);
-    - for every ideal, restriction and the Rees projection biject the
-      filters inside and outside it onto the filters of the ideal and of the
-      Rees quotient, and induce isomorphisms between reductions of the
-      universal groupoid and the groupoids of the two;
-    - for every saturated ideal, the same holds at the tight level.
-
-    Both levels run ``_ideal_entries``; the Rees quotients are the ones
-    ``quotient`` caches, shared with ``condition_K`` and the other callers.
-    Returns a list of TheoremEntry values; a "fail" entry is a falsification.
-    """
-    entries = []
-    tight = build_groupoids(s).tight
-
-    # collapse by the double-arrow congruence
-    q = quotient(s, double_arrow(s))
-    tq = q.quotient
-    tight_q = build_groupoids(tq).tight
-    if _bijects(q.projection, tight.units, tight_q.units):
-        entries.append(TheoremEntry("tight_spectrum_collapse_homeo", "pass"))
-    else:
-        entries.append(TheoremEntry("tight_spectrum_collapse_homeo", "fail",
-                                    detail="atom filters do not correspond",
-                                    counterexample=sorted((m, q.projection[m])
-                                                          for m in tight.units)))
-
-    entries.append(_check_functor(tight, tight_q, q.projection,
-                                  "tight_groupoid_collapse_isomorphism"))
-    # the collapse map formula holds on non-canonical germ presentations too
-    bad = None
-    order = s.order()
-    for a in s.nonzero():
-        dom = order.dom[a]
-        for m in tight.units:
-            if order.holds(m, dom):
-                lhs = germ_of(tq, q.projection[a], q.projection[m])
-                rhs = germ_of(tq, q.projection[s.product(a, m)], q.projection[m])
-                if lhs != rhs:
-                    bad = (a, m)
-                    break
-        if bad:
-            break
-    if bad:
-        entries.append(TheoremEntry(
-            "tight_groupoid_collapse_isomorphism", "fail",
-            detail="map not constant on a germ class", counterexample=bad))
-
-    for ideal in enumerate_ideals(s):
-        sub, to_sub = s.restrict(ideal.elements)
-        q_rees = rees_quotient(s, ideal.elements)
-        for level in ("universal", "tight") if ideal.saturated else ("universal",):
-            entries.extend(_ideal_entries(s, level, ideal, sub, to_sub, q_rees))
-    return entries
 
 
 # -- conditions ----------------------------------------------------------------

@@ -141,20 +141,19 @@ class SelfSimilarAction(Record):
             raise ParseError(f"no edge {eid}") from None
 
 
-def validate_action(action: SelfSimilarAction, depth: int = VALIDATION_DEPTH) -> dict:
-    """Exhaustively check the defining axioms on paths up to the given depth.
+def validate_action(action: SelfSimilarAction) -> dict:
+    """Exhaustively check the defining axioms on paths up to the fixed depth
+    ``VALIDATION_DEPTH``.
 
     The identities beyond single edges are forced by the recursive definition
     of the path action, so checking them on short paths certifies the tables;
     any violation raises AxiomViolation with the witnessing tuple.  The path
     checks read the action table of ``_path_tables``, which is built once the
-    single-edge checks have passed.  The stats at the default depth are kept
-    on the action, so parsing, ``analyze`` and ``verify`` validate it once; a
-    call that raises keeps nothing.
+    single-edge checks have passed.  The stats are kept on the action, so
+    parsing, ``analyze`` and ``verify`` validate it once; a call that raises
+    keeps nothing.
     """
-    if depth == VALIDATION_DEPTH:
-        return dict(action._validation)
-    return _validation_stats(action, depth)
+    return dict(action._validation)
 
 
 def _validation_stats(action: SelfSimilarAction, depth: int) -> dict:
@@ -523,7 +522,10 @@ def hereditary_invariant_sets(action: SelfSimilarAction) -> list:
 
 
 def quotient_action(action: SelfSimilarAction, v_set) -> SelfSimilarAction:
-    """Restrict the action to the graph minus a hereditary invariant set."""
+    """Restrict the action to the graph minus a hereditary invariant set.
+    The restriction is not validated again: its vertices, edges and paths
+    are among the action's and their images stay inside it, so each axiom
+    it must satisfy is one that the action satisfies."""
     removed = frozenset(v_set)
     if not is_hereditary(action.graph, removed):
         raise NotInvariant(f"{sorted(removed)} is not hereditary")
@@ -542,7 +544,6 @@ def quotient_action(action: SelfSimilarAction, v_set) -> SelfSimilarAction:
         cocycle={(g, eid): action.restrict(g, eid)
                  for g in range(action.group.size) for eid in kept_eids},
     )
-    validate_action(sub, depth=2)
     return sub
 
 

@@ -24,11 +24,12 @@ from .graphs import (
     quotient_graph,
 )
 from .groupoid import (
+    FiniteGroupoid,
     build_groupoids,
     condition_K,
     effectiveness,
     germ_of,
-    verify_structure_theorems,
+    reduction,
     weakly_fixed_criterion,
 )
 from .report import Report, TheoremEntry
@@ -338,8 +339,162 @@ def check_beta_action(s: InverseSemigroup) -> list:
     return [_entry("conjugation_action_is_invertible", True)]
 
 
+def _functor_failure(src: FiniteGroupoid, dst: FiniteGroupoid, f) -> tuple | None:
+    """(detail, counterexample) for the first way the element map f,
+    restricted to the units and to the arrows of src, fails to be a functor
+    onto dst that is bijective on units and on arrows, with the offending
+    germ; or None.  A map into a finite set is a bijection onto it when its
+    images cover it and the two sets have one size."""
+    for m in src.units:
+        if f[m] not in dst.unit_set:
+            return "unit map escapes target", m
+    if not len(src.units) == len({f[m] for m in src.units}) == len(dst.units):
+        return "unit map is not a bijection", None
+    for u in src.arrows:
+        v = f[u]
+        # v is an arrow of dst exactly when its source is a unit there
+        if dst.source(v) not in dst.unit_set:
+            return "arrow map escapes target", u
+        if dst.source(v) != f[src.source(u)] or dst.range(v) != f[src.range(u)]:
+            return "source/range not preserved", u
+        if f[src.inverse(u)] != dst.inverse(v):
+            return "inverse not preserved", u
+    images = len({f[u] for u in src.arrows})
+    if not len(src.arrows) == images == len(dst.arrows):
+        return "arrow map is not a bijection", (len(src.arrows), images, len(dst.arrows))
+    # endpoints are preserved, so the images of a composable pair compose
+    src_mul, dst_mul = src.s.mul, dst.s.mul
+    for v, u in src.composable_pairs():
+        if f[src_mul[v][u]] != dst_mul[f[v]][f[u]]:
+            return "composition not preserved", (v, u)
+    return None
+
+
+def _functor_entry(name: str, src: FiniteGroupoid, dst: FiniteGroupoid, f,
+                   label: str = "") -> TheoremEntry:
+    """The entry of ``_functor_failure``, its detail followed by the label."""
+    failure = _functor_failure(src, dst, f)
+    detail, witness = failure or ("", None)
+    return _entry(name, failure is None, witness, detail=(detail + " " + label).strip())
+
+
+def _bijects(f, units, targets) -> bool:
+    """f restricted to the units is a bijection onto the targets."""
+    images = {f[m] for m in units}
+    return images == set(targets) and len(images) == len(units)
+
+
+def _germ_class_failure(s: InverseSemigroup, tight: FiniteGroupoid,
+                        q: cg.QuotientSemigroup) -> tuple | None:
+    """The first (a, m), a nonzero and m a tight unit in its domain, on
+    which the collapse map sends the germs of (a, m) and (am, m) apart; or
+    None."""
+    order = s.order()
+    for a in s.nonzero():
+        dom = order.dom[a]
+        for m in tight.units:
+            if order.holds(m, dom):
+                lhs = germ_of(q.quotient, q.projection[a], q.projection[m])
+                rhs = germ_of(q.quotient, q.projection[s.product(a, m)], q.projection[m])
+                if lhs != rhs:
+                    return a, m
+    return None
+
+
+def _formula_failures(s: InverseSemigroup, inner: FiniteGroupoid, x: frozenset,
+                      sub: InverseSemigroup, to_sub: dict) -> list:
+    """The (u, e) for each arrow u of the reduction to the ideal whose stated
+    formula depends on the choice of e in F cap I, with the first such e."""
+    out = []
+    mul = s.mul
+    for u in inner.arrows:
+        m = inner.source(u)
+        for e in x:
+            if e != s.zero and mul[e][m] == m:  # m <= e, both idempotent
+                g = germ_of(sub, to_sub[s.product(u, e)], to_sub[m])
+                if g.rep != to_sub[u]:
+                    out.append((u, e))
+                    break
+    return out
+
+
+def _ideal_statements(s: InverseSemigroup, level: str, ideal, sub: InverseSemigroup,
+                      to_sub: dict, q_rees: cg.QuotientSemigroup) -> list:
+    """The statements for one ideal at one groupoid level, "universal" (all
+    nonzero idempotents as units) or "tight" (the atoms): restriction to the
+    ideal and the Rees projection biject the units inside and outside it
+    onto the units of the ideal's and the quotient's groupoids, and induce
+    isomorphisms from the two reductions of S's groupoid onto them.  Each
+    detail ends with the ideal's label."""
+    g = getattr(build_groupoids(s), level)
+    sub_g = getattr(build_groupoids(sub), level)
+    rees_g = getattr(build_groupoids(q_rees.quotient), level)
+    x = ideal.trace
+    label = f"ideal:{sorted(x)}"
+    inside = [m for m in g.units if m in x]
+    outside = [m for m in g.units if m not in x]
+    prefix = "" if level == "universal" else "tight_"
+
+    failed = ("restriction" if not _bijects(to_sub, inside, sub_g.units)
+              else "quotient" if not _bijects(q_rees.projection, outside, rees_g.units)
+              else None)
+    out = [_entry(prefix + "filter_restriction_homeos", failed is None, failed, detail=label)]
+
+    inner = reduction(g, inside)
+    out.append(_functor_entry(f"{level}_reduction_to_ideal", inner, sub_g, to_sub, label))
+    if level == "universal":
+        for witness in _formula_failures(s, inner, x, sub, to_sub):
+            out.append(_entry("universal_reduction_to_ideal", False, witness,
+                              detail=f"formula depends on the chosen idempotent {label}"))
+
+    outer = reduction(g, outside)
+    out.append(_functor_entry(f"{level}_reduction_to_quotient", outer, rees_g,
+                              q_rees.projection, label))
+    if level == "tight":
+        counts = (rees_g.n_arrows(), outer.n_arrows())
+        same = counts[0] == counts[1]
+        out.append(_entry("tight_reduction_arrow_count", same, None if same else counts,
+                          detail=label))
+    return out
+
+
 def check_structure_theorems(s: InverseSemigroup) -> list:
-    return verify_structure_theorems(s)
+    """Every groupoid-level structure statement on one semigroup:
+
+    - the double-arrow collapse induces a bijection of tight filter spaces
+      and an isomorphism of tight groupoids (built from the explicit maps);
+    - for every ideal, restriction and the Rees projection biject the
+      filters inside and outside it onto the filters of the ideal and of the
+      Rees quotient, and induce isomorphisms between reductions of the
+      universal groupoid and the groupoids of the two;
+    - for every saturated ideal, the same holds at the tight level.
+
+    Both levels run ``_ideal_statements``; the Rees quotients are the ones
+    ``cg.quotient`` caches, shared with ``condition_K`` and the other
+    callers."""
+    tight = build_groupoids(s).tight
+
+    # collapse by the double-arrow congruence
+    q = cg.quotient(s, cg.double_arrow(s))
+    tight_q = build_groupoids(q.quotient).tight
+    spectrum = _bijects(q.projection, tight.units, tight_q.units)
+    out = [_entry("tight_spectrum_collapse_homeo", spectrum,
+                  None if spectrum else sorted((m, q.projection[m]) for m in tight.units),
+                  detail="" if spectrum else "atom filters do not correspond")]
+    out.append(_functor_entry("tight_groupoid_collapse_isomorphism", tight, tight_q,
+                              q.projection))
+    # the collapse map formula holds on non-canonical germ presentations too
+    bad = _germ_class_failure(s, tight, q)
+    if bad:
+        out.append(_entry("tight_groupoid_collapse_isomorphism", False, bad,
+                          detail="map not constant on a germ class"))
+
+    for ideal in ifl.enumerate_ideals(s):
+        sub, to_sub = s.restrict(ideal.elements)
+        q_rees = cg.rees_quotient(s, ideal.elements)
+        for level in ("universal", "tight") if ideal.saturated else ("universal",):
+            out.extend(_ideal_statements(s, level, ideal, sub, to_sub, q_rees))
+    return out
 
 
 def check_effectiveness_chain(s: InverseSemigroup) -> list:

@@ -211,7 +211,7 @@ def test_criterion_10_selfsimilar_layer(reports):
     )
 
     mirror = mirror_action()
-    stats = validate_action(mirror, depth=4)
+    stats = validate_action(mirror)
     ok = stats["depth"] == 4
     rep = faithfulness(mirror)
     ok = ok and rep.faithful and rep.strongly_faithful

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from isgw import congruences as cg
 from isgw import groupoid
 from isgw import relations as rel
+from isgw import verify
 from isgw.congruences import QuotientSemigroup
 from isgw.core import InverseSemigroup, PartialBijection, from_partial_bijections, from_tables
 from isgw.corpus import builtin_corpus
@@ -17,7 +18,6 @@ from isgw.groupoid import (
     effectiveness,
     germ_of,
     reduction,
-    verify_structure_theorems,
     weakly_fixed_criterion,
 )
 from isgw.ideals_filters import d_classes
@@ -239,7 +239,7 @@ def make_z5z():
 def functor_check(src, dst, f):
     """(status, detail, counterexample) of the functor check of the element
     map f, a dict over the elements of src's semigroup."""
-    entry = groupoid._check_functor(src, dst, f, "f")
+    entry = verify._functor_entry("f", src, dst, f)
     return entry.status, entry.detail, entry.counterexample
 
 
@@ -299,7 +299,7 @@ def test_functor_check_rejects_a_map_that_collapses_units(i2):
 
 def test_structure_theorems_all_pass(i2, e4, z2z):
     for s in (i2, e4, z2z, make_chain(4)):
-        entries = verify_structure_theorems(s)
+        entries = check_structure_theorems(s)
         assert entries, "no entries produced"
         bad = [e for e in entries if e.status == "fail"]
         assert not bad, bad
@@ -336,7 +336,7 @@ def collapsed_to_sub(s, monkeypatch):
 def collapsed_rees_projection(s, monkeypatch):
     """The projection onto a Rees quotient sends the last element outside
     the ideal to the image of the first."""
-    rees_quotient = groupoid.rees_quotient
+    rees_quotient = cg.rees_quotient
 
     def wrong(t, ideal):
         q = rees_quotient(t, ideal)
@@ -346,30 +346,30 @@ def collapsed_rees_projection(s, monkeypatch):
             projection[outside[-1]] = projection[outside[0]]
         return QuotientSemigroup(q.source, q.quotient, tuple(projection))
 
-    monkeypatch.setattr(groupoid, "rees_quotient", wrong)
+    monkeypatch.setattr(cg, "rees_quotient", wrong)
 
 
 def inverted_germs(s, monkeypatch):
     """A germ is represented by the inverse of its representative."""
-    germ_of = groupoid.germ_of
-    monkeypatch.setattr(groupoid, "germ_of",
+    germ_of = verify.germ_of
+    monkeypatch.setattr(verify, "germ_of",
                         lambda t, a, m: Germ(t.star(germ_of(t, a, m).rep), m))
 
 
 def fundamental_rees_quotient(s, monkeypatch):
     """The Rees quotient by {0} is S/mu: on Z2Z it keeps the one unit and
     loses the arrow x."""
-    rees_quotient = groupoid.rees_quotient
+    rees_quotient = cg.rees_quotient
     mu = rel.h_and_mu(s).mu
     fundamental = cg.quotient(s, cg.make_congruence(s, lambda a: mu.class_index[a]))
-    monkeypatch.setattr(groupoid, "rees_quotient", lambda t, ideal: (
+    monkeypatch.setattr(cg, "rees_quotient", lambda t, ideal: (
         fundamental if len(ideal) == 1 else rees_quotient(t, ideal)))
 
 
 def merged_collapse_atoms(s, monkeypatch):
     """The double-arrow projection of E4 sends the atom e to the image of
     the atom f."""
-    quotient, da = groupoid.quotient, cg.double_arrow(s)
+    quotient, da = cg.quotient, cg.double_arrow(s)
     e, f = s.labels.index("e"), s.labels.index("f")
 
     def wrong(t, rho):
@@ -380,12 +380,12 @@ def merged_collapse_atoms(s, monkeypatch):
         projection[e] = projection[f]
         return QuotientSemigroup(q.source, q.quotient, tuple(projection))
 
-    monkeypatch.setattr(groupoid, "quotient", wrong)
+    monkeypatch.setattr(cg, "quotient", wrong)
 
 
 def uncanonical_germs(s, monkeypatch):
     """The germ of (a, F) is represented by a itself, not by a*min(F)."""
-    monkeypatch.setattr(groupoid, "germ_of", lambda t, a, m: Germ(a, m))
+    monkeypatch.setattr(verify, "germ_of", lambda t, a, m: Germ(a, m))
 
 
 @pytest.mark.parametrize("make, wrong, expected", [

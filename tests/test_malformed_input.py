@@ -8,6 +8,9 @@ kind and to ``verify <dir>``."""
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -69,6 +72,38 @@ def assert_rejected(results) -> None:
     for code, err in results:
         assert code in (2, 3), (code, err)
         assert err.startswith(("error: ", "cap exceeded: ")), err
+
+
+def run_process(argv) -> subprocess.CompletedProcess:
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run([sys.executable, "-m", "isgw.cli", *argv], capture_output=True,
+                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)))
+
+
+def assert_unreadable(run: subprocess.CompletedProcess) -> None:
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("error: ") and "Traceback" not in run.stderr, run.stderr
+
+
+def test_a_directory_given_as_a_document_is_a_parse_error(tmp_path):
+    assert_unreadable(run_process(["analyze", "semigroup", str(tmp_path)]))
+
+
+def test_a_directory_named_like_an_instance_file_is_a_parse_error(tmp_path):
+    (tmp_path / "x.json").mkdir()
+    assert_unreadable(run_process(["verify", str(tmp_path)]))
+
+
+def test_a_document_that_is_no_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(TABLE_DOC).encode("utf-16-le"))
+    assert_unreadable(run_process(["analyze", "semigroup", str(path)]))
+
+
+def test_a_document_nested_too_deeply_is_a_parse_error(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text("[" * 100_000)
+    assert_unreadable(run_process(["analyze", "semigroup", str(path)]))
 
 
 @pytest.mark.parametrize("name", sorted(REPRODUCERS))

@@ -524,7 +524,7 @@ def test_mu_path_criterion_acts_once_per_element_and_path(monkeypatch):
     original = GraphPath.__init__
     monkeypatch.setattr(GraphPath, "__init__",
                         lambda path, *args: made.append(args) or original(path, *args))
-    assert ss.validate_action(mirror, depth=4)["paths"] == expected == 31
+    assert ss.validate_action(mirror)["paths"] == expected == 31
     assert len(made) == expected
 
 

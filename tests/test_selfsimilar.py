@@ -45,8 +45,10 @@ from isgw.selfsimilar import (
     quotient_action,
     ss_semigroup,
     strongly_fixed_finite,
+    _validation_stats,
     trivial_action,
     validate_action,
+    vertex_swap_action,
 )
 
 from oracles import (
@@ -78,7 +80,7 @@ def mirror():
 
 
 def test_mirror_validates_to_depth_four(mirror):
-    stats = validate_action(mirror, depth=4)
+    stats = validate_action(mirror)
     assert stats["depth"] == 4
     assert stats["checks"] > 0
 
@@ -255,7 +257,7 @@ def test_validation_matches_path_object_oracle_on_one_entry_mutations(g, a, dept
     tables = {"vertex_action": action.vertex_action, "edge_action": action.edge_action,
               "cocycle": action.cocycle, table: entries}
     mutated = SelfSimilarAction(action.group, action.graph, **tables)
-    assert (_validation_outcome(validate_action, mutated, depth)
+    assert (_validation_outcome(_validation_stats, mutated, depth)
             == _validation_outcome(validate_action_by_paths, mutated, depth))
 
 
@@ -548,7 +550,7 @@ def test_condition_m_matches_oracles_on_random_graphs(g):
 @settings(max_examples=100, deadline=None)
 @given(doubled_actions())
 def test_condition_m_matches_oracles_on_random_actions(a):
-    validate_action(a, depth=2)
+    _validation_stats(a, 2)
     d = condition_M_ss(a)
     assert (d.value, d.witness) == condition_m_action_scan(a)
     assert hereditary_invariant_sets(a) == hereditary_invariant_masks(a)
@@ -607,6 +609,23 @@ def test_faithfulness(mirror):
     lazy = faithfulness(lazy_z2_action())
     assert not lazy.faithful
     assert (1, 0) in lazy.trivial_pairs
+
+
+def test_every_quotient_that_faithfulness_forms_is_a_valid_action(monkeypatch):
+    """``quotient_action`` does not validate what it forms: the quotient
+    of a valid action by a hereditary invariant set restricts its tables.
+    Every quotient that ``faithfulness`` forms on the actions of the builtin
+    corpus, SWAP-LADDER2 and the vertex-swap action passes validation."""
+    formed = []
+    monkeypatch.setattr(ss, "quotient_action", lambda a, v_set: (
+        formed.append((a, v_set, quotient_action(a, v_set))) or formed[-1][2]))
+    actions = [inst.action for inst in builtin_corpus(0) if inst.kind == "action"]
+    for a in actions + [action_from_json(SWAP_LADDER_DOC), vertex_swap_action()]:
+        validate_action(a)
+        faithfulness(a)
+    assert len(formed) == 7
+    for a, v_set, sub in formed:
+        assert validate_action(sub)["depth"] == 4, (a, v_set)
 
 
 def test_faithfulness_with_source_vertex():
